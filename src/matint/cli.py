@@ -31,10 +31,12 @@ INPUT_ERRORS = (TrsError, InterpError, MatrixError, EncodingError,
 
 
 class _Sources:
-    """Loads and caches input files so errors carry the file name."""
+    """Loads input files so errors carry the file name. Each input is parsed
+    once per path, however often a subcommand asks for it."""
 
     def __init__(self, args):
         self.args = args
+        self._loaded = {}
 
     @staticmethod
     def _read(path: str) -> str:
@@ -42,20 +44,23 @@ class _Sources:
             return fh.read()
 
     def _load(self, path, parser, what):
-        try:
-            return parser(self._read(path))
-        except INPUT_ERRORS as exc:
-            raise SystemExit(_usage_error(f"{what} {path}: {exc}"))
+        key = (what, path)
+        if key not in self._loaded:
+            try:
+                self._loaded[key] = parser(self._read(path))
+            except INPUT_ERRORS as exc:
+                raise SystemExit(_usage_error(f"{what} {path}: {exc}"))
+        return self._loaded[key]
 
     def trs(self):
         return self._load(self.args.trs, parse_trs, "trs")
 
-    def pairs(self, trs):
+    def pairs(self):
         spec = getattr(self.args, "pairs", "none")
         if spec == "none":
             return ()
         if spec == "auto":
-            return dependency_pairs(trs)
+            return dependency_pairs(self.trs())
         return self._load(spec, parse_trs, "pairs").rules
 
     def interp(self, path=None, signature=None):
@@ -100,7 +105,7 @@ def _result(ok: bool, good: str, bad: str) -> int:
 def cmd_check(args) -> int:
     src = _Sources(args)
     trs = src.trs()
-    pairs = src.pairs(trs)
+    pairs = src.pairs()
     signature = dict(trs.signature)
     for pair in pairs:
         for term in (pair.lhs, pair.rhs):
@@ -182,7 +187,7 @@ def _constraint_lines(constraints):
 def cmd_gen_constraints(args) -> int:
     src = _Sources(args)
     trs = src.trs()
-    pairs = src.pairs(trs)
+    pairs = src.pairs()
     try:
         constraints = generate_arith_constraints(trs, pairs, src.pinterp())
     except ConstraintError as exc:
@@ -197,7 +202,7 @@ def cmd_gen_constraints(args) -> int:
 def cmd_eval_valuation(args) -> int:
     src = _Sources(args)
     trs = src.trs()
-    pairs = src.pairs(trs)
+    pairs = src.pairs()
     eta = src.valuation()
     try:
         constraints = generate_arith_constraints(trs, pairs, src.pinterp())
@@ -222,7 +227,7 @@ def _verify_and_report(args, src, before, after, promise) -> bool:
     if not getattr(args, "trs", None):
         return True
     trs = src.trs()
-    pairs = src.pairs(trs)
+    pairs = src.pairs()
     report = verify_transform(trs, pairs, before, after, promise, delta=args.delta)
     print(f"# before [value, m {report.before.m}, delta {report.before.delta}]: "
           f"{'SATISFIED' if report.before.holds else 'VIOLATED'}")
@@ -285,7 +290,7 @@ def cmd_expand(args) -> int:
     compatible = True
     if args.trs and args.pinterp and args.valuation:
         trs = src.trs()
-        pairs = src.pairs(trs)
+        pairs = src.pairs()
         constraints = generate_arith_constraints(trs, pairs, src.pinterp())
         req = required_products(constraints, src.valuation())
         compatible = is_compatible(enc, req)
@@ -333,7 +338,7 @@ def cmd_validate_encoding(args) -> int:
 def cmd_compat(args) -> int:
     src = _Sources(args)
     trs = src.trs()
-    pairs = src.pairs(trs)
+    pairs = src.pairs()
     eta = src.valuation()
     enc = src.encoding()
     try:

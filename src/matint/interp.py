@@ -8,7 +8,8 @@ decide universally quantified orderings between forms:
   constant component;
 - value: the rho ordering (entry sums over a divisor m), strict by a margin
   delta. Weak domination holds for all nonnegative tuples iff the per-column
-  sums of each coefficient dominate.
+  sums of each coefficient dominate, so this backend evaluates only the
+  projected forms ``1ᵀ·[[t]]``.
 
 A seeded random falsifier cross-checks the symbolic verdicts on concrete
 tuples.
@@ -109,9 +110,12 @@ class Interpretation:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Interpreted term: coefficient matrix per variable plus constant vector.
+    """Interpreted term ``left·[[t]]``: coefficient per variable plus constant.
 
-    Variables with zero coefficient are absent from ``coeffs``.
+    The full form (``left = I``) has n x n coefficients and an n x 1 constant;
+    the value backend's projected form (``left = 1ᵀ``) has 1 x n coefficients
+    (the column sums) and a 1 x 1 constant (the entry sum). Variables with
+    zero coefficient are absent from ``coeffs``.
     """
 
     dim: int
@@ -122,29 +126,42 @@ class LinearForm:
         return tuple(sorted(self.coeffs))
 
     def coeff(self, var: str) -> Mat:
-        return self.coeffs.get(var, Mat.zero(self.dim, self.dim))
+        return self.coeffs.get(var, Mat.zero(self.const.rows, self.dim))
 
 
-def eval_term(interp: Interpretation, t: Term) -> LinearForm:
-    """Exact composition of the linear functions along the term structure."""
+def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
+    """The linear form ``left·[[t]]`` by one iterative top-down walk.
+
+    Each node receives ``u = left·(the argument matrices on its path)``: a
+    variable adds ``u`` to its coefficient, a symbol adds ``u·C`` to the
+    constant and hands ``u·M_i`` to its i-th argument. ``left`` (r x n)
+    defaults to the identity, which gives the full form that the entrywise
+    backend and the sampler need. The value backend passes ``Mat.ones(1, n)``,
+    so every product is a row times a matrix and a term costs O(|t|·n²).
+    Terms of any depth evaluate without recursion.
+    """
     n = interp.shape.dim
-    if isinstance(t, Var):
-        return LinearForm(n, {t.name: Mat.identity(n)}, Mat.zero(n, 1))
-    if t.symbol not in interp.table:
-        raise InterpError(f"uninterpreted symbol {t.symbol!r}")
-    func = interp.table[t.symbol]
-    if len(func.mats) != len(t.args):
-        raise InterpError(
-            f"symbol {t.symbol!r} has arity {len(func.mats)} in the interpretation, "
-            f"used with {len(t.args)} argument(s)")
+    if left is None:
+        left = Mat.identity(n)
     coeffs: dict[str, Mat] = {}
-    const = func.const
-    for mat, arg in zip(func.mats, t.args):
-        sub = eval_term(interp, arg)
-        for var, coeff in sub.coeffs.items():
-            product = mat * coeff
-            coeffs[var] = coeffs[var] + product if var in coeffs else product
-        const = const + mat * sub.const
+    const = Mat.zero(left.rows, 1)
+    stack = [(t, left)]
+    while stack:
+        node, u = stack.pop()
+        if isinstance(node, Var):
+            coeffs[node.name] = coeffs[node.name] + u if node.name in coeffs else u
+            continue
+        func = interp.table.get(node.symbol)
+        if func is None:
+            raise InterpError(f"uninterpreted symbol {node.symbol!r}")
+        if len(func.mats) != len(node.args):
+            raise InterpError(
+                f"symbol {node.symbol!r} has arity {len(func.mats)} in the interpretation, "
+                f"used with {len(node.args)} argument(s)")
+        const = const + u * func.const
+        # pushed in reverse, so arguments are visited left to right
+        for mat, arg in reversed(tuple(zip(func.mats, node.args))):
+            stack.append((arg, u * mat))
     coeffs = {v: m for v, m in coeffs.items() if not m.is_zero()}
     return LinearForm(n, coeffs, const)
 
@@ -188,7 +205,9 @@ def check_value(lhs: LinearForm, rhs: LinearForm, rel: str, m: int,
 
     Weak holds iff every coefficient's column sums dominate the right-hand
     side's and the constant entry sums compare; strict needs the constant
-    rho gap to reach delta.
+    rho gap to reach delta. Only the coefficients' column sums and the
+    constant's entry sum are read, so the projected forms ``1ᵀ·[[t]]`` give
+    the same verdict and detail as the full forms.
     """
     if lhs.dim != rhs.dim:
         raise InterpError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
@@ -251,11 +270,13 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
     m, delta = resolve_check_params(interp, m, delta)
+    # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full form
+    left = Mat.ones(1, interp.shape.dim) if backend == "value" else None
     checks: list[ConstraintCheck] = []
     for label, rules, rel in (("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")):
         for idx, rule in enumerate(rules, start=1):
-            lhs = eval_term(interp, rule.lhs)
-            rhs = eval_term(interp, rule.rhs)
+            lhs = eval_term(interp, rule.lhs, left)
+            rhs = eval_term(interp, rule.rhs, left)
             if backend == "entrywise":
                 verdict = check_entrywise(lhs, rhs, rel)
             else:

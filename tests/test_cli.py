@@ -175,6 +175,21 @@ def test_expand_pipeline_end_to_end(capsys, tmp_path):
     assert code == 1
 
 
+def test_expand_parses_each_input_once(capsys, tmp_path, monkeypatch):
+    import matint.cli as cli
+    parsed = []
+    for name in ("parse_trs", "parse_pinterp", "parse_valuation"):
+        def counting(text, _parse=getattr(cli, name), _name=name):
+            parsed.append(_name)
+            return _parse(text)
+        monkeypatch.setattr(cli, name, counting)
+    code, out, _ = run(capsys, "expand", "--valuation", ETA, "--pinterp", PI,
+                       "--trs", EX1, "--pairs", "auto", "--encoding", "half",
+                       "--out", str(tmp_path / "nat.interp"), "--delta", "1/2")
+    assert code == 0 and "RESULT: VERIFIED" in out
+    assert sorted(parsed) == ["parse_pinterp", "parse_trs", "parse_valuation"]
+
+
 def test_expand_incompatible_constraint_set(capsys, tmp_path):
     trs = tmp_path / "cprime.trs"
     # an extra rule whose word f1 g1 f1 g1 demands the product 1/4

@@ -7,7 +7,8 @@ from matint import (App, BlockShape, Cmp, Interpretation, InterpError, LinearFor
                     LinearFunc, Mat, Var, check_entrywise, check_problem,
                     check_value, cmp_value_blocks, collapse_interpretation,
                     eval_term, format_interpretation, jordan, parse_interpretation,
-                    parse_matrix, parse_trs, rho, sample_falsify, value_collapse)
+                    parse_matrix, parse_trs, rho, sample_falsify, subterms,
+                    value_collapse)
 from _helpers import (example_one, mixed_interp, rand_const_scalar_block_mat,
                       read)
 
@@ -122,6 +123,100 @@ def test_eval_term_errors(ex2):
         eval_term(ex2, App("h", (Var("x"),)))
     with pytest.raises(InterpError, match="arity"):
         eval_term(ex2, App("f", (Var("x"), Var("y"))))
+
+
+def _rand_interp(rng):
+    """Random natural or rational interpretation of dim 1-6, block 1 or 2, over
+    c/0, h/1 and p/2; about one matrix in four is all-zero."""
+    block = rng.choice((1, 2))
+    dim = block * rng.randint(1, 6 // block)
+    domain = rng.choice(("natural", "rational"))
+
+    def entry():
+        if domain == "natural":
+            return rng.randint(0, 3)
+        return F(rng.randint(0, 6), rng.randint(1, 3))
+
+    def mat():
+        if rng.random() < 0.25:
+            return Mat.zero(dim)
+        return Mat(dim, dim, tuple(entry() for _ in range(dim * dim)))
+
+    def const():
+        return Mat.column([v for _ in range(dim // block) for v in [entry()] * block])
+
+    table = {s: LinearFunc(tuple(mat() for _ in range(arity)), const())
+             for s, arity in (("c", 0), ("h", 1), ("p", 2))}
+    return Interpretation(BlockShape(dim, block), domain, table)
+
+
+def _rand_term(rng, depth, names):
+    if depth == 0 or rng.random() < 0.2:
+        return Var(rng.choice(names)) if rng.random() < 0.8 else App("c")
+    symbol = rng.choice(("h", "p"))
+    arity = 1 if symbol == "h" else 2
+    return App(symbol, tuple(_rand_term(rng, depth - 1, names) for _ in range(arity)))
+
+
+def _reference_form(interp, t):
+    """Bottom-up composition [[f(t1..tk)]] = C + sum M_i [[t_i]], the reference
+    for the top-down walk; returns (coefficients without zeros, constant)."""
+    n = interp.shape.dim
+    if isinstance(t, Var):
+        return {t.name: Mat.identity(n)}, Mat.zero(n, 1)
+    func = interp.table[t.symbol]
+    coeffs, const = {}, func.const
+    for mat, arg in zip(func.mats, t.args):
+        sub_coeffs, sub_const = _reference_form(interp, arg)
+        for var, coeff in sub_coeffs.items():
+            coeffs[var] = coeffs.get(var, Mat.zero(n)) + mat * coeff
+        const = const + mat * sub_const
+    return {v: c for v, c in coeffs.items() if not c.is_zero()}, const
+
+
+def test_projected_form_agrees_with_full_form():
+    rng = random.Random(35)
+    outcomes = set()
+    for _ in range(150):
+        interp = _rand_interp(rng)
+        n = interp.shape.dim
+        ones = Mat.ones(1, n)
+        # z occurs only on the right-hand side
+        lhs_t = _rand_term(rng, 4, ("x", "y"))
+        rhs_t = rng.choice((rng.choice(list(subterms(lhs_t))),
+                            _rand_term(rng, 3, ("x", "y", "z"))))
+        forms = []
+        for t in (lhs_t, rhs_t):
+            full = eval_term(interp, t)
+            assert (full.coeffs, full.const) == _reference_form(interp, t)
+            projected = eval_term(interp, t, ones)
+            assert set(projected.coeffs) == set(full.coeffs)
+            for var, coeff in full.coeffs.items():
+                assert projected.coeffs[var] == ones * coeff
+            assert projected.const == ones * full.const
+            forms.append((full, projected))
+        (lf, lp), (rf, rp) = forms
+        for rel, delta in (("weak", None), ("strict", F(1, n)),
+                           ("strict", F(rng.randint(1, 4), rng.randint(1, 4)))):
+            verdict = check_value(lf, rf, rel, n, delta)
+            assert check_value(lp, rp, rel, n, delta) == verdict
+            outcomes.add(verdict.holds)
+    assert outcomes == {True, False}
+
+
+def test_eval_term_deep_chain_without_recursion():
+    interp = parse_interpretation(
+        "domain natural\ndim 2\nblock 1\n"
+        "interp f : 1\n  M1 = [1 1 ; 0 1]\n  C = [1 ; 0]\n")
+    t = Var("x")
+    for _ in range(5000):
+        t = App("f", (t,))
+    full = eval_term(interp, t)
+    assert full.coeffs == {"x": parse_matrix("[1 5000 ; 0 1]")}
+    assert full.const == Mat.column([5000, 0])
+    projected = eval_term(interp, t, Mat.ones(1, 2))
+    assert projected.coeffs == {"x": Mat.from_rows([[1, 5001]])}
+    assert projected.const == Mat(1, 1, (5000,))
 
 
 def test_check_entrywise_examples(ex2, ex62):
