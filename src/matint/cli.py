@@ -8,6 +8,7 @@ invalid or transform disagreement, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -377,7 +378,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every call of main may share it."""
     parser = argparse.ArgumentParser(
         prog="matint",
         description="Matrix interpretations over exact rationals: constraint "

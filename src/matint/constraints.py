@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import MatrixError, Rat, as_rat, parse_rat, strip_comment
-from .trs import Rule, Term, Trs, Var
+from .trs import Rule, Term, Trs, Var, subterms
 
 Word = tuple[str, ...]
 WordSum = tuple[Word, ...]
@@ -25,10 +25,6 @@ RESERVED = {"0", "1"}
 
 class ConstraintError(ValueError):
     pass
-
-
-def _prepend(param: str, word: Word) -> Word:
-    return (param,) if word == UNIT_WORD else (param,) + word
 
 
 def format_word(word: Word) -> str:
@@ -119,36 +115,41 @@ def format_pinterp(pi: ParamInterpretation) -> str:
 
 
 def _sym_eval(t: Term, pi: ParamInterpretation) -> tuple[dict[str, list[Word]], list[Word]]:
-    if isinstance(t, Var):
-        return {t.name: [UNIT_WORD]}, []
-    if t.symbol not in pi.table:
-        raise ConstraintError(f"uninterpreted symbol {t.symbol!r}")
-    coeff_params, const_param = pi.table[t.symbol]
+    """Word sums of ``t``: each variable's coefficient words and the constant words.
+
+    One iterative walk hands every node its prefix word (the coefficient
+    parameters on its path), so each word is built once. Variables are met in
+    left-to-right order and constants in post-order: children first, then the
+    node's own constant parameter.
+    """
     coeffs: dict[str, list[Word]] = {}
     consts: list[Word] = []
-    for param, arg in zip(coeff_params, t.args):
-        sub_coeffs, sub_consts = _sym_eval(arg, pi)
-        for var, words in sub_coeffs.items():
-            coeffs.setdefault(var, []).extend(_prepend(param, w) for w in words)
-        consts.extend(_prepend(param, w) for w in sub_consts)
-    consts.append((const_param,))
+    # a None node stands for a finished constant word, popped after the
+    # node's children
+    stack: list[tuple[Term | None, Word]] = [(t, ())]
+    while stack:
+        node, prefix = stack.pop()
+        if node is None:
+            consts.append(prefix)
+        elif isinstance(node, Var):
+            coeffs.setdefault(node.name, []).append(prefix or UNIT_WORD)
+        elif node.symbol not in pi.table:
+            raise ConstraintError(f"uninterpreted symbol {node.symbol!r}")
+        else:
+            coeff_params, const_param = pi.table[node.symbol]
+            stack.append((None, prefix + (const_param,)))
+            for param, arg in reversed(list(zip(coeff_params, node.args))):
+                stack.append((arg, prefix + (param,)))
     return coeffs, consts
 
 
 def _ordered_vars(rule: Rule) -> list[str]:
-    order: list[str] = []
-
-    def scan(t: Term):
-        if isinstance(t, Var):
-            if t.name not in order:
-                order.append(t.name)
-        else:
-            for a in t.args:
-                scan(a)
-
-    scan(rule.lhs)
-    scan(rule.rhs)
-    return order
+    order: dict[str, None] = {}
+    for side in (rule.lhs, rule.rhs):
+        for t in subterms(side):
+            if isinstance(t, Var):
+                order.setdefault(t.name)
+    return list(order)
 
 
 def _as_sum(words: list[Word]) -> WordSum:

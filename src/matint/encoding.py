@@ -9,9 +9,9 @@ The catalog ships the known-good encodings built from Jordan block powers.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .constraints import ArithConstraint
 from .matrix import (Mat, Rat, as_rat, format_matrix, jordan, parse_matrix,
@@ -134,25 +134,45 @@ def validate(enc: Encoding, keys=None) -> EncodingReport:
 
 def required_products(constraints, eta: dict[str, Rat]) -> frozenset[Fraction]:
     """All nonempty subset-products of non-integer parameter values inside any
-    multiplicative word of the constraints (the compatibility obligation)."""
-    out: set[Fraction] = set()
+    multiplicative word of the constraints (the compatibility obligation).
+
+    A word's subset products depend only on how often each value occurs in
+    it, so each word becomes a count vector {value: count}. A vector that
+    another dominates pointwise adds no product, and each remaining vector
+    is expanded once. Expanding a vector of total count L costs at most L
+    times the size of its product set, so the whole is polynomial in word
+    length and linear in the size of the returned set, not 2^(word length).
+    """
+    vectors: set[frozenset[tuple[Fraction, int]]] = set()
     for c in constraints:
         if not isinstance(c, ArithConstraint):
             raise EncodingError(f"expected an arithmetic constraint, got {c!r}")
         for side in (c.lhs, c.rhs):
             for word in side:
-                rationals = []
-                for param in word:
+                # count names first: a str hash is cached, a Fraction's is not
+                counts: dict[Fraction, int] = {}
+                for param, n in Counter(word).items():
                     if param not in eta:
                         raise EncodingError(f"unbound parameter {param!r}")
-                    if isinstance(eta[param], Fraction):
-                        rationals.append(eta[param])
-                for size in range(1, len(rationals) + 1):
-                    for subset in combinations(rationals, size):
-                        product = Fraction(1)
-                        for value in subset:
-                            product *= value
-                        out.add(product)
+                    value = eta[param]
+                    if isinstance(value, Fraction):
+                        counts[value] = counts.get(value, 0) + n
+                vectors.add(frozenset(counts.items()))
+    # a vector can only be dominated by one of at least its total count
+    kept: list[dict[Fraction, int]] = []
+    for vector in sorted(vectors, key=lambda v: sum(n for _, n in v), reverse=True):
+        if not any(all(big.get(value, 0) >= n for value, n in vector) for big in kept):
+            kept.append(dict(vector))
+    out: set[Fraction] = set()
+    for counts in kept:
+        # products of nonempty sub-multisets; the empty one is never formed,
+        # so 1 appears only as a real product such as 3/2 * 2/3
+        products: set[Fraction] = set()
+        for value, n in counts.items():
+            powers = [value ** e for e in range(1, n + 1)]
+            products |= {p * q for p in products for q in powers}
+            products.update(powers)
+        out |= products
     return frozenset(out)
 
 

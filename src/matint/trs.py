@@ -30,29 +30,52 @@ class App:
     args: tuple = ()
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({','.join(str(a) for a in self.args)})"
+        # a pre-order walk without recursion; open_args counts the arguments
+        # each open application still has to render
+        parts = []
+        open_args = []
+        for t in subterms(self):
+            if isinstance(t, Var):
+                parts.append(t.name)
+            elif t.args:
+                parts.append(t.symbol + "(")
+                open_args.append(len(t.args))
+                continue
+            else:
+                parts.append(t.symbol)
+            while open_args:
+                open_args[-1] -= 1
+                if open_args[-1]:
+                    parts.append(",")
+                    break
+                open_args.pop()
+                parts.append(")")
+        return "".join(parts)
 
 
 Term = Var | App
 
 
 def variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
     out = set()
-    for a in t.args:
-        out |= variables(a)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out.add(t.name)
+        else:
+            stack.extend(t.args)
     return out
 
 
 def subterms(t: Term):
-    """All subterms in pre-order (the term itself first)."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
+    """All subterms in pre-order (the term itself first), without recursion."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack.extend(reversed(t.args))
 
 
 @dataclass(frozen=True)
@@ -142,38 +165,52 @@ class _Parser:
 
 
 def _parse_term(p: _Parser, varnames: set[str]) -> Term:
-    tok, line, col = p.next()
-    if tok in _PUNCT or tok == "->":
-        raise TrsError(f"expected a term, got {tok!r}", line, col)
-    if p.peek() == "(":
-        if tok in varnames:
-            raise TrsError(f"variable {tok!r} used with arguments", line, col)
-        p.expect("(")
-        args = []
-        if p.peek() != ")":
-            args.append(_parse_term(p, varnames))
-            while p.peek() == ",":
+    """Parse one term; open applications wait on an explicit stack, so terms
+    of any depth parse without recursion."""
+    open_apps: list[tuple[str, list]] = []
+    while True:
+        tok, line, col = p.next()
+        if tok in _PUNCT or tok == "->":
+            raise TrsError(f"expected a term, got {tok!r}", line, col)
+        if p.peek() == "(":
+            if tok in varnames:
+                raise TrsError(f"variable {tok!r} used with arguments", line, col)
+            p.expect("(")
+            if p.peek() != ")":
+                open_apps.append((tok, []))
+                continue
+            p.expect(")")
+            term = App(tok)
+        elif tok in varnames:
+            term = Var(tok)
+        else:
+            term = App(tok)
+        # hand the finished term to its parent, closing every application
+        # whose last argument it is
+        while True:
+            if not open_apps:
+                return term
+            symbol, args = open_apps[-1]
+            args.append(term)
+            if p.peek() == ",":
                 p.expect(",")
-                args.append(_parse_term(p, varnames))
-        p.expect(")")
-        return App(tok, tuple(args))
-    if tok in varnames:
-        return Var(tok)
-    return App(tok)
+                break
+            p.expect(")")
+            open_apps.pop()
+            term = App(symbol, tuple(args))
 
 
 def _check_arities(t: Term, signature: dict[str, int], line: int, col: int):
-    if isinstance(t, Var):
-        return
-    seen = signature.get(t.symbol)
-    if seen is None:
-        signature[t.symbol] = len(t.args)
-    elif seen != len(t.args):
-        raise TrsError(
-            f"symbol {t.symbol!r} used with arity {len(t.args)} after arity {seen}",
-            line, col)
-    for a in t.args:
-        _check_arities(a, signature, line, col)
+    for s in subterms(t):
+        if isinstance(s, Var):
+            continue
+        seen = signature.get(s.symbol)
+        if seen is None:
+            signature[s.symbol] = len(s.args)
+        elif seen != len(s.args):
+            raise TrsError(
+                f"symbol {s.symbol!r} used with arity {len(s.args)} after arity {seen}",
+                line, col)
 
 
 def parse_trs(text: str) -> Trs:
@@ -242,12 +279,15 @@ def dependency_pairs(trs: Trs) -> tuple[Rule, ...]:
     """
     defined = {r.lhs.symbol for r in trs.rules}
     pairs: list[Rule] = []
-    seen = set()
+    # pairs are told apart by their rendering, which is injective within one
+    # TRS and built without recursion; hashing a nested term recurses per level
+    seen: set[str] = set()
     for rule in trs.rules:
         for t in subterms(rule.rhs):
             if isinstance(t, App) and t.symbol in defined:
                 pair = Rule(_sharp_root(rule.lhs), _sharp_root(t))
-                if pair not in seen:
-                    seen.add(pair)
+                key = str(pair)
+                if key not in seen:
+                    seen.add(key)
                     pairs.append(pair)
     return tuple(pairs)

@@ -315,3 +315,65 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("RESULT: SATISFIED")
+
+
+def test_main_calls_share_one_parser_without_leaking_state(capsys, tmp_path):
+    from matint.cli import build_parser
+    pairs_file = str(tmp_path / "pairs.trs")
+    calls = [
+        ("dps", "--trs", EX1, "--out", pairs_file, "--legacy-names"),
+        ("check", "--trs", EX1, "--pairs", "auto", "--interp", EX2,
+         "--backend", "entrywise", "--trials", "20", "--seed", "3"),
+        ("check", "--trs", EX1, "--interp", EX2),
+        ("dps", "--trs", EX1),
+        ("check", "--trs", EX1, "--pairs", pairs_file, "--interp", EX2,
+         "--delta", "1/2"),
+        ("compat", "--trs", EX1, "--pairs", "auto", "--pinterp", PI,
+         "--valuation", ETA, "--encoding", "half"),
+        ("gen-constraints", "--trs", EX1, "--pinterp", PI),
+        ("check", "--trs", EX1, "--interp", EX2),
+        ("check", "--trs", EX1),
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert build_parser() is build_parser()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert shared == alone
+    assert "0 pair(s)" in alone[2][1] and alone[-1][0] == 2
+
+
+def test_depth_2000_chain_exits_cleanly(capsys, tmp_path):
+    depth = 2000
+    chain = "x"
+    for _ in range(depth - 1):
+        chain = f"g({chain})"
+    # one deep rule side in each direction and one deep dependency pair
+    trs = tmp_path / "chain.trs"
+    trs.write_text(f"(VAR x)\n(RULES\n  f({chain}) -> x\n  f(x) -> f(g({chain}))\n)\n",
+                   encoding="utf-8")
+    pi = tmp_path / "chain.pi"
+    pi.write_text("pinterp f : 1 = f1 | f0\npinterp g : 1 = g1 | g0\n"
+                  "pinterp f# : 1 = F1 | F0\n", encoding="utf-8")
+    eta = tmp_path / "chain.val"
+    eta.write_text("".join(f"param {p} = {v}\n" for p, v in
+                           [("f1", 1), ("f0", 1), ("g1", 1), ("g0", 0),
+                            ("F1", 1), ("F0", 0)]), encoding="utf-8")
+    interp = tmp_path / "chain.interp"
+    interp.write_text("domain natural\ndim 1\nblock 1\n"
+                      "interp f : 1\n  M1 = [1]\n  C = [1]\n"
+                      "interp g : 1\n  M1 = [1]\n  C = [0]\n"
+                      "interp f# : 1\n  M1 = [1]\n  C = [0]\n", encoding="utf-8")
+    base = ("--trs", str(trs), "--pairs", "auto")
+    code, out, _ = run(capsys, "gen-constraints", *base, "--pinterp", str(pi))
+    assert code == 0 and "# 6 arithmetic constraint(s)" in out
+    assert f"pair 1 / x: F1 >= F1 {' '.join(['g1'] * depth)}" in out
+    code, out, _ = run(capsys, "compat", *base, "--pinterp", str(pi),
+                       "--valuation", str(eta), "--encoding", "half")
+    assert (code, out.splitlines()[-1]) == (0, "RESULT: COMPATIBLE")
+    code, out, _ = run(capsys, "check", *base, "--interp", str(interp))
+    assert code == 1 and "1 pair(s)" in out
+    assert out.splitlines()[-1] == "RESULT: VIOLATED"
+    code, out, _ = run(capsys, "dps", "--trs", str(trs))
+    assert code == 0 and f"f#(x) -> f#(g({chain}))" in out

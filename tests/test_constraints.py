@@ -95,6 +95,16 @@ def test_generate_constraints_projection_rule():
     assert const_c.rhs == words("0")
 
 
+def test_generate_constraints_word_order():
+    # the rendered order: variables by first occurrence, each variable's
+    # words left to right, constant words children first
+    trs = parse_trs("(VAR x y) (RULES p(f(y), p(x, y)) -> x)")
+    pi = parse_pinterp("pinterp p : 2 = p1 p2 | p0\npinterp f : 1 = f1 | f0")
+    cs = generate_arith_constraints(trs, (), pi)
+    assert [f"{c.kind}: {c}" for c in cs] == [
+        "y: p1 f1 + p2 p2 >= 0", "x: p2 p1 >= 1", "const: p1 f0 + p2 p0 + p0 >= 0"]
+
+
 def test_generate_constraints_uninterpreted_symbol():
     trs, pairs = example_one()
     pi = parse_pinterp("pinterp f : 1 = f1 | f0")

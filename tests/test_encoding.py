@@ -125,6 +125,55 @@ def test_required_products_unbound():
         required_products([rc("p", "q")], make_valuation({"p": 1}))
 
 
+def _subset_products(constraints, eta):
+    """Reference: every nonempty subset of every word's rational values."""
+    out = set()
+    for c in constraints:
+        for word in (*c.lhs, *c.rhs):
+            rationals = [eta[p] for p in word if isinstance(eta[p], F)]
+            for size in range(1, len(rationals) + 1):
+                for subset in itertools.combinations(rationals, size):
+                    product = F(1)
+                    for value in subset:
+                        product *= value
+                    out.add(product)
+    return out
+
+
+def test_required_products_matches_subset_enumeration():
+    rng = random.Random(3)
+    # 3/2 * 2/3 = 1 is a nonempty product; c and d share the value 1/2;
+    # n and m are integral, and "0"/"1" are the reserved parameters
+    eta = make_valuation({"a": F(3, 2), "b": F(2, 3), "c": F(1, 2), "d": F(1, 2),
+                          "e": F(1, 3), "n": 2, "m": 5})
+    names = sorted(eta)
+
+    def word_sum():
+        return tuple(tuple(rng.choice(names) for _ in range(rng.randint(1, 10)))
+                     for _ in range(rng.randint(1, 3)))
+
+    saw_one = False
+    for _ in range(300):
+        cs = [ArithConstraint(word_sum(), word_sum(), "weak", "x")
+              for _ in range(rng.randint(1, 4))]
+        req = required_products(cs, eta)
+        assert req == _subset_products(cs, eta)
+        saw_one |= 1 in req
+    assert saw_one
+
+
+def test_required_products_long_word():
+    eta = make_valuation({"h": F(1, 2)})
+    assert required_products([rc(" ".join(["h"] * 64), "h")], eta) == \
+        {F(1, 2 ** k) for k in range(1, 65)}
+
+
+def test_required_products_unbound_in_dominated_word():
+    eta = make_valuation({"c": F(1, 2)})
+    with pytest.raises(EncodingError, match="unbound parameter 'zz'"):
+        required_products([rc("c c c", "c zz")], eta)
+
+
 def test_is_compatible():
     assert is_compatible(catalog("half"), frozenset({F(1, 2)}))
     assert is_compatible(catalog("half"), frozenset())
