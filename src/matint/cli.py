@@ -18,8 +18,7 @@ from .constraints import (ConstraintError, eval_valuation,
 from .encoding import (EncodingError, is_compatible, load_encoding,
                        required_products, validate)
 from .interp import (InterpError, check_problem, collapse_interpretation,
-                     eval_term, format_interpretation, parse_interpretation,
-                     resolve_check_params, sample_falsify)
+                     format_interpretation, parse_interpretation)
 from .matrix import MatrixError, parse_rat
 from .represent import rho
 from .trs import Trs, TrsError, dependency_pairs, format_trs, parse_trs
@@ -115,7 +114,8 @@ def cmd_check(args) -> int:
     interp = src.interp(signature=signature)
     try:
         report = check_problem(trs, pairs, interp, args.backend,
-                               m=args.m, delta=args.delta)
+                               m=args.m, delta=args.delta, trials=args.trials,
+                               bound=args.bound, seed=args.seed)
     except InterpError as exc:
         raise SystemExit(_usage_error(str(exc)))
     header = [f"# check: backend {args.backend}, dim {interp.shape.dim}, "
@@ -124,27 +124,18 @@ def cmd_check(args) -> int:
     if report.backend == "value":
         header.append(f"# value params: m {report.m}, delta {report.delta}")
     _print_report(report, header)
-    consistent = True
     if args.trials:
-        m, delta = resolve_check_params(interp, args.m, args.delta)
-        rules = list(trs.rules) + list(pairs)
-        for check, rule in zip(report.checks, rules):
+        for check in report.checks:
             if not check.verdict.holds:
                 continue
-            witness = sample_falsify(
-                eval_term(interp, rule.lhs), eval_term(interp, rule.rhs),
-                check.rel, interp.shape, args.backend, m=m, delta=delta,
-                trials=args.trials, bound=args.bound, seed=args.seed,
-                domain=interp.domain)
-            if witness is None:
+            if check.witness is None:
                 print(f"# sampled {check.label}: no witness "
                       f"({args.trials} trials, seed {args.seed})")
             else:
-                consistent = False
-                print(f"# sampled {check.label}: WITNESS {witness} "
+                print(f"# sampled {check.label}: WITNESS {check.witness} "
                       f"contradicts the symbolic verdict")
-    return _result(report.holds and consistent, "SATISFIED",
-                   "VIOLATED" if consistent else "DISAGREEMENT")
+    return _result(report.holds and report.consistent, "SATISFIED",
+                   "VIOLATED" if report.consistent else "DISAGREEMENT")
 
 
 def _rename_root(term, names):
@@ -371,6 +362,16 @@ def cmd_collapse(args) -> int:
     return _result(True, "COLLAPSED", "")
 
 
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(parse_rat(text))
@@ -403,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value-backend divisor (default: dimension)")
     p.add_argument("--delta", type=_fraction, default=None,
                    help="strictness margin (default: file delta, else 1/m)")
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials", type=_natural, default=0,
                    help="cross-check Holds verdicts on this many sampled tuples")
-    p.add_argument("--bound", type=int, default=10,
+    p.add_argument("--bound", type=_natural, default=10,
                    help="sampled block values range over [0, bound]")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
 

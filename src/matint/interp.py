@@ -129,6 +129,31 @@ class LinearForm:
         return self.coeffs.get(var, Mat.zero(self.const.rows, self.dim))
 
 
+def _ground_values(interp: Interpretation, t: Term) -> dict[int, Mat]:
+    """The value vector of every ground subterm of t, keyed by id(node):
+    hashing a frozen-dataclass term recurses, so the term itself cannot be
+    the key. A node whose symbol is uninterpreted or used with another arity
+    is left out, for the top-down walk to report."""
+    nodes = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Var):
+            nodes.append(node)
+            stack.extend(node.args)
+    values: dict[int, Mat] = {}
+    # in reversed pre-order, every node comes after its arguments
+    for node in reversed(nodes):
+        func = interp.table.get(node.symbol)
+        if (func is not None and len(func.mats) == len(node.args)
+                and all(map(values.__contains__, map(id, node.args)))):
+            w = func.const
+            for mat, arg in zip(func.mats, node.args):
+                w = w + mat * values[id(arg)]
+            values[id(node)] = w
+    return values
+
+
 def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
     """The linear form ``left·[[t]]`` by one iterative top-down walk.
 
@@ -136,13 +161,20 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
     variable adds ``u`` to its coefficient, a symbol adds ``u·C`` to the
     constant and hands ``u·M_i`` to its i-th argument. ``left`` (r x n)
     defaults to the identity, which gives the full form that the entrywise
-    backend and the sampler need. The value backend passes ``Mat.ones(1, n)``,
-    so every product is a row times a matrix and a term costs O(|t|·n²).
-    Terms of any depth evaluate without recursion.
+    backend needs. The value backend passes ``Mat.ones(1, n)``, so every
+    product is a row times a matrix and a term costs O(|t|·n²). With more
+    than one row, ground subterms are first folded bottom-up to their value
+    vectors and the walk stops at them: a symbol adds ``u·(C + M_i·[[t_i]])``
+    over its ground arguments ``t_i``, so an edge into a ground subterm costs
+    a matrix-vector product rather than an r x n by n x n product. Terms of
+    any depth evaluate without recursion.
     """
     n = interp.shape.dim
     if left is None:
         left = Mat.identity(n)
+    ground = _ground_values(interp, t) if left.rows > 1 else {}
+    if id(t) in ground:
+        return LinearForm(n, {}, left * ground[id(t)])
     coeffs: dict[str, Mat] = {}
     const = Mat.zero(left.rows, 1)
     stack = [(t, left)]
@@ -158,10 +190,15 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
             raise InterpError(
                 f"symbol {node.symbol!r} has arity {len(func.mats)} in the interpretation, "
                 f"used with {len(node.args)} argument(s)")
-        const = const + u * func.const
+        w = func.const
         # pushed in reverse, so arguments are visited left to right
         for mat, arg in reversed(tuple(zip(func.mats, node.args))):
-            stack.append((arg, u * mat))
+            vec = ground.get(id(arg))
+            if vec is None:
+                stack.append((arg, u * mat))
+            else:
+                w = w + mat * vec
+        const = const + u * w
     coeffs = {v: m for v, m in coeffs.items() if not m.is_zero()}
     return LinearForm(n, coeffs, const)
 
@@ -241,6 +278,8 @@ class ConstraintCheck:
     rule: Rule
     rel: str
     verdict: Verdict
+    # a sampled tuple that contradicts a HOLDS verdict, if sampling found one
+    witness: dict[str, tuple] | None = None
 
 
 @dataclass(frozen=True)
@@ -254,22 +293,28 @@ class CheckReport:
     def holds(self) -> bool:
         return all(c.verdict.holds for c in self.checks)
 
-
-def resolve_check_params(interp: Interpretation, m: int = None,
-                         delta: Fraction = None) -> tuple[int, Fraction]:
-    """Fill in value-backend defaults: m is the dimension, delta is 1/m."""
-    m = interp.shape.dim if m is None else m
-    if delta is None:
-        delta = interp.delta if interp.delta is not None else Fraction(1, m)
-    return m, Fraction(delta)
+    @property
+    def consistent(self) -> bool:
+        """No sampled tuple contradicts a symbolic verdict."""
+        return all(c.witness is None for c in self.checks)
 
 
 def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value",
-                  m: int = None, delta: Fraction = None) -> CheckReport:
-    """Weak check for every rule, strict check for every pair; all must hold."""
+                  m: int = None, delta: Fraction = None, trials: int = 0,
+                  bound: int = 10, seed: int = 0) -> CheckReport:
+    """Weak check for every rule, strict check for every pair; all must hold.
+
+    Value-backend defaults: m is the dimension; delta is the file's delta,
+    else 1/m. With ``trials`` > 0, ``sample_falsify`` cross-checks every HOLDS
+    verdict on the forms the check just computed, and the check keeps the
+    witness it finds (or None).
+    """
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
-    m, delta = resolve_check_params(interp, m, delta)
+    m = interp.shape.dim if m is None else m
+    if delta is None:
+        delta = interp.delta if interp.delta is not None else Fraction(1, m)
+    delta = Fraction(delta)
     # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full form
     left = Mat.ones(1, interp.shape.dim) if backend == "value" else None
     checks: list[ConstraintCheck] = []
@@ -281,17 +326,18 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
                 verdict = check_entrywise(lhs, rhs, rel)
             else:
                 verdict = check_value(lhs, rhs, rel, m, delta)
-            checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, verdict))
+            witness = None
+            if trials and verdict.holds:
+                witness = sample_falsify(lhs, rhs, rel, interp.shape, backend,
+                                         m=m, delta=delta, trials=trials, bound=bound,
+                                         seed=seed, domain=interp.domain)
+            checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, verdict, witness))
     if backend == "entrywise":
         m = delta = None
     return CheckReport(backend, m, delta, tuple(checks))
 
 
 # --- sampling falsifier ---
-
-def _int_matrix(mat: Mat, scale: int) -> np.ndarray:
-    return np.array([[int(e * scale) for e in mat.row(i)] for i in range(mat.rows)],
-                    dtype=object)
 
 def _denominator_lcm(forms) -> int:
     d = 1
@@ -303,6 +349,24 @@ def _denominator_lcm(forms) -> int:
     return d
 
 
+def _draws(rng: random.Random, top: int, count: int) -> list[int]:
+    """``[rng.randint(0, top) for _ in range(count)]`` without randint's three
+    Python frames per draw.
+
+    randint(0, top) draws k = (top + 1).bit_length() random bits until the
+    value is at most top. So the values it returns are the k-bit draws that
+    pass, in order. Each round below draws only as many k-bit values as are
+    still missing, so the last value drawn is also the last one kept: the
+    stream, and the generator's state after it, are those of randint.
+    """
+    k = (top + 1).bit_length()
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    while len(out) < count:
+        out += [r for r in [getrandbits(k) for _ in range(count - len(out))] if r <= top]
+    return out
+
+
 def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape,
                    backend: str = "value", m: int = None, delta: Fraction = None,
                    trials: int = 1000, bound: int = 10, seed: int = 0,
@@ -310,79 +374,96 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     """Search for a concrete block-constant tuple violating lhs REL rhs.
 
     Block values are naturals in [0, bound] (halves as well for the rational
-    domain). Returns the first violating assignment, or None. Arithmetic is
+    domain), drawn from ``random.Random(seed)`` exactly as ``randint`` would
+    draw them, variable by variable (in name order), block by block, trial
+    by trial. Returns the first violating assignment, or None. Arithmetic is
     exact: denominators are cleared and the comparison scaled accordingly.
+
+    The value backend compares only the entry sums of the two values, so it
+    takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
+    give the same sums, hence the same witness. The entrywise backend needs
+    the full forms (n rows).
     """
     if trials < 1:
         raise InterpError(f"trials must be positive, got {trials}")
+    if bound < 0:
+        raise InterpError(f"bound must be nonnegative, got {bound}")
+    if backend not in ("entrywise", "value"):
+        raise InterpError(f"unknown backend {backend!r}")
     n, b, beta = shape.dim, shape.block, shape.beta
     if lhs.dim != n or rhs.dim != n:
         raise InterpError("forms do not match the sampling shape")
+    rows = lhs.const.rows
+    if rhs.const.rows != rows:
+        raise InterpError(f"forms have {rows} and {rhs.const.rows} rows")
+    if backend == "entrywise" and rows != n:
+        raise InterpError(f"entrywise sampling needs full forms ({n} rows), got {rows}")
     if backend == "value":
+        if rows not in (1, n):
+            raise InterpError(f"value sampling needs full or projected forms, got {rows} rows")
         m = n if m is None else m
         if rel == "strict" and (delta is None or delta <= 0):
             raise InterpError("strict value sampling needs delta > 0")
     # denominator 2 admits non-integer rational samples in the rational domain
     sample_den = 1 if domain == "natural" else 2
+    top = bound * sample_den
     den = _denominator_lcm((lhs, rhs))
     # draws carry a factor sample_den, so coefficients scale by den only and
     # constants by the full den*sample_den: every value ends up scaled equally
     scale = den * sample_den
     variables = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-    lmats = {v: _int_matrix(lhs.coeff(v), den) for v in variables}
-    rmats = {v: _int_matrix(rhs.coeff(v), den) for v in variables}
-    lconst = _int_matrix(lhs.const, scale).reshape(n)
-    rconst = _int_matrix(rhs.const, scale).reshape(n)
 
-    rng = random.Random(seed)
-    draws = {
-        v: np.array([[rng.randint(0, bound * sample_den) for _ in range(trials)]
-                     for _ in range(beta)], dtype=object)
-        for v in variables
-    }
-    # switch to machine ints when a conservative magnitude bound allows it
-    mats = list(lmats.values()) + list(rmats.values())
-    coeff_bound = max((int(abs(a).max()) for a in mats), default=0)
-    const_bound = max(int(abs(lconst).max()), int(abs(rconst).max()))
-    peak = (coeff_bound * bound * sample_den * n * max(1, len(variables))
-            + const_bound) * n
+    def int_rows(form):
+        """Scaled integer coefficient rows over the variables' blocks (a
+        block-constant draw meets only a block's column sum) and constant;
+        the value backend sums the rows first."""
+        coeff_rows = [[] for _ in range(rows)]
+        for v in variables:
+            entries = form.coeff(v).entries
+            for i, row in enumerate(coeff_rows):
+                base = i * n
+                row.extend(int(den * sum(entries[base + j * b:base + (j + 1) * b]))
+                           for j in range(beta))
+        const = [int(scale * e) for e in form.const.entries]
+        if backend == "value":
+            coeff_rows = [[sum(col) for col in zip(*coeff_rows)]]
+            const = [sum(const)]
+        return coeff_rows, const
+
+    sides = (int_rows(lhs), int_rows(rhs))
+    # the draws and every partial sum of a value (of a row sum, for the value
+    # backend) are at most peak in magnitude; a strict value comparison also
+    # forms (lsum - rsum) * den(delta) and num(delta) * m * scale
+    peak = max(top, *(sum(map(abs, row)) * top + abs(c)
+                      for coeff_rows, const in sides for row, c in zip(coeff_rows, const)))
     if backend == "value" and rel == "strict":
-        peak = peak * delta.denominator + abs(delta.numerator) * m * scale
-    if peak < 2 ** 62:
-        lmats = {v: a.astype(np.int64) for v, a in lmats.items()}
-        rmats = {v: a.astype(np.int64) for v, a in rmats.items()}
-        lconst, rconst = lconst.astype(np.int64), rconst.astype(np.int64)
-        draws = {v: a.astype(np.int64) for v, a in draws.items()}
+        peak = max(2 * peak * delta.denominator, abs(delta.numerator) * m * scale)
+    dtype = np.int64 if peak < 2 ** 63 else object
 
-    lvals = np.repeat(lconst[:, None], trials, axis=1)
-    rvals = np.repeat(rconst[:, None], trials, axis=1)
-    for v in variables:
-        x = np.repeat(draws[v], b, axis=0)
-        lvals = lvals + lmats[v].dot(x)
-        rvals = rvals + rmats[v].dot(x)
+    draws = np.array(_draws(random.Random(seed), top, len(variables) * beta * trials),
+                     dtype=dtype).reshape(len(variables) * beta, trials)
+    lvals, rvals = (np.array(coeff_rows, dtype=dtype).dot(draws)
+                    + np.array(const, dtype=dtype)[:, None]
+                    for coeff_rows, const in sides)
 
     if backend == "entrywise":
         bad = (lvals < rvals).any(axis=0)
         if rel == "strict":
             bad |= lvals[0] <= rvals[0]
-    elif backend == "value":
-        lsum, rsum = lvals.sum(axis=0), rvals.sum(axis=0)
-        if rel == "strict":
-            # rho gap >= delta, with values scaled by `scale`
-            bad = (lsum - rsum) * delta.denominator < delta.numerator * m * scale
-        else:
-            bad = lsum < rsum
+    elif rel == "strict":
+        # rho gap >= delta, with values scaled by `scale`
+        bad = (lvals[0] - rvals[0]) * delta.denominator < delta.numerator * m * scale
     else:
-        raise InterpError(f"unknown backend {backend!r}")
+        bad = lvals[0] < rvals[0]
 
     hits = np.flatnonzero(bad)
     if hits.size == 0:
         return None
     t = int(hits[0])
     return {
-        v: tuple(as_rat(Fraction(int(draws[v][i, t]), sample_den))
+        v: tuple(as_rat(Fraction(int(draws[k * beta + i, t]), sample_den))
                  for i in range(beta) for _ in range(b))
-        for v in variables
+        for k, v in enumerate(variables)
     }
 
 

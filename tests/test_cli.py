@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
 from matint.cli import main
 from _helpers import DATA
 
@@ -9,6 +15,7 @@ ETA = str(DATA / "fg-rational.val")
 ENDR_TRS = str(DATA / "relative.trs")
 ENDR_INT = str(DATA / "relative.interp")
 PAIRS = str(DATA / "fg-pairs.trs")
+SRC = DATA.parent / "src"
 
 
 def run(capsys, *argv):
@@ -269,6 +276,73 @@ def test_check_with_sampling_cross_check(capsys):
     assert code == 0
     assert out.count("no witness (200 trials, seed 7)") == 4
     assert "RESULT: SATISFIED" in out
+
+
+def test_check_value_backend_with_sampling(capsys, tmp_path):
+    code, out, _ = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
+                       "--interp", EX1R, "--backend", "value",
+                       "--trials", "300", "--seed", "4")
+    assert code == 0
+    assert out.count("no witness (300 trials, seed 4)") == 4
+    assert out.splitlines()[-1] == "RESULT: SATISFIED"
+    # only HOLDS verdicts are sampled; a FAILS verdict stays VIOLATED
+    bad = tmp_path / "bad.interp"
+    bad.write_text(
+        "domain natural\ndim 1\nblock 1\n"
+        "interp f : 1\n  M1 = [1]\n  C = [0]\n"
+        "interp g : 1\n  M1 = [1]\n  C = [1]\n"
+        "interp f# : 1\n  M1 = [1]\n  C = [0]\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
+                       "--interp", str(bad), "--backend", "value", "--trials", "50")
+    assert code == 1
+    assert out.count("# sampled") == out.count("HOLDS") < 4
+    assert out.splitlines()[-1] == "RESULT: VIOLATED"
+
+
+@pytest.mark.parametrize("backend", ["entrywise", "value"])
+def test_check_trials_evaluates_each_side_once(capsys, monkeypatch, backend):
+    import matint.interp
+    original = matint.interp.eval_term
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matint" and getattr(module, "eval_term", None) is original:
+            monkeypatch.setattr(module, "eval_term", counting)
+    code, out, _ = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
+                       "--interp", EX2, "--backend", backend, "--trials", "100")
+    assert code == 0 and out.count("no witness (100 trials, seed 0)") == 4
+    # 2 rules and 2 pairs, each side evaluated once: sampling reuses the forms
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("flags", [("--trials", "50", "--bound", "-1"),
+                                   ("--trials", "-3"), ("--bound", "-1"),
+                                   ("--trials", "many")])
+def test_check_rejects_bad_sampling_arguments(capsys, flags):
+    code, out, err = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
+                         "--interp", EX2, *flags)
+    assert code == 2 and out == ""
+    assert "expected a nonnegative integer" in err
+
+
+def test_check_trials_leaves_numpy_random_unloaded():
+    # importing numpy.random costs several MB of resident memory per process
+    script = ("import sys\n"
+              "from matint.cli import main\n"
+              f"code = main(['check', '--trs', {EX1!r}, '--pairs', 'auto', "
+              f"'--interp', {EX2!r}, '--trials', '50'])\n"
+              "print('exit', code, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit 0 False"
 
 
 def test_dps_out_feeds_pairs_flag(capsys, tmp_path):

@@ -9,6 +9,8 @@ from matint import (App, BlockShape, Cmp, Interpretation, InterpError, LinearFor
                     eval_term, format_interpretation, jordan, parse_interpretation,
                     parse_matrix, parse_trs, rho, sample_falsify, subterms,
                     value_collapse)
+from matint.interp import _draws
+from matint.matrix import as_rat
 from _helpers import (example_one, mixed_interp, rand_const_scalar_block_mat,
                       read)
 
@@ -123,7 +125,13 @@ def test_eval_term_errors(ex2):
         eval_term(ex2, App("h", (Var("x"),)))
     with pytest.raises(InterpError, match="arity"):
         eval_term(ex2, App("f", (Var("x"), Var("y"))))
-
+    # inside ground subterms too, on full and projected forms; the first bad
+    # symbol in pre-order is reported
+    for left in (None, Mat.ones(1, 2)):
+        with pytest.raises(InterpError, match="uninterpreted symbol 'c'"):
+            eval_term(ex2, App("f", (App("g", (App("c"),)),)), left)
+        with pytest.raises(InterpError, match="symbol 'g' has arity 1"):
+            eval_term(ex2, App("f", (App("g", (App("c"), App("c"))),)), left)
 
 def _rand_interp(rng):
     """Random natural or rational interpretation of dim 1-6, block 1 or 2, over
@@ -174,34 +182,104 @@ def _reference_form(interp, t):
     return {v: c for v, c in coeffs.items() if not c.is_zero()}, const
 
 
+def _ground_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return App("c")
+    if rng.random() < 0.5:
+        return App("h", (_ground_term(rng, depth - 1),))
+    return App("p", (_ground_term(rng, depth - 1), _ground_term(rng, depth - 1)))
+
+
+def _ground_heavy_term(rng, depth, names):
+    """A spine of h and p down to a variable (or c); every p has a ground
+    argument, on either side."""
+    if depth == 0:
+        return Var(rng.choice(names)) if rng.random() < 0.8 else App("c")
+    if rng.random() < 0.3:
+        return App("h", (_ground_heavy_term(rng, depth - 1, names),))
+    ground = _ground_term(rng, rng.randint(0, 3))
+    rest = _ground_heavy_term(rng, depth - 1, names)
+    return App("p", (ground, rest) if rng.random() < 0.5 else (rest, ground))
+
+
+def _assert_forms_agree(rng, interp, lhs_t, rhs_t, outcomes):
+    """Full forms equal the bottom-up reference, projected forms equal 1ᵀ·
+    the reference, and check_value gives the same verdict on both."""
+    n = interp.shape.dim
+    ones = Mat.ones(1, n)
+    forms = []
+    for t in (lhs_t, rhs_t):
+        ref_coeffs, ref_const = _reference_form(interp, t)
+        full = eval_term(interp, t)
+        assert (full.coeffs, full.const) == (ref_coeffs, ref_const)
+        projected = eval_term(interp, t, ones)
+        assert set(projected.coeffs) == set(ref_coeffs)
+        for var, coeff in ref_coeffs.items():
+            assert projected.coeffs[var] == ones * coeff
+        assert projected.const == ones * ref_const
+        forms.append((full, projected))
+    (lf, lp), (rf, rp) = forms
+    for rel, delta in (("weak", None), ("strict", F(1, n)),
+                       ("strict", F(rng.randint(1, 4), rng.randint(1, 4)))):
+        verdict = check_value(lf, rf, rel, n, delta)
+        assert check_value(lp, rp, rel, n, delta) == verdict
+        outcomes.add(verdict.holds)
+
+
 def test_projected_form_agrees_with_full_form():
     rng = random.Random(35)
     outcomes = set()
     for _ in range(150):
         interp = _rand_interp(rng)
-        n = interp.shape.dim
-        ones = Mat.ones(1, n)
         # z occurs only on the right-hand side
         lhs_t = _rand_term(rng, 4, ("x", "y"))
         rhs_t = rng.choice((rng.choice(list(subterms(lhs_t))),
                             _rand_term(rng, 3, ("x", "y", "z"))))
-        forms = []
-        for t in (lhs_t, rhs_t):
-            full = eval_term(interp, t)
-            assert (full.coeffs, full.const) == _reference_form(interp, t)
-            projected = eval_term(interp, t, ones)
-            assert set(projected.coeffs) == set(full.coeffs)
-            for var, coeff in full.coeffs.items():
-                assert projected.coeffs[var] == ones * coeff
-            assert projected.const == ones * full.const
-            forms.append((full, projected))
-        (lf, lp), (rf, rp) = forms
-        for rel, delta in (("weak", None), ("strict", F(1, n)),
-                           ("strict", F(rng.randint(1, 4), rng.randint(1, 4)))):
-            verdict = check_value(lf, rf, rel, n, delta)
-            assert check_value(lp, rp, rel, n, delta) == verdict
-            outcomes.add(verdict.holds)
+        _assert_forms_agree(rng, interp, lhs_t, rhs_t, outcomes)
     assert outcomes == {True, False}
+    # ground-heavy terms: ground arguments of p on either side, fully ground
+    # sides, constants as arguments, and ground subterms shared by object
+    rng = random.Random(36)
+    outcomes = set()
+    shared = App("p", (App("c"), App("h", (App("c"),))))
+    fixed = [App("c"), App("p", (App("c"), Var("x"))), App("p", (Var("x"), App("c"))),
+             App("p", (shared, App("h", (shared,)))), App("p", (shared, Var("x"))),
+             App("p", (App("h", (Var("x"),)),) * 2)]
+    for i in range(150):
+        interp = _rand_interp(rng)
+        lhs_t = _ground_heavy_term(rng, 5, ("x", "y"))
+        rhs_t = rng.choice((_ground_term(rng, 4), fixed[i % len(fixed)],
+                            _ground_heavy_term(rng, 4, ("x", "y", "z"))))
+        _assert_forms_agree(rng, interp, lhs_t, rhs_t, outcomes)
+        _assert_forms_agree(rng, interp, rhs_t, lhs_t, outcomes)
+    assert outcomes == {True, False}
+
+
+def test_eval_term_deep_ground_chain_without_recursion(monkeypatch):
+    interp = parse_interpretation(
+        "domain natural\ndim 2\nblock 1\n"
+        "interp c : 0\n  C = [0 ; 1]\n"
+        "interp h : 1\n  M1 = [1 1 ; 0 1]\n  C = [1 ; 0]\n"
+        "interp p : 2\n  M1 = [1 0 ; 0 1]\n  M2 = [2 0 ; 0 1]\n  C = [0 ; 0]\n")
+    t = App("c")
+    for _ in range(2000):
+        t = App("h", (t,))
+    # h^k(c) = (2k, 1); the chain folds bottom-up by matrix-vector products
+    shapes = []
+    product = Mat.__mul__
+
+    def recording(a, b):
+        shapes.append((a.shape, b.shape))
+        return product(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", recording)
+    assert eval_term(interp, t) == LinearForm(2, {}, Mat.column([4000, 1]))
+    assert len(shapes) == 2001 and all(b == (2, 1) for a, b in shapes)
+    monkeypatch.undo()
+    assert eval_term(interp, t, Mat.ones(1, 2)) == LinearForm(2, {}, Mat(1, 1, (4001,)))
+    form = eval_term(interp, App("p", (t, Var("x"))))
+    assert form.coeffs == {"x": parse_matrix("[2 0 ; 0 1]")}
+    assert form.const == Mat.column([4000, 1])
 
 
 def test_eval_term_deep_chain_without_recursion():
@@ -474,3 +552,113 @@ def test_sample_falsify_rational_domain_draws_halves():
                              trials=400, bound=2, seed=5, domain="rational")
     assert witness is not None
     assert all(v * 2 == int(v * 2) for v in witness["x"])
+
+
+def _reference_witness(lhs, rhs, rel, shape, backend, m, delta, trials, bound, seed,
+                       domain):
+    """The first violating tuple by exact evaluation of each trial on the
+    full forms, drawing block values with randint in sample_falsify's order
+    (variable by variable, block by block, trial by trial)."""
+    b, beta = shape.block, shape.beta
+    den = 1 if domain == "natural" else 2
+    rng = random.Random(seed)
+    variables = sorted(set(lhs.coeffs) | set(rhs.coeffs))
+    draws = {v: [[rng.randint(0, bound * den) for _ in range(trials)] for _ in range(beta)]
+             for v in variables}
+    for t in range(trials):
+        point = {v: tuple(as_rat(F(draws[v][i][t], den)) for i in range(beta)
+                          for _ in range(b))
+                 for v in variables}
+        lval, rval = (sum((form.coeff(v) * Mat.column(point[v]) for v in variables),
+                          form.const).entries
+                      for form in (lhs, rhs))
+        if backend == "entrywise":
+            bad = any(l < r for l, r in zip(lval, rval))
+            bad = bad or (rel == "strict" and lval[0] <= rval[0])
+        elif rel == "strict":
+            bad = F(sum(lval) - sum(rval), m) < delta
+        else:
+            bad = sum(lval) < sum(rval)
+        if bad:
+            return point
+    return None
+
+
+def test_sample_falsify_same_witness_on_full_and_projected_forms():
+    rng = random.Random(37)
+    found = set()
+    for _ in range(60):
+        interp = _rand_interp(rng)
+        shape, n = interp.shape, interp.shape.dim
+        terms = (_rand_term(rng, 3, ("x", "y")), _rand_term(rng, 3, ("x", "y", "z")))
+        full = [eval_term(interp, t) for t in terms]
+        projected = [eval_term(interp, t, Mat.ones(1, n)) for t in terms]
+        seed = rng.choice((0, -5, 2 ** 70, rng.randrange(1000)))
+        bound = rng.choice((0, 1, 3, 10))
+        for rel, delta in (("weak", None), ("strict", F(1, n)),
+                           ("strict", F(rng.randint(1, 4), rng.randint(1, 4)))):
+            kw = dict(m=n, delta=delta, trials=30, bound=bound, seed=seed,
+                      domain=interp.domain)
+            want = _reference_witness(*full, rel, shape, "value", **kw)
+            assert sample_falsify(*full, rel, shape, "value", **kw) == want
+            assert sample_falsify(*projected, rel, shape, "value", **kw) == want
+            found.add((rel, shape.block, want is None))
+            want = _reference_witness(*full, rel, shape, "entrywise", **kw)
+            assert sample_falsify(*full, rel, shape, "entrywise", **kw) == want
+    assert {(rel, block, False) for rel in ("weak", "strict") for block in (1, 2)} <= found
+    assert ("weak", 2, True) in found and ("strict", 2, True) in found
+
+
+def test_sample_falsify_big_values_stay_exact():
+    # values past 2**63 must not wrap around in machine ints
+    shape = BlockShape(2, 1)
+    big = 2 ** 61
+    lhs = LinearForm(2, {"x": Mat.from_rows([[big, 0], [0, big]])}, Mat.column([big, 0]))
+    rhs = LinearForm(2, {"x": Mat.from_rows([[big, 1], [0, big - 1]]),
+                         "y": Mat.from_rows([[1, 0], [0, 0]])}, Mat.column([0, 7]))
+    ones = Mat.ones(1, 2)
+    for rel, delta in (("weak", None), ("strict", F(1, 5)), ("strict", F(big, 3))):
+        for seed in (0, 1, 2):
+            kw = dict(m=2, delta=delta, trials=50, bound=10, seed=seed, domain="rational")
+            for backend in ("entrywise", "value"):
+                want = _reference_witness(lhs, rhs, rel, shape, backend, **kw)
+                assert sample_falsify(lhs, rhs, rel, shape, backend, **kw) == want
+            projected = [LinearForm(2, {v: ones * c for v, c in f.coeffs.items()},
+                                    ones * f.const) for f in (lhs, rhs)]
+            assert sample_falsify(*projected, rel, shape, "value", **kw) == \
+                _reference_witness(lhs, rhs, rel, shape, "value", **kw)
+
+
+def test_sample_draws_follow_the_randint_stream():
+    for seed in (0, -5, 2 ** 70):
+        for top in (0, 1, 2, 20, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _draws(ours, top, 300) == [theirs.randint(0, top) for _ in range(300)]
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_sample_falsify_rejects_bad_arguments(ex2):
+    trs, pairs = example_one()
+    full = [eval_term(ex2, t) for t in (trs.rules[0].lhs, trs.rules[0].rhs)]
+    projected = [eval_term(ex2, t, Mat.ones(1, 2)) for t in (trs.rules[0].lhs,
+                                                              trs.rules[0].rhs)]
+    with pytest.raises(InterpError, match="full forms"):
+        sample_falsify(*projected, "weak", ex2.shape, "entrywise")
+    with pytest.raises(InterpError, match="rows"):
+        sample_falsify(full[0], projected[1], "weak", ex2.shape, "value")
+    with pytest.raises(InterpError, match="bound"):
+        sample_falsify(*full, "weak", ex2.shape, "value", bound=-1)
+    with pytest.raises(InterpError, match="trials"):
+        sample_falsify(*full, "weak", ex2.shape, "value", trials=0)
+    assert sample_falsify(*projected, "weak", ex2.shape, "value", bound=0) is None
+
+
+def test_check_problem_samples_holds_verdicts(ex62):
+    trs, pairs = example_one()
+    for backend in ("entrywise", "value"):
+        plain = check_problem(trs, pairs, ex62, backend)
+        sampled = check_problem(trs, pairs, ex62, backend, trials=200, bound=5, seed=9)
+        assert [c.verdict for c in sampled.checks] == [c.verdict for c in plain.checks]
+        assert sampled.consistent and all(c.witness is None for c in sampled.checks)
+    with pytest.raises(InterpError, match="bound"):
+        check_problem(trs, pairs, ex62, "value", trials=10, bound=-1)
