@@ -1,8 +1,7 @@
 """Exact-rational matrix interpretations for term-rewriting termination constraints."""
 
-from .matrix import (Cmp, Mat, MatrixError, Rat, StructClass, StructKind, as_rat,
-                     classify, cmp_entrywise, format_matrix, jordan, parse_matrix,
-                     parse_rat)
+from .matrix import (Cmp, Mat, MatrixError, Rat, as_rat, cmp_entrywise,
+                     format_matrix, jordan, parse_matrix, parse_rat)
 from .represent import (RepParams, lift, lift_int, mu_const, mu_int, nu, rho,
                         to_bit_matrix)
 from .trs import (App, Rule, Term, Trs, TrsError, Var, dependency_pairs, format_trs,
@@ -13,12 +12,12 @@ from .constraints import (ArithConstraint, ConstraintError, EvalResult,
                           parse_pinterp, parse_valuation)
 from .encoding import (Encoding, EncodingError, EncodingReport, catalog,
                        format_encoding, is_compatible, load_encoding,
-                       parse_encoding, required_products, rho_jordan, validate)
+                       parse_encoding, required_products, validate)
 from .interp import (BlockShape, CheckReport, ConstraintCheck, Interpretation,
                      InterpError, LinearForm, LinearFunc, Verdict, check_entrywise,
-                     check_problem, check_value, cmp_value_blocks,
-                     collapse_interpretation, eval_term, format_interpretation,
-                     parse_interpretation, sample_falsify, value_collapse)
+                     check_problem, check_value, collapse_interpretation, eval_term,
+                     format_interpretation, parse_interpretation, sample_falsify,
+                     value_collapse)
 from .transform import (TransformTrace, VerifyReport, expand_rational,
                         expansion_rho_preserved, interp_to_bits,
                         interp_to_blocks, rho_preserved,

@@ -38,22 +38,21 @@ class _Sources:
         self.args = args
         self._loaded = {}
 
-    @staticmethod
-    def _read(path: str) -> str:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-
-    def _load(self, path, parser, what):
+    def _load(self, path, load, what):
+        """``load(path)``, once per path; an input error names the file."""
         key = (what, path)
         if key not in self._loaded:
             try:
-                self._loaded[key] = parser(self._read(path))
+                self._loaded[key] = load(path)
             except INPUT_ERRORS as exc:
                 raise SystemExit(_usage_error(f"{what} {path}: {exc}"))
         return self._loaded[key]
 
+    def _parse(self, path, parser, what):
+        return self._load(path, lambda p: parser(_read(p)), what)
+
     def trs(self):
-        return self._load(self.args.trs, parse_trs, "trs")
+        return self._parse(self.args.trs, parse_trs, "trs")
 
     def pairs(self):
         spec = getattr(self.args, "pairs", "none")
@@ -61,26 +60,30 @@ class _Sources:
             return ()
         if spec == "auto":
             return dependency_pairs(self.trs())
-        return self._load(spec, parse_trs, "pairs").rules
+        return self._parse(spec, parse_trs, "pairs").rules
 
-    def interp(self, path=None, signature=None):
-        path = path or self.args.interp
-        try:
-            return parse_interpretation(self._read(path), signature)
-        except INPUT_ERRORS as exc:
-            raise SystemExit(_usage_error(f"interp {path}: {exc}"))
+    def interp(self, signature=None):
+        return self._parse(self.args.interp,
+                           lambda text: parse_interpretation(text, signature), "interp")
 
     def pinterp(self):
-        return self._load(self.args.pinterp, parse_pinterp, "pinterp")
+        return self._parse(self.args.pinterp, parse_pinterp, "pinterp")
 
     def valuation(self):
-        return self._load(self.args.valuation, parse_valuation, "valuation")
+        return self._parse(self.args.valuation, parse_valuation, "valuation")
 
     def encoding(self):
-        try:
-            return load_encoding(self.args.encoding)
-        except INPUT_ERRORS as exc:
-            raise SystemExit(_usage_error(f"encoding {self.args.encoding}: {exc}"))
+        return self._load(self.args.encoding, load_encoding, "encoding")
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _usage_error(message: str) -> int:
@@ -102,22 +105,24 @@ def _result(ok: bool, good: str, bad: str) -> int:
     return 0 if ok else 1
 
 
-def cmd_check(args) -> int:
-    src = _Sources(args)
-    trs = src.trs()
-    pairs = src.pairs()
+def _signature(trs, pairs) -> dict[str, int]:
+    """The TRS signature widened by the root symbols of the pairs."""
     signature = dict(trs.signature)
     for pair in pairs:
         for term in (pair.lhs, pair.rhs):
             if hasattr(term, "symbol"):
                 signature.setdefault(term.symbol, len(term.args))
-    interp = src.interp(signature=signature)
-    try:
-        report = check_problem(trs, pairs, interp, args.backend,
-                               m=args.m, delta=args.delta, trials=args.trials,
-                               bound=args.bound, seed=args.seed)
-    except InterpError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    return signature
+
+
+def cmd_check(args) -> int:
+    src = _Sources(args)
+    trs = src.trs()
+    pairs = src.pairs()
+    interp = src.interp(_signature(trs, pairs))
+    report = check_problem(trs, pairs, interp, args.backend,
+                           m=args.m, delta=args.delta, trials=args.trials,
+                           bound=args.bound, seed=args.seed)
     header = [f"# check: backend {args.backend}, dim {interp.shape.dim}, "
               f"block {interp.shape.block}, {len(trs.rules)} rule(s), "
               f"{len(pairs)} pair(s)"]
@@ -161,11 +166,7 @@ def cmd_dps(args) -> int:
     for pair in pairs:
         print(f"{_rename_root(pair.lhs, names)} -> {_rename_root(pair.rhs, names)}")
     if args.out:
-        signature = dict(trs.signature)
-        for pair in pairs:
-            for term in (pair.lhs, pair.rhs):
-                signature.setdefault(term.symbol, len(term.args))
-        _write(args.out, format_trs(Trs(trs.variables, pairs, signature)))
+        _write(args.out, format_trs(Trs(trs.variables, pairs, _signature(trs, pairs))))
         print(f"# wrote {args.out}")
     print("RESULT: OK")
     return 0
@@ -180,10 +181,7 @@ def cmd_gen_constraints(args) -> int:
     src = _Sources(args)
     trs = src.trs()
     pairs = src.pairs()
-    try:
-        constraints = generate_arith_constraints(trs, pairs, src.pinterp())
-    except ConstraintError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    constraints = generate_arith_constraints(trs, pairs, src.pinterp())
     print(f"# {len(constraints)} arithmetic constraint(s)")
     for line in _constraint_lines(constraints):
         print(line)
@@ -196,11 +194,8 @@ def cmd_eval_valuation(args) -> int:
     trs = src.trs()
     pairs = src.pairs()
     eta = src.valuation()
-    try:
-        constraints = generate_arith_constraints(trs, pairs, src.pinterp())
-        results = [(c, eval_valuation(c, eta, args.delta)) for c in constraints]
-    except ConstraintError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    constraints = generate_arith_constraints(trs, pairs, src.pinterp())
+    results = [(c, eval_valuation(c, eta, args.delta)) for c in constraints]
     ok = True
     for c, res in results:
         ok &= res.holds
@@ -209,47 +204,43 @@ def cmd_eval_valuation(args) -> int:
     return _result(ok, "SATISFIED", "VIOLATED")
 
 
-def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _rho_line(preserved: bool) -> bool:
+    print(f"# rho preserved: {'yes' if preserved else 'NO'}")
+    return preserved
 
 
-def _verify_and_report(args, src, before, after, promise) -> bool:
-    """Optional before/after constraint verification when a TRS is supplied."""
-    if not getattr(args, "trs", None):
-        return True
-    trs = src.trs()
-    pairs = src.pairs()
-    report = verify_transform(trs, pairs, before, after, promise, delta=args.delta)
-    print(f"# before [value, m {report.before.m}, delta {report.before.delta}]: "
-          f"{'SATISFIED' if report.before.holds else 'VIOLATED'}")
-    print(f"# after  [value, m {report.after.m}, delta {report.after.delta}]: "
-          f"{'SATISFIED' if report.after.holds else 'VIOLATED'}")
-    print(f"# agreement ({promise}): {'yes' if report.agree else 'NO'}")
-    return report.agree
+def _finish_transform(args, src, before, after, preserved, promise) -> int:
+    """The tail of to-blocks, to-bits and expand: when rho is preserved and a
+    TRS is supplied, compare the before/after verdicts; then write --out."""
+    agree = preserved
+    if preserved and args.trs:
+        report = verify_transform(src.trs(), src.pairs(), before, after, promise,
+                                  delta=args.delta)
+        print(f"# before [value, m {report.before.m}, delta {report.before.delta}]: "
+              f"{'SATISFIED' if report.before.holds else 'VIOLATED'}")
+        print(f"# after  [value, m {report.after.m}, delta {report.after.delta}]: "
+              f"{'SATISFIED' if report.after.holds else 'VIOLATED'}")
+        print(f"# agreement ({promise}): {'yes' if report.agree else 'NO'}")
+        agree = report.agree
+    if args.out:
+        _write(args.out, format_interpretation(after))
+        print(f"# wrote {args.out}")
+    return _result(agree, "VERIFIED", "DISAGREEMENT")
 
 
 def cmd_to_blocks(args) -> int:
     src = _Sources(args)
     interp = src.interp()
-    try:
-        lifted = interp_to_blocks(interp, args.factor)
-    except InterpError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    lifted = interp_to_blocks(interp, args.factor)
     factor = lifted.shape.dim // interp.shape.dim
     if factor == 1:
         print("# already bit-valued; interpretation unchanged")
         preserved = True
     else:
-        preserved = rho_preserved(interp, lifted, factor)
         print(f"# factor {factor}: dim {interp.shape.dim} -> {lifted.shape.dim}, "
               f"block {interp.shape.block} -> {lifted.shape.block}")
-        print(f"# rho preserved: {'yes' if preserved else 'NO'}")
-    agree = _verify_and_report(args, src, interp, lifted, "equivalence")
-    if args.out:
-        _write(args.out, format_interpretation(lifted))
-        print(f"# wrote {args.out}")
-    return _result(preserved and agree, "VERIFIED", "DISAGREEMENT")
+        preserved = _rho_line(rho_preserved(interp, lifted, factor))
+    return _finish_transform(args, src, interp, lifted, preserved, "equivalence")
 
 
 def cmd_to_bits(args) -> int:
@@ -260,26 +251,20 @@ def cmd_to_bits(args) -> int:
         print(f"# step: factor {factor}, dim {dim_before} -> {dim_after}")
     print(f"# final scale {trace.final_scale}, dim {bits.shape.dim}, "
           f"max matrix entry {bits.max_entry(matrices_only=True)}")
-    preserved = rho_preserved(interp, bits, trace.final_scale)
-    print(f"# rho preserved: {'yes' if preserved else 'NO'}")
-    agree = preserved and _verify_and_report(args, src, interp, bits, "equivalence")
-    if args.out:
-        _write(args.out, format_interpretation(bits))
-        print(f"# wrote {args.out}")
-    return _result(agree, "VERIFIED", "DISAGREEMENT")
+    preserved = _rho_line(rho_preserved(interp, bits, trace.final_scale))
+    return _finish_transform(args, src, interp, bits, preserved, "equivalence")
 
 
 def cmd_expand(args) -> int:
     src = _Sources(args)
     enc = src.encoding()
     if args.interp:
-        rational = src.interp(args.interp)
+        rational = src.interp()
     else:
         if not (args.pinterp and args.valuation):
             raise SystemExit(_usage_error(
                 "expand needs --interp, or --pinterp with --valuation"))
         rational = valuation_interpretation(src.pinterp(), src.valuation(), args.delta)
-    compatible = True
     if args.trs and args.pinterp and args.valuation:
         trs = src.trs()
         pairs = src.pairs()
@@ -290,25 +275,17 @@ def cmd_expand(args) -> int:
         print(f"# required products: {req_s}")
         print(f"# encoding compatible: {'yes' if compatible else 'NO'}")
         if not compatible:
-            missing = sorted(set(req) - set(enc.table.keys()))
+            missing = sorted(set(req) - set(enc.table))
             if missing:
                 print(f"# missing products: {', '.join(str(q) for q in missing)}")
             return _result(False, "", "INCOMPATIBLE")
     else:
         print("# no constraint context given; compatibility not checked")
-    try:
-        expanded = expand_rational(rational, enc)
-    except EncodingError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    expanded = expand_rational(rational, enc)
     print(f"# expanded: dim {rational.shape.dim} -> {expanded.shape.dim} "
           f"(encoding dim {enc.dim})")
-    preserved = expansion_rho_preserved(rational, expanded, enc.dim)
-    print(f"# rho preserved: {'yes' if preserved else 'NO'}")
-    agree = preserved and _verify_and_report(args, src, rational, expanded, "forward")
-    if args.out:
-        _write(args.out, format_interpretation(expanded))
-        print(f"# wrote {args.out}")
-    return _result(agree, "VERIFIED", "DISAGREEMENT")
+    preserved = _rho_line(expansion_rho_preserved(rational, expanded, enc.dim))
+    return _finish_transform(args, src, rational, expanded, preserved, "forward")
 
 
 def cmd_validate_encoding(args) -> int:
@@ -333,11 +310,8 @@ def cmd_compat(args) -> int:
     pairs = src.pairs()
     eta = src.valuation()
     enc = src.encoding()
-    try:
-        constraints = generate_arith_constraints(trs, pairs, src.pinterp())
-        req = required_products(constraints, eta)
-    except (ConstraintError, EncodingError) as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    constraints = generate_arith_constraints(trs, pairs, src.pinterp())
+    req = required_products(constraints, eta)
     print(f"# required products: {', '.join(str(q) for q in sorted(req)) or 'none'}")
     print(f"# encoding keys: {', '.join(str(q) for q in sorted(enc.table)) or 'none'}")
     for q in sorted(req):
@@ -362,21 +336,31 @@ def cmd_collapse(args) -> int:
     return _result(True, "COLLAPSED", "")
 
 
-def _natural(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+def _integer_from(low: int, what: str):
+    """An argparse type for integers of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
 
 
-def _fraction(text: str) -> Fraction:
+_natural = _integer_from(0, "nonnegative")
+_positive = _integer_from(1, "positive")
+
+
+def _delta(text: str) -> Fraction:
     try:
-        return Fraction(parse_rat(text))
+        value = Fraction(parse_rat(text))
     except MatrixError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+    return value
 
 
 @functools.cache
@@ -400,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'auto' for dependency pairs, 'none', or a pairs file")
     p.add_argument("--interp", required=True)
     p.add_argument("--backend", choices=("entrywise", "value"), default="value")
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_positive, default=None,
                    help="value-backend divisor (default: dimension)")
-    p.add_argument("--delta", type=_fraction, default=None,
+    p.add_argument("--delta", type=_delta, default=None,
                    help="strictness margin (default: file delta, else 1/m)")
     p.add_argument("--trials", type=_natural, default=0,
                    help="cross-check Holds verdicts on this many sampled tuples")
@@ -429,23 +413,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", default="none")
     p.add_argument("--pinterp", required=True)
     p.add_argument("--valuation", required=True)
-    p.add_argument("--delta", type=_fraction, default=None)
+    p.add_argument("--delta", type=_delta, default=None)
 
     p = add("to-blocks", cmd_to_blocks, "lift a natural interpretation blockwise")
     p.add_argument("--interp", required=True)
-    p.add_argument("--factor", type=int, default=None,
+    p.add_argument("--factor", type=_positive, default=None,
                    help="lift factor (default: max entry)")
     p.add_argument("--out", default=None)
     p.add_argument("--trs", default=None)
     p.add_argument("--pairs", default="none")
-    p.add_argument("--delta", type=_fraction, default=None)
+    p.add_argument("--delta", type=_delta, default=None)
 
     p = add("to-bits", cmd_to_bits, "iterate lifts until matrices are bit")
     p.add_argument("--interp", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--trs", default=None)
     p.add_argument("--pairs", default="none")
-    p.add_argument("--delta", type=_fraction, default=None)
+    p.add_argument("--delta", type=_delta, default=None)
 
     p = add("expand", cmd_expand, "expand rational entries through an encoding")
     p.add_argument("--interp", default=None, help="rational interpretation file")
@@ -455,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog name (half, quarters, eighths, sixths, unit:n) or file")
     p.add_argument("--trs", default=None)
     p.add_argument("--pairs", default="none")
-    p.add_argument("--delta", type=_fraction, default=None)
+    p.add_argument("--delta", type=_delta, default=None)
     p.add_argument("--out", default=None)
 
     p = add("validate-encoding", cmd_validate_encoding,
@@ -473,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("collapse", cmd_collapse,
             "collapse const+scalar blocks to their rho values")
     p.add_argument("--interp", required=True)
-    p.add_argument("--block", type=int, default=None)
+    p.add_argument("--block", type=_positive, default=None)
     p.add_argument("--out", default=None)
 
     return parser

@@ -67,13 +67,6 @@ class ParamInterpretation:
                     raise ConstraintError(f"duplicate parameter name {name!r}")
                 seen.add(name)
 
-    def parameters(self) -> tuple[str, ...]:
-        out = []
-        for coeffs, const in self.table.values():
-            out.extend(coeffs)
-            out.append(const)
-        return tuple(out)
-
 
 def parse_pinterp(text: str) -> ParamInterpretation:
     """Parse ``pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>`` lines."""
@@ -103,15 +96,6 @@ def parse_pinterp(text: str) -> ParamInterpretation:
             raise ConstraintError(f"line {lineno}: {exc}") from None
         table[symbol] = (coeffs, const)
     return ParamInterpretation(table)
-
-
-def format_pinterp(pi: ParamInterpretation) -> str:
-    lines = []
-    for symbol, (coeffs, const) in pi.table.items():
-        coeff_s = " ".join(coeffs)
-        sep = " " if coeff_s else ""
-        lines.append(f"pinterp {symbol} : {len(coeffs)} = {coeff_s}{sep}| {const}")
-    return "\n".join(lines) + "\n"
 
 
 def _sym_eval(t: Term, pi: ParamInterpretation) -> tuple[dict[str, list[Word]], list[Word]]:
@@ -229,12 +213,6 @@ def parse_valuation(text: str) -> dict[str, Rat]:
     return make_valuation(values)
 
 
-def format_valuation(eta: dict[str, Rat]) -> str:
-    lines = [f"param {name} = {value}"
-             for name, value in eta.items() if name not in RESERVED]
-    return "\n".join(lines) + "\n"
-
-
 def eval_word(word: Word, eta: dict[str, Rat]) -> Rat:
     value = Fraction(1)
     for param in word:
@@ -258,6 +236,8 @@ class EvalResult:
 def eval_valuation(c: ArithConstraint, eta: dict[str, Rat],
                    delta: Fraction = None) -> EvalResult:
     """Evaluate a constraint numerically; strict means > (or margin >= delta)."""
+    if delta is not None and delta <= 0:
+        raise ConstraintError(f"delta must be positive, got {delta}")
     lhs = eval_word_sum(c.lhs, eta)
     rhs = eval_word_sum(c.rhs, eta)
     if c.rel == "weak":

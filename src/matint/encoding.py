@@ -23,13 +23,6 @@ class EncodingError(ValueError):
     pass
 
 
-def rho_jordan(m: int, n: int, p: int) -> Rat:
-    """Closed form of rho(m, jordan(n, p)): (n-p)/m for p < n, else 0."""
-    if p >= n:
-        return 0
-    return as_rat(Fraction(n - p, m))
-
-
 @dataclass
 class Encoding:
     """Fixed-dimension table of natural square matrices for rationals in (0, 1)."""
@@ -52,9 +45,6 @@ class Encoding:
                 raise EncodingError(f"matrix for {value} has non-natural entries")
             normalized[value] = mat
         self.table = normalized
-
-    def keys(self):
-        return self.table.keys()
 
 
 def _upper_block(dim: int, top_left: Mat, top_right: Mat) -> Mat:

@@ -17,12 +17,11 @@ tuples.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
+from math import ceil, lcm
 
 from .matrix import (Cmp, Mat, MatrixError, Rat, as_rat, cmp_entrywise,
                      const_scalar_parts, format_matrix, parse_matrix, parse_rat,
@@ -95,9 +94,6 @@ class Interpretation:
                         f"{symbol}: constant vector is not block-constant "
                         f"(block {j + 1} of size {b})")
 
-    def arity(self, symbol: str) -> int:
-        return len(self.table[symbol].mats)
-
     def max_entry(self, matrices_only: bool = False) -> Rat:
         """Largest entry over all coefficient matrices (and constant vectors)."""
         best = 0
@@ -121,9 +117,6 @@ class LinearForm:
     dim: int
     coeffs: dict[str, Mat]
     const: Mat
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(self.coeffs))
 
     def coeff(self, var: str) -> Mat:
         return self.coeffs.get(var, Mat.zero(self.const.rows, self.dim))
@@ -207,9 +200,6 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
 class Verdict:
     holds: bool
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def _vec(mat: Mat) -> str:
@@ -377,7 +367,8 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     domain), drawn from ``random.Random(seed)`` exactly as ``randint`` would
     draw them, variable by variable (in name order), block by block, trial
     by trial. Returns the first violating assignment, or None. Arithmetic is
-    exact: denominators are cleared and the comparison scaled accordingly.
+    exact, in Python ints: denominators are cleared and the comparison scaled
+    accordingly, so no magnitude bound applies.
 
     The value backend compares only the entry sums of the two values, so it
     takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
@@ -430,44 +421,34 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
             const = [sum(const)]
         return coeff_rows, const
 
-    sides = (int_rows(lhs), int_rows(rhs))
-    # the draws and every partial sum of a value (of a row sum, for the value
-    # backend) are at most peak in magnitude; a strict value comparison also
-    # forms (lsum - rsum) * den(delta) and num(delta) * m * scale
-    peak = max(top, *(sum(map(abs, row)) * top + abs(c)
-                      for coeff_rows, const in sides for row, c in zip(coeff_rows, const)))
-    if backend == "value" and rel == "strict":
-        peak = max(2 * peak * delta.denominator, abs(delta.numerator) * m * scale)
-    dtype = np.int64 if peak < 2 ** 63 else object
-
-    draws = np.array(_draws(random.Random(seed), top, len(variables) * beta * trials),
-                     dtype=dtype).reshape(len(variables) * beta, trials)
-    lvals, rvals = (np.array(coeff_rows, dtype=dtype).dot(draws)
-                    + np.array(const, dtype=dtype)[:, None]
-                    for coeff_rows, const in sides)
-
-    if backend == "entrywise":
-        bad = (lvals < rvals).any(axis=0)
-        if rel == "strict":
-            bad |= lvals[0] <= rvals[0]
-    elif rel == "strict":
-        # rho gap >= delta, with values scaled by `scale`
-        bad = (lvals[0] - rvals[0]) * delta.denominator < delta.numerator * m * scale
-    else:
-        bad = lvals[0] < rvals[0]
-
-    hits = np.flatnonzero(bad)
-    if hits.size == 0:
+    (lrows, lconst), (rrows, rconst) = int_rows(lhs), int_rows(rhs)
+    # a trial fails where some row's gap lhs - rhs falls below that row's floor
+    floors = [0] * len(lconst)
+    if rel == "strict":
+        # entrywise: the first component must exceed; value: the rho gap
+        # (l - r)/(m·scale) must reach delta
+        floors[0] = 1 if backend == "entrywise" else ceil(delta * m * scale)
+    count = len(variables) * beta
+    flat = _draws(random.Random(seed), top, count * trials)
+    # draw r of trial t is flat[r * trials + t]
+    draws = [flat[r * trials:(r + 1) * trials] for r in range(count)]
+    first = trials
+    for lrow, rrow, lc, rc, floor in zip(lrows, rrows, lconst, rconst, floors):
+        gaps = [lc - rc] * trials
+        for coeff, row in zip(map(operator.sub, lrow, rrow), draws):
+            if coeff:
+                gaps = [g + coeff * x for g, x in zip(gaps, row)]
+        first = next((t for t, g in enumerate(gaps[:first]) if g < floor), first)
+    if first == trials:
         return None
-    t = int(hits[0])
     return {
-        v: tuple(as_rat(Fraction(int(draws[k * beta + i, t]), sample_den))
+        v: tuple(as_rat(Fraction(draws[k * beta + i][first], sample_den))
                  for i in range(beta) for _ in range(b))
         for k, v in enumerate(variables)
     }
 
 
-# --- block structure: value collapse and block orderings ---
+# --- block structure: value collapse ---
 
 def value_collapse(a: Mat, b: int) -> Mat:
     """Collapse const+scalar b-blocks to their rho_b values (beta x beta matrix)."""
@@ -515,25 +496,6 @@ def collapse_interpretation(interp: Interpretation, b: int = None) -> Interpreta
     flat = [e for f in table.values() for m in (*f.mats, f.const) for e in m.entries]
     domain = "natural" if all(isinstance(e, int) and e >= 0 for e in flat) else "rational"
     return Interpretation(BlockShape(interp.shape.dim // b, 1), domain, table, interp.delta)
-
-
-def cmp_value_blocks(a: Mat, b: Mat, block: int, delta: Fraction = None) -> Cmp:
-    """Blockwise rho comparison: GE iff every block's rho_b dominates; GT
-    additionally needs the leading block to exceed (by delta, when given)."""
-    if a.shape != b.shape:
-        raise MatrixError(f"shape mismatch in block comparison: {a.shape} vs {b.shape}")
-    if a.rows % block or a.cols % block:
-        raise MatrixError(f"{a.rows}x{a.cols} matrix has no {block}x{block} block grid")
-    strict_first = False
-    for i in range(a.rows // block):
-        for j in range(a.cols // block):
-            x = rho(block, a.block(i, j, block, block))
-            y = rho(block, b.block(i, j, block, block))
-            if x < y:
-                return Cmp.INCOMPARABLE
-            if i == 0 and j == 0:
-                strict_first = x - y >= delta if delta is not None else x > y
-    return Cmp.GT if strict_first else Cmp.GE
 
 
 # --- file format ---

@@ -157,14 +157,6 @@ class Mat:
         return Mat(self.rows, self.cols,
                    tuple(map(operator.add, self.entries, other.entries)))
 
-    def __sub__(self, other: Mat) -> Mat:
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise MatrixError(f"shape mismatch in difference: {self.shape} - {other.shape}")
-        return Mat(self.rows, self.cols,
-                   tuple(map(operator.sub, self.entries, other.entries)))
-
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:
@@ -251,26 +243,6 @@ def jordan(n: int, p: int = 1) -> Mat:
     return Mat(n, n, tuple(1 if j == i + p else 0 for i in range(n) for j in range(n)))
 
 
-class StructKind(Enum):
-    ZERO = "zero"
-    JORDAN_POWER = "jordan-power"
-    SCALAR = "scalar"
-    CONSTANT = "constant"
-    CONST_PLUS_SCALAR = "const-plus-scalar"
-    GENERAL = "general"
-
-
-@dataclass(frozen=True)
-class StructClass:
-    """Most specific structural tag of a matrix (see ``classify``)."""
-
-    kind: StructKind
-    c: Rat | None = None    # constant part
-    s: Rat | None = None    # scalar part
-    n: int | None = None    # Jordan dimension
-    p: int | None = None    # Jordan power
-
-
 def const_scalar_parts(a: Mat) -> tuple[Rat, Rat] | None:
     """Decompose a square matrix as c*ones + s*I, or None.
 
@@ -286,40 +258,6 @@ def const_scalar_parts(a: Mat) -> tuple[Rat, Rat] | None:
     if any(x != off[0] for x in off) or any(x != diag[0] for x in diag):
         return None
     return (off[0], diag[0] - off[0])
-
-
-def classify(a: Mat) -> StructClass:
-    """Classify with precedence Zero > JordanPower > Scalar > Constant > ConstPlusScalar > General.
-
-    The precedence gives e.g. [1] -> JordanPower(1, 0) and I_n -> JordanPower(n, 0)
-    rather than Scalar(1); all-equal nonzero square matrices are Constant.
-    """
-    if a.is_zero():
-        return StructClass(StructKind.ZERO)
-    if a.is_square():
-        n = a.rows
-        first = a.row(0)
-        # candidate power read off row 1; J_n^p has its only 1-entry of row 1 at column p
-        for p in range(n):
-            if first[p] == 1:
-                if a == jordan(n, p):
-                    return StructClass(StructKind.JORDAN_POWER, n=n, p=p)
-                break
-            if first[p] != 0:
-                break
-        parts = const_scalar_parts(a)
-        if parts is not None:
-            c, s = parts
-            if c == 0:
-                return StructClass(StructKind.SCALAR, s=s)
-    e0 = a.entries[0]
-    if all(e == e0 for e in a.entries):
-        return StructClass(StructKind.CONSTANT, c=e0)
-    if a.is_square() and a.rows > 1:
-        parts = const_scalar_parts(a)
-        if parts is not None:
-            return StructClass(StructKind.CONST_PLUS_SCALAR, c=parts[0], s=parts[1])
-    return StructClass(StructKind.GENERAL)
 
 
 def strip_comment(line: str) -> str:

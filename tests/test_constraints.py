@@ -23,7 +23,8 @@ def test_parse_pinterp():
     pi = parse_pinterp(EX14)
     assert pi.table["f"] == (("f1",), "f0")
     assert pi.table["f#"] == (("F1",), "F0")
-    assert set(pi.parameters()) == {"f1", "f0", "g1", "g0", "F1", "F0"}
+    params = {name for coeffs, const in pi.table.values() for name in (*coeffs, const)}
+    assert params == {"f1", "f0", "g1", "g0", "F1", "F0"}
 
 
 def test_parse_pinterp_errors():
@@ -152,6 +153,11 @@ def test_eval_valuation_strict_needs_gap():
     eta = make_valuation({"p": Fraction(9, 4), "q": 2})
     assert eval_valuation(c, eta).holds
     assert not eval_valuation(c, eta, Fraction(1, 2)).holds
+    # the self-loop p > p must not hold by a margin of 0 or less
+    loop = ArithConstraint(words("p"), words("p"), "strict", "const")
+    for delta in (0, -1):
+        with pytest.raises(ConstraintError, match="delta must be positive"):
+            eval_valuation(loop, eta, Fraction(delta))
 
 
 def test_eval_valuation_unbound_parameter():

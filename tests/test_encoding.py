@@ -7,7 +7,7 @@ import pytest
 from matint import (ArithConstraint, Encoding, EncodingError, Mat, catalog,
                     format_encoding, is_compatible, jordan, load_encoding,
                     make_valuation, parse_encoding, required_products, rho,
-                    rho_jordan, validate)
+                    validate)
 from _helpers import rand_rat_mat
 
 F = Fraction
@@ -19,13 +19,14 @@ def rc(lhs, rhs, rel="weak", kind="x"):
 
 
 def test_rho_jordan_closed_form():
-    assert rho_jordan(2, 2, 1) == F(1, 2)
-    assert rho_jordan(5, 3, 3) == 0
-    assert rho_jordan(8, 4, 3) == F(1, 8)
+    # rho(m, J_n^p) = (n-p)/m for p < n, else 0
+    assert rho(2, jordan(2, 1)) == F(1, 2)
+    assert rho(5, jordan(3, 3)) == 0
+    assert rho(8, jordan(4, 3)) == F(1, 8)
     for m in (1, 2, 7):
         for n in range(1, 7):
             for p in range(n + 2):
-                assert rho_jordan(m, n, p) == rho(m, jordan(n, p))
+                assert rho(m, jordan(n, p)) == (F(n - p, m) if p < n else 0)
 
 
 def test_catalog_half():
