@@ -122,52 +122,45 @@ class LinearForm:
         return self.coeffs.get(var, Mat.zero(self.const.rows, self.dim))
 
 
-def _ground_values(interp: Interpretation, t: Term) -> dict[int, Mat]:
-    """The value vector of every ground subterm of t, keyed by id(node):
-    hashing a frozen-dataclass term recurses, so the term itself cannot be
-    the key. A node whose symbol is uninterpreted or used with another arity
-    is left out, for the top-down walk to report."""
-    nodes = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, Var):
-            nodes.append(node)
-            stack.extend(node.args)
-    values: dict[int, Mat] = {}
-    # in reversed pre-order, every node comes after its arguments
-    for node in reversed(nodes):
-        func = interp.table.get(node.symbol)
-        if (func is not None and len(func.mats) == len(node.args)
-                and all(map(values.__contains__, map(id, node.args)))):
-            w = func.const
-            for mat, arg in zip(func.mats, node.args):
-                w = w + mat * values[id(arg)]
-            values[id(node)] = w
-    return values
+def _func(interp: Interpretation, node) -> LinearFunc:
+    """The function interpreting an application, checked against its arity."""
+    func = interp.table.get(node.symbol)
+    if func is None:
+        raise InterpError(f"uninterpreted symbol {node.symbol!r}")
+    if len(func.mats) != len(node.args):
+        raise InterpError(
+            f"symbol {node.symbol!r} has arity {len(func.mats)} in the interpretation, "
+            f"used with {len(node.args)} argument(s)")
+    return func
 
 
-def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
-    """The linear form ``left·[[t]]`` by one iterative top-down walk.
+def eval_term(interp: Interpretation, t: Term, left: Mat = None,
+              memo: dict = None) -> LinearForm:
+    """The linear form ``left·[[t]]``; terms of any depth evaluate without
+    recursion.
 
-    Each node receives ``u = left·(the argument matrices on its path)``: a
-    variable adds ``u`` to its coefficient, a symbol adds ``u·C`` to the
-    constant and hands ``u·M_i`` to its i-th argument. ``left`` (r x n)
-    defaults to the identity, which gives the full form that the entrywise
-    backend needs. The value backend passes ``Mat.ones(1, n)``, so every
-    product is a row times a matrix and a term costs O(|t|·n²). With more
-    than one row, ground subterms are first folded bottom-up to their value
-    vectors and the walk stops at them: a symbol adds ``u·(C + M_i·[[t_i]])``
-    over its ground arguments ``t_i``, so an edge into a ground subterm costs
-    a matrix-vector product rather than an r x n by n x n product. Terms of
-    any depth evaluate without recursion.
+    Without ``left``, the full form ``[[t]]`` that the entrywise backend
+    needs is composed bottom-up, ``[[f(t1..tk)]] = C + sum M_i·[[t_i]]``,
+    once per distinct subterm: a node costs ``M_i·coeff`` per variable of
+    each argument plus one matrix-vector product for each argument's
+    constant, so a ground subterm costs no more than its value vector.
+    ``memo`` maps terms to the full forms already built under this
+    interpretation; it is read and filled, so callers evaluating many terms
+    under one interpretation share it.
+
+    With ``left`` (r x n), one top-down walk hands each node ``u = left·(the
+    argument matrices on its path)``: a variable adds ``u`` to its
+    coefficient, a symbol adds ``u·C`` to the constant and ``u·M_i`` goes to
+    its i-th argument. The value backend passes ``Mat.ones(1, n)``, so every
+    product is a row times a matrix and a term costs O(|t|·n²); ``memo`` is
+    not used.
+
+    Either way the first uninterpreted or misused symbol in pre-order is
+    reported.
     """
     n = interp.shape.dim
     if left is None:
-        left = Mat.identity(n)
-    ground = _ground_values(interp, t) if left.rows > 1 else {}
-    if id(t) in ground:
-        return LinearForm(n, {}, left * ground[id(t)])
+        return _full_form(interp, t, {} if memo is None else memo)
     coeffs: dict[str, Mat] = {}
     const = Mat.zero(left.rows, 1)
     stack = [(t, left)]
@@ -176,24 +169,48 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
         if isinstance(node, Var):
             coeffs[node.name] = coeffs[node.name] + u if node.name in coeffs else u
             continue
-        func = interp.table.get(node.symbol)
-        if func is None:
-            raise InterpError(f"uninterpreted symbol {node.symbol!r}")
-        if len(func.mats) != len(node.args):
-            raise InterpError(
-                f"symbol {node.symbol!r} has arity {len(func.mats)} in the interpretation, "
-                f"used with {len(node.args)} argument(s)")
-        w = func.const
+        func = _func(interp, node)
         # pushed in reverse, so arguments are visited left to right
         for mat, arg in reversed(tuple(zip(func.mats, node.args))):
-            vec = ground.get(id(arg))
-            if vec is None:
-                stack.append((arg, u * mat))
-            else:
-                w = w + mat * vec
-        const = const + u * w
+            stack.append((arg, u * mat))
+        const = const + u * func.const
     coeffs = {v: m for v, m in coeffs.items() if not m.is_zero()}
     return LinearForm(n, coeffs, const)
+
+
+def _full_form(interp: Interpretation, t: Term, memo: dict) -> LinearForm:
+    """``[[t]]`` bottom-up over the subterms of t that ``memo`` lacks."""
+    n = interp.shape.dim
+    if isinstance(t, Var):
+        return LinearForm(n, {t.name: Mat.identity(n)}, Mat.zero(n, 1))
+    # a depth-first walk: a node is checked when first reached (so in
+    # pre-order) and composed when popped again, after all its arguments
+    stack = [(t, False)]
+    while stack:
+        node, composed = stack.pop()
+        if not composed:
+            if node not in memo and not isinstance(node, Var):
+                _func(interp, node)
+                stack.append((node, True))
+                stack.extend((arg, False) for arg in reversed(node.args))
+            continue
+        func = interp.table[node.symbol]
+        coeffs: dict[str, Mat] = {}
+        const = func.const
+        for mat, arg in zip(func.mats, node.args):
+            if isinstance(arg, Var):
+                # M·I = M
+                parts = ((arg.name, mat),)
+            else:
+                form = memo[arg]
+                const = const + mat * form.const
+                parts = ((v, mat * c) for v, c in form.coeffs.items())
+            for v, c in parts:
+                coeffs[v] = coeffs[v] + c if v in coeffs else c
+        # a zero coefficient contributes nothing further up, so it is dropped here
+        memo[node] = LinearForm(n, {v: c for v, c in coeffs.items() if not c.is_zero()},
+                                const)
+    return memo[t]
 
 
 @dataclass(frozen=True)
@@ -305,13 +322,14 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     if delta is None:
         delta = interp.delta if interp.delta is not None else Fraction(1, m)
     delta = Fraction(delta)
-    # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full form
-    left = Mat.ones(1, interp.shape.dim) if backend == "value" else None
+    # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms,
+    # which rules and pairs share through their common subterms
+    left, memo = (Mat.ones(1, interp.shape.dim), None) if backend == "value" else (None, {})
     checks: list[ConstraintCheck] = []
     for label, rules, rel in (("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")):
         for idx, rule in enumerate(rules, start=1):
-            lhs = eval_term(interp, rule.lhs, left)
-            rhs = eval_term(interp, rule.rhs, left)
+            lhs = eval_term(interp, rule.lhs, left, memo)
+            rhs = eval_term(interp, rule.rhs, left, memo)
             if backend == "entrywise":
                 verdict = check_entrywise(lhs, rhs, rel)
             else:

@@ -64,6 +64,18 @@ class Mat:
             )
         object.__setattr__(self, "entries", tuple(as_rat(e) for e in self.entries))
 
+    @classmethod
+    def _derived(cls, rows: int, cols: int, entries) -> Mat:
+        """A result of arithmetic on valid matrices: its shape and entry types
+        need no check, and only integral Fractions turn back into ints."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "entries", tuple(
+            e.numerator if e.__class__ is Fraction and e.denominator == 1 else e
+            for e in entries))
+        return mat
+
     # --- constructors ---
 
     @classmethod
@@ -154,8 +166,7 @@ class Mat:
             return NotImplemented
         if self.shape != other.shape:
             raise MatrixError(f"shape mismatch in sum: {self.shape} + {other.shape}")
-        return Mat(self.rows, self.cols,
-                   tuple(map(operator.add, self.entries, other.entries)))
+        return Mat._derived(self.rows, self.cols, map(operator.add, self.entries, other.entries))
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -167,7 +178,7 @@ class Mat:
             for i in range(self.rows):
                 r = self.row(i)
                 out.extend(sum(map(operator.mul, r, c)) for c in cols)
-            return Mat(self.rows, other.cols, tuple(out))
+            return Mat._derived(self.rows, other.cols, out)
         return self.scale(other)
 
     def __rmul__(self, other):

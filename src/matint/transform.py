@@ -39,18 +39,27 @@ def _lift_vector(n: int, vec: Mat) -> Mat:
     return Mat.from_blocks([[nu(n, e)] for e in vec.entries])
 
 
+def _require_natural(interp: Interpretation):
+    if interp.domain != "natural":
+        raise InterpError("blockwise lift is defined for natural interpretations")
+
+
 def interp_to_blocks(interp: Interpretation, factor: int = None) -> Interpretation:
     """Lift every matrix entrywise by mu_int and every vector by nu.
 
-    The factor defaults to the maximum entry over all matrices and vectors;
-    a factor <= 1 means the interpretation is already bit-valued and it is
-    returned unchanged.
+    The factor defaults to the maximum entry over all matrices and vectors.
+    When that entry is at most 1 the interpretation is already bit-valued and
+    a factor <= 1 returns it unchanged; while larger entries remain, a factor
+    <= 1 is an error.
     """
-    if interp.domain != "natural":
-        raise InterpError("blockwise lift is defined for natural interpretations")
+    _require_natural(interp)
     if factor is None:
         factor = interp.max_entry()
     if factor <= 1:
+        largest = interp.max_entry()
+        if largest > 1:
+            raise InterpError(f"factor {factor} leaves entries up to {largest}; "
+                              f"a lift needs a factor above 1")
         return interp
     table = {
         symbol: LinearFunc(tuple(lift_int(factor, mat) for mat in func.mats),
@@ -65,8 +74,10 @@ def interp_to_bits(interp: Interpretation) -> tuple[Interpretation, TransformTra
     """Iterate interp_to_blocks with the max matrix entry until matrices are bit.
 
     Vector entries ride along unchanged in value (nu preserves them), so the
-    bit guarantee covers coefficient matrices only.
+    bit guarantee covers coefficient matrices only. The domain is checked
+    first, since a rational interpretation with entries <= 1 takes no step.
     """
+    _require_natural(interp)
     steps: list[tuple[int, int, int]] = []
     while True:
         factor = interp.max_entry(matrices_only=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 
@@ -16,18 +17,78 @@ class TrsError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# Terms are hash-consed: building a term returns the one live term with the
+# same structure, so equality and hashing are by identity, O(1) and free of
+# recursion, and a subterm shared by several rules is one object that a memo
+# can key on. The table holds its terms weakly, so it keeps no term that
+# nothing else uses. (A WeakValueDictionary would do the same, but its
+# lookups raise and catch KeyError on every miss, and parsing misses on
+# every new node: building a term took about twice as long with it.)
+_INTERNED: dict = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table=_INTERNED):
+    """Drop a dead term's entry, unless a new term has taken its key. The
+    table is bound here, since terms may die while the module is torn down."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _intern(key, term):
+    ref = _Ref(term, _forget)
+    ref.key = key
+    _INTERNED[key] = ref
+
+
+class _Term:
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Var(_Term):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        ref = _INTERNED.get(name)
+        term = None if ref is None else ref()
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "name", name)
+            _intern(name, term)
+        return term
+
+    def __repr__(self) -> str:
+        return f"Var({self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
-    symbol: str
-    args: tuple = ()
+class App(_Term):
+    __slots__ = ("symbol", "args")
+
+    def __new__(cls, symbol: str, args: tuple = ()):
+        # the arguments are interned already, so the key hashes in O(arity)
+        key = (symbol, tuple(args))
+        ref = _INTERNED.get(key)
+        term = None if ref is None else ref()
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "symbol", symbol)
+            object.__setattr__(term, "args", key[1])
+            _intern(key, term)
+        return term
+
+    def __repr__(self) -> str:
+        return f"App({str(self)!r})"
 
     def __str__(self) -> str:
         # a pre-order walk without recursion; open_args counts the arguments
@@ -278,16 +339,13 @@ def dependency_pairs(trs: Trs) -> tuple[Rule, ...]:
     renamed (f to f#). Duplicates are removed, input order is preserved.
     """
     defined = {r.lhs.symbol for r in trs.rules}
-    pairs: list[Rule] = []
-    # pairs are told apart by their rendering, which is injective within one
-    # TRS and built without recursion; hashing a nested term recurses per level
-    seen: set[str] = set()
+    # interned terms make (lhs, rhs) an identity key
+    pairs: dict[tuple[App, App], Rule] = {}
     for rule in trs.rules:
+        lhs = _sharp_root(rule.lhs)
         for t in subterms(rule.rhs):
             if isinstance(t, App) and t.symbol in defined:
-                pair = Rule(_sharp_root(rule.lhs), _sharp_root(t))
-                key = str(pair)
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(pair)
-    return tuple(pairs)
+                rhs = _sharp_root(t)
+                if (lhs, rhs) not in pairs:
+                    pairs[lhs, rhs] = Rule(lhs, rhs)
+    return tuple(pairs.values())

@@ -154,6 +154,22 @@ def test_to_blocks_already_bit(capsys):
     assert "already bit-valued" in out
 
 
+def test_lifts_refuse_what_they_cannot_make_bit(capsys, tmp_path):
+    # a rational interpretation is no input of to-bits, even when it takes no
+    # lift step; it exits as to-blocks does on it
+    half = tmp_path / "half.interp"
+    half.write_text("domain rational\ndim 1\nblock 1\n"
+                    "interp f : 1\n  M1 = [1/2]\n  C = [0]\n", encoding="utf-8")
+    code, out, err = run(capsys, "to-bits", "--interp", str(half))
+    assert (code, out) == (2, "")
+    assert err == "error: blockwise lift is defined for natural interpretations\n"
+    assert run(capsys, "to-blocks", "--interp", str(half)) == (code, out, err)
+    # factor 1 would leave relative.interp's entry 2 in place
+    code, out, err = run(capsys, "to-blocks", "--interp", ENDR_INT, "--factor", "1")
+    assert (code, out) == (2, "")
+    assert "factor 1 leaves entries up to 2" in err
+
+
 def test_to_bits_reports_trace(capsys, tmp_path):
     src = tmp_path / "wide.interp"
     src.write_text("domain natural\ndim 2\nblock 1\n"
@@ -465,6 +481,30 @@ def test_depth_2000_chain_exits_cleanly(capsys, tmp_path):
     assert out.splitlines()[-1] == "RESULT: VIOLATED"
     code, out, _ = run(capsys, "dps", "--trs", str(trs))
     assert code == 0 and f"f#(x) -> f#(g({chain}))" in out
+
+
+@pytest.mark.parametrize("backend", ["entrywise", "value"])
+def test_check_leaves_no_interned_term(capsys, tmp_path, backend):
+    from matint.trs import _INTERNED
+    trs = tmp_path / "leak.trs"
+    trs.write_text("(VAR leak_x)\n(RULES leak_f(leak_f(leak_x)) -> leak_f(leak_g))\n",
+                   encoding="utf-8")
+    interp = tmp_path / "leak.interp"
+    interp.write_text("domain natural\ndim 2\nblock 1\n"
+                      "interp leak_f : 1\n  M1 = [1 1 ; 0 1]\n  C = [1 ; 0]\n"
+                      "interp leak_g : 0\n  C = [0 ; 0]\n"
+                      "interp leak_f# : 1\n  M1 = [1 0 ; 0 1]\n  C = [1 ; 1]\n",
+                      encoding="utf-8")
+
+    def leaked():
+        terms = [ref() for ref in list(_INTERNED.values())]
+        return [t for t in terms if t is not None and
+                getattr(t, "symbol", getattr(t, "name", "")).startswith("leak_")]
+
+    code, out, _ = run(capsys, "check", "--trs", str(trs), "--pairs", "auto",
+                       "--interp", str(interp), "--backend", backend, "--trials", "20")
+    assert code == 0 and "1 pair(s)" in out
+    assert leaked() == []
 
 
 def test_bench_tracer_names_resolve():

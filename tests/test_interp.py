@@ -5,7 +5,7 @@ import pytest
 
 from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     LinearFunc, Mat, Var, check_entrywise, check_problem,
-                    check_value, collapse_interpretation, eval_term,
+                    check_value, collapse_interpretation, dependency_pairs, eval_term,
                     format_interpretation, jordan, parse_interpretation,
                     parse_matrix, parse_trs, rho, sample_falsify, subterms,
                     value_collapse)
@@ -274,7 +274,7 @@ def test_eval_term_deep_ground_chain_without_recursion(monkeypatch):
 
     monkeypatch.setattr(Mat, "__mul__", recording)
     assert eval_term(interp, t) == LinearForm(2, {}, Mat.column([4000, 1]))
-    assert len(shapes) == 2001 and all(b == (2, 1) for a, b in shapes)
+    assert len(shapes) == 2000 and all(b == (2, 1) for a, b in shapes)
     monkeypatch.undo()
     assert eval_term(interp, t, Mat.ones(1, 2)) == LinearForm(2, {}, Mat(1, 1, (4001,)))
     form = eval_term(interp, App("p", (t, Var("x"))))
@@ -295,6 +295,59 @@ def test_eval_term_deep_chain_without_recursion():
     projected = eval_term(interp, t, Mat.ones(1, 2))
     assert projected.coeffs == {"x": Mat.from_rows([[1, 5001]])}
     assert projected.const == Mat(1, 1, (5000,))
+
+
+def test_memoised_full_forms_agree_with_reference():
+    """Full forms read from and written to one memo equal the bottom-up
+    reference, across rules, auto pairs and a pairs file that repeats rule
+    subterms; the files are parsed apart, so they share subterms only
+    through interning. check_problem's entrywise verdicts equal those of
+    the reference forms, under many interpretations of the same terms."""
+    rng = random.Random(37)
+    reused = 0
+    outcomes = set()
+    for _ in range(30):
+        interp = _rand_interp(rng)
+        n = interp.shape.dim
+        # the pairs' roots share the matrices of c, h and p
+        table = dict(interp.table)
+        table.update({s + "#": table[s] for s in ("c", "h", "p")})
+        interp = Interpretation(interp.shape, interp.domain, table)
+        rules = []
+        for _ in range(rng.randint(1, 4)):
+            lhs = App("p", (_rand_term(rng, 3, ("x", "y")), _rand_term(rng, 3, ("x", "y"))))
+            part = rng.choice(list(subterms(lhs)))
+            rhs = rng.choice((part, App("h", (part,)), App("p", (part, lhs.args[0]))))
+            rules.append(f"{lhs} -> {rhs}")
+        trs = parse_trs("(VAR x y) (RULES " + " ".join(rules) + ")")
+        pair_lines = []
+        for _ in range(rng.randint(1, 3)):
+            rule = rng.choice(trs.rules)
+            parts = [*subterms(rule.lhs), *subterms(rule.rhs)]
+            rhs = rng.choice([App("c#")] + [App("h#", (t,)) for t in parts])
+            pair_lines.append(f"p#{str(rule.lhs)[1:]} -> {rhs}")
+        pairs = (parse_trs("(VAR x y) (RULES " + " ".join(pair_lines) + ")").rules
+                 + dependency_pairs(trs))
+        references = {}
+
+        def reference(t):
+            if t not in references:
+                references[t] = LinearForm(n, *_reference_form(interp, t))
+            return references[t]
+
+        memo = {}
+        checks = [("weak", r) for r in trs.rules] + [("strict", p) for p in pairs]
+        for rel, rule in checks:
+            for t in (rule.lhs, rule.rhs):
+                reused += t in memo
+                assert eval_term(interp, t, None, memo) == reference(t)
+        assert all(form == reference(t) for t, form in memo.items())
+        expected = [check_entrywise(reference(rule.lhs), reference(rule.rhs), rel)
+                    for rel, rule in checks]
+        outcomes.update(v.holds for v in expected)
+        report = check_problem(trs, pairs, interp, "entrywise")
+        assert [c.verdict for c in report.checks] == expected
+    assert reused > 50 and outcomes == {True, False}
 
 
 def test_check_entrywise_examples(ex2, ex62):

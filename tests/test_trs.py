@@ -94,6 +94,14 @@ def test_dependency_pairs_deduplicate():
     trs = parse_trs("(VAR x) (RULES f(x) -> g(f(x),f(x)))")
     pairs = dependency_pairs(trs)
     assert [str(p) for p in pairs] == ["f#(x) -> f#(x)"]
+    # across rules too, keeping the first occurrence of each pair in input
+    # order; pairs equal up to renaming are distinct
+    trs = parse_trs("(VAR x y) (RULES f(x) -> g(f(x),h(f(x))) h(y) -> f(h(y)) "
+                    "f(x) -> h(f(x)) h(x) -> f(x) f(y) -> f(y))")
+    pairs = dependency_pairs(trs)
+    assert [str(p) for p in pairs] == ["f#(x) -> f#(x)", "f#(x) -> h#(f(x))",
+                                       "h#(y) -> f#(h(y))", "h#(y) -> h#(y)",
+                                       "h#(x) -> f#(x)", "f#(y) -> f#(y)"]
 
 
 def test_dependency_pairs_preserve_rule_invariants_and_arity():
@@ -113,3 +121,23 @@ def test_sharp_name():
 def test_term_str():
     t = App("f", (Var("x"), App("a")))
     assert str(t) == "f(x,a)"
+
+
+def test_terms_are_interned():
+    # two chains built apart are one object: equality, hashing and rules over
+    # them take O(1) and never recurse, at any depth
+    chains = []
+    for _ in range(2):
+        t = Var("x")
+        for _ in range(5000):
+            t = App("f", (t,))
+        chains.append(t)
+    a, b = chains
+    assert a is b and a == b and hash(a) == hash(b)
+    assert Rule(a, b) == Rule(b, a) and hash(Rule(a, b)) == hash(Rule(b, a))
+    assert len({a, b, Rule(a, b), Rule(b, a)}) == 2
+    assert App("f", (Var("x"),)) is parse_trs("(VAR x) (RULES f(x) -> x)").rules[0].lhs
+    # a variable and a constant of the same name stay apart
+    assert Var("a") is not App("a") and Var("a") != App("a")
+    with pytest.raises(AttributeError):
+        a.symbol = "g"
