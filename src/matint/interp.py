@@ -83,12 +83,12 @@ class Interpretation:
                     f"{symbol}: constant vector is {func.const.rows}x{func.const.cols}, "
                     f"need {n}x1")
             for mat in (*func.mats, func.const):
-                if any(e < 0 for e in mat.entries):
+                if any(e < 0 for e in mat.nums):
                     raise InterpError(f"{symbol}: negative entry")
                 if self.domain == "natural" and not mat.is_natural():
                     raise InterpError(f"{symbol}: non-natural entry in natural domain")
             for j in range(self.shape.beta):
-                segment = func.const.entries[j * b:(j + 1) * b]
+                segment = func.const.nums[j * b:(j + 1) * b]
                 if any(e != segment[0] for e in segment):
                     raise InterpError(
                         f"{symbol}: constant vector is not block-constant "
@@ -119,7 +119,8 @@ class LinearForm:
     const: Mat
 
     def coeff(self, var: str) -> Mat:
-        return self.coeffs.get(var, Mat.zero(self.const.rows, self.dim))
+        c = self.coeffs.get(var)
+        return Mat.zero(self.const.rows, self.dim) if c is None else c
 
 
 def _func(interp: Interpretation, node) -> LinearFunc:
@@ -347,16 +348,6 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
 
 # --- sampling falsifier ---
 
-def _denominator_lcm(forms) -> int:
-    d = 1
-    for form in forms:
-        for mat in (*form.coeffs.values(), form.const):
-            for e in mat.entries:
-                if isinstance(e, Fraction):
-                    d = lcm(d, e.denominator)
-    return d
-
-
 def _draws(rng: random.Random, top: int, count: int) -> list[int]:
     """``[rng.randint(0, top) for _ in range(count)]`` without randint's three
     Python frames per draw.
@@ -385,8 +376,9 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     domain), drawn from ``random.Random(seed)`` exactly as ``randint`` would
     draw them, variable by variable (in name order), block by block, trial
     by trial. Returns the first violating assignment, or None. Arithmetic is
-    exact, in Python ints: denominators are cleared and the comparison scaled
-    accordingly, so no magnitude bound applies.
+    exact, in Python ints: the forms' numerators are brought over one common
+    denominator and the comparison scaled accordingly, so no magnitude bound
+    applies.
 
     The value backend compares only the entry sums of the two values, so it
     takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
@@ -416,7 +408,8 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     # denominator 2 admits non-integer rational samples in the rational domain
     sample_den = 1 if domain == "natural" else 2
     top = bound * sample_den
-    den = _denominator_lcm((lhs, rhs))
+    den = lcm(*(mat.den for form in (lhs, rhs)
+                for mat in (*form.coeffs.values(), form.const)))
     # draws carry a factor sample_den, so coefficients scale by den only and
     # constants by the full den*sample_den: every value ends up scaled equally
     scale = den * sample_den
@@ -428,12 +421,14 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
         the value backend sums the rows first."""
         coeff_rows = [[] for _ in range(rows)]
         for v in variables:
-            entries = form.coeff(v).entries
+            mat = form.coeff(v)
+            nums, k = mat.nums, den // mat.den
             for i, row in enumerate(coeff_rows):
                 base = i * n
-                row.extend(int(den * sum(entries[base + j * b:base + (j + 1) * b]))
+                row.extend(k * sum(nums[base + j * b:base + (j + 1) * b])
                            for j in range(beta))
-        const = [int(scale * e) for e in form.const.entries]
+        k = scale // form.const.den
+        const = [k * e for e in form.const.nums]
         if backend == "value":
             coeff_rows = [[sum(col) for col in zip(*coeff_rows)]]
             const = [sum(const)]
@@ -511,8 +506,8 @@ def collapse_interpretation(interp: Interpretation, b: int = None) -> Interpreta
         except MatrixError as exc:
             raise InterpError(f"{symbol}: {exc}") from None
         table[symbol] = LinearFunc(mats, const)
-    flat = [e for f in table.values() for m in (*f.mats, f.const) for e in m.entries]
-    domain = "natural" if all(isinstance(e, int) and e >= 0 for e in flat) else "rational"
+    natural = all(m.is_natural() for f in table.values() for m in (*f.mats, f.const))
+    domain = "natural" if natural else "rational"
     return Interpretation(BlockShape(interp.shape.dim // b, 1), domain, table, interp.delta)
 
 

@@ -1,16 +1,18 @@
 """Exact rational scalars and dense matrices.
 
-All arithmetic is exact: entries are Python ints or ``fractions.Fraction``
-values (integral fractions are normalized to int), never floats. Matrices
-are immutable values and safe to share.
+All arithmetic is exact and never uses floats. A matrix stores its entries
+as Python int numerators over one common denominator, so products and sums
+run on ints; read back, an entry is an int or a ``fractions.Fraction``
+(integral fractions are normalized to int). Matrices are immutable values
+and safe to share.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = int | Fraction
 
@@ -21,6 +23,8 @@ class MatrixError(ValueError):
 
 def as_rat(x) -> Rat:
     """Normalize a scalar to canonical exact form (int when integral)."""
+    if x.__class__ is int:
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise MatrixError(f"exact rational required, got {type(x).__name__} {x!r}")
     if isinstance(x, int):
@@ -42,39 +46,83 @@ def parse_rat(text: str) -> Rat:
         raise MatrixError(f"bad rational literal {text!r}: {exc}") from None
 
 
-def is_natural_value(x: Rat) -> bool:
-    return isinstance(x, int) and x >= 0
+def _check_shape(rows: int, cols: int):
+    if rows < 1 or cols < 1:
+        raise MatrixError(f"matrix shape must be positive, got {rows}x{cols}")
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Dense rows x cols matrix in row-major order; vectors are n x 1."""
+    """Dense rows x cols matrix in row-major order; vectors are n x 1.
 
-    rows: int
-    cols: int
-    entries: tuple[Rat, ...]
+    Entries are stored as int numerators ``nums`` over one common denominator
+    ``den`` >= 1, kept canonical (``gcd(den, *nums) == 1``), so arithmetic
+    runs on Python ints and equal values have equal fields. Immutable.
+    """
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise MatrixError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    __slots__ = ("rows", "cols", "nums", "den", "_entries")
+
+    def __init__(self, rows: int, cols: int, entries):
+        _check_shape(rows, cols)
+        if len(entries) != rows * cols:
             raise MatrixError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
-            )
-        object.__setattr__(self, "entries", tuple(as_rat(e) for e in self.entries))
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        entries = tuple(entries)
+        den = 1
+        # plain ints need neither normalizing nor a denominator (the type
+        # test runs at C speed, which matters for bit matrices of dim 100+)
+        if set(map(type, entries)) != {int}:
+            entries = tuple(map(as_rat, entries))
+            den = lcm(*[e.denominator for e in entries])
+            # lcm of reduced denominators: the form is canonical already, and
+            # with den 1 every entry is an int
+            if den != 1:
+                entries = tuple(e.numerator * (den // e.denominator) for e in entries)
+        _init(self, rows, cols, entries, den)
 
     @classmethod
-    def _derived(cls, rows: int, cols: int, entries) -> Mat:
-        """A result of arithmetic on valid matrices: its shape and entry types
-        need no check, and only integral Fractions turn back into ints."""
+    def _derived(cls, rows: int, cols: int, nums, den: int = 1) -> Mat:
+        """The trusted constructor for results of arithmetic on valid matrices:
+        shape and entry types need no check, only one gcd brings ``nums/den``
+        to canonical form."""
+        nums = tuple(nums)
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = tuple(x // g for x in nums)
+                den //= g
         mat = object.__new__(cls)
-        object.__setattr__(mat, "rows", rows)
-        object.__setattr__(mat, "cols", cols)
-        object.__setattr__(mat, "entries", tuple(
-            e.numerator if e.__class__ is Fraction and e.denominator == 1 else e
-            for e in entries))
+        _init(mat, rows, cols, nums, den)
         return mat
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Mat is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Mat is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the trusted constructor, since
+        # setting the slots one by one is refused
+        return (Mat._derived, (self.rows, self.cols, self.nums, self.den))
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.den == other.den and self.nums == other.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"Mat(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+    @property
+    def entries(self) -> tuple[Rat, ...]:
+        """The entries in canonical exact form (int when integral), built once."""
+        if self._entries is None:
+            _set_entries(self, tuple(map(self._rat, self.nums)))
+        return self._entries
 
     # --- constructors ---
 
@@ -90,12 +138,12 @@ class Mat:
 
     @classmethod
     def zero(cls, rows: int, cols: int = None) -> Mat:
-        cols = rows if cols is None else cols
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls.constant(0, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> Mat:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        _check_shape(n, n)
+        return cls._derived(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def ones(cls, rows: int, cols: int = None) -> Mat:
@@ -104,7 +152,9 @@ class Mat:
     @classmethod
     def constant(cls, c: Rat, rows: int, cols: int = None) -> Mat:
         cols = rows if cols is None else cols
-        return cls(rows, cols, (as_rat(c),) * (rows * cols))
+        _check_shape(rows, cols)
+        c = as_rat(c)
+        return cls._derived(rows, cols, (c.numerator,) * (rows * cols), c.denominator)
 
     @classmethod
     def column(cls, values) -> Mat:
@@ -125,14 +175,18 @@ class Mat:
         for j in range(len(grid[0])):
             if any(grid[i][j].cols != grid[0][j].cols for i in range(len(grid))):
                 raise MatrixError("inconsistent block widths in a grid column")
+        # every block over the grid's common denominator
+        den = lcm(*(b.den for row in grid for b in row))
         out = []
         for row in grid:
+            scaled = [(b.cols, b.nums if b.den == den else
+                       tuple(x * (den // b.den) for x in b.nums)) for b in row]
             for r in range(row[0].rows):
-                for block in row:
-                    out.extend(block.row(r))
+                for cols, nums in scaled:
+                    out.extend(nums[r * cols:(r + 1) * cols])
         rows = sum(row[0].rows for row in grid)
         cols = sum(b.cols for b in grid[0])
-        return cls(rows, cols, tuple(out))
+        return cls._derived(rows, cols, out, den)
 
     # --- access ---
 
@@ -156,29 +210,36 @@ class Mat:
         out = []
         for r in range(p):
             base = (i * p + r) * self.cols + j * q
-            out.extend(self.entries[base:base + q])
-        return Mat(p, q, tuple(out))
+            out.extend(self.nums[base:base + q])
+        return Mat._derived(p, q, out, self.den)
 
-    # --- arithmetic (exact) ---
+    # --- arithmetic (exact, on the int numerators) ---
 
     def __add__(self, other: Mat) -> Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         if self.shape != other.shape:
             raise MatrixError(f"shape mismatch in sum: {self.shape} + {other.shape}")
-        return Mat._derived(self.rows, self.cols, map(operator.add, self.entries, other.entries))
+        a, b = self.den, other.den
+        if a == b:
+            return Mat._derived(self.rows, self.cols, map(operator.add, self.nums, other.nums), a)
+        den = lcm(a, b)
+        sa, sb = den // a, den // b
+        return Mat._derived(self.rows, self.cols,
+                            [x * sa + y * sb for x, y in zip(self.nums, other.nums)], den)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise MatrixError(
                     f"inner dimensions differ in product: {self.shape} * {other.shape}")
-            cols = [other.col(j) for j in range(other.cols)]
+            n, k, nums = self.cols, other.cols, self.nums
+            cols = [other.nums[j::k] for j in range(k)]
             out = []
-            for i in range(self.rows):
-                r = self.row(i)
+            for i in range(0, self.rows * n, n):
+                r = nums[i:i + n]
                 out.extend(sum(map(operator.mul, r, c)) for c in cols)
-            return Mat._derived(self.rows, other.cols, out)
+            return Mat._derived(self.rows, k, out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -196,37 +257,60 @@ class Mat:
 
     def scale(self, x: Rat) -> Mat:
         x = as_rat(x)
-        return Mat(self.rows, self.cols, tuple(e * x for e in self.entries))
+        p = x.numerator
+        return Mat._derived(self.rows, self.cols, (e * p for e in self.nums),
+                            self.den * x.denominator)
 
     def transpose(self) -> Mat:
-        return Mat(self.cols, self.rows,
-                   tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        r, c, nums = self.rows, self.cols, self.nums
+        return Mat._derived(c, r, (nums[i * c + j] for j in range(c) for i in range(r)),
+                            self.den)
 
     # --- predicates and summaries ---
 
+    def _rat(self, num: int) -> Rat:
+        """The value num/den in canonical exact form."""
+        return num // self.den if num % self.den == 0 else Fraction(num, self.den)
+
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.nums)
 
     def is_natural(self) -> bool:
-        return all(is_natural_value(e) for e in self.entries)
+        return self.den == 1 and all(e >= 0 for e in self.nums)
 
     def is_bit(self) -> bool:
-        return all(e == 0 or e == 1 for e in self.entries)
+        return self.den == 1 and all(e == 0 or e == 1 for e in self.nums)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def sum_entries(self) -> Rat:
-        return as_rat(Fraction(sum(self.entries)))
+        return self._rat(sum(self.nums))
 
     def max_entry(self) -> Rat:
-        return max(self.entries)
+        return self._rat(max(self.nums))
 
     def column_sums(self) -> tuple[Rat, ...]:
-        return tuple(as_rat(Fraction(sum(self.col(j)))) for j in range(self.cols))
+        nums, c = self.nums, self.cols
+        return tuple(self._rat(sum(nums[j::c])) for j in range(c))
 
     def __str__(self) -> str:
         return format_matrix(self)
+
+
+# The slots' own setters write past Mat.__setattr__ (and cost less than
+# object.__setattr__, which looks each name up again).
+_set_rows, _set_cols, _set_nums, _set_den, _set_entries = (
+    Mat.__dict__[name].__set__ for name in Mat.__slots__)
+
+
+def _init(mat: Mat, rows: int, cols: int, nums: tuple[int, ...], den: int):
+    """Set the fields of a new Mat."""
+    _set_rows(mat, rows)
+    _set_cols(mat, cols)
+    _set_nums(mat, nums)
+    _set_den(mat, den)
+    _set_entries(mat, nums if den == 1 else None)
 
 
 class Cmp(Enum):
@@ -240,9 +324,13 @@ def cmp_entrywise(a: Mat, b: Mat) -> Cmp:
     """Entrywise order: GE iff A >= B everywhere; GT additionally needs A11 > B11."""
     if a.shape != b.shape:
         raise MatrixError(f"shape mismatch in comparison: {a.shape} vs {b.shape}")
-    if any(x < y for x, y in zip(a.entries, b.entries)):
+    xs, ys = a.nums, b.nums
+    if a.den != b.den:
+        # compare over the common denominator a.den * b.den
+        xs, ys = [x * b.den for x in xs], [y * a.den for y in ys]
+    if any(x < y for x, y in zip(xs, ys)):
         return Cmp.INCOMPARABLE
-    return Cmp.GT if a.entries[0] > b.entries[0] else Cmp.GE
+    return Cmp.GT if xs[0] > ys[0] else Cmp.GE
 
 
 def jordan(n: int, p: int = 1) -> Mat:

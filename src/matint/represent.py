@@ -31,7 +31,7 @@ def rho(m: int, a: Mat) -> Rat:
     """Matrix valuation: the sum of all entries divided by m."""
     if m < 1:
         raise MatrixError(f"valuation divisor must be positive, got {m}")
-    return as_rat(Fraction(sum(a.entries), 1) / m)
+    return as_rat(Fraction(sum(a.nums), a.den * m))
 
 
 def mu_const(params: RepParams, x: Rat) -> Mat:
@@ -66,7 +66,7 @@ def lift(params: RepParams, a: Mat) -> Mat:
 
 def lift_int(n: int, a: Mat) -> Mat:
     """Replace every integer entry by its mu_int image; preserves rho at divisor m*n."""
-    if any(not isinstance(e, int) for e in a.entries):
+    if a.den != 1:
         raise MatrixError("entrywise integer lift needs integer entries")
     return Mat.from_blocks(
         [[mu_int(n, a.at(i, j)) for j in range(a.cols)] for i in range(a.rows)])

@@ -139,8 +139,7 @@ def valuation_interpretation(pi: ParamInterpretation, eta: dict[str, Rat],
                 raise InterpError(f"unbound parameter {name!r}")
         mats = tuple(Mat(1, 1, (eta[p],)) for p in coeff_params)
         const = Mat(1, 1, (eta[const_param],))
-        naturals = naturals and all(isinstance(m.entries[0], int)
-                                    for m in (*mats, const))
+        naturals = naturals and all(m.den == 1 for m in (*mats, const))
         table[symbol] = LinearFunc(mats, const)
     domain = "natural" if naturals else "rational"
     return Interpretation(BlockShape(1, 1), domain, table, delta)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 
@@ -170,36 +171,23 @@ class Trs:
 _PUNCT = {"(", ")", ","}
 
 
-def _tokenize(text: str):
-    """Yield (token, line, col); ';' starts a comment to end of line."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if ";" in line:
-            line = line[:line.index(";")]
-        i, n = 0, len(line)
-        while i < n:
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _PUNCT:
-                yield ch, lineno, i + 1
-                i += 1
-                continue
-            if line.startswith("->", i):
-                yield "->", lineno, i + 1
-                i += 2
-                continue
-            j = i
-            while j < n and not line[j].isspace() and line[j] not in _PUNCT \
-                    and not line.startswith("->", j):
-                j += 1
-            yield line[i:j], lineno, i + 1
-            i = j
+# a token is '->' or one of '(),', or else a maximal run of characters that
+# are neither whitespace nor punctuation and do not start a '->' (a '-' is
+# looked ahead of only where one occurs, not at every character)
+_TOKEN = re.compile(r"->|[(),]|(?:[^\s(),-]+|-(?!>))+")
+
+
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """(token, line, col) with 1-based lines and columns; ';' starts a
+    comment to end of line."""
+    return [(m[0], lineno, m.start() + 1)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            for m in _TOKEN.finditer(line.partition(";")[0])]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self):

@@ -666,6 +666,34 @@ def test_sample_falsify_big_values_stay_exact():
                 _reference_witness(lhs, rhs, rel, shape, "value", **kw)
 
 
+def test_sample_falsify_mixed_denominators():
+    # coefficients in thirds (and a sixth), constants in halves (and a
+    # quarter): the sampler's common denominator must scale each exactly
+    lhs = LinearForm(2, {"x": Mat.from_rows([[F(1, 3), F(2, 3)], [0, F(4, 3)]]),
+                         "y": Mat.from_rows([[F(1, 6), 0], [F(2, 3), 0]])},
+                     Mat.column([F(1, 2), F(3, 2)]))
+    rhs = LinearForm(2, {"x": Mat.from_rows([[F(2, 3), 0], [F(1, 3), 1]]),
+                         "z": Mat.from_rows([[0, F(1, 3)], [0, 0]])},
+                     Mat.column([F(1, 4), F(1, 2)]))
+    ones = Mat.ones(1, 2)
+    projected = [LinearForm(2, {v: ones * c for v, c in f.coeffs.items()}, ones * f.const)
+                 for f in (lhs, rhs)]
+    outcomes = set()
+    for shape in (BlockShape(2, 1), BlockShape(2, 2)):
+        for domain in ("natural", "rational"):
+            for rel, delta in (("weak", None), ("strict", F(1, 3)), ("strict", F(5, 6))):
+                for seed, bound in ((0, 1), (1, 3), (2, 10), (3, 2)):
+                    kw = dict(m=2, delta=delta, trials=40, bound=bound, seed=seed,
+                              domain=domain)
+                    for backend in ("entrywise", "value"):
+                        want = _reference_witness(lhs, rhs, rel, shape, backend, **kw)
+                        assert sample_falsify(lhs, rhs, rel, shape, backend, **kw) == want
+                        outcomes.add((backend, want is None))
+                    assert sample_falsify(*projected, rel, shape, "value", **kw) == \
+                        _reference_witness(lhs, rhs, rel, shape, "value", **kw)
+    assert outcomes == {(b, found) for b in ("entrywise", "value") for found in (True, False)}
+
+
 def test_sample_draws_follow_the_randint_stream():
     for seed in (0, -5, 2 ** 70):
         for top in (0, 1, 2, 20, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3):

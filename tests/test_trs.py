@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from matint import (App, Rule, TrsError, Var, dependency_pairs, format_trs,
                     parse_trs, sharp_name)
+from matint.trs import _tokenize
 from _helpers import read
 
 
@@ -141,3 +144,73 @@ def test_terms_are_interned():
     assert Var("a") is not App("a") and Var("a") != App("a")
     with pytest.raises(AttributeError):
         a.symbol = "g"
+
+
+def test_tokenize_positions():
+    assert _tokenize("a->b") == [("a", 1, 1), ("->", 1, 2), ("b", 1, 4)]
+    assert _tokenize("f#(x)") == [("f#", 1, 1), ("(", 1, 3), ("x", 1, 4), (")", 1, 5)]
+    # a tab is one column
+    assert _tokenize("\tf(x)\t->\tg( x )") == [
+        ("f", 1, 2), ("(", 1, 3), ("x", 1, 4), (")", 1, 5), ("->", 1, 7),
+        ("g", 1, 10), ("(", 1, 11), ("x", 1, 13), (")", 1, 15)]
+    assert _tokenize("f(x) -> x ; comment (") == [
+        ("f", 1, 1), ("(", 1, 2), ("x", 1, 3), (")", 1, 4), ("->", 1, 6), ("x", 1, 9)]
+    assert _tokenize("a() -> b") == [
+        ("a", 1, 1), ("(", 1, 2), (")", 1, 3), ("->", 1, 5), ("b", 1, 8)]
+    # a '-' or '>' outside '->' is part of a name
+    assert _tokenize("a-b -> c") == [("a-b", 1, 1), ("->", 1, 5), ("c", 1, 8)]
+    assert _tokenize("x-->y") == [("x-", 1, 1), ("->", 1, 3), ("y", 1, 5)]
+    assert _tokenize("- > ->-") == [("-", 1, 1), (">", 1, 3), ("->", 1, 5), ("-", 1, 7)]
+    # lines as splitlines() counts them, blank and comment-only lines included
+    assert _tokenize("(VAR x)\n; note\r\n  (RULES\tf(x)->x ; c\n)") == [
+        ("(", 1, 1), ("VAR", 1, 2), ("x", 1, 6), (")", 1, 7), ("(", 3, 3),
+        ("RULES", 3, 4), ("f", 3, 10), ("(", 3, 11), ("x", 3, 12), (")", 3, 13),
+        ("->", 3, 14), ("x", 3, 16), (")", 4, 1)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(VAR x) (RULES a->)", "line 1, column 19: expected a term, got ')'"),
+    ("(VAR x) (RULES f(x) -> x ; )", "unexpected end of input"),
+    ("(VAR x)\n(RULES\n\tf(x) -> -> x)", "line 3, column 10: expected a term, got '->'"),
+    ("(VAR -> x) (RULES )", "line 1, column 6: bad variable name '->'"),
+    ("(VAR x) (RULES f(x -> x)", "line 1, column 20: expected ')', got '->'"),
+    ("(VAR x) (RULES f(,) -> x)", "line 1, column 18: expected a term, got ','"),
+    ("(VAR x) (RULES x(y) -> x)", "line 1, column 16: variable 'x' used with arguments"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(TrsError) as info:
+        parse_trs(text)
+    assert str(info.value) == message
+
+
+def _tokenize_by_char(text):
+    """Reference tokenizer stepping through each line one character at a time."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split(";", 1)[0]
+        i = 0
+        while i < len(line):
+            if line[i].isspace():
+                i += 1
+            elif line[i] in "(),":
+                out.append((line[i], lineno, i + 1))
+                i += 1
+            elif line.startswith("->", i):
+                out.append(("->", lineno, i + 1))
+                i += 2
+            else:
+                j = i
+                while j < len(line) and not line[j].isspace() and line[j] not in "()," \
+                        and not line.startswith("->", j):
+                    j += 1
+                out.append((line[i:j], lineno, i + 1))
+                i = j
+    return out
+
+
+def test_tokenize_matches_char_scan():
+    rng = random.Random(5)
+    alphabet = "ab#-->(),; \t\n\r\x0b\x0c\x1c\x85\xa0 　"
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+        assert _tokenize(text) == _tokenize_by_char(text), repr(text)
