@@ -315,7 +315,8 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     Value-backend defaults: m is the dimension; delta is the file's delta,
     else 1/m. With ``trials`` > 0, ``sample_falsify`` cross-checks every HOLDS
     verdict on the forms the check just computed, and the check keeps the
-    witness it finds (or None).
+    witness it finds (or None). The checks share one draw pool, so each row
+    of the stream is drawn once per problem.
     """
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
@@ -326,6 +327,8 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms,
     # which rules and pairs share through their common subterms
     left, memo = (Mat.ones(1, interp.shape.dim), None) if backend == "value" else (None, {})
+    # every check samples the same stream, so they share one draw pool
+    pool: dict = {}
     checks: list[ConstraintCheck] = []
     for label, rules, rel in (("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")):
         for idx, rule in enumerate(rules, start=1):
@@ -339,7 +342,7 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
             if trials and verdict.holds:
                 witness = sample_falsify(lhs, rhs, rel, interp.shape, backend,
                                          m=m, delta=delta, trials=trials, bound=bound,
-                                         seed=seed, domain=interp.domain)
+                                         seed=seed, domain=interp.domain, pool=pool)
             checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, verdict, witness))
     if backend == "entrywise":
         m = delta = None
@@ -366,10 +369,45 @@ def _draws(rng: random.Random, top: int, count: int) -> list[int]:
     return out
 
 
+class _DrawPool:
+    """The stream ``_draws(random.Random(seed), top, ·)`` cut into rows of
+    ``trials`` values: row r holds draws r·trials .. (r+1)·trials − 1.
+
+    Rows are drawn only when a check first needs them. The stream is
+    prefix-consistent, so row r is the same whichever check asks for it
+    first, and equal to row r of a fresh stream. Each row is packed at most
+    once per lane width into one int, lane t holding draw t.
+    """
+
+    __slots__ = ("rng", "top", "trials", "rows", "packed")
+
+    def __init__(self, seed: int, top: int, trials: int):
+        self.rng = random.Random(seed)
+        self.top, self.trials = top, trials
+        self.rows: list[list[int]] = []
+        self.packed: dict[tuple[int, int], int] = {}
+
+    def need(self, count: int):
+        """Draw rows until there are ``count``."""
+        t, missing = self.trials, count - len(self.rows)
+        if missing > 0:
+            flat = _draws(self.rng, self.top, missing * t)
+            self.rows += [flat[r * t:(r + 1) * t] for r in range(missing)]
+
+    def lanes(self, r: int, w: int) -> int:
+        """Row r packed into lanes of w bits (w a multiple of 8)."""
+        packed = self.packed.get((r, w))
+        if packed is None:
+            nbytes = w // 8
+            packed = self.packed[r, w] = int.from_bytes(
+                b"".join([x.to_bytes(nbytes, "little") for x in self.rows[r]]), "little")
+        return packed
+
+
 def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape,
                    backend: str = "value", m: int = None, delta: Fraction = None,
                    trials: int = 1000, bound: int = 10, seed: int = 0,
-                   domain: str = "natural") -> dict[str, tuple] | None:
+                   domain: str = "natural", pool: dict = None) -> dict[str, tuple] | None:
     """Search for a concrete block-constant tuple violating lhs REL rhs.
 
     Block values are naturals in [0, bound] (halves as well for the rational
@@ -384,6 +422,20 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
     give the same sums, hence the same witness. The entrywise backend needs
     the full forms (n rows).
+
+    All trials are tested at once. The draws of one variable block, over
+    the trials, are packed into one int, trial t in lane t of w bits. A
+    row's gap lhs − rhs − floor, offset by 2^(w−1), is then one sum of
+    coefficient times packed draws. w is chosen so that 2^(w−1) exceeds
+    every gap's magnitude: each lane stays in [0, 2^w), no lane borrows
+    from another, and a trial fails exactly where a lane's top bit is
+    clear.
+
+    ``pool`` maps ``(seed, top, trials)`` to the draws already made for that
+    stream (``top`` is the largest scaled draw); it is read and filled, so
+    calls with the same seed, bound, domain and trials, like the checks of
+    one problem, draw and pack each row once. The witnesses are those of
+    separate calls.
     """
     if trials < 1:
         raise InterpError(f"trials must be positive, got {trials}")
@@ -441,21 +493,35 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
         # entrywise: the first component must exceed; value: the rho gap
         # (l - r)/(m·scale) must reach delta
         floors[0] = 1 if backend == "entrywise" else ceil(delta * m * scale)
-    count = len(variables) * beta
-    flat = _draws(random.Random(seed), top, count * trials)
-    # draw r of trial t is flat[r * trials + t]
-    draws = [flat[r * trials:(r + 1) * trials] for r in range(count)]
-    first = trials
-    for lrow, rrow, lc, rc, floor in zip(lrows, rrows, lconst, rconst, floors):
-        gaps = [lc - rc] * trials
-        for coeff, row in zip(map(operator.sub, lrow, rrow), draws):
+    # per row: the coefficient of each draw row (variable by variable, block
+    # by block) and the constant part of the gap minus the floor
+    gaps = [(list(map(operator.sub, lrow, rrow)), lc - rc - floor)
+            for lrow, rrow, lc, rc, floor in zip(lrows, rrows, lconst, rconst, floors)]
+    reach = max(sum(map(abs, coeffs)) * top + abs(g) for coeffs, g in gaps)
+    # the narrowest multiple of 8 with 2^(w-1) > reach
+    w = (reach.bit_length() + 8) // 8 * 8
+    pool = {} if pool is None else pool
+    draws = pool.get((seed, top, trials))
+    if draws is None:
+        draws = pool[seed, top, trials] = _DrawPool(seed, top, trials)
+    draws.need(len(variables) * beta)
+    # 1, and the top bit, in every lane
+    ones = int.from_bytes((b"\x01" + bytes(w // 8 - 1)) * trials, "little")
+    high = ones << (w - 1)
+    fails = 0
+    for coeffs, g in gaps:
+        # every lane holds 2^(w-1) + that trial's gap
+        acc = g * ones + high
+        for r, coeff in enumerate(coeffs):
             if coeff:
-                gaps = [g + coeff * x for g, x in zip(gaps, row)]
-        first = next((t for t, g in enumerate(gaps[:first]) if g < floor), first)
-    if first == trials:
+                acc += coeff * draws.lanes(r, w)
+        fails |= high & ~acc
+    if not fails:
         return None
+    # the lowest failing lane is the first failing trial over all rows
+    first = ((fails & -fails).bit_length() - 1) // w
     return {
-        v: tuple(as_rat(Fraction(draws[k * beta + i][first], sample_den))
+        v: tuple(as_rat(Fraction(draws.rows[k * beta + i][first], sample_den))
                  for i in range(beta) for _ in range(b))
         for k, v in enumerate(variables)
     }

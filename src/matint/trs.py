@@ -185,50 +185,44 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
             for m in _TOKEN.finditer(line.partition(";")[0])]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        if self.pos >= len(self.tokens):
-            raise TrsError("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, want: str):
-        tok, line, col = self.next()
-        if tok != want:
-            raise TrsError(f"expected {want!r}, got {tok!r}", line, col)
-        return tok
-
-    def here(self):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-            return line, col
-        return None, None
+# end of input: a token no parse step accepts, so the token list is never
+# read past it and needs no bounds check
+_END = (None, None, None)
 
 
-def _parse_term(p: _Parser, varnames: set[str]) -> Term:
-    """Parse one term; open applications wait on an explicit stack, so terms
-    of any depth parse without recursion."""
+def _end_or(message: str, line: int, col: int) -> TrsError:
+    """The error for an unexpected token, or for the end of input."""
+    if line is None:
+        return TrsError("unexpected end of input")
+    return TrsError(message, line, col)
+
+
+def _expect(tokens: list, i: int, want: str) -> int:
+    """The index after token i, which must be ``want``."""
+    tok, line, col = tokens[i]
+    if tok != want:
+        raise _end_or(f"expected {want!r}, got {tok!r}", line, col)
+    return i + 1
+
+
+def _parse_term(tokens: list, i: int, varnames: set[str]) -> tuple[Term, int]:
+    """Parse one term from token i on; returns it and the index after it.
+    Open applications wait on an explicit stack, so terms of any depth parse
+    without recursion."""
     open_apps: list[tuple[str, list]] = []
     while True:
-        tok, line, col = p.next()
-        if tok in _PUNCT or tok == "->":
-            raise TrsError(f"expected a term, got {tok!r}", line, col)
-        if p.peek() == "(":
+        tok, line, col = tokens[i]
+        if tok is None or tok in _PUNCT or tok == "->":
+            raise _end_or(f"expected a term, got {tok!r}", line, col)
+        i += 1
+        if tokens[i][0] == "(":
             if tok in varnames:
                 raise TrsError(f"variable {tok!r} used with arguments", line, col)
-            p.expect("(")
-            if p.peek() != ")":
+            i += 1
+            if tokens[i][0] != ")":
                 open_apps.append((tok, []))
                 continue
-            p.expect(")")
+            i += 1
             term = App(tok)
         elif tok in varnames:
             term = Var(tok)
@@ -238,19 +232,24 @@ def _parse_term(p: _Parser, varnames: set[str]) -> Term:
         # whose last argument it is
         while True:
             if not open_apps:
-                return term
+                return term, i
             symbol, args = open_apps[-1]
             args.append(term)
-            if p.peek() == ",":
-                p.expect(",")
+            tok, line, col = tokens[i]
+            i += 1
+            if tok == ",":
                 break
-            p.expect(")")
+            if tok != ")":
+                raise _end_or(f"expected ')', got {tok!r}", line, col)
             open_apps.pop()
             term = App(symbol, tuple(args))
 
 
 def _check_arities(t: Term, signature: dict[str, int], line: int, col: int):
-    for s in subterms(t):
+    """Record each symbol's arity in pre-order; a second arity is an error."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
         if isinstance(s, Var):
             continue
         seen = signature.get(s.symbol)
@@ -260,32 +259,37 @@ def _check_arities(t: Term, signature: dict[str, int], line: int, col: int):
             raise TrsError(
                 f"symbol {s.symbol!r} used with arity {len(s.args)} after arity {seen}",
                 line, col)
+        stack.extend(reversed(s.args))
 
 
 def parse_trs(text: str) -> Trs:
     """Parse ``(VAR x y) (RULES l -> r ...)``; infers the signature."""
-    p = _Parser(text)
+    tokens = _tokenize(text)
+    tokens.append(_END)
+    i = 0
     varnames: set[str] = set()
     rules: list[Rule] = []
     signature: dict[str, int] = {}
     saw_rules = False
-    while p.peek() is not None:
-        p.expect("(")
-        tok, line, col = p.next()
+    while tokens[i] is not _END:
+        i = _expect(tokens, i, "(")
+        tok, line, col = tokens[i]
+        i += 1
         if tok == "VAR":
-            while p.peek() != ")":
-                name, line, col = p.next()
-                if name in _PUNCT or name == "->":
-                    raise TrsError(f"bad variable name {name!r}", line, col)
+            while tokens[i][0] != ")":
+                name, line, col = tokens[i]
+                if name is None or name in _PUNCT or name == "->":
+                    raise _end_or(f"bad variable name {name!r}", line, col)
                 varnames.add(name)
-            p.expect(")")
+                i += 1
+            i += 1
         elif tok == "RULES":
             saw_rules = True
-            while p.peek() != ")":
-                line, col = p.here()
-                lhs = _parse_term(p, varnames)
-                p.expect("->")
-                rhs = _parse_term(p, varnames)
+            while tokens[i][0] != ")":
+                _, line, col = tokens[i]
+                lhs, i = _parse_term(tokens, i, varnames)
+                i = _expect(tokens, i, "->")
+                rhs, i = _parse_term(tokens, i, varnames)
                 try:
                     rule = Rule(lhs, rhs)
                 except TrsError as exc:
@@ -293,9 +297,9 @@ def parse_trs(text: str) -> Trs:
                 _check_arities(lhs, signature, line, col)
                 _check_arities(rhs, signature, line, col)
                 rules.append(rule)
-            p.expect(")")
+            i += 1
         else:
-            raise TrsError(f"unknown section {tok!r} (expected VAR or RULES)", line, col)
+            raise _end_or(f"unknown section {tok!r} (expected VAR or RULES)", line, col)
     if not saw_rules:
         raise TrsError("missing (RULES ...) section")
     return Trs(frozenset(varnames), tuple(rules), signature)

@@ -133,12 +133,15 @@ def test_eval_term_errors(ex2):
         with pytest.raises(InterpError, match="symbol 'g' has arity 1"):
             eval_term(ex2, App("f", (App("g", (App("c"), App("c"))),)), left)
 
-def _rand_interp(rng):
-    """Random natural or rational interpretation of dim 1-6, block 1 or 2, over
-    c/0, h/1 and p/2; about one matrix in four is all-zero."""
-    block = rng.choice((1, 2))
-    dim = block * rng.randint(1, 6 // block)
-    domain = rng.choice(("natural", "rational"))
+def _rand_interp(rng, shape=None, domain=None):
+    """Random natural or rational interpretation of dim 1-6, block 1 or 2 (or
+    the given shape and domain), over c/0, h/1 and p/2; about one matrix in
+    four is all-zero."""
+    if shape is None:
+        block = rng.choice((1, 2))
+        shape = BlockShape(block * rng.randint(1, 6 // block), block)
+    dim, block = shape.dim, shape.block
+    domain = domain or rng.choice(("natural", "rational"))
 
     def entry():
         if domain == "natural":
@@ -155,7 +158,7 @@ def _rand_interp(rng):
 
     table = {s: LinearFunc(tuple(mat() for _ in range(arity)), const())
              for s, arity in (("c", 0), ("h", 1), ("p", 2))}
-    return Interpretation(BlockShape(dim, block), domain, table)
+    return Interpretation(shape, domain, table)
 
 
 def _rand_term(rng, depth, names):
@@ -727,3 +730,172 @@ def test_check_problem_samples_holds_verdicts(ex62):
         assert sampled.consistent and all(c.witness is None for c in sampled.checks)
     with pytest.raises(InterpError, match="bound"):
         check_problem(trs, pairs, ex62, "value", trials=10, bound=-1)
+
+
+def test_draws_are_prefix_consistent():
+    # the rest of a stream continues from the same generator: two calls on
+    # one generator give one call's values and leave the same state
+    for seed in (0, -5, 2 ** 70):
+        for top in (0, 1, 20, 2 ** 40 + 3):
+            for a, b in ((0, 7), (1, 1), (40, 160), (300, 0)):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert _draws(ours, top, a) + _draws(ours, top, b) == \
+                    _draws(theirs, top, a + b)
+                assert ours.getstate() == theirs.getstate()
+
+
+def test_check_problem_pool_gives_the_witnesses_of_separate_calls(monkeypatch):
+    # rules with 1, 3 and 1 variables, so the problem's draw pool grows in
+    # the middle; every verdict is forced to HOLDS, so every check samples
+    # and the random (hence broken) interpretations give witnesses
+    import matint.interp as interp_module
+    trs = parse_trs("(VAR x y z) (RULES h(x) -> p(x,x) "
+                    "p(p(x,y),z) -> p(x,p(y,h(z))) h(h(x)) -> h(c))")
+    pairs = parse_trs("(VAR x y) (RULES p(x,c) -> h(x) p(x,y) -> p(y,x))").rules
+    holds = lambda *args: interp_module.Verdict(True)
+    monkeypatch.setattr(interp_module, "check_entrywise", holds)
+    monkeypatch.setattr(interp_module, "check_value", holds)
+    rng = random.Random(61)
+    found = set()
+    for shape in (BlockShape(2, 1), BlockShape(4, 2), BlockShape(3, 1)):
+        for domain in ("natural", "rational"):
+            for seed, bound, trials in ((0, 3, 25), (-5, 10, 40), (2 ** 70, 1, 30)):
+                interp = _rand_interp(rng, shape, domain)
+                n = shape.dim
+                for backend in ("entrywise", "value"):
+                    report = check_problem(trs, pairs, interp, backend, trials=trials,
+                                           bound=bound, seed=seed)
+                    left = Mat.ones(1, n) if backend == "value" else None
+                    sides = [(r, "weak") for r in trs.rules] + [(r, "strict") for r in pairs]
+                    for check, (rule, rel) in zip(report.checks, sides):
+                        lhs, rhs = (eval_term(interp, t, left) for t in (rule.lhs, rule.rhs))
+                        want = sample_falsify(lhs, rhs, rel, shape, backend, m=n,
+                                              delta=F(1, n), trials=trials, bound=bound,
+                                              seed=seed, domain=domain)
+                        assert check.witness == want
+                        found.add((shape.block, domain, backend, want is None))
+    assert found == {(b, d, be, none) for b in (1, 2) for d in ("natural", "rational")
+                     for be in ("entrywise", "value") for none in (True, False)}
+
+
+def test_sample_pool_is_keyed_by_seed_top_and_trials():
+    # one pool across calls that differ in seed, bound, domain and trials
+    # gives every call the witness it gets alone
+    shape = BlockShape(2, 1)
+    lhs = LinearForm(2, {"x": Mat.from_rows([[1, 0], [0, 1]]),
+                         "y": Mat.from_rows([[0, 1], [1, 0]])}, Mat.column([2, 0]))
+    rhs = LinearForm(2, {"x": Mat.from_rows([[1, 1], [0, 0]]),
+                         "z": Mat.from_rows([[0, 0], [1, 1]])}, Mat.column([0, 3]))
+    rng = random.Random(8)
+    pool = {}
+    outcomes = set()
+    for _ in range(120):
+        kw = dict(m=2, delta=F(1, 2), trials=rng.choice((1, 20, 35)),
+                  bound=rng.choice((0, 3, 6)), seed=rng.choice((0, 1, -5, 2 ** 70)),
+                  domain=rng.choice(("natural", "rational")))
+        rel = rng.choice(("weak", "strict"))
+        backend = rng.choice(("entrywise", "value"))
+        want = sample_falsify(lhs, rhs, rel, shape, backend, **kw)
+        assert sample_falsify(lhs, rhs, rel, shape, backend, pool=pool, **kw) == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+    assert len(pool) > 10
+
+
+def _form(dim, coeffs, const):
+    """A linear form from rows of coefficients per variable and a constant."""
+    return LinearForm(dim, {v: Mat.from_rows(rows) for v, rows in coeffs.items()},
+                      Mat.column(const))
+
+
+def test_sample_lane_edges_match_reference():
+    # (backend, rel, m, delta, lhs, rhs, bound, trials, domain, witness found)
+    x1 = lambda c, k: _form(1, {"x": [[c]]} if c else {}, [k])
+    big = 2 ** 70
+    cases = [
+        # a gap at the floor holds, one below it fails
+        ("entrywise", "weak", 1, None, x1(2, 0), x1(1, 0), 5, 50, "natural", False),
+        ("entrywise", "weak", 1, None, x1(2, 0), x1(1, 1), 5, 50, "natural", True),
+        ("value", "weak", 1, None, x1(2, 0), x1(1, 0), 5, 50, "rational", False),
+        ("value", "weak", 1, None, x1(2, 0), x1(1, 1), 5, 50, "rational", True),
+        ("entrywise", "strict", 1, None, x1(2, 1), x1(1, 0), 5, 50, "natural", False),
+        ("entrywise", "strict", 1, None, x1(2, 1), x1(1, 1), 5, 50, "natural", True),
+        ("value", "strict", 1, F(1), x1(1, 1), x1(1, 0), 5, 50, "natural", False),
+        ("value", "strict", 1, F(1), x1(1, 1), x1(2, 0), 5, 50, "natural", True),
+        ("value", "strict", 3, F(1, 3), x1(1, 1), x1(1, 0), 5, 50, "rational", False),
+        ("value", "strict", 3, F(1, 2), x1(1, 1), x1(1, 0), 5, 50, "rational", True),
+        # the reach is exactly a power of two, and draws reach it
+        ("entrywise", "weak", 1, None, x1(1, 0), x1(0, 0), 128, 2000, "natural", False),
+        ("value", "weak", 1, None, x1(1, 32), x1(0, 0), 32, 1000, "rational", False),
+        ("value", "weak", 1, None, x1(256, 0), x1(0, 0), 128, 2000, "natural", False),
+        ("entrywise", "weak", 1, None, x1(1, 0), x1(0, 1), 127, 2000, "natural", True),
+        # bound 0: every draw is 0
+        ("entrywise", "weak", 1, None, x1(1, 0), x1(2, 0), 0, 10, "natural", False),
+        ("entrywise", "strict", 1, None, x1(1, 0), x1(1, 0), 0, 10, "rational", True),
+        # one trial
+        ("value", "weak", 1, None, x1(1, 0), x1(2, 0), 10, 1, "natural", True),
+        ("value", "weak", 1, None, x1(3, 0), x1(2, 0), 10, 1, "natural", False),
+        # ground rules
+        ("entrywise", "weak", 1, None, x1(0, 1), x1(0, 2), 10, 5, "natural", True),
+        ("value", "strict", 1, F(1), x1(0, 2), x1(0, 1), 10, 5, "rational", False),
+        ("value", "strict", 1, F(3, 2), x1(0, 2), x1(0, 1), 10, 5, "rational", True),
+        # negative gaps larger than any positive one
+        ("entrywise", "weak", 1, None, _form(1, {"y": [[1]]}, [5]), x1(100, 0), 10, 60,
+         "natural", True),
+        ("value", "weak", 1, None, _form(1, {"y": [[1]]}, [0]),
+         _form(1, {"y": [[1]], "x": [[300]]}, [0]), 1, 60, "natural", True),
+        # entries up to 2**70
+        ("entrywise", "weak", 1, None, x1(big, big), x1(big, big), 10, 40, "natural", False),
+        ("entrywise", "strict", 1, None, x1(big, big), x1(big, big), 10, 40, "natural", True),
+        ("value", "weak", 1, None, _form(1, {"x": [[big]]}, [big]),
+         _form(1, {"x": [[big]], "y": [[1]]}, [big - 3]), 10, 40, "rational", True),
+        ("value", "strict", 1, F(big), x1(big + 1, big), x1(1, 0), 10, 40, "natural", False),
+        ("value", "strict", 1, F(big + 1), x1(big + 1, big), x1(1, 0), 10, 40, "natural", True),
+    ]
+    for backend, rel, m, delta, lhs, rhs, bound, trials, domain, found in cases:
+        for seed in (0, -5, 2 ** 70):
+            kw = dict(m=m, delta=delta, trials=trials, bound=bound, seed=seed, domain=domain)
+            want = _reference_witness(lhs, rhs, rel, BlockShape(1, 1), backend, **kw)
+            assert (want is not None) == found, (backend, rel, lhs, rhs, kw)
+            assert sample_falsify(lhs, rhs, rel, BlockShape(1, 1), backend, **kw) == want
+
+
+def test_sample_lanes_combine_rows_at_the_first_failing_trial():
+    # entrywise rows fail at different trials, or only one row fails: the
+    # witness is the first trial that fails on any row
+    shape = BlockShape(2, 1)
+    eye = Mat.identity(2)
+    cases = [
+        (_form(2, {"x": [[1, 0], [0, 1]]}, [0, 0]), _form(2, {"x": [[2, 0], [0, 0]]}, [0, 0])),
+        (_form(2, {"x": [[1, 0], [0, 1]]}, [0, 0]), _form(2, {"x": [[0, 0], [0, 2]]}, [0, 0])),
+        (_form(2, {"x": [[1, 0], [0, 1]]}, [8, 8]), _form(2, {"x": [[2, 0], [0, 2]]}, [0, 0])),
+        (LinearForm(2, {"x": eye, "y": eye}, Mat.column([0, 5])),
+         LinearForm(2, {"x": eye.scale(2)}, Mat.column([3, 0]))),
+    ]
+    for lhs, rhs in cases:
+        for seed in (0, -5, 2 ** 70):
+            for rel in ("weak", "strict"):
+                kw = dict(m=2, delta=F(1, 2), trials=200, bound=10, seed=seed,
+                          domain="natural")
+                want = _reference_witness(lhs, rhs, rel, shape, "entrywise", **kw)
+                assert want is not None
+                assert sample_falsify(lhs, rhs, rel, shape, "entrywise", **kw) == want
+
+
+def test_sampling_argument_errors_come_before_any_draw(ex62, monkeypatch):
+    import matint.interp as interp_module
+
+    def no_draws(*args):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(interp_module, "_draws", no_draws)
+    trs, pairs = example_one()
+    with pytest.raises(InterpError, match="bound"):
+        check_problem(trs, pairs, ex62, "value", trials=10, bound=-1)
+    full = [eval_term(ex62, t) for t in (trs.rules[0].lhs, trs.rules[0].rhs)]
+    pool = {}
+    with pytest.raises(InterpError, match="bound"):
+        sample_falsify(*full, "weak", ex62.shape, "value", bound=-1, pool=pool)
+    with pytest.raises(InterpError, match="trials"):
+        sample_falsify(*full, "weak", ex62.shape, "value", trials=0, pool=pool)
+    assert pool == {}

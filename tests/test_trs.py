@@ -3,7 +3,7 @@ import random
 import pytest
 
 from matint import (App, Rule, TrsError, Var, dependency_pairs, format_trs,
-                    parse_trs, sharp_name)
+                    parse_trs, sharp_name, subterms)
 from matint.trs import _tokenize
 from _helpers import read
 
@@ -214,3 +214,125 @@ def test_tokenize_matches_char_scan():
     for _ in range(2000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
         assert _tokenize(text) == _tokenize_by_char(text), repr(text)
+
+
+class _RefParser:
+    """Reference parser: one method call per token and recursion per
+    argument, reporting errors in the order the grammar meets them."""
+
+    def __init__(self, text):
+        self.tokens, self.pos = _tokenize(text), 0
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        if self.pos >= len(self.tokens):
+            raise TrsError("unexpected end of input")
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, want):
+        tok, line, col = self.next()
+        if tok != want:
+            raise TrsError(f"expected {want!r}, got {tok!r}", line, col)
+
+    def term(self, varnames):
+        tok, line, col = self.next()
+        if tok in ("(", ")", ",", "->"):
+            raise TrsError(f"expected a term, got {tok!r}", line, col)
+        if self.peek() != "(":
+            return Var(tok) if tok in varnames else App(tok)
+        if tok in varnames:
+            raise TrsError(f"variable {tok!r} used with arguments", line, col)
+        self.expect("(")
+        args = []
+        if self.peek() != ")":
+            args.append(self.term(varnames))
+            while self.peek() == ",":
+                self.expect(",")
+                args.append(self.term(varnames))
+        self.expect(")")
+        return App(tok, tuple(args))
+
+    def trs(self):
+        varnames, rules, signature, saw_rules = set(), [], {}, False
+        while self.peek() is not None:
+            self.expect("(")
+            tok, line, col = self.next()
+            if tok == "VAR":
+                while self.peek() != ")":
+                    name, line, col = self.next()
+                    if name in ("(", ")", ",", "->"):
+                        raise TrsError(f"bad variable name {name!r}", line, col)
+                    varnames.add(name)
+                self.expect(")")
+            elif tok == "RULES":
+                saw_rules = True
+                while self.peek() != ")":
+                    line, col = self.tokens[self.pos][1:] if self.peek() else (None, None)
+                    lhs = self.term(varnames)
+                    self.expect("->")
+                    rhs = self.term(varnames)
+                    try:
+                        rule = Rule(lhs, rhs)
+                    except TrsError as exc:
+                        raise TrsError(str(exc), line, col) from None
+                    for s in (s for side in (lhs, rhs) for s in subterms(side)):
+                        if isinstance(s, App):
+                            seen = signature.setdefault(s.symbol, len(s.args))
+                            if seen != len(s.args):
+                                raise TrsError(f"symbol {s.symbol!r} used with arity "
+                                               f"{len(s.args)} after arity {seen}", line, col)
+                    rules.append(rule)
+                self.expect(")")
+            else:
+                raise TrsError(f"unknown section {tok!r} (expected VAR or RULES)", line, col)
+        if not saw_rules:
+            raise TrsError("missing (RULES ...) section")
+        return varnames, rules, signature
+
+
+def _outcome(parse, text):
+    try:
+        result = parse(text)
+    except TrsError as exc:
+        return "error", str(exc)
+    if not isinstance(result, tuple):
+        result = (set(result.variables), list(result.rules), result.signature)
+    return result
+
+
+def test_parse_matches_reference_parser_on_damaged_inputs():
+    # well-formed systems with a few tokens deleted, inserted or replaced:
+    # the same TRS, or the same first error at the same position
+    rng = random.Random(23)
+    words = ["(", ")", ",", "->", "VAR", "RULES", "x", "y", "f", "g", "a"]
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return [rng.choice(("x", "y", "a"))]
+        symbol, out = rng.choice(("f", "g")), []
+        for k in range(rng.randint(0, 3)):
+            out += ([","] if k else []) + term(depth - 1)
+        return [symbol, "("] + out + [")"]
+
+    kinds = set()
+    for _ in range(3000):
+        tokens = ["(", "VAR", "x", "y", ")", "(", "RULES"]
+        for _ in range(rng.randint(0, 3)):
+            tokens += term(3) + ["->"] + term(3)
+        tokens.append(")")
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            k = rng.randrange(len(tokens) + 1)
+            edit = rng.choice(("delete", "insert", "replace"))
+            if edit == "insert":
+                tokens.insert(k, rng.choice(words))
+            elif k < len(tokens):
+                tokens[k:k + 1] = [] if edit == "delete" else [rng.choice(words)]
+        text = "".join(tok + rng.choice((" ", " ", "\n", "")) for tok in tokens)
+        want = _outcome(lambda s: _RefParser(s).trs(), text)
+        assert _outcome(parse_trs, text) == want, text
+        kinds.add(want[1].split(": ")[-1].split()[0] if want[0] == "error" else "ok")
+    assert {"ok", "expected", "unexpected", "symbol", "right-hand", "variable",
+            "unknown"} <= kinds
