@@ -21,12 +21,11 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 from .matrix import (Cmp, Mat, MatrixError, Rat, as_rat, cmp_entrywise,
                      const_scalar_parts, format_matrix, parse_matrix, parse_rat,
                      strip_comment)
-from .represent import rho
 from .trs import Rule, Term, Trs, Var
 
 
@@ -135,51 +134,103 @@ def _func(interp: Interpretation, node) -> LinearFunc:
     return func
 
 
+def _kernel(compiled: dict, interp: Interpretation, node) -> tuple:
+    """The compiled function of an application, checked against its arity:
+    per argument matrix ``(mat, rows, cols)`` with rows and columns as int
+    tuples over ``mat.den``, then the constant's ``nums`` and ``den``.
+    ``compiled`` holds the symbols met so far, compiled once each."""
+    entry = compiled.get(node.symbol)
+    if entry is None or len(entry[0]) != len(node.args):
+        func = _func(interp, node)
+        n = interp.shape.dim
+        entry = compiled[node.symbol] = (
+            tuple((mat, tuple(mat.nums[i:i + n] for i in range(0, n * n, n)),
+                   tuple(mat.nums[j::n] for j in range(n))) for mat in func.mats),
+            func.const.nums, func.const.den)
+    return entry
+
+
+def _mat_vec(lines, vec) -> list[int]:
+    """The dot product of each line with ``vec``: ``M·v`` for the rows of M,
+    ``u·M`` for its columns."""
+    return [sum(map(operator.mul, line, vec)) for line in lines]
+
+
+def _sum(a, da: int, b, db: int) -> tuple[list[int], int]:
+    """The entrywise sum of ``a/da`` and ``b/db`` over ``lcm(da, db)``."""
+    if da == db:
+        return list(map(operator.add, a, b)), da
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return [x * sa + y * sb for x, y in zip(a, b)], d
+
+
 def eval_term(interp: Interpretation, t: Term, left: Mat = None,
-              memo: dict = None) -> LinearForm:
+              memo: dict = None, compiled: dict = None) -> LinearForm:
     """The linear form ``left·[[t]]``; terms of any depth evaluate without
-    recursion.
+    recursion. Both walks run on int numerators over one denominator per
+    vector or matrix, and build a ``Mat`` only for the forms they return.
 
     Without ``left``, the full form ``[[t]]`` that the entrywise backend
     needs is composed bottom-up, ``[[f(t1..tk)]] = C + sum M_i·[[t_i]]``,
-    once per distinct subterm: a node costs ``M_i·coeff`` per variable of
-    each argument plus one matrix-vector product for each argument's
-    constant, so a ground subterm costs no more than its value vector.
-    ``memo`` maps terms to the full forms already built under this
-    interpretation; it is read and filled, so callers evaluating many terms
-    under one interpretation share it.
+    once per distinct subterm: a node sums, for each variable, ``M_i·coeff``
+    over all its arguments in one int list, and takes one matrix-vector
+    product for each argument's constant, so a ground subterm costs no more
+    than its value vector. ``memo`` maps terms to the full forms already
+    built under this interpretation; it is read and filled, so callers
+    evaluating many terms under one interpretation share it.
 
-    With ``left`` (r x n), one top-down walk hands each node ``u = left·(the
-    argument matrices on its path)``: a variable adds ``u`` to its
-    coefficient, a symbol adds ``u·C`` to the constant and ``u·M_i`` goes to
-    its i-th argument. The value backend passes ``Mat.ones(1, n)``, so every
-    product is a row times a matrix and a term costs O(|t|·n²); ``memo`` is
-    not used.
+    With ``left`` (one row of n), one top-down walk hands each node the row
+    ``u = left·(the argument matrices on its path)``: a variable adds ``u``
+    to its coefficient, a symbol adds ``u·C`` to the constant and ``u·M_i``
+    goes to its i-th argument. The value backend passes ``Mat.ones(1, n)``,
+    so a term costs O(|t|·n²); ``memo`` is not used. A ``left`` of more
+    than one row raises InterpError.
+
+    ``compiled`` maps symbols to their functions as int tuples (see
+    ``_kernel``); it is read and filled like ``memo``, and must come from
+    the same interpretation.
 
     Either way the first uninterpreted or misused symbol in pre-order is
     reported.
     """
-    n = interp.shape.dim
+    compiled = {} if compiled is None else compiled
     if left is None:
-        return _full_form(interp, t, {} if memo is None else memo)
-    coeffs: dict[str, Mat] = {}
-    const = Mat.zero(left.rows, 1)
-    stack = [(t, left)]
+        return _full_form(interp, t, {} if memo is None else memo, compiled)
+    n = interp.shape.dim
+    if left.shape != (1, n):
+        raise InterpError(f"left factor must be 1x{n}, got {left.rows}x{left.cols}")
+    coeffs: dict[str, tuple[list[int], int]] = {}
+    const, const_den = 0, 1
+    stack = [(t, left.nums, left.den)]
     while stack:
-        node, u = stack.pop()
-        if isinstance(node, Var):
-            coeffs[node.name] = coeffs[node.name] + u if node.name in coeffs else u
+        node, u, du = stack.pop()
+        if node.__class__ is Var:
+            old = coeffs.get(node.name)
+            coeffs[node.name] = (u, du) if old is None else _sum(*old, u, du)
             continue
-        func = _func(interp, node)
+        args, cnums, cden = _kernel(compiled, interp, node)
+        c, dc = sum(map(operator.mul, u, cnums)), du * cden
+        if dc == const_den:
+            const += c
+        else:
+            d = lcm(dc, const_den)
+            const, const_den = const * (d // const_den) + c * (d // dc), d
         # pushed in reverse, so arguments are visited left to right
-        for mat, arg in reversed(tuple(zip(func.mats, node.args))):
-            stack.append((arg, u * mat))
-        const = const + u * func.const
-    coeffs = {v: m for v, m in coeffs.items() if not m.is_zero()}
-    return LinearForm(n, coeffs, const)
+        for (mat, _, cols), arg in reversed(tuple(zip(args, node.args))):
+            v, dv = _mat_vec(cols, u), du * mat.den
+            if dv != 1:
+                g = gcd(dv, *v)
+                if g != 1:
+                    v, dv = [x // g for x in v], dv // g
+            stack.append((arg, v, dv))
+    return LinearForm(n, {v: Mat._derived(1, n, nums, d)
+                          for v, (nums, d) in coeffs.items() if any(nums)},
+                      Mat._derived(1, 1, (const,), const_den))
 
 
-def _full_form(interp: Interpretation, t: Term, memo: dict) -> LinearForm:
+def _full_form(interp: Interpretation, t: Term, memo: dict,
+               compiled: dict) -> LinearForm:
     """``[[t]]`` bottom-up over the subterms of t that ``memo`` lacks."""
     n = interp.shape.dim
     if isinstance(t, Var):
@@ -190,27 +241,34 @@ def _full_form(interp: Interpretation, t: Term, memo: dict) -> LinearForm:
     while stack:
         node, composed = stack.pop()
         if not composed:
-            if node not in memo and not isinstance(node, Var):
-                _func(interp, node)
+            if node not in memo and node.__class__ is not Var:
+                _kernel(compiled, interp, node)
                 stack.append((node, True))
                 stack.extend((arg, False) for arg in reversed(node.args))
             continue
-        func = interp.table[node.symbol]
-        coeffs: dict[str, Mat] = {}
-        const = func.const
-        for mat, arg in zip(func.mats, node.args):
-            if isinstance(arg, Var):
+        args, const, const_den = compiled[node.symbol]
+        coeffs: dict[str, tuple[list[int], int]] = {}
+        for (mat, rows, _), arg in zip(args, node.args):
+            if arg.__class__ is Var:
                 # M·I = M
-                parts = ((arg.name, mat),)
+                parts = ((arg.name, mat.nums, mat.den),)
             else:
                 form = memo[arg]
-                const = const + mat * form.const
-                parts = ((v, mat * c) for v, c in form.coeffs.items())
-            for v, c in parts:
-                coeffs[v] = coeffs[v] + c if v in coeffs else c
+                const, const_den = _sum(const, const_den, _mat_vec(rows, form.const.nums),
+                                        mat.den * form.const.den)
+                parts = []
+                for v, c in form.coeffs.items():
+                    cols = [c.nums[j::n] for j in range(n)]
+                    parts.append((v, [sum(map(operator.mul, row, col))
+                                      for row in rows for col in cols],
+                                  mat.den * c.den))
+            for v, nums, den in parts:
+                old = coeffs.get(v)
+                coeffs[v] = (nums, den) if old is None else _sum(*old, nums, den)
         # a zero coefficient contributes nothing further up, so it is dropped here
-        memo[node] = LinearForm(n, {v: c for v, c in coeffs.items() if not c.is_zero()},
-                                const)
+        memo[node] = LinearForm(n, {v: Mat._derived(n, n, nums, d)
+                                    for v, (nums, d) in coeffs.items() if any(nums)},
+                                Mat._derived(n, 1, const, const_den))
     return memo[t]
 
 
@@ -244,6 +302,20 @@ def check_entrywise(lhs: LinearForm, rhs: LinearForm, rel: str) -> Verdict:
     return Verdict(True, detail)
 
 
+def _rat_str(p: int, q: int) -> str:
+    """``str(as_rat(Fraction(p, q)))`` for q > 0, without the Fraction."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _column_sums(mat: Mat | None, n: int) -> tuple[list[int], int]:
+    """The column sums of a coefficient (zero if absent) as nums over den."""
+    if mat is None:
+        return [0] * n, 1
+    nums = mat.nums
+    return (nums if mat.rows == 1 else [sum(nums[j::n]) for j in range(n)]), mat.den
+
+
 def check_value(lhs: LinearForm, rhs: LinearForm, rel: str, m: int,
                 delta: Fraction = None) -> Verdict:
     """rho ordering on forms, universally over nonnegative tuples.
@@ -252,28 +324,39 @@ def check_value(lhs: LinearForm, rhs: LinearForm, rel: str, m: int,
     side's and the constant entry sums compare; strict needs the constant
     rho gap to reach delta. Only the coefficients' column sums and the
     constant's entry sum are read, so the projected forms ``1ᵀ·[[t]]`` give
-    the same verdict and detail as the full forms.
+    the same verdict and detail as the full forms. Sums are compared on the
+    int numerators by cross-multiplying with the denominators, and the
+    detail's rationals are rendered from them; no Fraction is made.
     """
     if lhs.dim != rhs.dim:
         raise InterpError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
     if rel == "strict":
         if delta is None or delta <= 0:
             raise InterpError("strict value comparison needs delta > 0")
+    if m < 1:
+        raise MatrixError(f"valuation divisor must be positive, got {m}")
+    n = lhs.dim
     parts = []
     for var in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        lsums, rsums = lhs.coeff(var).column_sums(), rhs.coeff(var).column_sums()
+        (lsums, ld), (rsums, rd) = (_column_sums(lhs.coeffs.get(var), n),
+                                    _column_sums(rhs.coeffs.get(var), n))
         for j, (ls, rs) in enumerate(zip(lsums, rsums)):
-            if ls < rs:
-                return Verdict(False,
-                               f"coeff({var}): column {j + 1} sum {ls} < {rs}")
-        parts.append(f"rho coeff({var}) {rho(m, lhs.coeff(var))} vs {rho(m, rhs.coeff(var))}")
-    lsum, rsum = lhs.const.sum_entries(), rhs.const.sum_entries()
-    margin = as_rat(Fraction(lsum - rsum, m))
-    parts.append(f"rho const {rho(m, lhs.const)} vs {rho(m, rhs.const)}")
-    if lsum < rsum:
-        return Verdict(False, f"const: rho {rho(m, lhs.const)} < {rho(m, rhs.const)}")
+            if ls * rd < rs * ld:
+                return Verdict(False, f"coeff({var}): column {j + 1} sum "
+                                      f"{_rat_str(ls, ld)} < {_rat_str(rs, rd)}")
+        parts.append(f"rho coeff({var}) {_rat_str(sum(lsums), ld * m)} "
+                     f"vs {_rat_str(sum(rsums), rd * m)}")
+    (lsum, ld), (rsum, rd) = ((sum(lhs.const.nums), lhs.const.den),
+                              (sum(rhs.const.nums), rhs.const.den))
+    lrho, rrho = _rat_str(lsum, ld * m), _rat_str(rsum, rd * m)
+    parts.append(f"rho const {lrho} vs {rrho}")
+    # the margin (lsum/ld - rsum/rd)/m is gap/scale
+    gap, scale = lsum * rd - rsum * ld, ld * rd * m
+    if gap < 0:
+        return Verdict(False, f"const: rho {lrho} < {rrho}")
     if rel == "strict":
-        if margin < delta:
+        margin = _rat_str(gap, scale)
+        if gap * delta.denominator < delta.numerator * scale:
             return Verdict(False,
                            f"const: margin {margin} < delta {delta}; " + "; ".join(parts))
         parts.append(f"margin {margin} >= delta {delta}")
@@ -327,13 +410,15 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms,
     # which rules and pairs share through their common subterms
     left, memo = (Mat.ones(1, interp.shape.dim), None) if backend == "value" else (None, {})
+    # each symbol's matrices as int rows and columns, compiled once per call
+    compiled: dict = {}
     # every check samples the same stream, so they share one draw pool
     pool: dict = {}
     checks: list[ConstraintCheck] = []
     for label, rules, rel in (("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")):
         for idx, rule in enumerate(rules, start=1):
-            lhs = eval_term(interp, rule.lhs, left, memo)
-            rhs = eval_term(interp, rule.rhs, left, memo)
+            lhs = eval_term(interp, rule.lhs, left, memo, compiled)
+            rhs = eval_term(interp, rule.rhs, left, memo, compiled)
             if backend == "entrywise":
                 verdict = check_entrywise(lhs, rhs, rel)
             else:

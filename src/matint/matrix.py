@@ -370,8 +370,36 @@ def strip_comment(line: str) -> str:
     return line
 
 
+def _parse_row(items: list[str], fractions: bool) -> tuple[list[int], int]:
+    """A literal's row as int numerators over one (not necessarily lowest)
+    positive denominator; ``fractions`` tells whether some entry has a '/'.
+    A bad entry is reported as ``parse_rat`` reports it."""
+    try:
+        if not fractions:
+            return list(map(int, items)), 1
+        pairs = []
+        for item in items:
+            num, slash, den = item.partition("/")
+            p, q = int(num), int(den) if slash else 1
+            if q == 0:
+                raise ZeroDivisionError
+            pairs.append((p, q))
+    except (ValueError, ZeroDivisionError):
+        for item in items:
+            parse_rat(item)
+        raise
+    # lcm is positive, and den // q carries the sign of a negative q
+    den = lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
+
+
 def parse_matrix(text: str) -> Mat:
-    """Parse the shared matrix literal ``[a b ; c d]`` (entries int or p/q)."""
+    """Parse the shared matrix literal ``[a b ; c d]`` (entries int or p/q).
+
+    Accepts and rejects exactly what ``parse_rat`` per entry and
+    ``Mat.from_rows`` would, with the same messages, but makes no Fraction:
+    each row is read as ints over one denominator, and the rows are brought
+    over their common denominator."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise MatrixError(f"matrix literal must be bracketed: {text!r}")
@@ -383,8 +411,15 @@ def parse_matrix(text: str) -> Mat:
         items = part.split()
         if not items:
             raise MatrixError(f"empty row in matrix literal: {text!r}")
-        rows.append([parse_rat(item) for item in items])
-    return Mat.from_rows(rows)
+        rows.append(_parse_row(items, "/" in part))
+    width = len(rows[0][0])
+    if any(len(nums) != width for nums, _ in rows):
+        raise MatrixError("ragged rows in matrix literal")
+    den = lcm(*[d for _, d in rows])
+    flat = []
+    for nums, d in rows:
+        flat.extend(nums if d == den else [x * (den // d) for x in nums])
+    return Mat._derived(len(rows), width, flat, den)
 
 
 def format_matrix(a: Mat) -> str:

@@ -92,26 +92,27 @@ class App(_Term):
         return f"App({str(self)!r})"
 
     def __str__(self) -> str:
-        # a pre-order walk without recursion; open_args counts the arguments
-        # each open application still has to render
+        # one explicit-stack walk: the stack holds terms still to render and
+        # the punctuation between and after their arguments
         parts = []
-        open_args = []
-        for t in subterms(self):
-            if isinstance(t, Var):
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            cls = t.__class__
+            if cls is str:
+                parts.append(t)
+            elif cls is Var:
                 parts.append(t.name)
             elif t.args:
                 parts.append(t.symbol + "(")
-                open_args.append(len(t.args))
-                continue
+                stack.append(")")
+                args = t.args
+                for arg in args[:0:-1]:
+                    stack.append(arg)
+                    stack.append(",")
+                stack.append(args[0])
             else:
                 parts.append(t.symbol)
-            while open_args:
-                open_args[-1] -= 1
-                if open_args[-1]:
-                    parts.append(",")
-                    break
-                open_args.pop()
-                parts.append(")")
         return "".join(parts)
 
 

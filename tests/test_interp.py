@@ -9,6 +9,7 @@ from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     format_interpretation, jordan, parse_interpretation,
                     parse_matrix, parse_trs, rho, sample_falsify, subterms,
                     value_collapse)
+import matint.interp as interp_module
 from matint.interp import _draws
 from matint.matrix import as_rat
 from _helpers import (example_one, mixed_interp, rand_const_scalar_block_mat,
@@ -267,17 +268,18 @@ def test_eval_term_deep_ground_chain_without_recursion(monkeypatch):
     t = App("c")
     for _ in range(2000):
         t = App("h", (t,))
-    # h^k(c) = (2k, 1); the chain folds bottom-up by matrix-vector products
+    # h^k(c) = (2k, 1); the chain folds bottom-up by matrix-vector products,
+    # each of the kernel's int rows against the argument's value vector
     shapes = []
-    product = Mat.__mul__
+    product = interp_module._mat_vec
 
-    def recording(a, b):
-        shapes.append((a.shape, b.shape))
-        return product(a, b)
+    def recording(lines, vec):
+        shapes.append((len(lines), len(vec)))
+        return product(lines, vec)
 
-    monkeypatch.setattr(Mat, "__mul__", recording)
+    monkeypatch.setattr(interp_module, "_mat_vec", recording)
     assert eval_term(interp, t) == LinearForm(2, {}, Mat.column([4000, 1]))
-    assert len(shapes) == 2000 and all(b == (2, 1) for a, b in shapes)
+    assert len(shapes) == 2000 and all(shape == (2, 2) for shape in shapes)
     monkeypatch.undo()
     assert eval_term(interp, t, Mat.ones(1, 2)) == LinearForm(2, {}, Mat(1, 1, (4001,)))
     form = eval_term(interp, App("p", (t, Var("x"))))
@@ -748,7 +750,6 @@ def test_check_problem_pool_gives_the_witnesses_of_separate_calls(monkeypatch):
     # rules with 1, 3 and 1 variables, so the problem's draw pool grows in
     # the middle; every verdict is forced to HOLDS, so every check samples
     # and the random (hence broken) interpretations give witnesses
-    import matint.interp as interp_module
     trs = parse_trs("(VAR x y z) (RULES h(x) -> p(x,x) "
                     "p(p(x,y),z) -> p(x,p(y,h(z))) h(h(x)) -> h(c))")
     pairs = parse_trs("(VAR x y) (RULES p(x,c) -> h(x) p(x,y) -> p(y,x))").rules
@@ -883,7 +884,6 @@ def test_sample_lanes_combine_rows_at_the_first_failing_trial():
 
 
 def test_sampling_argument_errors_come_before_any_draw(ex62, monkeypatch):
-    import matint.interp as interp_module
 
     def no_draws(*args):
         raise AssertionError("drew from the stream")

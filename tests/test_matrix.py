@@ -45,6 +45,58 @@ def test_matrix_literal_roundtrip():
         parse_matrix("[]")
 
 
+def _ref_parse_matrix(text):
+    """The literal parsed entry by entry with parse_rat, then Mat.from_rows."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise MatrixError(f"matrix literal must be bracketed: {text!r}")
+    body = text[1:-1].strip()
+    if not body:
+        raise MatrixError("empty matrix literal")
+    rows = []
+    for part in body.split(";"):
+        items = part.split()
+        if not items:
+            raise MatrixError(f"empty row in matrix literal: {text!r}")
+        rows.append([parse_rat(item) for item in items])
+    return Mat.from_rows(rows)
+
+
+def _literal_outcome(parse, text):
+    try:
+        m = parse(text)
+    except MatrixError as exc:
+        return "error", str(exc)
+    return m.shape, m.nums, m.den
+
+
+def test_parse_matrix_matches_entrywise_reference():
+    # int()'s signs, whitespace and underscores, signed denominators, zero
+    # denominators, ragged and empty rows, bad entries in any row
+    for text in ("[+1 -2 ; 0 1_000]", "[ -1/-2 3/-6 ; 4/2 0/5 ]", "[1/0 2]", "[1 2/0]",
+                 "[1 2 ; 3]", "[1 ; ; 2]", "[x ; 1 2]", "[1 2 ; 3 y]", "[1/2/3]", "[/]",
+                 "[1/ 2]", "[ ]", "1 2", "[1\t2 ;\t3 4]", "[1__0]", f"[{2 ** 70}/6 1/3]",
+                 "[-0/-1 07]", "[1.5]", "[0x10]"):
+        assert _literal_outcome(parse_matrix, text) == _literal_outcome(_ref_parse_matrix, text)
+    rng = random.Random(31)
+    tokens = ["0", "1", "-1", "+3", "2/3", "-1/-2", "4/0", "1_0", "x", "/", "1/", "/2",
+              "6/4", "-0", "1/2/3", str(2 ** 70), f"{2 ** 70}/3", "3/-6", ";", " ; ", "\t"]
+    kinds = set()
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            body = " ; ".join(" ".join(rng.choice(tokens[:7] + ["5", "9/4"])
+                                       for _ in range(cols + (rng.random() < 0.1)))
+                              for _ in range(rows))
+        else:
+            body = " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 10)))
+        text = rng.choice(("[", "", " [")) + body + rng.choice(("]", "] ", ""))
+        want = _literal_outcome(_ref_parse_matrix, text)
+        assert _literal_outcome(parse_matrix, text) == want, text
+        kinds.add(want[1].split(" ")[0] if want[0] == "error" else "ok")
+    assert {"ok", "bad", "ragged", "empty", "matrix"} <= kinds
+
+
 def test_strip_comment_keeps_sharp_symbols():
     assert strip_comment("interp f# : 1") == "interp f# : 1"
     assert strip_comment("delta 1/2   # optional") == "delta 1/2   "

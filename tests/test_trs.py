@@ -126,6 +126,35 @@ def test_term_str():
     assert str(t) == "f(x,a)"
 
 
+def _ref_str(t):
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.symbol
+    return t.symbol + "(" + ",".join(_ref_str(a) for a in t.args) + ")"
+
+
+def test_term_str_matches_recursive_rendering():
+    rng = random.Random(29)
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return Var(rng.choice("xy")) if rng.random() < 0.6 else App(rng.choice(("a", "b#")))
+        return App(rng.choice(("f", "g#")),
+                   tuple(term(depth - 1) for _ in range(rng.randint(0, 4))))
+
+    for _ in range(500):
+        t = term(5)
+        assert str(t) == _ref_str(t)
+        assert str(Rule(App("h", (t,)), t)) == f"h({_ref_str(t)}) -> {_ref_str(t)}"
+    # deep chains render without recursion, in one and in several arguments
+    t = u = Var("x")
+    for _ in range(5000):
+        t, u = App("f", (t,)), App("g", (App("a"), u, Var("y")))
+    assert str(t) == "f(" * 5000 + "x" + ")" * 5000
+    assert str(u) == "g(a," * 5000 + "x" + ",y)" * 5000
+
+
 def test_terms_are_interned():
     # two chains built apart are one object: equality, hashing and rules over
     # them take O(1) and never recurse, at any depth
