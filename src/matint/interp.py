@@ -21,11 +21,11 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import ceil, gcd, lcm
 
-from .matrix import (Cmp, Mat, MatrixError, Rat, as_rat, cmp_entrywise,
-                     const_scalar_parts, format_matrix, parse_matrix, parse_rat,
-                     strip_comment)
+from .matrix import (Mat, MatrixError, Rat, _rat_str, as_rat, const_scalar_parts,
+                     entry_strs, format_matrix, parse_matrix, parse_rat, strip_comment)
 from .trs import Rule, Term, Trs, Var
 
 
@@ -82,13 +82,14 @@ class Interpretation:
                     f"{symbol}: constant vector is {func.const.rows}x{func.const.cols}, "
                     f"need {n}x1")
             for mat in (*func.mats, func.const):
-                if any(e < 0 for e in mat.nums):
+                if min(mat.nums) < 0:
                     raise InterpError(f"{symbol}: negative entry")
-                if self.domain == "natural" and not mat.is_natural():
+                # the entries are nonnegative here, so natural means integral
+                if self.domain == "natural" and mat.den != 1:
                     raise InterpError(f"{symbol}: non-natural entry in natural domain")
             for j in range(self.shape.beta):
                 segment = func.const.nums[j * b:(j + 1) * b]
-                if any(e != segment[0] for e in segment):
+                if segment.count(segment[0]) != b:
                     raise InterpError(
                         f"{symbol}: constant vector is not block-constant "
                         f"(block {j + 1} of size {b})")
@@ -134,19 +135,66 @@ def _func(interp: Interpretation, node) -> LinearFunc:
     return func
 
 
-def _kernel(compiled: dict, interp: Interpretation, node) -> tuple:
+def _rows(mat: Mat, n: int) -> tuple:
+    """What the full-form fold reads of an argument matrix: the matrix and
+    its rows as int tuples over ``mat.den``."""
+    return mat, tuple(mat.nums[i:i + n] for i in range(0, n * n, n))
+
+
+def _columns(mat: Mat, n: int) -> tuple:
+    """What the value walk reads of an argument matrix, to take ``u·M``:
+    ``(den, cols, sparse)`` with one of ``cols`` and ``sparse`` None.
+
+    A sparse matrix (see ``_kernel``) gives ``sparse = (pick, weights,
+    spans)``: ``pick`` is one ``itemgetter`` of u's entries at the rows of
+    every nonzero, column by column, ``weights`` the nonzeros in the same
+    order (None when they are all 1, as in a bit matrix) and ``spans`` the
+    slice of each column's picks, so that ``u·M`` is the sum of each span
+    of the weighted picks. Any other matrix gives ``cols``, its columns as
+    int tuples over ``den`` for ``_mat_vec``.
+    """
+    nums = mat.nums
+    # 4·nonzeros <= n², with the zeros counted at C speed
+    if n < 8 or 4 * nums.count(0) < 3 * n * n:
+        return mat.den, tuple(nums[j::n] for j in range(n)), None
+    every = range(n)
+    rows: list[int] = []
+    weights: list[int] = []
+    spans = []
+    for j in range(n):
+        col = nums[j::n]
+        start = len(rows)
+        rows += compress(every, col)
+        weights += compress(col, col)
+        spans.append(slice(start, len(rows)))
+    # two trailing picks that no span covers, so that ``pick`` returns a
+    # tuple even for a matrix with fewer than two nonzeros
+    pick = operator.itemgetter(*rows, 0, 0)
+    weights = None if set(weights) <= {1} else tuple(weights)
+    return mat.den, None, (pick, weights, tuple(spans))
+
+
+def _kernel(table: dict, interp: Interpretation, node, compile_mat) -> tuple:
     """The compiled function of an application, checked against its arity:
-    per argument matrix ``(mat, rows, cols)`` with rows and columns as int
-    tuples over ``mat.den``, then the constant's ``nums`` and ``den``.
-    ``compiled`` holds the symbols met so far, compiled once each."""
-    entry = compiled.get(node.symbol)
+    ``compile_mat(mat, n)`` of each argument matrix (``_rows`` or
+    ``_columns``), then the constant's ``nums`` and ``den``. ``table`` holds
+    the symbols met so far, compiled once each.
+
+    The value walk's columns are compiled sparse for a matrix of dimension
+    at least 8 with at most a quarter of its entries nonzero, like the
+    lifts of ``to-blocks``/``to-bits``, which grow sparser as they grow
+    bigger; its ``u·M`` then costs O(n + nonzeros) instead of n². The rule
+    is read off the matrix itself. Smaller or denser matrices keep dense
+    columns, since there the sparse step costs more per product than the
+    dense dot products (at dims 2-5, with most entries nonzero, up to 40%
+    more).
+    """
+    entry = table.get(node.symbol)
     if entry is None or len(entry[0]) != len(node.args):
         func = _func(interp, node)
         n = interp.shape.dim
-        entry = compiled[node.symbol] = (
-            tuple((mat, tuple(mat.nums[i:i + n] for i in range(0, n * n, n)),
-                   tuple(mat.nums[j::n] for j in range(n))) for mat in func.mats),
-            func.const.nums, func.const.den)
+        entry = table[node.symbol] = (tuple(compile_mat(mat, n) for mat in func.mats),
+                                      func.const.nums, func.const.den)
     return entry
 
 
@@ -185,21 +233,29 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None,
     to its coefficient, a symbol adds ``u·C`` to the constant and ``u·M_i``
     goes to its i-th argument. The value backend passes ``Mat.ones(1, n)``,
     so a term costs O(|t|·n²); ``memo`` is not used. A ``left`` of more
-    than one row raises InterpError.
+    than one row raises InterpError. Each ``u·M_i`` is n dot products of
+    length n, except where ``M_i`` has dimension at least 8 and at most a
+    quarter of its entries nonzero: then it reads only those nonzeros, so a
+    lifted bit matrix costs O(n + nonzeros) per product. Below that size or
+    above that density the dense dot products cost less.
 
-    ``compiled`` maps symbols to their functions as int tuples (see
-    ``_kernel``); it is read and filled like ``memo``, and must come from
-    the same interpretation.
+    ``compiled`` holds the symbols' functions compiled for each walk (see
+    ``_kernel``): the value walk reads columns, sparse ones for big sparse
+    matrices (see ``_columns``), and the full-form fold reads rows, so the
+    two walks keep separate tables in it. It is read and filled like
+    ``memo``, and must come from the same interpretation.
 
     Either way the first uninterpreted or misused symbol in pre-order is
     reported.
     """
     compiled = {} if compiled is None else compiled
     if left is None:
-        return _full_form(interp, t, {} if memo is None else memo, compiled)
+        return _full_form(interp, t, {} if memo is None else memo,
+                          compiled.setdefault("rows", {}))
     n = interp.shape.dim
     if left.shape != (1, n):
         raise InterpError(f"left factor must be 1x{n}, got {left.rows}x{left.cols}")
+    table = compiled.setdefault("columns", {})
     coeffs: dict[str, tuple[list[int], int]] = {}
     const, const_den = 0, 1
     stack = [(t, left.nums, left.den)]
@@ -209,7 +265,7 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None,
             old = coeffs.get(node.name)
             coeffs[node.name] = (u, du) if old is None else _sum(*old, u, du)
             continue
-        args, cnums, cden = _kernel(compiled, interp, node)
+        args, cnums, cden = _kernel(table, interp, node, _columns)
         c, dc = sum(map(operator.mul, u, cnums)), du * cden
         if dc == const_den:
             const += c
@@ -217,8 +273,16 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None,
             d = lcm(dc, const_den)
             const, const_den = const * (d // const_den) + c * (d // dc), d
         # pushed in reverse, so arguments are visited left to right
-        for (mat, _, cols), arg in reversed(tuple(zip(args, node.args))):
-            v, dv = _mat_vec(cols, u), du * mat.den
+        for (den, cols, sparse), arg in reversed(tuple(zip(args, node.args))):
+            if sparse is None:
+                v = _mat_vec(cols, u)
+            else:
+                pick, weights, spans = sparse
+                picked = pick(u)
+                if weights is not None:
+                    picked = list(map(operator.mul, picked, weights))
+                v = list(map(sum, map(picked.__getitem__, spans)))
+            dv = du * den
             if dv != 1:
                 g = gcd(dv, *v)
                 if g != 1:
@@ -230,7 +294,7 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None,
 
 
 def _full_form(interp: Interpretation, t: Term, memo: dict,
-               compiled: dict) -> LinearForm:
+               table: dict) -> LinearForm:
     """``[[t]]`` bottom-up over the subterms of t that ``memo`` lacks."""
     n = interp.shape.dim
     if isinstance(t, Var):
@@ -242,13 +306,13 @@ def _full_form(interp: Interpretation, t: Term, memo: dict,
         node, composed = stack.pop()
         if not composed:
             if node not in memo and node.__class__ is not Var:
-                _kernel(compiled, interp, node)
+                _kernel(table, interp, node, _rows)
                 stack.append((node, True))
                 stack.extend((arg, False) for arg in reversed(node.args))
             continue
-        args, const, const_den = compiled[node.symbol]
+        args, const, const_den = table[node.symbol]
         coeffs: dict[str, tuple[list[int], int]] = {}
-        for (mat, rows, _), arg in zip(args, node.args):
+        for (mat, rows), arg in zip(args, node.args):
             if arg.__class__ is Var:
                 # M·I = M
                 parts = ((arg.name, mat.nums, mat.den),)
@@ -279,33 +343,47 @@ class Verdict:
 
 
 def _vec(mat: Mat) -> str:
-    return "(" + ",".join(str(e) for e in mat.entries) + ")"
+    return "(" + ",".join(entry_strs(mat)) + ")"
+
+
+def _below(xs, xd: int, ys, yd: int) -> bool:
+    """Whether some entry of ``xs/xd`` is below that of ``ys/yd``."""
+    if xd != yd:
+        xs, ys = map(operator.mul, xs, repeat(yd)), map(operator.mul, ys, repeat(xd))
+    return any(map(operator.lt, xs, ys))
 
 
 def check_entrywise(lhs: LinearForm, rhs: LinearForm, rel: str) -> Verdict:
     """Entrywise order on forms: all coefficients >= and constant >= ;
-    strict additionally needs the first constant component strictly greater."""
+    strict additionally needs the first constant component strictly greater.
+    Entries are compared on the int numerators by cross-multiplying with the
+    denominators; a variable absent on one side counts as a zero
+    coefficient, with no zero ``Mat`` built unless a failing detail prints
+    it. The detail is rendered from the ints, so no Fraction is made."""
     if lhs.dim != rhs.dim:
         raise InterpError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
+    lc, rc = lhs.const, rhs.const
+    if lc.shape != rc.shape:
+        raise MatrixError(f"shape mismatch in comparison: {lc.shape} vs {rc.shape}")
     for var in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        if cmp_entrywise(lhs.coeff(var), rhs.coeff(var)) is Cmp.INCOMPARABLE:
+        a, b = lhs.coeffs.get(var), rhs.coeffs.get(var)
+        if a is None:
+            below = max(b.nums) > 0
+        elif b is None:
+            below = min(a.nums) < 0
+        else:
+            below = _below(a.nums, a.den, b.nums, b.den)
+        if below:
             return Verdict(False, f"coeff({var}): {lhs.coeff(var)} !>= {rhs.coeff(var)}")
-    if cmp_entrywise(lhs.const, rhs.const) is Cmp.INCOMPARABLE:
-        return Verdict(False, f"const: {_vec(lhs.const)} !>= {_vec(rhs.const)}")
-    detail = f"const {_vec(lhs.const)} >= {_vec(rhs.const)}"
+    if _below(lc.nums, lc.den, rc.nums, rc.den):
+        return Verdict(False, f"const: {_vec(lc)} !>= {_vec(rc)}")
     if rel == "strict":
-        if lhs.const.entries[0] <= rhs.const.entries[0]:
+        if lc.nums[0] * rc.den <= rc.nums[0] * lc.den:
             return Verdict(False,
-                           f"const: first component {lhs.const.entries[0]} not > "
-                           f"{rhs.const.entries[0]}")
-        detail = f"const {_vec(lhs.const)} > {_vec(rhs.const)}"
-    return Verdict(True, detail)
-
-
-def _rat_str(p: int, q: int) -> str:
-    """``str(as_rat(Fraction(p, q)))`` for q > 0, without the Fraction."""
-    g = gcd(p, q)
-    return str(p // g) if g == q else f"{p // g}/{q // g}"
+                           f"const: first component {_rat_str(lc.nums[0], lc.den)} not > "
+                           f"{_rat_str(rc.nums[0], rc.den)}")
+        return Verdict(True, f"const {_vec(lc)} > {_vec(rc)}")
+    return Verdict(True, f"const {_vec(lc)} >= {_vec(rc)}")
 
 
 def _column_sums(mat: Mat | None, n: int) -> tuple[list[int], int]:
@@ -410,7 +488,7 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms,
     # which rules and pairs share through their common subterms
     left, memo = (Mat.ones(1, interp.shape.dim), None) if backend == "value" else (None, {})
-    # each symbol's matrices as int rows and columns, compiled once per call
+    # each symbol's matrices as int rows or columns, compiled once per call
     compiled: dict = {}
     # every check samples the same stream, so they share one draw pool
     pool: dict = {}

@@ -10,6 +10,7 @@ and safe to share.
 from __future__ import annotations
 
 import operator
+import re
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -197,12 +198,6 @@ class Mat:
     def at(self, i: int, j: int) -> Rat:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Rat, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple[Rat, ...]:
-        return self.entries[j::self.cols]
-
     def block(self, i: int, j: int, p: int, q: int) -> Mat:
         """The p x q block at block position (i, j) of a p/q-blocked grid."""
         if self.rows % p or self.cols % q:
@@ -276,10 +271,10 @@ class Mat:
         return not any(self.nums)
 
     def is_natural(self) -> bool:
-        return self.den == 1 and all(e >= 0 for e in self.nums)
+        return self.den == 1 and min(self.nums) >= 0
 
     def is_bit(self) -> bool:
-        return self.den == 1 and all(e == 0 or e == 1 for e in self.nums)
+        return self.den == 1 and set(self.nums) <= {0, 1}
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -359,15 +354,16 @@ def const_scalar_parts(a: Mat) -> tuple[Rat, Rat] | None:
     return (off[0], diag[0] - off[0])
 
 
+# a '#' at line start or after whitespace (``\s`` is ``str.isspace``); the
+# '#' comes first, so a search skips straight from one '#' to the next
+_COMMENT = re.compile(r"#(?<!\S#)")
+
+
 def strip_comment(line: str) -> str:
     """Drop a '#' comment; sharp symbols like f# keep a glued '#', so only a
     '#' at line start or after whitespace opens a comment."""
-    if line.startswith("#"):
-        return ""
-    for i in range(1, len(line)):
-        if line[i] == "#" and line[i - 1].isspace():
-            return line[:i]
-    return line
+    found = _COMMENT.search(line)
+    return line if found is None else line[:found.start()]
 
 
 def _parse_row(items: list[str], fractions: bool) -> tuple[list[int], int]:
@@ -422,5 +418,20 @@ def parse_matrix(text: str) -> Mat:
     return Mat._derived(len(rows), width, flat, den)
 
 
+def _rat_str(p: int, q: int) -> str:
+    """``str(as_rat(Fraction(p, q)))`` for q > 0, without the Fraction."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def entry_strs(a: Mat) -> list[str]:
+    """The entries as ``str`` prints them, rendered from the int numerators
+    (so without a Fraction)."""
+    if a.den == 1:
+        return list(map(str, a.nums))
+    return [_rat_str(x, a.den) for x in a.nums]
+
+
 def format_matrix(a: Mat) -> str:
-    return "[" + " ; ".join(" ".join(str(e) for e in a.row(i)) for i in range(a.rows)) + "]"
+    strs, c = entry_strs(a), a.cols
+    return "[" + " ; ".join(" ".join(strs[i:i + c]) for i in range(0, len(strs), c)) + "]"

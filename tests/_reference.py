@@ -1,16 +1,20 @@
-"""Reference term evaluation and value comparison on ``Mat`` and ``Fraction``.
+"""Reference term evaluation, comparisons and comment stripping on ``Mat``,
+``Fraction`` and plain Python loops.
 
-These are the evaluator and ``check_value`` as they were before both moved to
-int rows: every product is a ``Mat.__mul__``, every sum a ``Mat.__add__`` and
-every rho a ``Fraction``. The kernel in ``matint.interp`` must agree with
+These are the evaluator, ``check_value`` and ``check_entrywise`` as they
+were before they moved to int rows: every product is a ``Mat.__mul__``,
+every sum a ``Mat.__add__``, every rho a ``Fraction``, and an absent
+coefficient a zero ``Mat``. The kernel in ``matint.interp`` must agree with
 them on forms (by ``==``) and on verdicts (``holds`` and the detail text).
+``strip_comment`` is the character loop that ``matint.matrix`` replaced by
+one regular expression.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from matint import InterpError, LinearForm, Mat, Var, Verdict, rho
+from matint import Cmp, InterpError, LinearForm, Mat, Var, Verdict, cmp_entrywise, rho
 from matint.matrix import as_rat
 
 
@@ -104,3 +108,43 @@ def check_value(lhs, rhs, rel, m, delta=None):
                            f"const: margin {margin} < delta {delta}; " + "; ".join(parts))
         parts.append(f"margin {margin} >= delta {delta}")
     return Verdict(True, "; ".join(parts))
+
+
+def _vec(mat):
+    return "(" + ",".join(str(e) for e in mat.entries) + ")"
+
+
+def _literal(mat):
+    rows = (mat.entries[i * mat.cols:(i + 1) * mat.cols] for i in range(mat.rows))
+    return "[" + " ; ".join(" ".join(str(e) for e in row) for row in rows) + "]"
+
+
+def check_entrywise(lhs, rhs, rel):
+    """Entrywise order on forms through ``cmp_entrywise``, with every entry
+    printed from ``Mat.entries``."""
+    if lhs.dim != rhs.dim:
+        raise InterpError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
+    for var in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
+        if cmp_entrywise(lhs.coeff(var), rhs.coeff(var)) is Cmp.INCOMPARABLE:
+            return Verdict(False, f"coeff({var}): {_literal(lhs.coeff(var))} !>= "
+                                  f"{_literal(rhs.coeff(var))}")
+    if cmp_entrywise(lhs.const, rhs.const) is Cmp.INCOMPARABLE:
+        return Verdict(False, f"const: {_vec(lhs.const)} !>= {_vec(rhs.const)}")
+    detail = f"const {_vec(lhs.const)} >= {_vec(rhs.const)}"
+    if rel == "strict":
+        if lhs.const.entries[0] <= rhs.const.entries[0]:
+            return Verdict(False,
+                           f"const: first component {lhs.const.entries[0]} not > "
+                           f"{rhs.const.entries[0]}")
+        detail = f"const {_vec(lhs.const)} > {_vec(rhs.const)}"
+    return Verdict(True, detail)
+
+
+def strip_comment(line):
+    """Drop a '#' comment that starts the line or follows whitespace."""
+    if line.startswith("#"):
+        return ""
+    for i in range(1, len(line)):
+        if line[i] == "#" and line[i - 1].isspace():
+            return line[:i]
+    return line

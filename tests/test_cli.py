@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from matint.cli import main
-from _helpers import DATA
+from _helpers import DATA, read
 
 EX1 = str(DATA / "fg.trs")
 EX2 = str(DATA / "fg-natural.interp")
@@ -181,6 +181,29 @@ def test_to_bits_reports_trace(capsys, tmp_path):
     assert "# step: factor 3, dim 2 -> 6" in out
     assert "# step: factor 2, dim 6 -> 12" in out
     assert "# final scale 6" in out
+
+
+def test_to_bits_at_dim_264_verifies_and_checks(capsys, tmp_path):
+    """data/relative.interp with f's M2 = [1 12 ; 0 11] lifts to a dim-264
+    bit interpretation; to-bits re-verifies it, and check reads it back with
+    the verdicts, and the rho values, of the dim-2 source (a lift by 132
+    scales m by 132 too)."""
+    src, bits = tmp_path / "k12.interp", tmp_path / "k12.bits.interp"
+    src.write_text(read("relative.interp").replace("M2 = [1 2 ; 0 0]",
+                                                         "M2 = [1 12 ; 0 11]"),
+                   encoding="utf-8")
+    code, out, _ = run(capsys, "to-bits", "--interp", str(src), "--trs", ENDR_TRS,
+                       "--out", str(bits))
+    assert code == 0
+    assert "# final scale 132, dim 264, max matrix entry 1" in out
+    assert out.endswith("RESULT: VERIFIED\n")
+    want = run(capsys, "check", "--trs", ENDR_TRS, "--interp", str(src))
+    got = run(capsys, "check", "--trs", ENDR_TRS, "--interp", str(bits))
+    assert got[0] == want[0] == 0 and got[2] == want[2] == ""
+    assert "# check: backend value, dim 264, block 132" in got[1]
+    verdicts = [[line for line in out.splitlines() if not line.startswith("#")]
+                for _, out, _ in (want, got)]
+    assert verdicts[0] == verdicts[1] and verdicts[0][-1] == "RESULT: SATISFIED"
 
 
 def test_expand_pipeline_end_to_end(capsys, tmp_path):

@@ -1,5 +1,5 @@
-"""The int kernel of ``eval_term`` and ``check_value`` against the reference
-on ``Mat`` and ``Fraction`` kept in ``_reference``."""
+"""The int kernel of ``eval_term``, ``check_value`` and ``check_entrywise``
+against the reference on ``Mat`` and ``Fraction`` kept in ``_reference``."""
 
 import random
 from fractions import Fraction
@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 import _reference as ref
+from _helpers import read
+import matint.interp as interp_module
 from matint import (App, BlockShape, Interpretation, InterpError, LinearFunc, Mat,
-                    Var, check_value, eval_term, subterms)
+                    Var, check_entrywise, check_problem, check_value, eval_term,
+                    interp_to_bits, parse_interpretation, parse_trs, subterms)
 from matint.matrix import MatrixError
 
 F = Fraction
@@ -99,9 +102,24 @@ def _assert_verdicts_agree(rng, lhs, rhs, ref_lhs, ref_rhs, kinds):
             kinds.add(_kind(want))
 
 
+def _entrywise_kind(verdict):
+    if verdict.holds:
+        return "holds"
+    return verdict.detail.split(":")[0].split("(")[0] + (
+        " first" if "first component" in verdict.detail else "")
+
+
+def _assert_entrywise_agree(lhs, rhs, ref_lhs, ref_rhs, kinds):
+    for rel in ("weak", "strict"):
+        want = ref.check_entrywise(ref_lhs, ref_rhs, rel)
+        assert check_entrywise(ref_lhs, ref_rhs, rel) == want
+        assert check_entrywise(lhs, rhs, rel) == want
+        kinds.add(_entrywise_kind(want))
+
+
 def test_kernel_forms_and_verdicts_agree_with_reference():
     rng = random.Random(91)
-    kinds = set()
+    kinds, entrywise_kinds = set(), set()
     for _ in range(120):
         interp = _interp(rng)
         n = interp.shape.dim
@@ -123,8 +141,11 @@ def test_kernel_forms_and_verdicts_agree_with_reference():
             (lf, rlf, lp, rlp), (rf, rrf, rp, rrp) = forms
             _assert_verdicts_agree(rng, lf, rf, rlf, rrf, kinds)
             _assert_verdicts_agree(rng, lp, rp, rlp, rrp, kinds)
+            _assert_entrywise_agree(lf, rf, rlf, rrf, entrywise_kinds)
+            _assert_entrywise_agree(lp, rp, rlp, rrp, entrywise_kinds)
         assert memo == ref_memo
     assert kinds == {"holds", "coeff", "const", "const margin"}
+    assert entrywise_kinds == {"holds", "coeff", "const", "const first"}
 
 
 def test_kernel_agrees_on_deep_chains():
@@ -164,12 +185,13 @@ def test_check_value_rejects_nonpositive_divisor():
 
 
 def test_kernel_makes_no_fraction(monkeypatch):
-    """On a natural interpretation, evaluation and the value comparison run
-    on ints alone: no Fraction is built, not even to render rho."""
+    """On natural and rational interpretations alike, evaluation and both
+    comparisons run on ints alone: no Fraction is built, not even to render
+    rho or an entry."""
     rng = random.Random(95)
     cases = []
-    for _ in range(20):
-        interp = _interp(rng, "natural")
+    for i in range(40):
+        interp = _interp(rng, ("natural", "rational")[i % 2])
         n = interp.shape.dim
         cases.append((interp, list(_rules(rng)), Mat.ones(1, n), F(1, n)))
 
@@ -177,7 +199,7 @@ def test_kernel_makes_no_fraction(monkeypatch):
         raise AssertionError("a Fraction was built")
 
     monkeypatch.setattr(Fraction, "__new__", no_fraction)
-    seen = set()
+    seen, entrywise_seen = set(), set()
     for interp, rules, ones, delta in cases:
         memo, compiled = {}, {}
         for left in (None, ones):
@@ -186,4 +208,94 @@ def test_kernel_makes_no_fraction(monkeypatch):
                 rhs = eval_term(interp, rhs_t, left, memo, compiled)
                 for rel in ("weak", "strict"):
                     seen.add(_kind(check_value(lhs, rhs, rel, interp.shape.dim, delta)))
+                    entrywise_seen.add(_entrywise_kind(check_entrywise(lhs, rhs, rel)))
     assert seen == {"holds", "coeff", "const", "const margin"}
+    assert entrywise_seen == {"holds", "coeff", "const", "const first"}
+
+
+def _sparse_mat(rng, n, nonzeros, weighted, den):
+    """An n x n matrix with exactly ``nonzeros`` nonzero entries over
+    ``den``. From 2n - 2 nonzeros on, column 0 is all nonzero, column 1
+    zero, every further column has one nonzero, and the rest are spread
+    over the first half of the columns, so that the second half keeps
+    single nonzeros; fewer nonzeros fall anywhere. Bit matrices hold ones
+    (over ``den``); weighted ones hold 1-3, about one entry in ten up to
+    2**70."""
+    if nonzeros < 2 * n - 2:
+        picked = set(rng.sample([(i, j) for i in range(n) for j in range(n)], nonzeros))
+    else:
+        picked = {(i, 0) for i in range(n)} | {(rng.randrange(n), j) for j in range(2, n)}
+        free = [(i, j) for i in range(n) for j in range(max(3, n // 2)) if j != 1]
+        picked |= set(rng.sample([p for p in free if p not in picked],
+                                 nonzeros - len(picked)))
+
+    def value():
+        if not weighted:
+            return 1
+        return rng.randint(1, HUGE) if rng.random() < 0.1 else rng.randint(1, 3)
+
+    entries = [F(value(), den) if (i, j) in picked else 0 for i in range(n) for j in range(n)]
+    return Mat(n, n, tuple(entries))
+
+
+def test_sparse_value_walk_agrees_with_reference():
+    """At dims 7-64, bit and weighted matrices with a quarter of their
+    entries nonzero, or one more, or with none or one, evaluate as the
+    reference does. The value walk takes the sparse step exactly on the
+    matrices of dimension at least 8 with at most a quarter nonzero; one
+    compiled table serves the full and the projected walks, interleaved."""
+    rng = random.Random(96)
+    kinds = set()
+    for n in (7, 8, 9, 16, 64):
+        quarter = n * n // 4
+        for weighted in (False, True):
+            for nonzeros in (0, 1, quarter, quarter + 1):
+                dens = (1, 1, 2, 3)
+                table = {s: LinearFunc(tuple(_sparse_mat(rng, n, nonzeros, weighted,
+                                                         rng.choice(dens))
+                                             for _ in range(arity)),
+                                       Mat.column([F(rng.randint(0, 5), rng.choice(dens))
+                                                   for _ in range(n)]))
+                         for s, arity in (("c", 0), ("h", 1), ("p", 2))}
+                interp = Interpretation(BlockShape(n), "rational", table)
+                compiled = {}
+                ones = Mat.ones(1, n)
+                for lhs_t, rhs_t in list(_rules(rng))[:3]:
+                    for t in (lhs_t, rhs_t):
+                        if n <= 16:
+                            assert eval_term(interp, t, None, {}, compiled) == \
+                                ref.eval_term(interp, t)
+                        assert eval_term(interp, t, ones, None, compiled) == \
+                            ref.eval_term(interp, t, ones)
+                        row = _row(rng, n)
+                        assert eval_term(interp, t, row, None, compiled) == \
+                            ref.eval_term(interp, t, row)
+                for _, _, sparse in compiled["columns"]["p"][0]:
+                    kinds.add((n >= 8 and nonzeros <= quarter, sparse is not None,
+                               sparse is not None and sparse[1] is None))
+    # sparse exactly where the rule says, with and without weights
+    assert kinds == {(False, False, False), (True, True, True), (True, True, False)}
+
+
+def test_value_check_of_bit_interpretation_takes_sparse_steps(monkeypatch):
+    """A dim-24 to-bits output (of data/relative.interp with f's M2 =
+    [1 4 ; 0 3]) is checked without a dense u·M product, with the verdicts
+    of its dim-2 source."""
+    trs = parse_trs(read("relative.trs"))
+    source = parse_interpretation(read("relative.interp").replace("M2 = [1 2 ; 0 0]",
+                                                                  "M2 = [1 4 ; 0 3]"))
+    bits, _ = interp_to_bits(source)
+    assert bits.shape.dim == 24
+    calls = []
+    product = interp_module._mat_vec
+
+    def recording(lines, vec):
+        calls.append(len(lines))
+        return product(lines, vec)
+
+    monkeypatch.setattr(interp_module, "_mat_vec", recording)
+    report = check_problem(trs, [], bits, "value")
+    assert calls == []
+    want = check_problem(trs, [], source, "value")
+    assert [c.verdict.holds for c in report.checks] == [c.verdict.holds for c in want.checks]
+    assert calls

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import _reference as ref
 from matint import (Cmp, Mat, MatrixError, cmp_entrywise, format_matrix, jordan,
                     parse_matrix, parse_rat)
 from matint.matrix import as_rat, strip_comment
@@ -101,6 +102,18 @@ def test_strip_comment_keeps_sharp_symbols():
     assert strip_comment("interp f# : 1") == "interp f# : 1"
     assert strip_comment("delta 1/2   # optional") == "delta 1/2   "
     assert strip_comment("# whole line") == ""
+
+
+def test_strip_comment_agrees_with_reference_loop():
+    """The regular expression cuts where the character loop of
+    ``_reference`` cuts, on random lines of '#', letters and the kinds of
+    whitespace ``str.isspace`` knows: ASCII, a separator control, NEL and
+    Unicode spaces."""
+    rng = random.Random(41)
+    alphabet = "#ab \t\x1c\x85\xa0\u3000"
+    for _ in range(20000):
+        line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert strip_comment(line) == ref.strip_comment(line)
 
 
 def test_add():
@@ -258,6 +271,10 @@ class Ref:
     def column_sums(self):
         return [sum(self.e[j::self.cols]) for j in range(self.cols)]
 
+    def literal(self):
+        return "[" + " ; ".join(" ".join(map(str, self.e[i * self.cols:(i + 1) * self.cols]))
+                                for i in range(self.rows)) + "]"
+
 
 def _rand_ref(rng, rows, cols):
     return Ref(rows, cols, _rand_entries(rng, rows * cols))
@@ -290,6 +307,7 @@ def test_operations_match_fraction_reference():
         assert ma.sum_entries() == sum(a.e)
         assert all(type(s) is int for s in ma.column_sums() if s.denominator == 1)
         assert ma.is_zero() == all(e == 0 for e in a.e)
+        assert str(ma) == format_matrix(ma) == a.literal()
         # the entrywise order across different denominators
         up = a + Ref(r, k, [abs(e) for e in _rand_entries(rng, r * k)])
         for x, y in ((up, a), (a, up), (a, a2)):
