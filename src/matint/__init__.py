@@ -1,7 +1,7 @@
 """Exact-rational matrix interpretations for term-rewriting termination constraints."""
 
-from .matrix import (Cmp, Mat, MatrixError, Rat, as_rat, cmp_entrywise,
-                     format_matrix, jordan, parse_matrix, parse_rat)
+from .matrix import (Mat, MatrixError, Rat, as_rat, format_matrix, jordan,
+                     parse_matrix, parse_rat)
 from .represent import (RepParams, lift, lift_int, mu_const, mu_int, nu, rho,
                         to_bit_matrix)
 from .trs import (App, Rule, Term, Trs, TrsError, Var, dependency_pairs, format_trs,

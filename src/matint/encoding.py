@@ -167,10 +167,16 @@ def required_products(constraints, eta: dict[str, Rat]) -> frozenset[Fraction]:
 
 
 def is_compatible(enc: Encoding, req: frozenset[Fraction]) -> bool:
-    """True iff every required product is encoded and validates on those keys."""
+    """True iff every required product is encoded, validates on those keys,
+    and is closed: E(x)·E(y) = E(xy) whenever x, y and xy are required.
+
+    Closure is what carries the check from pairs to words: by induction on
+    prefixes, every required word's matrix product is then E(its value).
+    A pair product's value alone does not compose."""
     if not req <= set(enc.table.keys()):
         return False
-    return validate(enc, keys=req).valid
+    report = validate(enc, keys=req)
+    return report.valid and all(report.product_closed.values())
 
 
 def parse_encoding(text: str) -> Encoding:

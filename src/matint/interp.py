@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import ceil, gcd, lcm
 
-from .matrix import (Mat, MatrixError, Rat, _rat_str, as_rat, const_scalar_parts,
-                     entry_strs, format_matrix, parse_matrix, parse_rat, strip_comment)
+from .matrix import (Mat, MatrixError, Rat, _rat_str, as_rat, entry_strs,
+                     format_matrix, parse_matrix, parse_rat, strip_comment)
 from .trs import Rule, Term, Trs, Var
 
 
@@ -693,33 +693,38 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
 # --- block structure: value collapse ---
 
 def value_collapse(a: Mat, b: int) -> Mat:
-    """Collapse const+scalar b-blocks to their rho_b values (beta x beta matrix)."""
+    """Collapse const+scalar b-blocks to their rho_b values (beta x beta matrix).
+
+    A block c·J + s·I reads as int slices of ``a.nums``: every row is c
+    off the diagonal and c + s on it, and its value is b·c + s."""
     if a.rows % b or a.cols % b:
         raise MatrixError(f"{a.rows}x{a.cols} matrix has no {b}x{b} block grid")
-    rows = []
+    nums, width = a.nums, a.cols
+    out = []
     for i in range(a.rows // b):
-        row = []
         for j in range(a.cols // b):
-            parts = const_scalar_parts(a.block(i, j, b, b))
-            if parts is None:
+            start = i * b * width + j * b
+            rows = [nums[r:r + b] for r in range(start, start + b * width, width)]
+            if b == 1:
+                out.append(rows[0][0])
+                continue
+            c, d = rows[0][1], rows[0][0]
+            if any(row != (c,) * r + (d,) + (c,) * (b - 1 - r) for r, row in enumerate(rows)):
                 raise MatrixError(f"block ({i + 1},{j + 1}) is not constant-plus-scalar")
-            c, s = parts
-            row.append(as_rat(b * Fraction(c) + s))
-        rows.append(row)
-    return Mat.from_rows(rows)
+            out.append((b - 1) * c + d)
+    return Mat._derived(a.rows // b, a.cols // b, out, a.den)
 
 
 def collapse_vector(v: Mat, b: int) -> Mat:
     """Collapse block-constant b-segments of a column vector to their values."""
     if v.cols != 1 or v.rows % b:
         raise MatrixError(f"{v.rows}x{v.cols} is not a b-blocked column vector")
-    out = []
-    for j in range(v.rows // b):
-        segment = v.entries[j * b:(j + 1) * b]
-        if any(e != segment[0] for e in segment):
-            raise MatrixError(f"vector segment {j + 1} is not constant")
-        out.append(segment[0])
-    return Mat.column(out)
+    nums = v.nums
+    for j in range(0, v.rows, b):
+        segment = nums[j:j + b]
+        if segment.count(segment[0]) != b:
+            raise MatrixError(f"vector segment {j // b + 1} is not constant")
+    return Mat._derived(v.rows // b, 1, nums[::b], v.den)
 
 
 def collapse_interpretation(interp: Interpretation, b: int = None) -> Interpretation:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import re
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -308,26 +307,6 @@ def _init(mat: Mat, rows: int, cols: int, nums: tuple[int, ...], den: int):
     _set_entries(mat, nums if den == 1 else None)
 
 
-class Cmp(Enum):
-    """Entrywise comparison outcome of A against B."""
-    GT = "GT"
-    GE = "GE"
-    INCOMPARABLE = "INCOMPARABLE"
-
-
-def cmp_entrywise(a: Mat, b: Mat) -> Cmp:
-    """Entrywise order: GE iff A >= B everywhere; GT additionally needs A11 > B11."""
-    if a.shape != b.shape:
-        raise MatrixError(f"shape mismatch in comparison: {a.shape} vs {b.shape}")
-    xs, ys = a.nums, b.nums
-    if a.den != b.den:
-        # compare over the common denominator a.den * b.den
-        xs, ys = [x * b.den for x in xs], [y * a.den for y in ys]
-    if any(x < y for x, y in zip(xs, ys)):
-        return Cmp.INCOMPARABLE
-    return Cmp.GT if xs[0] > ys[0] else Cmp.GE
-
-
 def jordan(n: int, p: int = 1) -> Mat:
     """The p-th power of the n x n Jordan block: ones at (i, i+p), zero for p >= n."""
     if n < 1:
@@ -335,23 +314,6 @@ def jordan(n: int, p: int = 1) -> Mat:
     if p < 0:
         raise MatrixError(f"Jordan power must be nonnegative, got {p}")
     return Mat(n, n, tuple(1 if j == i + p else 0 for i in range(n) for j in range(n)))
-
-
-def const_scalar_parts(a: Mat) -> tuple[Rat, Rat] | None:
-    """Decompose a square matrix as c*ones + s*I, or None.
-
-    The 1x1 case takes c = 0 (decomposition is ambiguous there).
-    """
-    if not a.is_square():
-        return None
-    n = a.rows
-    if n == 1:
-        return (0, a.entries[0])
-    off = [a.at(i, j) for i in range(n) for j in range(n) if i != j]
-    diag = [a.at(i, i) for i in range(n)]
-    if any(x != off[0] for x in off) or any(x != diag[0] for x in diag):
-        return None
-    return (off[0], diag[0] - off[0])
 
 
 # a '#' at line start or after whitespace (``\s`` is ``str.isspace``); the

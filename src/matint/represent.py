@@ -4,12 +4,21 @@ A matrix "stands for" a number: rho(m, A) sums the entries and divides by m.
 The mu maps send numbers to constant/scalar matrices so that rho recovers
 them, and lifting a matrix entrywise trades bigger dimension for smaller
 entries while preserving rho.
+
+Every lift and expansion substitutes one block per entry. ``substitute``
+does that for a whole matrix: it builds each distinct value's block rows
+once, as int tuples, and each output row by concatenating them.
+``lift_factors`` predicts the factors of iterated lifting from the entry
+set, and ``lift_blocks`` composes a value's block along them, so a bit
+reduction builds its final matrix in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import prod
 
 from .matrix import Mat, MatrixError, Rat, as_rat
 
@@ -64,26 +73,104 @@ def lift(params: RepParams, a: Mat) -> Mat:
         [[mu_const(params, a.at(i, j)) for j in range(a.cols)] for i in range(a.rows)])
 
 
+def substitute(a: Mat, block_of, p: int, q: int) -> Mat:
+    """``a`` with every entry e replaced by the p x q int block ``block_of(e)``.
+
+    This is the one kernel behind every lift and expansion. ``block_of``
+    returns its block as a list of p row tuples of q ints, and the kernel
+    calls it once per distinct entry value. Then each output row is the
+    concatenation of one row of each block along a source row, so the
+    result costs one ``Mat._derived`` and no ``Mat`` per entry.
+    (Blocks are lists, built by comprehensions: ``tuple(generator)``
+    resizes its result, which leaves one small tuple on CPython's free
+    list per call and grew the resident size of long runs.)
+    """
+    blocks = {}
+    out = []
+    nums, c = a.nums, a.cols
+    for i in range(0, len(nums), c):
+        row = []
+        for num in nums[i:i + c]:
+            block = blocks.get(num)
+            if block is None:
+                block = blocks[num] = block_of(a._rat(num))
+            row.append(block)
+        # the r-th output row joins row r of each block
+        out.extend(chain.from_iterable(chain.from_iterable(zip(*row))))
+    return Mat._derived(a.rows * p, a.cols * q, out)
+
+
+def lift_factors(values) -> tuple[int, ...]:
+    """The factors that iterated lifting by the largest entry takes, from the
+    set of natural entry values alone.
+
+    A lift by x maps an entry e to a block of e/x when x divides e, and
+    else to e·I. So the next entry set is {e/x : x | e} ∪ {e : x ∤ e},
+    plus the 0s off the diagonal of e·I. A 0 is divisible by every factor
+    and never the largest entry, so it cannot change a later factor, and
+    the set leaves it out. Lifting stops once no entry exceeds 1.
+    """
+    values = set(values)
+    factors = []
+    while values and max(values) > 1:
+        x = max(values)
+        values = {e // x if e % x == 0 else e for e in values}
+        factors.append(x)
+    return tuple(factors)
+
+
+def lift_blocks(factors):
+    """``block_of`` for ``substitute``: an entry's block after lifting by each
+    of ``factors`` in turn (square, with the product of the factors as side).
+
+    One lift by x maps e to (e/x)·J when x divides e, else to e·I, and a
+    later lift maps each entry of that block on. So e's block is
+    J_x ⊗ B(e/x) or I_x ⊗ B(e), with B the block of the remaining factors.
+    """
+    memo = {}
+
+    def block(e, i=0):
+        key = (e, i)
+        if key not in memo:
+            if i == len(factors):
+                memo[key] = [(e,)]
+            else:
+                x = factors[i]
+                if e % x == 0:
+                    inner = block(e // x, i + 1)
+                    memo[key] = [row * x for row in inner] * x
+                else:
+                    inner = block(e, i + 1)
+                    m = len(inner)
+                    memo[key] = [(0,) * (k * m) + row + (0,) * ((x - 1 - k) * m)
+                                 for k in range(x) for row in inner]
+        return memo[key]
+
+    return block
+
+
 def lift_int(n: int, a: Mat) -> Mat:
     """Replace every integer entry by its mu_int image; preserves rho at divisor m*n."""
     if a.den != 1:
         raise MatrixError("entrywise integer lift needs integer entries")
-    return Mat.from_blocks(
-        [[mu_int(n, a.at(i, j)) for j in range(a.cols)] for i in range(a.rows)])
+    if n < 2:
+        raise MatrixError(f"integer representation needs dimension > 1, got {n}")
+    return substitute(a, lift_blocks((n,)), n, n)
 
 
 def to_bit_matrix(a: Mat) -> tuple[Mat, int]:
     """Reduce a natural matrix to a bit matrix by iterated lifting.
 
     Each round lifts with n = current max entry, which strictly decreases the
-    max. Returns the bit matrix and the accumulated scale (product of the n's)
-    with rho(m*scale, result) = rho(m, a) for every m.
+    max. The rounds' factors come from ``lift_factors`` and the bit matrix
+    from their composed blocks in one pass. Returns the bit matrix and the
+    accumulated scale (product of the n's) with rho(m*scale, result) =
+    rho(m, a) for every m.
     """
     if not a.is_natural():
         raise MatrixError("bit reduction is defined for natural matrices")
-    scale = 1
-    while a.max_entry() > 1:
-        n = a.max_entry()
-        a = lift_int(n, a)
-        scale *= n
-    return a, scale
+    factors = lift_factors(a.nums)
+    if not factors:
+        return a, 1
+    scale = prod(factors)
+    return substitute(a, lift_blocks(factors), scale, scale), scale

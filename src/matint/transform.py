@@ -5,19 +5,25 @@ entries (down to bit matrices); rational interpretations and valuations
 expand to natural interpretations through an encoding of their rational
 values. Every transformation can be re-verified: rho values are preserved
 structurally, and constraint verdicts are compared before/after.
+
+Each transformation substitutes one block per entry through
+``represent.substitute``. A bit reduction first takes its whole factor
+sequence from ``represent.lift_factors`` (repeatedly divide by the largest
+entry where it divides), then builds the bit interpretation in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .constraints import ParamInterpretation
 from .encoding import Encoding, EncodingError, validate
 from .interp import (BlockShape, CheckReport, Interpretation, InterpError,
                      LinearFunc, check_problem)
 from .matrix import Mat, Rat
-from .represent import lift_int, mu_int, nu, rho
+from .represent import lift_blocks, lift_factors, mu_int, rho, substitute
 from .trs import Trs
 
 
@@ -35,13 +41,29 @@ class TransformTrace:
         return scale
 
 
-def _lift_vector(n: int, vec: Mat) -> Mat:
-    return Mat.from_blocks([[nu(n, e)] for e in vec.entries])
-
-
 def _require_natural(interp: Interpretation):
     if interp.domain != "natural":
         raise InterpError("blockwise lift is defined for natural interpretations")
+
+
+def _lift(interp: Interpretation, factors: tuple[int, ...]) -> Interpretation:
+    """The interpretation after lifting by each of ``factors`` in turn, built
+    in one pass from each value's composed block."""
+    scale = prod(factors)
+    block_of = lift_blocks(factors)
+
+    def vector_of(e):
+        # nu's image: the entry repeated
+        return [(e,)] * scale
+
+    table = {
+        symbol: LinearFunc(tuple(substitute(mat, block_of, scale, scale)
+                                 for mat in func.mats),
+                           substitute(func.const, vector_of, scale, 1))
+        for symbol, func in interp.table.items()
+    }
+    shape = BlockShape(scale * interp.shape.dim, scale * interp.shape.block)
+    return Interpretation(shape, "natural", table, interp.delta)
 
 
 def interp_to_blocks(interp: Interpretation, factor: int = None) -> Interpretation:
@@ -61,31 +83,29 @@ def interp_to_blocks(interp: Interpretation, factor: int = None) -> Interpretati
             raise InterpError(f"factor {factor} leaves entries up to {largest}; "
                               f"a lift needs a factor above 1")
         return interp
-    table = {
-        symbol: LinearFunc(tuple(lift_int(factor, mat) for mat in func.mats),
-                           _lift_vector(factor, func.const))
-        for symbol, func in interp.table.items()
-    }
-    shape = BlockShape(factor * interp.shape.dim, factor * interp.shape.block)
-    return Interpretation(shape, "natural", table, interp.delta)
+    return _lift(interp, (factor,))
 
 
 def interp_to_bits(interp: Interpretation) -> tuple[Interpretation, TransformTrace]:
-    """Iterate interp_to_blocks with the max matrix entry until matrices are bit.
+    """Lift by the max matrix entry, again and again, until matrices are bit.
 
+    ``lift_factors`` gives the whole factor sequence from the matrices'
+    entry set first, so the trace is arithmetic on it and the bit
+    interpretation is built in one pass, with no interpretation in between.
     Vector entries ride along unchanged in value (nu preserves them), so the
     bit guarantee covers coefficient matrices only. The domain is checked
     first, since a rational interpretation with entries <= 1 takes no step.
     """
     _require_natural(interp)
-    steps: list[tuple[int, int, int]] = []
-    while True:
-        factor = interp.max_entry(matrices_only=True)
-        if factor <= 1:
-            return interp, TransformTrace(tuple(steps))
-        before = interp.shape.dim
-        interp = interp_to_blocks(interp, factor)
-        steps.append((factor, before, interp.shape.dim))
+    factors = lift_factors({e for func in interp.table.values()
+                            for mat in func.mats for e in mat.nums})
+    if not factors:
+        return interp, TransformTrace(())
+    steps, dim = [], interp.shape.dim
+    for factor in factors:
+        steps.append((factor, dim, dim * factor))
+        dim *= factor
+    return _lift(interp, factors), TransformTrace(tuple(steps))
 
 
 def _expand_entry(x: Rat, enc: Encoding) -> Mat:
@@ -99,9 +119,10 @@ def _expand_entry(x: Rat, enc: Encoding) -> Mat:
 def expand_rational(interp: Interpretation, enc: Encoding) -> Interpretation:
     """Replace rational entries by their encodings and naturals by mu_int/nu.
 
-    Vector entries map to (matrix image of the entry) * ones. The result is a
-    general natural interpretation (block 1): encoded blocks need not be
-    constant-plus-scalar, so the value backend is its checking semantics.
+    Vector entries map to (matrix image of the entry) * ones, the image's
+    row sums. The result is a general natural interpretation (block 1):
+    encoded blocks need not be constant-plus-scalar, so the value backend is
+    its checking semantics.
     """
     if enc.table and not validate(enc).valid:
         raise EncodingError("encoding fails validation")
@@ -111,16 +132,19 @@ def expand_rational(interp: Interpretation, enc: Encoding) -> Interpretation:
         table = {s: f for s, f in interp.table.items()}
         return Interpretation(BlockShape(interp.shape.dim, 1), "natural",
                               table, interp.delta)
-    ones = Mat.ones(b, 1)
+
+    def block_of(x):
+        nums = _expand_entry(x, enc).nums
+        return [nums[i:i + b] for i in range(0, b * b, b)]
+
+    def vector_of(x):
+        return [(sum(row),) for row in block_of(x)]
+
     table = {}
     for symbol, func in interp.table.items():
         try:
-            mats = tuple(
-                Mat.from_blocks([[_expand_entry(mat.at(i, j), enc)
-                                  for j in range(mat.cols)] for i in range(mat.rows)])
-                for mat in func.mats)
-            const = Mat.from_blocks([[_expand_entry(e, enc) * ones]
-                                     for e in func.const.entries])
+            mats = tuple(substitute(mat, block_of, b, b) for mat in func.mats)
+            const = substitute(func.const, vector_of, b, 1)
         except EncodingError as exc:
             raise EncodingError(f"{symbol}: {exc}") from None
         table[symbol] = LinearFunc(mats, const)
@@ -159,20 +183,25 @@ def rho_preserved(before: Interpretation, after: Interpretation, factor: int) ->
 def expansion_rho_preserved(before: Interpretation, after: Interpretation,
                             b: int) -> bool:
     """Structural check for rational expansion: each entry's image block (and
-    each vector entry's image segment) has the entry as its rho value."""
+    each vector entry's image segment) has the entry as its rho value.
+
+    Blocks are read as int slices of the expanded numerators, and rho_b of
+    a block equals an entry p/q iff block sum · q = p · den · b."""
     if b == 1:
         return before.table == after.table
     for symbol, func in before.table.items():
         expanded = after.table[symbol]
-        for mat, big in zip(func.mats, expanded.mats):
+        for mat, big in zip((*func.mats, func.const), (*expanded.mats, expanded.const)):
+            # b x b blocks of a matrix, b x 1 segments of a vector
+            nums, width, scale = big.nums, big.cols, big.den * b
+            q = width // mat.cols
             for i in range(mat.rows):
                 for j in range(mat.cols):
-                    if rho(b, big.block(i, j, b, b)) != mat.at(i, j):
+                    start = i * b * width + j * q
+                    total = sum(sum(nums[r:r + q])
+                                for r in range(start, start + b * width, width))
+                    if total * mat.den != mat.nums[i * mat.cols + j] * scale:
                         return False
-        for i, entry in enumerate(func.const.entries):
-            segment = Mat.column(expanded.const.entries[i * b:(i + 1) * b])
-            if rho(b, segment) != entry:
-                return False
     return True
 
 

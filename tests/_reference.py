@@ -1,20 +1,27 @@
-"""Reference term evaluation, comparisons and comment stripping on ``Mat``,
-``Fraction`` and plain Python loops.
+"""Reference term evaluation, comparisons, lifts, collapses and comment
+stripping on ``Mat``, ``Fraction`` and plain Python loops.
 
 These are the evaluator, ``check_value`` and ``check_entrywise`` as they
 were before they moved to int rows: every product is a ``Mat.__mul__``,
 every sum a ``Mat.__add__``, every rho a ``Fraction``, and an absent
 coefficient a zero ``Mat``. The kernel in ``matint.interp`` must agree with
 them on forms (by ``==``) and on verdicts (``holds`` and the detail text).
+The lifts, the expansion and the collapses are the ones that built one
+``Mat`` per entry and glued them with ``Mat.from_blocks`` (or took them
+apart with ``Mat.block``); ``interp_to_bits`` lifts one step at a time.
+``matint.represent.substitute`` must build the same matrices.
 ``strip_comment`` is the character loop that ``matint.matrix`` replaced by
 one regular expression.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 
-from matint import Cmp, InterpError, LinearForm, Mat, Var, Verdict, cmp_entrywise, rho
+from matint import (BlockShape, EncodingError, Interpretation, InterpError, LinearForm,
+                    LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict, mu_int,
+                    nu, rho, validate)
 from matint.matrix import as_rat
 
 
@@ -110,6 +117,26 @@ def check_value(lhs, rhs, rel, m, delta=None):
     return Verdict(True, "; ".join(parts))
 
 
+class Cmp(Enum):
+    """Entrywise comparison outcome of A against B."""
+    GT = "GT"
+    GE = "GE"
+    INCOMPARABLE = "INCOMPARABLE"
+
+
+def cmp_entrywise(a, b):
+    """Entrywise order: GE iff A >= B everywhere; GT additionally needs A11 > B11."""
+    if a.shape != b.shape:
+        raise MatrixError(f"shape mismatch in comparison: {a.shape} vs {b.shape}")
+    xs, ys = a.nums, b.nums
+    if a.den != b.den:
+        # compare over the common denominator a.den * b.den
+        xs, ys = [x * b.den for x in xs], [y * a.den for y in ys]
+    if any(x < y for x, y in zip(xs, ys)):
+        return Cmp.INCOMPARABLE
+    return Cmp.GT if xs[0] > ys[0] else Cmp.GE
+
+
 def _vec(mat):
     return "(" + ",".join(str(e) for e in mat.entries) + ")"
 
@@ -148,3 +175,143 @@ def strip_comment(line):
         if line[i] == "#" and line[i - 1].isspace():
             return line[:i]
     return line
+
+
+# --- lifts, expansion and collapse, one Mat per entry ---
+
+def lift_int(n, a):
+    """Every integer entry replaced by its mu_int image."""
+    if a.den != 1:
+        raise MatrixError("entrywise integer lift needs integer entries")
+    return Mat.from_blocks(
+        [[mu_int(n, a.at(i, j)) for j in range(a.cols)] for i in range(a.rows)])
+
+
+def _lift_vector(n, vec):
+    return Mat.from_blocks([[nu(n, e)] for e in vec.entries])
+
+
+def interp_to_blocks(interp, factor=None):
+    if interp.domain != "natural":
+        raise InterpError("blockwise lift is defined for natural interpretations")
+    if factor is None:
+        factor = interp.max_entry()
+    if factor <= 1:
+        largest = interp.max_entry()
+        if largest > 1:
+            raise InterpError(f"factor {factor} leaves entries up to {largest}; "
+                              f"a lift needs a factor above 1")
+        return interp
+    table = {
+        symbol: LinearFunc(tuple(lift_int(factor, mat) for mat in func.mats),
+                           _lift_vector(factor, func.const))
+        for symbol, func in interp.table.items()
+    }
+    shape = BlockShape(factor * interp.shape.dim, factor * interp.shape.block)
+    return Interpretation(shape, "natural", table, interp.delta)
+
+
+def interp_to_bits(interp):
+    """interp_to_blocks with the max matrix entry, one step at a time."""
+    if interp.domain != "natural":
+        raise InterpError("blockwise lift is defined for natural interpretations")
+    steps = []
+    while True:
+        factor = interp.max_entry(matrices_only=True)
+        if factor <= 1:
+            return interp, TransformTrace(tuple(steps))
+        before = interp.shape.dim
+        interp = interp_to_blocks(interp, factor)
+        steps.append((factor, before, interp.shape.dim))
+
+
+def _expand_entry(x, enc):
+    if isinstance(x, int) and x >= 0:
+        return mu_int(enc.dim, x)
+    if isinstance(x, Fraction) and x in enc.table:
+        return enc.table[x]
+    raise EncodingError(f"entry {x} is neither natural nor encoded")
+
+
+def expand_rational(interp, enc):
+    if enc.table and not validate(enc).valid:
+        raise EncodingError("encoding fails validation")
+    b = enc.dim
+    if b == 1:
+        table = {s: f for s, f in interp.table.items()}
+        return Interpretation(BlockShape(interp.shape.dim, 1), "natural",
+                              table, interp.delta)
+    ones = Mat.ones(b, 1)
+    table = {}
+    for symbol, func in interp.table.items():
+        try:
+            mats = tuple(
+                Mat.from_blocks([[_expand_entry(mat.at(i, j), enc)
+                                  for j in range(mat.cols)] for i in range(mat.rows)])
+                for mat in func.mats)
+            const = Mat.from_blocks([[_expand_entry(e, enc) * ones]
+                                     for e in func.const.entries])
+        except EncodingError as exc:
+            raise EncodingError(f"{symbol}: {exc}") from None
+        table[symbol] = LinearFunc(mats, const)
+    return Interpretation(BlockShape(b * interp.shape.dim, 1), "natural",
+                          table, interp.delta)
+
+
+def const_scalar_parts(a):
+    """Decompose a square matrix as c*ones + s*I, or None (c = 0 at 1x1)."""
+    if not a.is_square():
+        return None
+    n = a.rows
+    if n == 1:
+        return (0, a.entries[0])
+    off = [a.at(i, j) for i in range(n) for j in range(n) if i != j]
+    diag = [a.at(i, i) for i in range(n)]
+    if any(x != off[0] for x in off) or any(x != diag[0] for x in diag):
+        return None
+    return (off[0], diag[0] - off[0])
+
+
+def value_collapse(a, b):
+    if a.rows % b or a.cols % b:
+        raise MatrixError(f"{a.rows}x{a.cols} matrix has no {b}x{b} block grid")
+    rows = []
+    for i in range(a.rows // b):
+        row = []
+        for j in range(a.cols // b):
+            parts = const_scalar_parts(a.block(i, j, b, b))
+            if parts is None:
+                raise MatrixError(f"block ({i + 1},{j + 1}) is not constant-plus-scalar")
+            c, s = parts
+            row.append(as_rat(b * Fraction(c) + s))
+        rows.append(row)
+    return Mat.from_rows(rows)
+
+
+def collapse_vector(v, b):
+    if v.cols != 1 or v.rows % b:
+        raise MatrixError(f"{v.rows}x{v.cols} is not a b-blocked column vector")
+    out = []
+    for j in range(v.rows // b):
+        segment = v.entries[j * b:(j + 1) * b]
+        if any(e != segment[0] for e in segment):
+            raise MatrixError(f"vector segment {j + 1} is not constant")
+        out.append(segment[0])
+    return Mat.column(out)
+
+
+def expansion_rho_preserved(before, after, b):
+    if b == 1:
+        return before.table == after.table
+    for symbol, func in before.table.items():
+        expanded = after.table[symbol]
+        for mat, big in zip(func.mats, expanded.mats):
+            for i in range(mat.rows):
+                for j in range(mat.cols):
+                    if rho(b, big.block(i, j, b, b)) != mat.at(i, j):
+                        return False
+        for i, entry in enumerate(func.const.entries):
+            segment = Mat.column(expanded.const.entries[i * b:(i + 1) * b])
+            if rho(b, segment) != entry:
+                return False
+    return True

