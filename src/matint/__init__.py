@@ -2,8 +2,7 @@
 
 from .matrix import (Mat, MatrixError, Rat, as_rat, format_matrix, jordan,
                      parse_matrix, parse_rat)
-from .represent import (RepParams, lift, lift_int, mu_const, mu_int, nu, rho,
-                        to_bit_matrix)
+from .represent import RepParams, lift, mu_const, rho, to_bit_matrix
 from .trs import (App, Rule, Term, Trs, TrsError, Var, dependency_pairs, format_trs,
                   parse_trs, sharp_name, subterms, variables)
 from .constraints import (ArithConstraint, ConstraintError, EvalResult,
@@ -19,8 +18,7 @@ from .interp import (BlockShape, CheckReport, ConstraintCheck, Interpretation,
                      format_interpretation, parse_interpretation, sample_falsify,
                      value_collapse)
 from .transform import (TransformTrace, VerifyReport, expand_rational,
-                        expansion_rho_preserved, interp_to_bits,
-                        interp_to_blocks, rho_preserved,
+                        interp_to_bits, interp_to_blocks, rho_preserved,
                         valuation_interpretation, verify_transform)
 
 __version__ = "0.1.0"

@@ -22,9 +22,8 @@ from .interp import (InterpError, check_problem, collapse_interpretation,
 from .matrix import MatrixError, parse_rat
 from .represent import rho
 from .trs import Trs, TrsError, dependency_pairs, format_trs, parse_trs
-from .transform import (expand_rational, expansion_rho_preserved,
-                        interp_to_bits, interp_to_blocks, rho_preserved,
-                        valuation_interpretation, verify_transform)
+from .transform import (expand_rational, interp_to_bits, interp_to_blocks,
+                        rho_preserved, valuation_interpretation, verify_transform)
 
 INPUT_ERRORS = (TrsError, InterpError, MatrixError, EncodingError,
                 ConstraintError, OSError)
@@ -249,8 +248,9 @@ def cmd_to_bits(args) -> int:
     bits, trace = interp_to_bits(interp)
     for factor, dim_before, dim_after in trace.steps:
         print(f"# step: factor {factor}, dim {dim_before} -> {dim_after}")
+    # a lift keeps every nonzero entry >= 1 and stops once none is above 1
     print(f"# final scale {trace.final_scale}, dim {bits.shape.dim}, "
-          f"max matrix entry {bits.max_entry(matrices_only=True)}")
+          f"max matrix entry {min(interp.max_entry(matrices_only=True), 1)}")
     preserved = _rho_line(rho_preserved(interp, bits, trace.final_scale))
     return _finish_transform(args, src, interp, bits, preserved, "equivalence")
 
@@ -266,25 +266,21 @@ def cmd_expand(args) -> int:
                 "expand needs --interp, or --pinterp with --valuation"))
         rational = valuation_interpretation(src.pinterp(), src.valuation(), args.delta)
     if args.trs and args.pinterp and args.valuation:
-        trs = src.trs()
-        pairs = src.pairs()
-        constraints = generate_arith_constraints(trs, pairs, src.pinterp())
-        req = required_products(constraints, src.valuation())
-        compatible = is_compatible(enc, req)
-        req_s = ", ".join(str(q) for q in sorted(req)) or "none"
-        print(f"# required products: {req_s}")
+        req, compatible, non_closed = _compatibility(src)
         print(f"# encoding compatible: {'yes' if compatible else 'NO'}")
         if not compatible:
-            missing = sorted(set(req) - set(enc.table))
+            missing = sorted(req - enc.table.keys())
             if missing:
                 print(f"# missing products: {', '.join(str(q) for q in missing)}")
+            if non_closed:
+                print(non_closed)
             return _result(False, "", "INCOMPATIBLE")
     else:
         print("# no constraint context given; compatibility not checked")
     expanded = expand_rational(rational, enc)
     print(f"# expanded: dim {rational.shape.dim} -> {expanded.shape.dim} "
           f"(encoding dim {enc.dim})")
-    preserved = _rho_line(expansion_rho_preserved(rational, expanded, enc.dim))
+    preserved = _rho_line(rho_preserved(rational, expanded, enc.dim))
     return _finish_transform(args, src, rational, expanded, preserved, "forward")
 
 
@@ -304,19 +300,37 @@ def cmd_validate_encoding(args) -> int:
     return _result(report.valid, "VALID", "INVALID")
 
 
-def cmd_compat(args) -> int:
-    src = _Sources(args)
-    trs = src.trs()
-    pairs = src.pairs()
-    eta = src.valuation()
-    enc = src.encoding()
+def _compatibility(src):
+    """The compatibility step of compat and expand: prints the required
+    products of the constraint context and returns them, whether the
+    encoding serves them, and, when the only fault is a product that is
+    not closed, a report line naming the first such pair in ``validate``'s
+    order (largest factors first), else None."""
+    trs, pairs, eta, enc = src.trs(), src.pairs(), src.valuation(), src.encoding()
     constraints = generate_arith_constraints(trs, pairs, src.pinterp())
     req = required_products(constraints, eta)
     print(f"# required products: {', '.join(str(q) for q in sorted(req)) or 'none'}")
+    compatible = is_compatible(enc, req)
+    non_closed = None
+    if not compatible and req <= enc.table.keys():
+        report = validate(enc, keys=req)
+        if report.valid:
+            x, y = next(pair for pair, closed in report.product_closed.items()
+                        if not closed)
+            non_closed = f"# non-closed product: {x} * {y}"
+    return req, compatible, non_closed
+
+
+def cmd_compat(args) -> int:
+    src = _Sources(args)
+    req, compatible, non_closed = _compatibility(src)
+    enc = src.encoding()
     print(f"# encoding keys: {', '.join(str(q) for q in sorted(enc.table)) or 'none'}")
     for q in sorted(req):
         print(f"product {q}: {'encoded' if q in enc.table else 'MISSING'}")
-    return _result(is_compatible(enc, req), "COMPATIBLE", "INCOMPATIBLE")
+    if non_closed:
+        print(non_closed)
+    return _result(compatible, "COMPATIBLE", "INCOMPATIBLE")
 
 
 def cmd_collapse(args) -> int:

@@ -1,16 +1,18 @@
 """Numeric matrix representations: value maps, blockwise lifts, bit reduction.
 
 A matrix "stands for" a number: rho(m, A) sums the entries and divides by m.
-The mu maps send numbers to constant/scalar matrices so that rho recovers
-them, and lifting a matrix entrywise trades bigger dimension for smaller
-entries while preserving rho.
+``mu_const`` sends a number to a constant matrix so that rho recovers it,
+and lifting a matrix entrywise trades bigger dimension for smaller entries
+while preserving rho.
 
 Every lift and expansion substitutes one block per entry. ``substitute``
 does that for a whole matrix: it builds each distinct value's block rows
 once, as int tuples, and each output row by concatenating them.
-``lift_factors`` predicts the factors of iterated lifting from the entry
-set, and ``lift_blocks`` composes a value's block along them, so a bit
-reduction builds its final matrix in one pass.
+``lift_blocks`` gives a natural entry e its block after lifting by each of
+a sequence of factors: (e/x)·J when a factor x divides e, else e·I, composed
+along the sequence. ``lift_factors`` predicts that sequence for iterated
+lifting from the entry set, so a bit reduction builds its final matrix in
+one pass.
 """
 
 from __future__ import annotations
@@ -47,24 +49,6 @@ def mu_const(params: RepParams, x: Rat) -> Mat:
     """Constant p x q matrix with every entry m*x/(p*q); rho(m, .) gives x back."""
     return Mat.constant(as_rat(Fraction(params.m) * x / (params.p * params.q)),
                         params.p, params.q)
-
-
-def mu_int(n: int, x: int) -> Mat:
-    """Integer as an n x n matrix: (x/n)*ones when n divides x, else x*I."""
-    if n < 2:
-        raise MatrixError(f"integer representation needs dimension > 1, got {n}")
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise MatrixError(f"integer required, got {x!r}")
-    if x % n == 0:
-        return Mat.constant(x // n, n, n)
-    return Mat.identity(n).scale(x)
-
-
-def nu(n: int, x: Rat) -> Mat:
-    """Number as the constant n-vector x*ones; rho(n, .) gives x back."""
-    if n < 1:
-        raise MatrixError(f"vector dimension must be positive, got {n}")
-    return Mat.constant(as_rat(x), n, 1)
 
 
 def lift(params: RepParams, a: Mat) -> Mat:
@@ -147,15 +131,6 @@ def lift_blocks(factors):
         return memo[key]
 
     return block
-
-
-def lift_int(n: int, a: Mat) -> Mat:
-    """Replace every integer entry by its mu_int image; preserves rho at divisor m*n."""
-    if a.den != 1:
-        raise MatrixError("entrywise integer lift needs integer entries")
-    if n < 2:
-        raise MatrixError(f"integer representation needs dimension > 1, got {n}")
-    return substitute(a, lift_blocks((n,)), n, n)
 
 
 def to_bit_matrix(a: Mat) -> tuple[Mat, int]:

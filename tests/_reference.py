@@ -20,8 +20,8 @@ from enum import Enum
 from fractions import Fraction
 
 from matint import (BlockShape, EncodingError, Interpretation, InterpError, LinearForm,
-                    LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict, mu_int,
-                    nu, rho, validate)
+                    LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict, rho,
+                    validate)
 from matint.matrix import as_rat
 
 
@@ -178,6 +178,18 @@ def strip_comment(line):
 
 
 # --- lifts, expansion and collapse, one Mat per entry ---
+
+def mu_int(n, x):
+    """Integer as an n x n matrix: (x/n)*ones when n divides x, else x*I."""
+    if x % n == 0:
+        return Mat.constant(x // n, n, n)
+    return Mat.identity(n).scale(x)
+
+
+def nu(n, x):
+    """Number as the constant n-vector x*ones."""
+    return Mat.constant(as_rat(x), n, 1)
+
 
 def lift_int(n, a):
     """Every integer entry replaced by its mu_int image."""

@@ -2,14 +2,18 @@ import ast
 import importlib
 import importlib.util
 import os
+import random
 import re
 import subprocess
 import sys
+from math import prod
 
 import pytest
 
-from matint import parse_interpretation
+from matint import (BlockShape, Interpretation, LinearFunc, Mat, format_interpretation,
+                    interp_to_bits, parse_interpretation)
 from matint.cli import main
+from matint.represent import lift_factors
 from _helpers import DATA, read
 
 EX1 = str(DATA / "fg.trs")
@@ -316,13 +320,48 @@ def test_compat_and_expand_refuse_a_non_closed_encoding(capsys, tmp_path):
     assert code == 0 and "product 1/2 * 1/2: value ok, closed no" in out
     context = ("--trs", str(trs), "--pinterp", str(pi), "--valuation", str(val),
                "--encoding", str(enc))
+    # both name the first non-closed pair, as validate-encoding finds it
     code, out, _ = run(capsys, "compat", *context)
     assert code == 1
-    assert "product 1/2: encoded" in out and out.endswith("RESULT: INCOMPATIBLE\n")
+    assert out.endswith("product 1/2: encoded\n# non-closed product: 1/2 * 1/2\n"
+                        "RESULT: INCOMPATIBLE\n")
     code, out, _ = run(capsys, "expand", *context, "--out", str(tmp_path / "nat.interp"))
     assert code == 1
-    assert "# encoding compatible: NO" in out and "RESULT: INCOMPATIBLE" in out
+    assert out == ("# required products: 1/8, 1/4, 1/2\n# encoding compatible: NO\n"
+                   "# non-closed product: 1/2 * 1/2\nRESULT: INCOMPATIBLE\n")
     assert not (tmp_path / "nat.interp").exists()
+    # a missing product is the fault named then, and no pair is
+    code, out, _ = run(capsys, "expand", *context[:-1], "quarters")
+    assert code == 1 and "# missing products: 1/8" in out and "non-closed" not in out
+    code, out, _ = run(capsys, "compat", *context[:-1], "quarters")
+    assert code == 1 and "product 1/8: MISSING" in out and "non-closed" not in out
+
+
+def test_to_bits_max_entry_line_matches_a_scan(capsys, tmp_path):
+    """to-bits reports the bit interpretation's largest matrix entry from the
+    source: 0 when every matrix is zero or there is none, else 1."""
+    rng = random.Random(71)
+    src = tmp_path / "in.interp"
+    inputs = [{"c": ((), [3])}, {"c": ((), [0]), "d": ((), [5])},
+              {"f": (([0],), [4]), "c": ((), [2])}]
+    while len(inputs) < 40:
+        d, hi = rng.randint(1, 3), rng.choice((0, 1, 2, 4, 6))
+        table = {s: (tuple([rng.randint(0, hi) for _ in range(d * d)]
+                           for _ in range(arity)),
+                     [rng.randint(0, 6) for _ in range(d)])
+                 for s, arity in (("f", 1), ("g", 2), ("c", 0))}
+        scale = prod(lift_factors({e for mats, _ in table.values() for m in mats for e in m}))
+        if d * scale <= 60:
+            inputs.append(table)
+    for table in inputs:
+        d = len(next(iter(table.values()))[1])
+        interp = Interpretation(BlockShape(d, 1), "natural", {
+            s: LinearFunc(tuple(Mat(d, d, tuple(m)) for m in mats), Mat.column(const))
+            for s, (mats, const) in table.items()})
+        src.write_text(format_interpretation(interp), encoding="utf-8")
+        code, out, _ = run(capsys, "to-bits", "--interp", str(src))
+        scanned = interp_to_bits(interp)[0].max_entry(matrices_only=True)
+        assert code == 0 and f"max matrix entry {scanned}\n" in out
 
 
 def test_to_blocks_then_collapse_round_trip_at_k12(capsys, tmp_path):

@@ -1,0 +1,51 @@
+"""Exact arithmetic and no runtime dependency, as a check on the source:
+matint's modules hold no float literal, name ``float`` only where
+``matrix.as_rat`` rejects floats, and import only the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "matint"
+
+
+def _nodes(node, func=None):
+    """Every node below ``node`` with the name of its innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else func
+        yield child, inner
+        yield from _nodes(child, inner)
+
+
+def _faults(source, module):
+    faults = []
+    for node, func in _nodes(ast.parse(source)):
+        where = f"{module}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            faults.append(f"{where}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float" \
+                and (module, func) != ("matrix.py", "as_rat"):
+            faults.append(f"{where}: float named in {func or 'module scope'}")
+        elif isinstance(node, ast.Import):
+            faults += [f"{where}: imports {alias.name}" for alias in node.names
+                       if alias.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] not in sys.stdlib_module_names:
+            faults.append(f"{where}: imports from {node.module}")
+    return faults
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_is_exact_and_stdlib_only(path):
+    assert _faults(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_guard_sees_each_fault():
+    source = ("import numpy.linalg\nfrom sympy import Rational\nfrom . import matrix\n"
+              "import math\nx = 0.5\n\ndef as_rat(y):\n    return float(y)\n")
+    assert len(_faults(source, "represent.py")) == 4
+    # as_rat's rejection of floats is the one place the name may appear
+    assert len(_faults(source, "matrix.py")) == 3

@@ -5,19 +5,21 @@ import io
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference as ref
 from matint import (BlockShape, EncodingError, Interpretation, InterpError,
                     LinearFunc, Mat, MatrixError, TransformTrace, catalog,
-                    expand_rational, expansion_rho_preserved, interp_to_bits,
-                    interp_to_blocks, lift_int, parse_interpretation, to_bit_matrix,
-                    value_collapse)
+                    expand_rational, interp_to_bits, interp_to_blocks,
+                    parse_interpretation, rho_preserved, to_bit_matrix, value_collapse)
 from matint.cli import main
 from matint.encoding import CATALOG_NAMES
 from matint.interp import collapse_vector
-from matint.represent import lift_factors
+from matint.represent import lift_blocks, lift_factors, substitute
+from matint.transform import _substitute
 from _helpers import rand_const_scalar_block_mat, read
 
 F = Fraction
@@ -67,10 +69,26 @@ def test_lift_int_matches_reference():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         pool = (0, 0, 1, n, 2 * n, -n, -1, -3, 10 ** 30, 7 * n, rng.randint(-50, 50))
         a = Mat(rows, cols, tuple(rng.choice(pool) for _ in range(rows * cols)))
-        assert lift_int(n, a) == ref.lift_int(n, a)
-    for n, a in ((2, Mat(1, 1, (F(1, 2),))), (1, Mat(1, 1, (5,))), (0, Mat(1, 2, (0, 3)))):
-        got = _raises(lift_int, n, a)
-        assert got is not None and got == _raises(ref.lift_int, n, a)
+        assert substitute(a, lift_blocks((n,)), n, n) == ref.lift_int(n, a)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 5), max_size=3),
+       st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_lift_block_rows_sum_to_the_entry(factors, entries):
+    """The fact the transforms' one vector rule rests on: every row of a lift
+    block sums to its entry, so row sums of the block are nu's image."""
+    block_of = lift_blocks(factors)
+    scale = prod(factors)
+    for e in entries:
+        block = block_of(e)
+        assert len(block) == scale and all(len(row) == scale for row in block)
+        assert all(sum(row) == e for row in block)
+        assert sum(map(sum, block)) == e * scale
+    interp = Interpretation(BlockShape(len(entries), 1), "natural",
+                            {"c": LinearFunc((), Mat.column(entries))})
+    lifted = _substitute(interp, block_of, scale, scale)
+    assert lifted.table["c"].const == Mat.column(e for e in entries for _ in range(scale))
 
 
 def test_lift_factors_and_to_bit_matrix_match_iterated_lift():
@@ -154,7 +172,7 @@ def test_expand_rational_matches_reference(name):
         interp = _rational_interp(rng, values, rng.randint(1, 3))
         expanded = expand_rational(interp, enc)
         assert expanded == ref.expand_rational(interp, enc)
-        assert expansion_rho_preserved(interp, expanded, enc.dim)
+        assert rho_preserved(interp, expanded, enc.dim)
         # a wrong entry anywhere is found, as the reference finds it
         bad = expanded.table["g"].mats[1]
         nums = list(bad.nums)
@@ -163,7 +181,7 @@ def test_expand_rational_matches_reference(name):
         table["g"] = LinearFunc((bad, Mat._derived(bad.rows, bad.cols, nums)),
                                 expanded.table["g"].const)
         broken = Interpretation(expanded.shape, "natural", table)
-        assert not expansion_rho_preserved(interp, broken, enc.dim)
+        assert not rho_preserved(interp, broken, enc.dim)
         assert not ref.expansion_rho_preserved(interp, broken, enc.dim)
     # an entry the encoding lacks is reported, first one first
     odd = Interpretation(BlockShape(2, 1), "rational", {
@@ -183,7 +201,7 @@ def test_expansion_rho_preserved_reads_vector_segments():
         table = {"f": LinearFunc(expanded.table["f"].mats,
                                  Mat._derived(const.rows, 1, nums))}
         broken = Interpretation(expanded.shape, "natural", table)
-        assert not expansion_rho_preserved(interp, broken, enc.dim)
+        assert not rho_preserved(interp, broken, enc.dim)
         assert not ref.expansion_rho_preserved(interp, broken, enc.dim)
 
 

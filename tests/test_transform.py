@@ -64,6 +64,24 @@ def test_to_blocks_rho_preservation(relative):
                     assert rho(m * factor, b) == rho(m, a)
 
 
+def test_rho_check_reads_each_block_not_the_whole_matrix():
+    # dim 2 -> 4: move block (1,1)'s content into the empty block (1,2)
+    interp = Interpretation(BlockShape(2, 1), "natural", {
+        "f": LinearFunc((Mat(2, 2, (2, 0, 1, 2)),), Mat.column([1, 0]))})
+    lifted = interp_to_blocks(interp, 2)
+    assert rho_preserved(interp, lifted, 2)
+    mat = lifted.table["f"].mats[0]
+    nums = list(mat.nums)
+    for r in range(2):
+        row = 4 * r
+        nums[row:row + 4] = nums[row + 2:row + 4] + nums[row:row + 2]
+    moved = Mat(4, 4, tuple(nums))
+    assert sum(moved.nums) == sum(mat.nums)
+    broken = Interpretation(lifted.shape, "natural",
+                            {"f": LinearFunc((moved,), lifted.table["f"].const)})
+    assert not rho_preserved(interp, broken, 2)
+
+
 def test_to_bits_single_coefficient():
     interp = Interpretation(BlockShape(1, 1), "natural",
                             {"f": LinearFunc((Mat(1, 1, (3,)),), Mat(1, 1, (0,)))})
@@ -128,6 +146,11 @@ def test_expand_rational_natural_degenerate():
     out2 = expand_rational(interp, catalog("half"))
     assert out2.table["f"].mats[0] == Mat.ones(2)       # mu_int(2, 2)
     assert out2.table["f"].const == Mat.column([3, 3])  # nu(2, 3)
+    # a dim-1 encoding has no value to encode a rational entry by
+    half = parse_interpretation(
+        "domain rational\ndim 1\nblock 1\ninterp f : 1\n  M1 = [2]\n  C = [1/2]")
+    with pytest.raises(EncodingError, match="f: entry 1/2 is neither natural nor encoded"):
+        expand_rational(half, Encoding(1, {}))
 
 
 def test_expand_rational_unencodable_entry():
