@@ -26,7 +26,7 @@ from .transform import (expand_rational, interp_to_bits, interp_to_blocks,
                         rho_preserved, valuation_interpretation, verify_transform)
 
 INPUT_ERRORS = (TrsError, InterpError, MatrixError, EncodingError,
-                ConstraintError, OSError)
+                ConstraintError, OSError, UnicodeDecodeError)
 
 
 class _Sources:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .matrix import MatrixError, Rat, as_rat, parse_rat, strip_comment
 from .trs import Rule, Term, Trs, Var, subterms
@@ -213,17 +214,20 @@ def parse_valuation(text: str) -> dict[str, Rat]:
     return make_valuation(values)
 
 
+def _word_value(word: Word, eta: dict[str, Rat]):
+    """The product of the word's values, an int or a Fraction."""
+    try:
+        return prod([eta[param] for param in word])
+    except KeyError as exc:
+        raise ConstraintError(f"unbound parameter {exc.args[0]!r}") from None
+
+
 def eval_word(word: Word, eta: dict[str, Rat]) -> Rat:
-    value = Fraction(1)
-    for param in word:
-        if param not in eta:
-            raise ConstraintError(f"unbound parameter {param!r}")
-        value *= eta[param]
-    return as_rat(value)
+    return as_rat(_word_value(word, eta))
 
 
 def eval_word_sum(ws: WordSum, eta: dict[str, Rat]) -> Rat:
-    return as_rat(Fraction(sum(Fraction(eval_word(w, eta)) for w in ws)))
+    return as_rat(sum([_word_value(w, eta) for w in ws]))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from math import ceil, gcd, lcm
 
@@ -53,18 +54,36 @@ class BlockShape:
 
 @dataclass(frozen=True)
 class LinearFunc:
-    """One symbol's function: argument matrices and a constant column vector."""
+    """One symbol's function: argument matrices and a constant column vector.
+
+    ``rows`` and ``columns`` are its matrices compiled for the two walks of
+    ``eval_term``, on first use. A LinearFunc and its Mats are immutable,
+    so the views never go stale: every later check reuses them.
+    """
 
     mats: tuple[Mat, ...]
     const: Mat
 
+    @cached_property
+    def rows(self) -> tuple:
+        """What the full-form fold reads: ``_rows`` of each argument matrix."""
+        return tuple(map(_rows, self.mats))
 
-@dataclass
+    @cached_property
+    def columns(self) -> tuple:
+        """What the value walk reads: ``_columns`` of each argument matrix."""
+        return tuple(map(_columns, self.mats))
+
+
+@dataclass(frozen=True)
 class Interpretation:
     shape: BlockShape
     domain: str                  # "natural" | "rational"
     table: dict[str, LinearFunc]
     delta: Fraction | None = None
+    # the full forms [[t]] that eval_term has built under this interpretation;
+    # they hold as long as ``table`` is not changed
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, b = self.shape.dim, self.shape.block
@@ -135,25 +154,29 @@ def _func(interp: Interpretation, node) -> LinearFunc:
     return func
 
 
-def _rows(mat: Mat, n: int) -> tuple:
+def _rows(mat: Mat) -> tuple:
     """What the full-form fold reads of an argument matrix: the matrix and
     its rows as int tuples over ``mat.den``."""
+    n = mat.cols
     return mat, tuple(mat.nums[i:i + n] for i in range(0, n * n, n))
 
 
-def _columns(mat: Mat, n: int) -> tuple:
+def _columns(mat: Mat) -> tuple:
     """What the value walk reads of an argument matrix, to take ``u·M``:
     ``(den, cols, sparse)`` with one of ``cols`` and ``sparse`` None.
 
-    A sparse matrix (see ``_kernel``) gives ``sparse = (pick, weights,
-    spans)``: ``pick`` is one ``itemgetter`` of u's entries at the rows of
-    every nonzero, column by column, ``weights`` the nonzeros in the same
-    order (None when they are all 1, as in a bit matrix) and ``spans`` the
-    slice of each column's picks, so that ``u·M`` is the sum of each span
-    of the weighted picks. Any other matrix gives ``cols``, its columns as
-    int tuples over ``den`` for ``_mat_vec``.
+    A matrix of dimension at least 8 with at most a quarter of its entries
+    nonzero, like the lifts of ``to-blocks``/``to-bits``, gives ``sparse =
+    (pick, weights, spans)``: ``pick`` is one ``itemgetter`` of u's entries
+    at the rows of every nonzero, column by column, ``weights`` the
+    nonzeros in the same order (None when they are all 1, as in a bit
+    matrix) and ``spans`` the slice of each column's picks, so that ``u·M``
+    is the sum of each span of the weighted picks, in O(n + nonzeros). Any
+    other matrix gives ``cols``, its columns as int tuples over ``den`` for
+    ``_mat_vec``; at dims 2-5 these dense dot products cost up to 40% less
+    than the sparse step. ``LinearFunc.columns`` keeps the result.
     """
-    nums = mat.nums
+    n, nums = mat.cols, mat.nums
     # 4·nonzeros <= n², with the zeros counted at C speed
     if n < 8 or 4 * nums.count(0) < 3 * n * n:
         return mat.den, tuple(nums[j::n] for j in range(n)), None
@@ -174,30 +197,6 @@ def _columns(mat: Mat, n: int) -> tuple:
     return mat.den, None, (pick, weights, tuple(spans))
 
 
-def _kernel(table: dict, interp: Interpretation, node, compile_mat) -> tuple:
-    """The compiled function of an application, checked against its arity:
-    ``compile_mat(mat, n)`` of each argument matrix (``_rows`` or
-    ``_columns``), then the constant's ``nums`` and ``den``. ``table`` holds
-    the symbols met so far, compiled once each.
-
-    The value walk's columns are compiled sparse for a matrix of dimension
-    at least 8 with at most a quarter of its entries nonzero, like the
-    lifts of ``to-blocks``/``to-bits``, which grow sparser as they grow
-    bigger; its ``u·M`` then costs O(n + nonzeros) instead of n². The rule
-    is read off the matrix itself. Smaller or denser matrices keep dense
-    columns, since there the sparse step costs more per product than the
-    dense dot products (at dims 2-5, with most entries nonzero, up to 40%
-    more).
-    """
-    entry = table.get(node.symbol)
-    if entry is None or len(entry[0]) != len(node.args):
-        func = _func(interp, node)
-        n = interp.shape.dim
-        entry = table[node.symbol] = (tuple(compile_mat(mat, n) for mat in func.mats),
-                                      func.const.nums, func.const.den)
-    return entry
-
-
 def _mat_vec(lines, vec) -> list[int]:
     """The dot product of each line with ``vec``: ``M·v`` for the rows of M,
     ``u·M`` for its columns."""
@@ -213,49 +212,37 @@ def _sum(a, da: int, b, db: int) -> tuple[list[int], int]:
     return [x * sa + y * sb for x, y in zip(a, b)], d
 
 
-def eval_term(interp: Interpretation, t: Term, left: Mat = None,
-              memo: dict = None, compiled: dict = None) -> LinearForm:
+def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
     """The linear form ``left·[[t]]``; terms of any depth evaluate without
     recursion. Both walks run on int numerators over one denominator per
-    vector or matrix, and build a ``Mat`` only for the forms they return.
+    vector or matrix, read each symbol's matrices as its ``LinearFunc``
+    compiled them, and build a ``Mat`` only for the forms they return.
 
     Without ``left``, the full form ``[[t]]`` that the entrywise backend
     needs is composed bottom-up, ``[[f(t1..tk)]] = C + sum M_i·[[t_i]]``,
-    once per distinct subterm: a node sums, for each variable, ``M_i·coeff``
-    over all its arguments in one int list, and takes one matrix-vector
-    product for each argument's constant, so a ground subterm costs no more
-    than its value vector. ``memo`` maps terms to the full forms already
-    built under this interpretation; it is read and filled, so callers
-    evaluating many terms under one interpretation share it.
+    once per distinct subterm and interpretation: a node sums, for each
+    variable, ``M_i·coeff`` over all its arguments in one int list, and
+    takes one matrix-vector product for each argument's constant, so a
+    ground subterm costs no more than its value vector. The interpretation
+    keeps every full form it has built, so later terms, and later checks,
+    reuse them.
 
     With ``left`` (one row of n), one top-down walk hands each node the row
     ``u = left·(the argument matrices on its path)``: a variable adds ``u``
     to its coefficient, a symbol adds ``u·C`` to the constant and ``u·M_i``
     goes to its i-th argument. The value backend passes ``Mat.ones(1, n)``,
-    so a term costs O(|t|·n²); ``memo`` is not used. A ``left`` of more
-    than one row raises InterpError. Each ``u·M_i`` is n dot products of
-    length n, except where ``M_i`` has dimension at least 8 and at most a
-    quarter of its entries nonzero: then it reads only those nonzeros, so a
-    lifted bit matrix costs O(n + nonzeros) per product. Below that size or
-    above that density the dense dot products cost less.
-
-    ``compiled`` holds the symbols' functions compiled for each walk (see
-    ``_kernel``): the value walk reads columns, sparse ones for big sparse
-    matrices (see ``_columns``), and the full-form fold reads rows, so the
-    two walks keep separate tables in it. It is read and filled like
-    ``memo``, and must come from the same interpretation.
+    so a term costs O(|t|·n²), or less for big sparse matrices (see
+    ``_columns``). A ``left`` of more than one row raises InterpError.
 
     Either way the first uninterpreted or misused symbol in pre-order is
     reported.
     """
-    compiled = {} if compiled is None else compiled
     if left is None:
-        return _full_form(interp, t, {} if memo is None else memo,
-                          compiled.setdefault("rows", {}))
+        return _full_form(interp, t)
     n = interp.shape.dim
     if left.shape != (1, n):
         raise InterpError(f"left factor must be 1x{n}, got {left.rows}x{left.cols}")
-    table = compiled.setdefault("columns", {})
+    table = interp.table
     coeffs: dict[str, tuple[list[int], int]] = {}
     const, const_den = 0, 1
     stack = [(t, left.nums, left.den)]
@@ -265,15 +252,17 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None,
             old = coeffs.get(node.name)
             coeffs[node.name] = (u, du) if old is None else _sum(*old, u, du)
             continue
-        args, cnums, cden = _kernel(table, interp, node, _columns)
-        c, dc = sum(map(operator.mul, u, cnums)), du * cden
+        func = table.get(node.symbol)
+        if func is None or len(func.mats) != len(node.args):
+            _func(interp, node)  # raises
+        c, dc = sum(map(operator.mul, u, func.const.nums)), du * func.const.den
         if dc == const_den:
             const += c
         else:
             d = lcm(dc, const_den)
             const, const_den = const * (d // const_den) + c * (d // dc), d
         # pushed in reverse, so arguments are visited left to right
-        for (den, cols, sparse), arg in reversed(tuple(zip(args, node.args))):
+        for (den, cols, sparse), arg in reversed(tuple(zip(func.columns, node.args))):
             if sparse is None:
                 v = _mat_vec(cols, u)
             else:
@@ -293,12 +282,12 @@ def eval_term(interp: Interpretation, t: Term, left: Mat = None,
                       Mat._derived(1, 1, (const,), const_den))
 
 
-def _full_form(interp: Interpretation, t: Term, memo: dict,
-               table: dict) -> LinearForm:
-    """``[[t]]`` bottom-up over the subterms of t that ``memo`` lacks."""
+def _full_form(interp: Interpretation, t: Term) -> LinearForm:
+    """``[[t]]`` bottom-up over the subterms of t that ``interp._memo`` lacks."""
     n = interp.shape.dim
     if isinstance(t, Var):
         return LinearForm(n, {t.name: Mat.identity(n)}, Mat.zero(n, 1))
+    memo = interp._memo
     # a depth-first walk: a node is checked when first reached (so in
     # pre-order) and composed when popped again, after all its arguments
     stack = [(t, False)]
@@ -306,13 +295,14 @@ def _full_form(interp: Interpretation, t: Term, memo: dict,
         node, composed = stack.pop()
         if not composed:
             if node not in memo and node.__class__ is not Var:
-                _kernel(table, interp, node, _rows)
+                _func(interp, node)
                 stack.append((node, True))
                 stack.extend((arg, False) for arg in reversed(node.args))
             continue
-        args, const, const_den = table[node.symbol]
+        func = interp.table[node.symbol]
+        const, const_den = func.const.nums, func.const.den
         coeffs: dict[str, tuple[list[int], int]] = {}
-        for (mat, rows), arg in zip(args, node.args):
+        for (mat, rows), arg in zip(func.rows, node.args):
             if arg.__class__ is Var:
                 # M·I = M
                 parts = ((arg.name, mat.nums, mat.den),)
@@ -487,16 +477,14 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     delta = Fraction(delta)
     # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms,
     # which rules and pairs share through their common subterms
-    left, memo = (Mat.ones(1, interp.shape.dim), None) if backend == "value" else (None, {})
-    # each symbol's matrices as int rows or columns, compiled once per call
-    compiled: dict = {}
+    left = Mat.ones(1, interp.shape.dim) if backend == "value" else None
     # every check samples the same stream, so they share one draw pool
     pool: dict = {}
     checks: list[ConstraintCheck] = []
     for label, rules, rel in (("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")):
         for idx, rule in enumerate(rules, start=1):
-            lhs = eval_term(interp, rule.lhs, left, memo, compiled)
-            rhs = eval_term(interp, rule.rhs, left, memo, compiled)
+            lhs = eval_term(interp, rule.lhs, left)
+            rhs = eval_term(interp, rule.rhs, left)
             if backend == "entrywise":
                 verdict = check_entrywise(lhs, rhs, rel)
             else:
@@ -705,10 +693,8 @@ def value_collapse(a: Mat, b: int) -> Mat:
         for j in range(a.cols // b):
             start = i * b * width + j * b
             rows = [nums[r:r + b] for r in range(start, start + b * width, width)]
-            if b == 1:
-                out.append(rows[0][0])
-                continue
-            c, d = rows[0][1], rows[0][0]
+            # off the diagonal, except for b = 1, where (b - 1)·c drops out
+            c, d = rows[-1][0], rows[0][0]
             if any(row != (c,) * r + (d,) + (c,) * (b - 1 - r) for r, row in enumerate(rows)):
                 raise MatrixError(f"block ({i + 1},{j + 1}) is not constant-plus-scalar")
             out.append((b - 1) * c + d)

@@ -11,7 +11,9 @@ The lifts, the expansion and the collapses are the ones that built one
 apart with ``Mat.block``); ``interp_to_bits`` lifts one step at a time.
 ``matint.represent.substitute`` must build the same matrices.
 ``strip_comment`` is the character loop that ``matint.matrix`` replaced by
-one regular expression.
+one regular expression. ``eval_word``/``eval_word_sum`` multiply and sum
+word values as Fractions, as ``matint.constraints`` did before it took
+``math.prod`` over the valuation's own values.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from matint import (BlockShape, EncodingError, Interpretation, InterpError, LinearForm,
-                    LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict, rho,
-                    validate)
+from matint import (BlockShape, ConstraintError, EncodingError, Interpretation, InterpError,
+                    LinearForm, LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict,
+                    rho, validate)
 from matint.matrix import as_rat
 
 
@@ -327,3 +329,16 @@ def expansion_rho_preserved(before, after, b):
             if rho(b, segment) != entry:
                 return False
     return True
+
+
+def eval_word(word, eta):
+    value = Fraction(1)
+    for param in word:
+        if param not in eta:
+            raise ConstraintError(f"unbound parameter {param!r}")
+        value *= eta[param]
+    return as_rat(value)
+
+
+def eval_word_sum(ws, eta):
+    return as_rat(Fraction(sum(Fraction(eval_word(w, eta)) for w in ws)))

@@ -81,6 +81,25 @@ def test_check_parse_error_names_file_and_line(capsys, tmp_path):
     assert "broken.trs" in err and "line 2" in err
 
 
+FILE_OPTIONS = (("check", "--trs", EX1, "--pairs", PAIRS, "--interp", EX2),
+                ("eval-valuation", "--trs", EX1, "--pinterp", PI, "--valuation", ETA),
+                ("validate-encoding", "--encoding", "half"))
+
+
+@pytest.mark.parametrize("option", ["--trs", "--pairs", "--interp", "--pinterp",
+                                    "--valuation", "--encoding"])
+def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, option):
+    """A file that is not UTF-8, given to any file option, exits 2 with an
+    error that names the file, and no traceback."""
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"\xff\xfe")
+    argv = list(next(argv for argv in FILE_OPTIONS if option in argv))
+    argv[argv.index(option) + 1] = str(bad)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option[2:]} {bad}: 'utf-8' codec can't decode")
+
+
 def test_check_arity_mismatch_with_trs(capsys):
     code, _, err = run(capsys, "check", "--trs", ENDR_TRS, "--interp", EX2)
     assert code == 2

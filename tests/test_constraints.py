@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import _reference as ref
 from matint import (ArithConstraint, ConstraintError, eval_valuation,
                     generate_arith_constraints, make_valuation, parse_pinterp,
                     parse_trs, parse_valuation)
-from matint.constraints import format_word_sum
+from matint.constraints import eval_word, eval_word_sum, format_word_sum
 from _helpers import example_one, read
 
 EX14 = """
@@ -164,6 +166,31 @@ def test_eval_valuation_unbound_parameter():
     c = ArithConstraint(words("p"), words("q"), "weak", "x")
     with pytest.raises(ConstraintError, match="unbound"):
         eval_valuation(c, make_valuation({"p": 1}))
+
+
+def test_word_sums_agree_with_reference():
+    """Word sums over random valuations (ints, Fractions, 0 and 1 among
+    them) have the reference's value and type; an unbound parameter raises
+    the reference's error, naming the first unbound name of the word."""
+    rng = random.Random(41)
+    names = [f"p{i}" for i in range(6)] + ["0", "1"]
+    for _ in range(2000):
+        eta = make_valuation({name: Fraction(rng.randint(0, 12), rng.choice((1, 1, 2, 3, 4)))
+                              for name in names[:6] if rng.random() < 0.9})
+        ws = tuple(tuple(rng.choice(names) for _ in range(rng.randint(0, 5)))
+                   for _ in range(rng.randint(0, 4)))
+        try:
+            want = ref.eval_word_sum(ws, eta)
+        except ConstraintError as exc:
+            with pytest.raises(ConstraintError) as got:
+                eval_word_sum(ws, eta)
+            assert str(got.value) == str(exc)
+            continue
+        got = eval_word_sum(ws, eta)
+        assert got == want and type(got) is type(want)
+        for w in ws:
+            assert eval_word(w, eta) == ref.eval_word(w, eta)
+            assert type(eval_word(w, eta)) is type(ref.eval_word(w, eta))
 
 
 def test_word_product_is_order_sensitive_in_rendering():

@@ -1,6 +1,8 @@
-"""Exact arithmetic and no runtime dependency, as a check on the source:
-matint's modules hold no float literal, name ``float`` only where
-``matrix.as_rat`` rejects floats, and import only the standard library."""
+"""Exact arithmetic, no runtime dependency and the declared Python floor,
+as a check on the source: matint's modules parse as Python 3.10
+(``requires-python >= 3.10``), hold no float literal, name ``float`` only
+where ``matrix.as_rat`` rejects floats, and import only the standard
+library."""
 
 import ast
 import sys
@@ -21,8 +23,12 @@ def _nodes(node, func=None):
 
 
 def _faults(source, module):
+    try:
+        tree = ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return [f"{module}:{exc.lineno}: not Python 3.10: {exc.msg}"]
     faults = []
-    for node, func in _nodes(ast.parse(source)):
+    for node, func in _nodes(tree):
         where = f"{module}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             faults.append(f"{where}: float literal {node.value!r}")
@@ -49,3 +55,12 @@ def test_the_guard_sees_each_fault():
     assert len(_faults(source, "represent.py")) == 4
     # as_rat's rejection of floats is the one place the name may appear
     assert len(_faults(source, "matrix.py")) == 3
+
+
+@pytest.mark.parametrize("source", ["type X = int\n",
+                                    "try:\n    pass\nexcept* ValueError:\n    pass\n"])
+def test_the_guard_holds_the_python_floor(source):
+    """A statement newer than Python 3.10 (3.12's type alias, 3.11's
+    exception groups) is flagged, whatever Python runs the check."""
+    [fault] = _faults(source, "trs.py")
+    assert "not Python 3.10" in fault

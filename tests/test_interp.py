@@ -303,11 +303,12 @@ def test_eval_term_deep_chain_without_recursion():
 
 
 def test_memoised_full_forms_agree_with_reference():
-    """Full forms read from and written to one memo equal the bottom-up
-    reference, across rules, auto pairs and a pairs file that repeats rule
-    subterms; the files are parsed apart, so they share subterms only
-    through interning. check_problem's entrywise verdicts equal those of
-    the reference forms, under many interpretations of the same terms."""
+    """Full forms read from and written to the interpretation's memo equal
+    the bottom-up reference, across rules, auto pairs and a pairs file that
+    repeats rule subterms; the files are parsed apart, so they share
+    subterms only through interning. check_problem's entrywise verdicts
+    equal those of the reference forms, under many interpretations of the
+    same terms, and reuse the memo: it gains no form."""
     rng = random.Random(37)
     reused = 0
     outcomes = set()
@@ -340,18 +341,20 @@ def test_memoised_full_forms_agree_with_reference():
                 references[t] = LinearForm(n, *_reference_form(interp, t))
             return references[t]
 
-        memo = {}
+        memo = interp._memo
         checks = [("weak", r) for r in trs.rules] + [("strict", p) for p in pairs]
         for rel, rule in checks:
             for t in (rule.lhs, rule.rhs):
                 reused += t in memo
-                assert eval_term(interp, t, None, memo) == reference(t)
+                assert eval_term(interp, t) == reference(t)
         assert all(form == reference(t) for t, form in memo.items())
         expected = [check_entrywise(reference(rule.lhs), reference(rule.rhs), rel)
                     for rel, rule in checks]
         outcomes.update(v.holds for v in expected)
+        built = len(memo)
         report = check_problem(trs, pairs, interp, "entrywise")
         assert [c.verdict for c in report.checks] == expected
+        assert len(memo) == built
     assert reused > 50 and outcomes == {True, False}
 
 

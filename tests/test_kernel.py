@@ -2,6 +2,7 @@
 against the reference on ``Mat`` and ``Fraction`` kept in ``_reference``."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -124,26 +125,27 @@ def test_kernel_forms_and_verdicts_agree_with_reference():
         interp = _interp(rng)
         n = interp.shape.dim
         ones = Mat.ones(1, n)
-        memo, ref_memo, compiled = {}, {}, {}
+        ref_memo = {}
         for lhs_t, rhs_t in _rules(rng):
             forms = []
             for t in (lhs_t, rhs_t):
-                full = eval_term(interp, t, None, memo, compiled)
+                full = eval_term(interp, t)
                 ref_full = ref.eval_term(interp, t, None, ref_memo)
                 assert full == ref_full
-                projected = eval_term(interp, t, ones, None, compiled)
+                projected = eval_term(interp, t, ones)
                 ref_projected = ref.eval_term(interp, t, ones)
                 assert projected == ref_projected
                 # any single row, over any denominator
                 row = _row(rng, n)
-                assert eval_term(interp, t, row, None, compiled) == ref.eval_term(interp, t, row)
+                assert eval_term(interp, t, row) == ref.eval_term(interp, t, row)
                 forms.append((full, ref_full, projected, ref_projected))
             (lf, rlf, lp, rlp), (rf, rrf, rp, rrp) = forms
             _assert_verdicts_agree(rng, lf, rf, rlf, rrf, kinds)
             _assert_verdicts_agree(rng, lp, rp, rlp, rrp, kinds)
             _assert_entrywise_agree(lf, rf, rlf, rrf, entrywise_kinds)
             _assert_entrywise_agree(lp, rp, rlp, rrp, entrywise_kinds)
-        assert memo == ref_memo
+        # the interpretation keeps the full forms of every subterm it evaluated
+        assert interp._memo == ref_memo
     assert kinds == {"holds", "coeff", "const", "const margin"}
     assert entrywise_kinds == {"holds", "coeff", "const", "const first"}
 
@@ -201,11 +203,10 @@ def test_kernel_makes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", no_fraction)
     seen, entrywise_seen = set(), set()
     for interp, rules, ones, delta in cases:
-        memo, compiled = {}, {}
         for left in (None, ones):
             for lhs_t, rhs_t in rules:
-                lhs = eval_term(interp, lhs_t, left, memo, compiled)
-                rhs = eval_term(interp, rhs_t, left, memo, compiled)
+                lhs = eval_term(interp, lhs_t, left)
+                rhs = eval_term(interp, rhs_t, left)
                 for rel in ("weak", "strict"):
                     seen.add(_kind(check_value(lhs, rhs, rel, interp.shape.dim, delta)))
                     entrywise_seen.add(_entrywise_kind(check_entrywise(lhs, rhs, rel)))
@@ -243,7 +244,8 @@ def test_sparse_value_walk_agrees_with_reference():
     entries nonzero, or one more, or with none or one, evaluate as the
     reference does. The value walk takes the sparse step exactly on the
     matrices of dimension at least 8 with at most a quarter nonzero; one
-    compiled table serves the full and the projected walks, interleaved."""
+    interpretation's compiled views serve the full and the projected walks,
+    interleaved."""
     rng = random.Random(96)
     kinds = set()
     for n in (7, 8, 9, 16, 64):
@@ -258,19 +260,15 @@ def test_sparse_value_walk_agrees_with_reference():
                                                    for _ in range(n)]))
                          for s, arity in (("c", 0), ("h", 1), ("p", 2))}
                 interp = Interpretation(BlockShape(n), "rational", table)
-                compiled = {}
                 ones = Mat.ones(1, n)
                 for lhs_t, rhs_t in list(_rules(rng))[:3]:
                     for t in (lhs_t, rhs_t):
                         if n <= 16:
-                            assert eval_term(interp, t, None, {}, compiled) == \
-                                ref.eval_term(interp, t)
-                        assert eval_term(interp, t, ones, None, compiled) == \
-                            ref.eval_term(interp, t, ones)
+                            assert eval_term(interp, t) == ref.eval_term(interp, t)
+                        assert eval_term(interp, t, ones) == ref.eval_term(interp, t, ones)
                         row = _row(rng, n)
-                        assert eval_term(interp, t, row, None, compiled) == \
-                            ref.eval_term(interp, t, row)
-                for _, _, sparse in compiled["columns"]["p"][0]:
+                        assert eval_term(interp, t, row) == ref.eval_term(interp, t, row)
+                for _, _, sparse in interp.table["p"].columns:
                     kinds.add((n >= 8 and nonzeros <= quarter, sparse is not None,
                                sparse is not None and sparse[1] is None))
     # sparse exactly where the rule says, with and without weights
@@ -299,3 +297,29 @@ def test_value_check_of_bit_interpretation_takes_sparse_steps(monkeypatch):
     want = check_problem(trs, [], source, "value")
     assert [c.verdict.holds for c in report.checks] == [c.verdict.holds for c in want.checks]
     assert calls
+
+
+def test_checks_of_one_interpretation_compile_each_matrix_once(monkeypatch):
+    """Checks of one interpretation, like the checks before and after a
+    transform, share what they compile: two value and two entrywise
+    check_problem calls compile each argument matrix's row view and column
+    view once in total, and the second entrywise check builds no full form."""
+    trs = parse_trs(read("relative.trs"))
+    interp = parse_interpretation(read("relative.interp"))
+    counts = Counter()
+    for name in ("_rows", "_columns"):
+        def counting(mat, *args, original=getattr(interp_module, name), name=name):
+            counts[name, id(mat)] += 1
+            return original(mat, *args)
+
+        monkeypatch.setattr(interp_module, name, counting)
+    reports, memos = [], []
+    for backend in ("value", "entrywise") * 2:
+        reports.append(check_problem(trs, [], interp, backend))
+        memos.append(dict(getattr(interp, "_memo", {})))
+    assert reports[:2] == reports[2:]
+    mats = [id(mat) for func in interp.table.values() for mat in func.mats]
+    assert len(mats) == 4
+    assert counts == Counter({(name, m): 1 for name in ("_rows", "_columns") for m in mats})
+    assert memos[1] and memos[1] == memos[3]
+    assert all(interp._memo[t] is form for t, form in memos[1].items())
