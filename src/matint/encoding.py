@@ -55,11 +55,15 @@ def _upper_block(dim: int, top_left: Mat, top_right: Mat) -> Mat:
     ])
 
 
+# the unit encoding of size n, spelled unit:n or unit(n)
+_UNIT = re.compile(r"unit(?::(\d+)|\((\d+)\))")
+
+
 def catalog(name: str) -> Encoding:
     """Known-good encodings: half, quarters, eighths, sixths, unit(n)."""
-    unit = re.fullmatch(r"unit[:(](\d+)\)?", name)
+    unit = _UNIT.fullmatch(name)
     if unit:
-        n = int(unit.group(1))
+        n = int(unit[1] or unit[2])
         if n < 2:
             raise EncodingError(f"unit({n}) has no value in (0,1)")
         return Encoding(n, {Fraction(1, n): jordan(n, n - 1)})
@@ -219,7 +223,7 @@ def format_encoding(enc: Encoding) -> str:
 
 def load_encoding(spec: str) -> Encoding:
     """Resolve a catalog name (half, quarters, eighths, sixths, unit:n) or file path."""
-    if spec in CATALOG_NAMES or re.fullmatch(r"unit[:(](\d+)\)?", spec):
+    if spec in CATALOG_NAMES or _UNIT.fullmatch(spec):
         return catalog(spec)
     try:
         with open(spec, encoding="utf-8") as fh:

@@ -546,12 +546,22 @@ class _DrawPool:
             self.rows += [flat[r * t:(r + 1) * t] for r in range(missing)]
 
     def lanes(self, r: int, w: int) -> int:
-        """Row r packed into lanes of w bits (w a multiple of 8)."""
+        """Row r packed into lanes of w bits (w a multiple of 8, and wider
+        than ``top``).
+
+        The little-endian bytes of the packed int are filled one byte plane
+        at a time: byte k of every draw goes to every (w/8)-th byte from k
+        on, in one strided slice assignment."""
         packed = self.packed.get((r, w))
         if packed is None:
-            nbytes = w // 8
-            packed = self.packed[r, w] = int.from_bytes(
-                b"".join([x.to_bytes(nbytes, "little") for x in self.rows[r]]), "little")
+            row, nbytes = self.rows[r], w // 8
+            buf = bytearray(nbytes * self.trials)
+            if self.top < 256:
+                buf[0::nbytes] = bytes(row)
+            else:
+                for k in range((self.top.bit_length() + 7) // 8):
+                    buf[k::nbytes] = bytes([x >> 8 * k & 255 for x in row])
+            packed = self.packed[r, w] = int.from_bytes(buf, "little")
         return packed
 
 
@@ -626,10 +636,11 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
         for v in variables:
             mat = form.coeff(v)
             nums, k = mat.nums, den // mat.den
+            # every row's block sums, row by row: b divides the row length,
+            # so stride b from offset s < b meets entry s of every block
+            sums = [k * s for s in map(sum, zip(*[nums[s::b] for s in range(b)]))]
             for i, row in enumerate(coeff_rows):
-                base = i * n
-                row.extend(k * sum(nums[base + j * b:base + (j + 1) * b])
-                           for j in range(beta))
+                row += sums[i * beta:(i + 1) * beta]
         k = scale // form.const.den
         const = [k * e for e in form.const.nums]
         if backend == "value":

@@ -169,7 +169,8 @@ class Trs:
         return format_trs(self)
 
 
-_PUNCT = {"(", ")", ","}
+# what can never be a name: punctuation, and None, which ends the token list
+_NOT_A_NAME = {"(", ")", ",", "->", None}
 
 
 # a token is '->' or one of '(),', or else a maximal run of characters that
@@ -177,57 +178,72 @@ _PUNCT = {"(", ")", ","}
 # looked ahead of only where one occurs, not at every character)
 _TOKEN = re.compile(r"->|[(),]|(?:[^\s(),-]+|-(?!>))+")
 
+# ';' starts a comment, which runs to the end of its line as str.splitlines()
+# ends lines. Every line break is whitespace, so no token spans two lines, and
+# tokens found over the whole text are the tokens found line by line.
+_COMMENT = re.compile(r";[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _strip_comments(text: str) -> str:
+    """``text`` with each comment replaced by a space (removing it would join
+    a carriage return before it and a line feed after it into one break)."""
+    return _COMMENT.sub(" ", text) if ";" in text else text
+
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """(token, line, col) with 1-based lines and columns; ';' starts a
-    comment to end of line."""
+    """(token, line, col) with 1-based lines and columns. ``parse_trs`` reads
+    the bare tokens and asks here for a position only to report an error."""
     return [(m[0], lineno, m.start() + 1)
-            for lineno, line in enumerate(text.splitlines(), start=1)
-            for m in _TOKEN.finditer(line.partition(";")[0])]
+            for lineno, line in enumerate(_strip_comments(text).splitlines(), start=1)
+            for m in _TOKEN.finditer(line)]
 
 
-# end of input: a token no parse step accepts, so the token list is never
-# read past it and needs no bounds check
-_END = (None, None, None)
-
-
-def _end_or(message: str, line: int, col: int) -> TrsError:
-    """The error for an unexpected token, or for the end of input."""
-    if line is None:
+def _error(text: str, i: int, message: str) -> TrsError:
+    """The error ``message`` at token i of ``text``, or the end-of-input error
+    when i is past the last token."""
+    tokens = _tokenize(text)
+    if i == len(tokens):
         return TrsError("unexpected end of input")
+    _, line, col = tokens[i]
     return TrsError(message, line, col)
 
 
-def _expect(tokens: list, i: int, want: str) -> int:
+def _expect(text: str, tokens: list, i: int, want: str) -> int:
     """The index after token i, which must be ``want``."""
-    tok, line, col = tokens[i]
-    if tok != want:
-        raise _end_or(f"expected {want!r}, got {tok!r}", line, col)
+    if tokens[i] != want:
+        raise _error(text, i, f"expected {want!r}, got {tokens[i]!r}")
     return i + 1
 
 
-def _parse_term(tokens: list, i: int, varnames: set[str]) -> tuple[Term, int]:
+def _parse_term(text: str, tokens: list, i: int, varnames: set[str],
+                apps: list) -> tuple[Term, int]:
     """Parse one term from token i on; returns it and the index after it.
-    Open applications wait on an explicit stack, so terms of any depth parse
-    without recursion."""
+    Each application's symbol is appended to ``apps`` in pre-order, with the
+    list its arguments are collected in, so its arity is known once the term
+    is parsed. Open applications wait on an explicit stack, so terms of any
+    depth parse without recursion."""
     open_apps: list[tuple[str, list]] = []
     while True:
-        tok, line, col = tokens[i]
-        if tok is None or tok in _PUNCT or tok == "->":
-            raise _end_or(f"expected a term, got {tok!r}", line, col)
+        tok = tokens[i]
+        if tok in _NOT_A_NAME:
+            raise _error(text, i, f"expected a term, got {tok!r}")
         i += 1
-        if tokens[i][0] == "(":
+        if tokens[i] == "(":
             if tok in varnames:
-                raise TrsError(f"variable {tok!r} used with arguments", line, col)
+                raise _error(text, i - 1, f"variable {tok!r} used with arguments")
             i += 1
-            if tokens[i][0] != ")":
-                open_apps.append((tok, []))
+            if tokens[i] != ")":
+                args: list = []
+                apps.append((tok, args))
+                open_apps.append((tok, args))
                 continue
             i += 1
+            apps.append((tok, ()))
             term = App(tok)
         elif tok in varnames:
             term = Var(tok)
         else:
+            apps.append((tok, ()))
             term = App(tok)
         # hand the finished term to its parent, closing every application
         # whose last argument it is
@@ -236,71 +252,60 @@ def _parse_term(tokens: list, i: int, varnames: set[str]) -> tuple[Term, int]:
                 return term, i
             symbol, args = open_apps[-1]
             args.append(term)
-            tok, line, col = tokens[i]
+            tok = tokens[i]
             i += 1
             if tok == ",":
                 break
             if tok != ")":
-                raise _end_or(f"expected ')', got {tok!r}", line, col)
+                raise _error(text, i - 1, f"expected ')', got {tok!r}")
             open_apps.pop()
             term = App(symbol, tuple(args))
 
 
-def _check_arities(t: Term, signature: dict[str, int], line: int, col: int):
-    """Record each symbol's arity in pre-order; a second arity is an error."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var):
-            continue
-        seen = signature.get(s.symbol)
-        if seen is None:
-            signature[s.symbol] = len(s.args)
-        elif seen != len(s.args):
-            raise TrsError(
-                f"symbol {s.symbol!r} used with arity {len(s.args)} after arity {seen}",
-                line, col)
-        stack.extend(reversed(s.args))
-
-
 def parse_trs(text: str) -> Trs:
     """Parse ``(VAR x y) (RULES l -> r ...)``; infers the signature."""
-    tokens = _tokenize(text)
-    tokens.append(_END)
+    # the bare tokens, ended by None, which no parse step accepts, so the
+    # list is never read past it and needs no bounds check
+    tokens = _TOKEN.findall(_strip_comments(text))
+    tokens.append(None)
     i = 0
     varnames: set[str] = set()
     rules: list[Rule] = []
     signature: dict[str, int] = {}
     saw_rules = False
-    while tokens[i] is not _END:
-        i = _expect(tokens, i, "(")
-        tok, line, col = tokens[i]
+    while tokens[i] is not None:
+        i = _expect(text, tokens, i, "(")
+        tok = tokens[i]
         i += 1
         if tok == "VAR":
-            while tokens[i][0] != ")":
-                name, line, col = tokens[i]
-                if name is None or name in _PUNCT or name == "->":
-                    raise _end_or(f"bad variable name {name!r}", line, col)
+            while tokens[i] != ")":
+                name = tokens[i]
+                if name in _NOT_A_NAME:
+                    raise _error(text, i, f"bad variable name {name!r}")
                 varnames.add(name)
                 i += 1
             i += 1
         elif tok == "RULES":
             saw_rules = True
-            while tokens[i][0] != ")":
-                _, line, col = tokens[i]
-                lhs, i = _parse_term(tokens, i, varnames)
-                i = _expect(tokens, i, "->")
-                rhs, i = _parse_term(tokens, i, varnames)
+            while tokens[i] != ")":
+                start, apps = i, []
+                lhs, i = _parse_term(text, tokens, i, varnames, apps)
+                i = _expect(text, tokens, i, "->")
+                rhs, i = _parse_term(text, tokens, i, varnames, apps)
                 try:
                     rule = Rule(lhs, rhs)
                 except TrsError as exc:
-                    raise TrsError(str(exc), line, col) from None
-                _check_arities(lhs, signature, line, col)
-                _check_arities(rhs, signature, line, col)
+                    raise _error(text, start, str(exc)) from None
+                # each symbol's arity, in pre-order; a second arity is an error
+                for symbol, args in apps:
+                    seen = signature.setdefault(symbol, len(args))
+                    if seen != len(args):
+                        raise _error(text, start, f"symbol {symbol!r} used with arity "
+                                                  f"{len(args)} after arity {seen}")
                 rules.append(rule)
             i += 1
         else:
-            raise _end_or(f"unknown section {tok!r} (expected VAR or RULES)", line, col)
+            raise _error(text, i - 1, f"unknown section {tok!r} (expected VAR or RULES)")
     if not saw_rules:
         raise TrsError("missing (RULES ...) section")
     return Trs(frozenset(varnames), tuple(rules), signature)

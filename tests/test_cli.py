@@ -294,6 +294,19 @@ def test_validate_encoding_catalog(capsys):
     assert "product 1/2 * 1/3: value ok, closed yes" in out
 
 
+def test_validate_encoding_unit_spellings(capsys, tmp_path, monkeypatch):
+    # unit:n and unit(n) name the catalog's unit encoding; an unbalanced
+    # spelling is no catalog name, and no file of that name exists here
+    monkeypatch.chdir(tmp_path)
+    for spec in ("unit:3", "unit(3)"):
+        code, out, _ = run(capsys, "validate-encoding", "--encoding", spec)
+        assert code == 0 and "RESULT: VALID" in out, spec
+    for spec in ("unit(3", "unit:3)"):
+        code, out, err = run(capsys, "validate-encoding", "--encoding", spec)
+        assert code == 2 and out == "", spec
+        assert f"{spec!r} is neither a catalog encoding nor a readable file" in err
+
+
 def test_validate_encoding_invalid(capsys, tmp_path):
     enc = tmp_path / "bad.enc"
     enc.write_text("encoding dim 2\nvalue 1/2 = [1 1 ; 0 0]\n", encoding="utf-8")

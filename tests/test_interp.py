@@ -631,7 +631,7 @@ def _reference_witness(lhs, rhs, rel, shape, backend, m, delta, trials, bound, s
 
 def test_sample_falsify_same_witness_on_full_and_projected_forms():
     rng = random.Random(37)
-    found = set()
+    found, wide = set(), set()
     for _ in range(60):
         interp = _rand_interp(rng)
         shape, n = interp.shape, interp.shape.dim
@@ -639,7 +639,9 @@ def test_sample_falsify_same_witness_on_full_and_projected_forms():
         full = [eval_term(interp, t) for t in terms]
         projected = [eval_term(interp, t, Mat.ones(1, n)) for t in terms]
         seed = rng.choice((0, -5, 2 ** 70, rng.randrange(1000)))
-        bound = rng.choice((0, 1, 3, 10))
+        # draws above 255 take two bytes of a lane: a natural bound of 300,
+        # a rational one of 200 (drawn in halves, so up to 400)
+        bound = rng.choice((0, 1, 3, 10, 300 if interp.domain == "natural" else 200))
         for rel, delta in (("weak", None), ("strict", F(1, n)),
                            ("strict", F(rng.randint(1, 4), rng.randint(1, 4)))):
             kw = dict(m=n, delta=delta, trials=30, bound=bound, seed=seed,
@@ -648,10 +650,13 @@ def test_sample_falsify_same_witness_on_full_and_projected_forms():
             assert sample_falsify(*full, rel, shape, "value", **kw) == want
             assert sample_falsify(*projected, rel, shape, "value", **kw) == want
             found.add((rel, shape.block, want is None))
+            if bound > 10:
+                wide.add((interp.domain, want is None))
             want = _reference_witness(*full, rel, shape, "entrywise", **kw)
             assert sample_falsify(*full, rel, shape, "entrywise", **kw) == want
     assert {(rel, block, False) for rel in ("weak", "strict") for block in (1, 2)} <= found
     assert ("weak", 2, True) in found and ("strict", 2, True) in found
+    assert {(domain, False) for domain in ("natural", "rational")} <= wide
 
 
 def test_sample_falsify_big_values_stay_exact():

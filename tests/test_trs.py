@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matint import (App, Rule, TrsError, Var, dependency_pairs, format_trs,
+from matint import (App, Rule, Trs, TrsError, Var, dependency_pairs, format_trs,
                     parse_trs, sharp_name, subterms)
-from matint.trs import _tokenize
+from matint.trs import _TOKEN, _strip_comments, _tokenize
 from _helpers import read
 
 
@@ -24,6 +25,13 @@ def test_parse_empty_rules():
 def test_parse_constants_with_and_without_parens():
     trs = parse_trs("(VAR x) (RULES a -> b()  f(a,x) -> x)")
     assert trs.signature == {"a": 0, "b": 0, "f": 2}
+
+
+def test_signature_in_pre_order():
+    # symbols enter the signature as a pre-order walk meets them: lhs before
+    # rhs, rule by rule
+    trs = parse_trs("(VAR x) (RULES f(g(x), h(a)) -> k(b(), x)  c -> g(f(a, c)))")
+    assert list(trs.signature) == ["f", "g", "h", "a", "k", "b", "c"]
 
 
 def test_variable_lhs_rejected():
@@ -205,6 +213,11 @@ def test_tokenize_positions():
     ("(VAR x) (RULES f(x -> x)", "line 1, column 20: expected ')', got '->'"),
     ("(VAR x) (RULES f(,) -> x)", "line 1, column 18: expected a term, got ','"),
     ("(VAR x) (RULES x(y) -> x)", "line 1, column 16: variable 'x' used with arguments"),
+    # arities are checked in pre-order, and reported at the rule's first token
+    ("(VAR x) (RULES f(f(x,x)) -> x)",
+     "line 1, column 16: symbol 'f' used with arity 2 after arity 1"),
+    ("(VAR x) (RULES g(h(x), h) -> x h(a) -> a)",
+     "line 1, column 16: symbol 'h' used with arity 0 after arity 1"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(TrsError) as info:
@@ -237,12 +250,17 @@ def _tokenize_by_char(text):
     return out
 
 
+_ALPHABET = "ab#-->(),; \t\n\r\x0b\x0c\x1c\x85\xa0 　"
+
+
 def test_tokenize_matches_char_scan():
     rng = random.Random(5)
-    alphabet = "ab#-->(),; \t\n\r\x0b\x0c\x1c\x85\xa0 　"
     for _ in range(2000):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        assert _tokenize(text) == _tokenize_by_char(text), repr(text)
+        text = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 30)))
+        want = _tokenize_by_char(text)
+        assert _tokenize(text) == want, repr(text)
+        # parse_trs's bare tokens over the whole text are the same tokens
+        assert _TOKEN.findall(_strip_comments(text)) == [tok for tok, _, _ in want], repr(text)
 
 
 class _RefParser:
@@ -336,7 +354,7 @@ def test_parse_matches_reference_parser_on_damaged_inputs():
     # well-formed systems with a few tokens deleted, inserted or replaced:
     # the same TRS, or the same first error at the same position
     rng = random.Random(23)
-    words = ["(", ")", ",", "->", "VAR", "RULES", "x", "y", "f", "g", "a"]
+    words = ["(", ")", ",", "->", "VAR", "RULES", "x", "y", "f", "g", "a", ";", "\r", "\x85"]
 
     def term(depth):
         if depth == 0 or rng.random() < 0.3:
@@ -365,3 +383,23 @@ def test_parse_matches_reference_parser_on_damaged_inputs():
         kinds.add(want[1].split(": ")[-1].split()[0] if want[0] == "error" else "ok")
     assert {"ok", "expected", "unexpected", "symbol", "right-hand", "variable",
             "unknown"} <= kinds
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.sampled_from(["", "(VAR a)", "(RULES ", "(VAR a b)\n(RULES "]),
+       st.lists(st.sampled_from([*_ALPHABET, "VAR", "RULES", "a(b)->b ", "b(a,a)->a "]),
+                max_size=30),
+       st.sampled_from(["", ")"]))
+def test_parse_fuzzed_text_matches_reference_parser(head, pieces, tail):
+    # the alphabet's characters, among section heads and whole rules so that
+    # some texts parse
+    text = head + "".join(pieces) + tail
+    # only a Trs or a TrsError comes out ...
+    try:
+        result = parse_trs(text)
+    except TrsError:
+        pass
+    else:
+        assert isinstance(result, Trs)
+    # ... and it is the reference parser's outcome
+    assert _outcome(parse_trs, text) == _outcome(lambda s: _RefParser(s).trs(), text)
