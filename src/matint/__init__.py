@@ -10,8 +10,8 @@ from .constraints import (ArithConstraint, ConstraintError, EvalResult,
                           generate_arith_constraints, make_valuation,
                           parse_pinterp, parse_valuation)
 from .encoding import (Encoding, EncodingError, EncodingReport, catalog,
-                       format_encoding, is_compatible, load_encoding,
-                       parse_encoding, required_products, validate)
+                       is_compatible, load_encoding, parse_encoding,
+                       required_products, validate)
 from .interp import (BlockShape, CheckReport, ConstraintCheck, Interpretation,
                      InterpError, LinearForm, LinearFunc, Verdict, check_entrywise,
                      check_problem, check_value, collapse_interpretation, eval_term,

@@ -31,7 +31,9 @@ INPUT_ERRORS = (TrsError, InterpError, MatrixError, EncodingError,
 
 class _Sources:
     """Loads input files so errors carry the file name. Each input is parsed
-    once per path, however often a subcommand asks for it."""
+    once per path, however often a subcommand asks for it. With --trs given,
+    an interpretation or parametric interpretation is checked against the
+    signature of the TRS and its pairs as it is loaded."""
 
     def __init__(self, args):
         self.args = args
@@ -58,15 +60,20 @@ class _Sources:
         if spec == "none":
             return ()
         if spec == "auto":
-            return dependency_pairs(self.trs())
+            return self._load(spec, lambda _: dependency_pairs(self.trs()), "pairs")
         return self._parse(spec, parse_trs, "pairs").rules
 
-    def interp(self, signature=None):
-        return self._parse(self.args.interp,
-                           lambda text: parse_interpretation(text, signature), "interp")
+    def interp(self):
+        interp = self._parse(self.args.interp, parse_interpretation, "interp")
+        self._check_signature({s: len(f.mats) for s, f in interp.table.items()},
+                              "interp", self.args.interp)
+        return interp
 
     def pinterp(self):
-        return self._parse(self.args.pinterp, parse_pinterp, "pinterp")
+        pi = self._parse(self.args.pinterp, parse_pinterp, "pinterp")
+        self._check_signature({s: len(coeffs) for s, (coeffs, _) in pi.table.items()},
+                              "pinterp", self.args.pinterp)
+        return pi
 
     def valuation(self):
         return self._parse(self.args.valuation, parse_valuation, "valuation")
@@ -74,15 +81,32 @@ class _Sources:
     def encoding(self):
         return self._load(self.args.encoding, load_encoding, "encoding")
 
+    def _check_signature(self, arities, what, path):
+        """With --trs given, every symbol of the TRS and its pairs must be
+        interpreted at its arity; else an input error names the file."""
+        if getattr(self.args, "trs", None) is None:
+            return
+        for symbol, want in _signature(self.trs(), self.pairs()).items():
+            if symbol not in arities:
+                problem = f"symbol {symbol!r} of the TRS is uninterpreted"
+            elif arities[symbol] != want:
+                problem = (f"symbol {symbol!r} has arity {want} in the TRS but "
+                           f"{arities[symbol]} " + ("argument matrices" if what == "interp"
+                                                    else "coefficient parameters"))
+            else:
+                continue
+            raise SystemExit(_usage_error(f"{what} {path}: {problem}"))
+
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
-def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_out(args, text: str):
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
+    print(f"# wrote {args.out}")
 
 
 def _usage_error(message: str) -> int:
@@ -118,7 +142,7 @@ def cmd_check(args) -> int:
     src = _Sources(args)
     trs = src.trs()
     pairs = src.pairs()
-    interp = src.interp(_signature(trs, pairs))
+    interp = src.interp()
     report = check_problem(trs, pairs, interp, args.backend,
                            m=args.m, delta=args.delta, trials=args.trials,
                            bound=args.bound, seed=args.seed)
@@ -165,8 +189,7 @@ def cmd_dps(args) -> int:
     for pair in pairs:
         print(f"{_rename_root(pair.lhs, names)} -> {_rename_root(pair.rhs, names)}")
     if args.out:
-        _write(args.out, format_trs(Trs(trs.variables, pairs, _signature(trs, pairs))))
-        print(f"# wrote {args.out}")
+        _write_out(args, format_trs(Trs(trs.variables, pairs, _signature(trs, pairs))))
     print("RESULT: OK")
     return 0
 
@@ -203,16 +226,16 @@ def cmd_eval_valuation(args) -> int:
     return _result(ok, "SATISFIED", "VIOLATED")
 
 
-def _rho_line(preserved: bool) -> bool:
-    print(f"# rho preserved: {'yes' if preserved else 'NO'}")
-    return preserved
-
-
-def _finish_transform(args, src, before, after, preserved, promise) -> int:
-    """The tail of to-blocks, to-bits and expand: when rho is preserved and a
-    TRS is supplied, compare the before/after verdicts; then write --out."""
-    agree = preserved
-    if preserved and args.trs:
+def _finish_transform(args, src, before, after, b, promise) -> int:
+    """The tail of to-blocks, to-bits and expand: the blockwise rho check at
+    factor ``b`` (None when nothing was transformed); when rho is preserved
+    and a TRS is supplied, compare the before/after verdicts; then write
+    --out."""
+    agree = True
+    if b is not None:
+        agree = rho_preserved(before, after, b)
+        print(f"# rho preserved: {'yes' if agree else 'NO'}")
+    if agree and args.trs:
         report = verify_transform(src.trs(), src.pairs(), before, after, promise,
                                   delta=args.delta)
         print(f"# before [value, m {report.before.m}, delta {report.before.delta}]: "
@@ -222,8 +245,7 @@ def _finish_transform(args, src, before, after, preserved, promise) -> int:
         print(f"# agreement ({promise}): {'yes' if report.agree else 'NO'}")
         agree = report.agree
     if args.out:
-        _write(args.out, format_interpretation(after))
-        print(f"# wrote {args.out}")
+        _write_out(args, format_interpretation(after))
     return _result(agree, "VERIFIED", "DISAGREEMENT")
 
 
@@ -234,12 +256,11 @@ def cmd_to_blocks(args) -> int:
     factor = lifted.shape.dim // interp.shape.dim
     if factor == 1:
         print("# already bit-valued; interpretation unchanged")
-        preserved = True
     else:
         print(f"# factor {factor}: dim {interp.shape.dim} -> {lifted.shape.dim}, "
               f"block {interp.shape.block} -> {lifted.shape.block}")
-        preserved = _rho_line(rho_preserved(interp, lifted, factor))
-    return _finish_transform(args, src, interp, lifted, preserved, "equivalence")
+    return _finish_transform(args, src, interp, lifted, factor if factor > 1 else None,
+                             "equivalence")
 
 
 def cmd_to_bits(args) -> int:
@@ -251,8 +272,7 @@ def cmd_to_bits(args) -> int:
     # a lift keeps every nonzero entry >= 1 and stops once none is above 1
     print(f"# final scale {trace.final_scale}, dim {bits.shape.dim}, "
           f"max matrix entry {min(interp.max_entry(matrices_only=True), 1)}")
-    preserved = _rho_line(rho_preserved(interp, bits, trace.final_scale))
-    return _finish_transform(args, src, interp, bits, preserved, "equivalence")
+    return _finish_transform(args, src, interp, bits, trace.final_scale, "equivalence")
 
 
 def cmd_expand(args) -> int:
@@ -280,8 +300,7 @@ def cmd_expand(args) -> int:
     expanded = expand_rational(rational, enc)
     print(f"# expanded: dim {rational.shape.dim} -> {expanded.shape.dim} "
           f"(encoding dim {enc.dim})")
-    preserved = _rho_line(rho_preserved(rational, expanded, enc.dim))
-    return _finish_transform(args, src, rational, expanded, preserved, "forward")
+    return _finish_transform(args, src, rational, expanded, enc.dim, "forward")
 
 
 def cmd_validate_encoding(args) -> int:
@@ -345,8 +364,7 @@ def cmd_collapse(args) -> int:
     print(f"# collapsed: dim {interp.shape.dim} -> {collapsed.shape.dim} "
           f"(block {block}), domain {collapsed.domain}")
     if args.out:
-        _write(args.out, format_interpretation(collapsed))
-        print(f"# wrote {args.out}")
+        _write_out(args, format_interpretation(collapsed))
     return _result(True, "COLLAPSED", "")
 
 
@@ -377,6 +395,60 @@ def _delta(text: str) -> Fraction:
     return value
 
 
+# Every option once, with the argparse keywords it has in every subcommand
+# that takes it.
+_OPTIONS = {
+    "trs": dict(help="rules file; the transforms verify their output against it"),
+    "pairs": dict(default="none",
+                  help="'auto' for dependency pairs, 'none', or a pairs file"),
+    "interp": dict(help="interpretation file"),
+    "pinterp": dict(help="parametric interpretation file"),
+    "valuation": dict(help="valuation of the parametric interpretation's parameters"),
+    "encoding": dict(help="catalog name (half, quarters, eighths, sixths, unit:n) or file"),
+    "backend": dict(choices=("entrywise", "value"), default="value",
+                    help="matrix ordering to check under"),
+    "m": dict(type=_positive, help="value-backend divisor (default: dimension)"),
+    "delta": dict(type=_delta,
+                  help="strictness margin (default: file delta, else 1/m; "
+                       "eval-valuation: any positive gap)"),
+    "trials": dict(type=_natural, default=0,
+                   help="cross-check Holds verdicts on this many sampled tuples"),
+    "bound": dict(type=_natural, default=10,
+                  help="sampled block values range over [0, bound]"),
+    "seed": dict(type=int, default=0, help="sampling seed"),
+    "legacy-names": dict(action="store_true", help="render f# as F when unambiguous"),
+    "factor": dict(type=_positive, help="lift factor (default: max entry)"),
+    "block": dict(type=_positive, help="block size to collapse (default: the file's block)"),
+    "out": dict(help="also write the resulting pairs or interpretation to this file"),
+}
+
+# Each subcommand: its handler, its help and the options it takes, in --help
+# order; a trailing "!" marks a required option.
+_COMMANDS = {
+    "check": (cmd_check, "check rules weakly and pairs strictly",
+              "trs! pairs interp! backend m delta trials bound seed"),
+    "dps": (cmd_dps, "print dependency pairs", "trs! legacy-names out"),
+    "gen-constraints": (cmd_gen_constraints, "generate symbolic arithmetic constraints",
+                        "trs! pairs pinterp!"),
+    "eval-valuation": (cmd_eval_valuation,
+                       "evaluate generated constraints under a valuation",
+                       "trs! pairs pinterp! valuation! delta"),
+    "to-blocks": (cmd_to_blocks, "lift a natural interpretation blockwise",
+                  "interp! factor out trs pairs delta"),
+    "to-bits": (cmd_to_bits, "iterate lifts until matrices are bit",
+                "interp! out trs pairs delta"),
+    "expand": (cmd_expand, "expand rational entries through an encoding",
+               "interp pinterp valuation encoding! trs pairs delta out"),
+    "validate-encoding": (cmd_validate_encoding,
+                          "check an encoding's value and product conditions", "encoding!"),
+    "compat": (cmd_compat,
+               "check an encoding against the required products of a constraint set",
+               "trs! pairs pinterp! valuation! encoding!"),
+    "collapse": (cmd_collapse, "collapse const+scalar blocks to their rho values",
+                 "interp! block out"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it
@@ -386,94 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matrix interpretations over exact rationals: constraint "
                     "checking, bit-matrix lifts, rational-to-natural expansion.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    p = add("check", cmd_check, "check rules weakly and pairs strictly")
-    p.add_argument("--trs", required=True)
-    p.add_argument("--pairs", default="none",
-                   help="'auto' for dependency pairs, 'none', or a pairs file")
-    p.add_argument("--interp", required=True)
-    p.add_argument("--backend", choices=("entrywise", "value"), default="value")
-    p.add_argument("--m", type=_positive, default=None,
-                   help="value-backend divisor (default: dimension)")
-    p.add_argument("--delta", type=_delta, default=None,
-                   help="strictness margin (default: file delta, else 1/m)")
-    p.add_argument("--trials", type=_natural, default=0,
-                   help="cross-check Holds verdicts on this many sampled tuples")
-    p.add_argument("--bound", type=_natural, default=10,
-                   help="sampled block values range over [0, bound]")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-
-    p = add("dps", cmd_dps, "print dependency pairs")
-    p.add_argument("--trs", required=True)
-    p.add_argument("--legacy-names", action="store_true",
-                   help="render f# as F when unambiguous")
-    p.add_argument("--out", default=None,
-                   help="also write the pairs as a loadable rules file")
-
-    p = add("gen-constraints", cmd_gen_constraints,
-            "generate symbolic arithmetic constraints")
-    p.add_argument("--trs", required=True)
-    p.add_argument("--pairs", default="none")
-    p.add_argument("--pinterp", required=True)
-
-    p = add("eval-valuation", cmd_eval_valuation,
-            "evaluate generated constraints under a valuation")
-    p.add_argument("--trs", required=True)
-    p.add_argument("--pairs", default="none")
-    p.add_argument("--pinterp", required=True)
-    p.add_argument("--valuation", required=True)
-    p.add_argument("--delta", type=_delta, default=None)
-
-    p = add("to-blocks", cmd_to_blocks, "lift a natural interpretation blockwise")
-    p.add_argument("--interp", required=True)
-    p.add_argument("--factor", type=_positive, default=None,
-                   help="lift factor (default: max entry)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--trs", default=None)
-    p.add_argument("--pairs", default="none")
-    p.add_argument("--delta", type=_delta, default=None)
-
-    p = add("to-bits", cmd_to_bits, "iterate lifts until matrices are bit")
-    p.add_argument("--interp", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--trs", default=None)
-    p.add_argument("--pairs", default="none")
-    p.add_argument("--delta", type=_delta, default=None)
-
-    p = add("expand", cmd_expand, "expand rational entries through an encoding")
-    p.add_argument("--interp", default=None, help="rational interpretation file")
-    p.add_argument("--pinterp", default=None)
-    p.add_argument("--valuation", default=None)
-    p.add_argument("--encoding", required=True,
-                   help="catalog name (half, quarters, eighths, sixths, unit:n) or file")
-    p.add_argument("--trs", default=None)
-    p.add_argument("--pairs", default="none")
-    p.add_argument("--delta", type=_delta, default=None)
-    p.add_argument("--out", default=None)
-
-    p = add("validate-encoding", cmd_validate_encoding,
-            "check an encoding's value and product conditions")
-    p.add_argument("--encoding", required=True)
-
-    p = add("compat", cmd_compat,
-            "check an encoding against the required products of a constraint set")
-    p.add_argument("--trs", required=True)
-    p.add_argument("--pairs", default="none")
-    p.add_argument("--pinterp", required=True)
-    p.add_argument("--valuation", required=True)
-    p.add_argument("--encoding", required=True)
-
-    p = add("collapse", cmd_collapse,
-            "collapse const+scalar blocks to their rho values")
-    p.add_argument("--interp", required=True)
-    p.add_argument("--block", type=_positive, default=None)
-    p.add_argument("--out", default=None)
-
+        for option in options.split():
+            name = option.rstrip("!")
+            p.add_argument(f"--{name}", required=option.endswith("!"), **_OPTIONS[name])
     return parser
 
 

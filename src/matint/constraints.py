@@ -122,6 +122,10 @@ def _sym_eval(t: Term, pi: ParamInterpretation) -> tuple[dict[str, list[Word]], 
             raise ConstraintError(f"uninterpreted symbol {node.symbol!r}")
         else:
             coeff_params, const_param = pi.table[node.symbol]
+            if len(coeff_params) != len(node.args):
+                raise ConstraintError(
+                    f"symbol {node.symbol!r} has arity {len(coeff_params)} in the "
+                    f"parametric interpretation, used with {len(node.args)} argument(s)")
             stack.append((None, prefix + (const_param,)))
             for param, arg in reversed(list(zip(coeff_params, node.args))):
                 stack.append((arg, prefix + (param,)))
@@ -220,10 +224,6 @@ def _word_value(word: Word, eta: dict[str, Rat]):
         return prod([eta[param] for param in word])
     except KeyError as exc:
         raise ConstraintError(f"unbound parameter {exc.args[0]!r}") from None
-
-
-def eval_word(word: Word, eta: dict[str, Rat]) -> Rat:
-    return as_rat(_word_value(word, eta))
 
 
 def eval_word_sum(ws: WordSum, eta: dict[str, Rat]) -> Rat:

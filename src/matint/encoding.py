@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constraints import ArithConstraint
-from .matrix import (Mat, Rat, as_rat, format_matrix, jordan, parse_matrix,
-                     parse_rat, strip_comment)
+from .matrix import (Mat, Rat, as_rat, jordan, parse_matrix, parse_rat,
+                     strip_comment)
 from .represent import rho
 
 
@@ -212,13 +212,6 @@ def parse_encoding(text: str) -> Encoding:
     if dim is None:
         raise EncodingError("missing 'encoding dim <n>' header")
     return Encoding(dim, table)
-
-
-def format_encoding(enc: Encoding) -> str:
-    lines = [f"encoding dim {enc.dim}"]
-    for value in sorted(enc.table, reverse=True):
-        lines.append(f"value {value} = {format_matrix(enc.table[value])}")
-    return "\n".join(lines) + "\n"
 
 
 def load_encoding(spec: str) -> Encoding:

@@ -744,7 +744,7 @@ def collapse_interpretation(interp: Interpretation, b: int = None) -> Interpreta
 
 # --- file format ---
 
-def parse_interpretation(text: str, signature: dict[str, int] = None) -> Interpretation:
+def parse_interpretation(text: str) -> Interpretation:
     """Parse the line-oriented interpretation format (see the file docs)."""
     domain = None
     dim = None
@@ -803,16 +803,7 @@ def parse_interpretation(text: str, signature: dict[str, int] = None) -> Interpr
     close_symbol(len(lines))
     if domain is None or dim is None:
         raise InterpError("missing 'domain' or 'dim' header")
-    interp = Interpretation(BlockShape(dim, block), domain, table, delta)
-    if signature is not None:
-        for symbol, want in signature.items():
-            if symbol not in table:
-                raise InterpError(f"symbol {symbol!r} of the TRS is uninterpreted")
-            if len(table[symbol].mats) != want:
-                raise InterpError(
-                    f"symbol {symbol!r} has arity {want} in the TRS but "
-                    f"{len(table[symbol].mats)} argument matrices")
-    return interp
+    return Interpretation(BlockShape(dim, block), domain, table, delta)
 
 
 def format_interpretation(interp: Interpretation) -> str:

@@ -127,16 +127,6 @@ class Mat:
     # --- constructors ---
 
     @classmethod
-    def from_rows(cls, rows) -> Mat:
-        rows = [list(r) for r in rows]
-        if not rows or not rows[0]:
-            raise MatrixError("matrix needs at least one row and one column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise MatrixError("ragged rows in matrix literal")
-        return cls(len(rows), width, tuple(e for r in rows for e in r))
-
-    @classmethod
     def zero(cls, rows: int, cols: int = None) -> Mat:
         return cls.constant(0, rows, cols)
 
@@ -236,9 +226,6 @@ class Mat:
             return Mat._derived(self.rows, k, out, self.den * other.den)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __pow__(self, k: int) -> Mat:
         if self.rows != self.cols:
             raise MatrixError("power of a non-square matrix")
@@ -266,27 +253,14 @@ class Mat:
         """The value num/den in canonical exact form."""
         return num // self.den if num % self.den == 0 else Fraction(num, self.den)
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def is_natural(self) -> bool:
         return self.den == 1 and min(self.nums) >= 0
 
     def is_bit(self) -> bool:
         return self.den == 1 and set(self.nums) <= {0, 1}
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def sum_entries(self) -> Rat:
-        return self._rat(sum(self.nums))
-
     def max_entry(self) -> Rat:
         return self._rat(max(self.nums))
-
-    def column_sums(self) -> tuple[Rat, ...]:
-        nums, c = self.nums, self.cols
-        return tuple(self._rat(sum(nums[j::c])) for j in range(c))
 
     def __str__(self) -> str:
         return format_matrix(self)
@@ -354,10 +328,10 @@ def _parse_row(items: list[str], fractions: bool) -> tuple[list[int], int]:
 def parse_matrix(text: str) -> Mat:
     """Parse the shared matrix literal ``[a b ; c d]`` (entries int or p/q).
 
-    Accepts and rejects exactly what ``parse_rat`` per entry and
-    ``Mat.from_rows`` would, with the same messages, but makes no Fraction:
-    each row is read as ints over one denominator, and the rows are brought
-    over their common denominator."""
+    Accepts and rejects exactly what ``parse_rat`` per entry and a check
+    for equal-length rows would, with the same messages, but makes no
+    Fraction: each row is read as ints over one denominator, and the rows
+    are brought over their common denominator."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise MatrixError(f"matrix literal must be bracketed: {text!r}")

@@ -13,7 +13,9 @@ apart with ``Mat.block``); ``interp_to_bits`` lifts one step at a time.
 ``strip_comment`` is the character loop that ``matint.matrix`` replaced by
 one regular expression. ``eval_word``/``eval_word_sum`` multiply and sum
 word values as Fractions, as ``matint.constraints`` did before it took
-``math.prod`` over the valuation's own values.
+``math.prod`` over the valuation's own values. ``from_rows``,
+``column_sums`` and ``sum_entries`` are the ``Mat`` helpers that only these
+references used.
 """
 
 from __future__ import annotations
@@ -25,6 +27,24 @@ from matint import (BlockShape, ConstraintError, EncodingError, Interpretation, 
                     LinearForm, LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict,
                     rho, validate)
 from matint.matrix import as_rat
+
+
+def from_rows(rows):
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        raise MatrixError("matrix needs at least one row and one column")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise MatrixError("ragged rows in matrix literal")
+    return Mat(len(rows), width, tuple(e for r in rows for e in r))
+
+
+def column_sums(a):
+    return tuple(as_rat(sum(a.entries[j::a.cols])) for j in range(a.cols))
+
+
+def sum_entries(a):
+    return as_rat(sum(a.entries))
 
 
 def _func(interp, node):
@@ -57,7 +77,7 @@ def eval_term(interp, t, left=None, memo=None):
         for mat, arg in reversed(tuple(zip(func.mats, node.args))):
             stack.append((arg, u * mat))
         const = const + u * func.const
-    coeffs = {v: m for v, m in coeffs.items() if not m.is_zero()}
+    coeffs = {v: m for v, m in coeffs.items() if any(m.nums)}
     return LinearForm(n, coeffs, const)
 
 
@@ -86,7 +106,7 @@ def _full_form(interp, t, memo):
                 parts = ((v, mat * c) for v, c in form.coeffs.items())
             for v, c in parts:
                 coeffs[v] = coeffs[v] + c if v in coeffs else c
-        memo[node] = LinearForm(n, {v: c for v, c in coeffs.items() if not c.is_zero()},
+        memo[node] = LinearForm(n, {v: c for v, c in coeffs.items() if any(c.nums)},
                                 const)
     return memo[t]
 
@@ -100,13 +120,13 @@ def check_value(lhs, rhs, rel, m, delta=None):
             raise InterpError("strict value comparison needs delta > 0")
     parts = []
     for var in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        lsums, rsums = lhs.coeff(var).column_sums(), rhs.coeff(var).column_sums()
+        lsums, rsums = column_sums(lhs.coeff(var)), column_sums(rhs.coeff(var))
         for j, (ls, rs) in enumerate(zip(lsums, rsums)):
             if ls < rs:
                 return Verdict(False,
                                f"coeff({var}): column {j + 1} sum {ls} < {rs}")
         parts.append(f"rho coeff({var}) {rho(m, lhs.coeff(var))} vs {rho(m, rhs.coeff(var))}")
-    lsum, rsum = lhs.const.sum_entries(), rhs.const.sum_entries()
+    lsum, rsum = sum_entries(lhs.const), sum_entries(rhs.const)
     margin = as_rat(Fraction(lsum - rsum, m))
     parts.append(f"rho const {rho(m, lhs.const)} vs {rho(m, rhs.const)}")
     if lsum < rsum:
@@ -274,7 +294,7 @@ def expand_rational(interp, enc):
 
 def const_scalar_parts(a):
     """Decompose a square matrix as c*ones + s*I, or None (c = 0 at 1x1)."""
-    if not a.is_square():
+    if a.rows != a.cols:
         return None
     n = a.rows
     if n == 1:
@@ -299,7 +319,7 @@ def value_collapse(a, b):
             c, s = parts
             row.append(as_rat(b * Fraction(c) + s))
         rows.append(row)
-    return Mat.from_rows(rows)
+    return from_rows(rows)
 
 
 def collapse_vector(v, b):

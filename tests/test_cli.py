@@ -1,9 +1,11 @@
+import argparse
 import ast
 import importlib
 import importlib.util
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from math import prod
@@ -101,19 +103,49 @@ def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, option):
 
 
 def test_check_arity_mismatch_with_trs(capsys):
-    code, _, err = run(capsys, "check", "--trs", ENDR_TRS, "--interp", EX2)
-    assert code == 2
-    assert "arity 3" in err
+    # one check against the TRS and its pairs, for interp and pinterp alike
+    code, out, err = run(capsys, "check", "--trs", ENDR_TRS, "--interp", EX2)
+    assert (code, out, err) == (2, "", f"error: interp {EX2}: symbol 'f' has arity 3 "
+                                       "in the TRS but 1 argument matrices\n")
+    code, out, err = run(capsys, "gen-constraints", "--trs", ENDR_TRS, "--pinterp", PI)
+    assert (code, out, err) == (2, "", f"error: pinterp {PI}: symbol 'f' has arity 3 "
+                                       "in the TRS but 1 coefficient parameters\n")
 
 
 def test_check_uninterpreted_symbol(capsys, tmp_path):
     partial = tmp_path / "partial.interp"
     partial.write_text("domain natural\ndim 1\nblock 1\n"
                        "interp f : 1\n  M1 = [1]\n  C = [0]\n", encoding="utf-8")
-    code, _, err = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
-                       "--interp", str(partial))
-    assert code == 2
-    assert "uninterpreted" in err
+    code, out, err = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
+                         "--interp", str(partial))
+    assert (code, out, err) == (2, "", f"error: interp {partial}: symbol 'g' of the TRS "
+                                       "is uninterpreted\n")
+
+
+@pytest.mark.parametrize("tail", [
+    ("gen-constraints",),
+    ("eval-valuation", "--valuation", ETA),
+    ("compat", "--valuation", ETA, "--encoding", "half"),
+    ("expand", "--valuation", ETA, "--encoding", "half"),
+])
+def test_pinterp_arity_mismatch_is_an_input_error(capsys, tmp_path, tail):
+    # g : 0 under g(f(x)) once gave constraints that had lost the x under g
+    bad = tmp_path / "bad.pi"
+    bad.write_text("pinterp f : 1 = f1 | f0\npinterp g : 0 = | g0\n"
+                   "pinterp f# : 1 = F1 | F0\n", encoding="utf-8")
+    code, out, err = run(capsys, tail[0], "--trs", EX1, "--pairs", "auto",
+                         "--pinterp", str(bad), *tail[1:])
+    assert (code, out) == (2, "")
+    assert err == (f"error: pinterp {bad}: symbol 'g' has arity 1 in the TRS but "
+                   "0 coefficient parameters\n")
+
+
+@pytest.mark.parametrize("command", [("to-blocks",), ("to-bits",),
+                                     ("expand", "--encoding", "half")])
+def test_transforms_check_the_signature_before_any_report_line(capsys, command):
+    code, out, err = run(capsys, *command, "--interp", EX2, "--trs", ENDR_TRS)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: interp {EX2}: symbol 'f' has arity 3 in the TRS")
 
 
 def test_dps_output(capsys):
@@ -664,3 +696,37 @@ def test_bench_tracer_names_resolve():
                  and [t.id for t in node.targets] == ["SETUP_CODE"])
     assert "matint.cli.build_parser" in setup
     exec(compile(setup, "SETUP_CODE", "exec"), {})
+
+
+README_VERDICTS = {"check": "SATISFIED", "dps": "OK", "gen-constraints": "OK",
+                   "eval-valuation": "SATISFIED", "to-blocks": "VERIFIED",
+                   "to-bits": "VERIFIED", "expand": "VERIFIED",
+                   "validate-encoding": "VALID", "compat": "COMPATIBLE",
+                   "collapse": "COLLAPSED"}
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("matint ")]
+    # every subcommand is shown, in a directory that holds only data/
+    assert {argv[0] for argv in commands} == set(README_VERDICTS)
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines()[-1] == f"RESULT: {README_VERDICTS[argv[0]]}", argv
+
+
+def test_every_option_has_one_help_text():
+    from matint.cli import build_parser
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(commands) == set(README_VERDICTS)
+    helps = {}
+    for name, parser in commands.items():
+        for action in parser._actions:
+            assert action.help, (name, action.option_strings)
+            assert helps.setdefault(action.dest, action.help) == action.help, (name, action.dest)

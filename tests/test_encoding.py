@@ -5,10 +5,18 @@ from fractions import Fraction
 import pytest
 
 from matint import (ArithConstraint, Encoding, EncodingError, Mat, catalog,
-                    format_encoding, is_compatible, jordan, load_encoding,
+                    format_matrix, is_compatible, jordan, load_encoding,
                     make_valuation, parse_encoding, required_products, rho,
                     validate)
 from _helpers import rand_rat_mat
+
+
+def format_encoding(enc):
+    """The encoding file text that ``parse_encoding`` reads back."""
+    lines = [f"encoding dim {enc.dim}"]
+    for value in sorted(enc.table, reverse=True):
+        lines.append(f"value {value} = {format_matrix(enc.table[value])}")
+    return "\n".join(lines) + "\n"
 
 F = Fraction
 

@@ -12,6 +12,7 @@ from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
 import matint.interp as interp_module
 from matint.interp import _draws
 from matint.matrix import as_rat
+from _reference import from_rows
 from _helpers import (example_one, mixed_interp, rand_const_scalar_block_mat,
                       read)
 
@@ -76,12 +77,15 @@ def test_parse_negative_and_nonnatural_entries():
 
 
 def test_parse_signature_mismatch(ex2):
-    trs = parse_trs("(VAR x y) (RULES f(x,y) -> x)")
-    with pytest.raises(InterpError, match="arity"):
-        parse_interpretation(read("fg-natural.interp"), trs.signature)
-    with pytest.raises(InterpError, match="uninterpreted"):
-        parse_interpretation(read("fg-natural.interp"),
-                             parse_trs("(VAR x) (RULES h(x) -> x)").signature)
+    # parsing takes no signature; a TRS whose signature the interpretation
+    # does not match is refused when the interpretation is checked against it
+    for backend in ("entrywise", "value"):
+        trs = parse_trs("(VAR x y) (RULES f(x,y) -> x)")
+        with pytest.raises(InterpError, match="arity"):
+            check_problem(trs, (), ex2, backend)
+        trs = parse_trs("(VAR x) (RULES h(x) -> x)")
+        with pytest.raises(InterpError, match="uninterpreted"):
+            check_problem(trs, (), ex2, backend)
 
 
 def test_parse_structural_errors():
@@ -183,7 +187,7 @@ def _reference_form(interp, t):
         for var, coeff in sub_coeffs.items():
             coeffs[var] = coeffs.get(var, Mat.zero(n)) + mat * coeff
         const = const + mat * sub_const
-    return {v: c for v, c in coeffs.items() if not c.is_zero()}, const
+    return {v: c for v, c in coeffs.items() if any(c.nums)}, const
 
 
 def _ground_term(rng, depth):
@@ -298,7 +302,7 @@ def test_eval_term_deep_chain_without_recursion():
     assert full.coeffs == {"x": parse_matrix("[1 5000 ; 0 1]")}
     assert full.const == Mat.column([5000, 0])
     projected = eval_term(interp, t, Mat.ones(1, 2))
-    assert projected.coeffs == {"x": Mat.from_rows([[1, 5001]])}
+    assert projected.coeffs == {"x": from_rows([[1, 5001]])}
     assert projected.const == Mat(1, 1, (5000,))
 
 
@@ -479,7 +483,7 @@ def test_delta_chain_length_bound():
         dim = v.rows
         bound = m * F(rho(m, v)) + 1
         chain = [v]
-        while chain[-1].sum_entries() > 0:
+        while any(chain[-1].nums):
             entries = list(chain[-1].entries)
             i = max(range(dim), key=lambda k: entries[k])
             entries[i] -= 1
@@ -663,9 +667,9 @@ def test_sample_falsify_big_values_stay_exact():
     # values past 2**63 must not wrap around in machine ints
     shape = BlockShape(2, 1)
     big = 2 ** 61
-    lhs = LinearForm(2, {"x": Mat.from_rows([[big, 0], [0, big]])}, Mat.column([big, 0]))
-    rhs = LinearForm(2, {"x": Mat.from_rows([[big, 1], [0, big - 1]]),
-                         "y": Mat.from_rows([[1, 0], [0, 0]])}, Mat.column([0, 7]))
+    lhs = LinearForm(2, {"x": from_rows([[big, 0], [0, big]])}, Mat.column([big, 0]))
+    rhs = LinearForm(2, {"x": from_rows([[big, 1], [0, big - 1]]),
+                         "y": from_rows([[1, 0], [0, 0]])}, Mat.column([0, 7]))
     ones = Mat.ones(1, 2)
     for rel, delta in (("weak", None), ("strict", F(1, 5)), ("strict", F(big, 3))):
         for seed in (0, 1, 2):
@@ -682,11 +686,11 @@ def test_sample_falsify_big_values_stay_exact():
 def test_sample_falsify_mixed_denominators():
     # coefficients in thirds (and a sixth), constants in halves (and a
     # quarter): the sampler's common denominator must scale each exactly
-    lhs = LinearForm(2, {"x": Mat.from_rows([[F(1, 3), F(2, 3)], [0, F(4, 3)]]),
-                         "y": Mat.from_rows([[F(1, 6), 0], [F(2, 3), 0]])},
+    lhs = LinearForm(2, {"x": from_rows([[F(1, 3), F(2, 3)], [0, F(4, 3)]]),
+                         "y": from_rows([[F(1, 6), 0], [F(2, 3), 0]])},
                      Mat.column([F(1, 2), F(3, 2)]))
-    rhs = LinearForm(2, {"x": Mat.from_rows([[F(2, 3), 0], [F(1, 3), 1]]),
-                         "z": Mat.from_rows([[0, F(1, 3)], [0, 0]])},
+    rhs = LinearForm(2, {"x": from_rows([[F(2, 3), 0], [F(1, 3), 1]]),
+                         "z": from_rows([[0, F(1, 3)], [0, 0]])},
                      Mat.column([F(1, 4), F(1, 2)]))
     ones = Mat.ones(1, 2)
     projected = [LinearForm(2, {v: ones * c for v, c in f.coeffs.items()}, ones * f.const)
@@ -791,10 +795,10 @@ def test_sample_pool_is_keyed_by_seed_top_and_trials():
     # one pool across calls that differ in seed, bound, domain and trials
     # gives every call the witness it gets alone
     shape = BlockShape(2, 1)
-    lhs = LinearForm(2, {"x": Mat.from_rows([[1, 0], [0, 1]]),
-                         "y": Mat.from_rows([[0, 1], [1, 0]])}, Mat.column([2, 0]))
-    rhs = LinearForm(2, {"x": Mat.from_rows([[1, 1], [0, 0]]),
-                         "z": Mat.from_rows([[0, 0], [1, 1]])}, Mat.column([0, 3]))
+    lhs = LinearForm(2, {"x": from_rows([[1, 0], [0, 1]]),
+                         "y": from_rows([[0, 1], [1, 0]])}, Mat.column([2, 0]))
+    rhs = LinearForm(2, {"x": from_rows([[1, 1], [0, 0]]),
+                         "z": from_rows([[0, 0], [1, 1]])}, Mat.column([0, 3]))
     rng = random.Random(8)
     pool = {}
     outcomes = set()
@@ -813,7 +817,7 @@ def test_sample_pool_is_keyed_by_seed_top_and_trials():
 
 def _form(dim, coeffs, const):
     """A linear form from rows of coefficients per variable and a constant."""
-    return LinearForm(dim, {v: Mat.from_rows(rows) for v, rows in coeffs.items()},
+    return LinearForm(dim, {v: from_rows(rows) for v, rows in coeffs.items()},
                       Mat.column(const))
 
 

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import _reference as ref
-from _reference import Cmp, cmp_entrywise
+from _reference import Cmp, cmp_entrywise, from_rows
 from matint import Mat, MatrixError, format_matrix, jordan, parse_matrix, parse_rat
 from matint.matrix import as_rat, strip_comment
 
@@ -47,7 +47,7 @@ def test_matrix_literal_roundtrip():
 
 
 def _ref_parse_matrix(text):
-    """The literal parsed entry by entry with parse_rat, then Mat.from_rows."""
+    """The literal parsed entry by entry with parse_rat, then from_rows."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise MatrixError(f"matrix literal must be bracketed: {text!r}")
@@ -60,7 +60,7 @@ def _ref_parse_matrix(text):
         if not items:
             raise MatrixError(f"empty row in matrix literal: {text!r}")
         rows.append([parse_rat(item) for item in items])
-    return Mat.from_rows(rows)
+    return from_rows(rows)
 
 
 def _literal_outcome(parse, text):
@@ -172,7 +172,7 @@ def test_jordan_construction():
         assert jordan(n, 0) == Mat.identity(n)
     j42 = jordan(4, 2)
     assert j42.at(0, 2) == 1 and j42.at(1, 3) == 1
-    assert j42.sum_entries() == 2
+    assert sum(j42.nums) == 2
     assert j42 == jordan(4, 1) * jordan(4, 1)
     assert jordan(3, 3) == Mat.zero(3)
     assert jordan(3, 7) == Mat.zero(3)
@@ -269,9 +269,6 @@ class Ref:
         return Ref(self.cols, self.rows,
                    [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
 
-    def column_sums(self):
-        return [sum(self.e[j::self.cols]) for j in range(self.cols)]
-
     def literal(self):
         return "[" + " ; ".join(" ".join(map(str, self.e[i * self.cols:(i + 1) * self.cols]))
                                 for i in range(self.rows)) + "]"
@@ -302,12 +299,7 @@ def test_operations_match_fraction_reference():
         _assert_canonical(ma * mb, a * b)
         x = _rand_entries(rng, 1)[0]
         _assert_canonical(ma.scale(x), a.scale(x))
-        _assert_canonical(x * ma, a.scale(x))
         _assert_canonical(ma.transpose(), a.transpose())
-        assert ma.column_sums() == tuple(a.column_sums())
-        assert ma.sum_entries() == sum(a.e)
-        assert all(type(s) is int for s in ma.column_sums() if s.denominator == 1)
-        assert ma.is_zero() == all(e == 0 for e in a.e)
         assert str(ma) == format_matrix(ma) == a.literal()
         # the entrywise order across different denominators
         up = a + Ref(r, k, [abs(e) for e in _rand_entries(rng, r * k)])
@@ -343,7 +335,7 @@ def test_equal_values_are_equal_mats():
     assert half.scale(2) == Mat.ones(1, 2) and half.scale(2).den == 1
     assert Mat(1, 1, (Fraction(2, 3),)) * Mat(1, 1, (Fraction(3, 2),)) == Mat.identity(1)
     third = Mat(1, 2, (Fraction(1, 3), Fraction(-1, 3)))
-    assert (third + third.scale(-1)).den == 1 and (third + third.scale(-1)).is_zero()
+    assert (third + third.scale(-1)).den == 1 and not any((third + third.scale(-1)).nums)
     assert third.scale(-1) + third == Mat.zero(1, 2)
     assert len({half + half, Mat.ones(1, 2), Mat(1, 2, (Fraction(4, 4), 1))}) == 1
     assert half != Mat.ones(1, 2) and half != Mat(2, 1, (Fraction(1, 2),) * 2)

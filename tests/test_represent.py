@@ -8,6 +8,7 @@ from matint import (BlockShape, Interpretation, LinearFunc, Mat, MatrixError,
                     to_bit_matrix)
 from matint.represent import lift_blocks, substitute
 from matint.transform import _substitute
+from _reference import from_rows
 from _helpers import rand_nat_mat, rand_rat, rand_rat_mat
 
 
@@ -16,7 +17,7 @@ from _helpers import rand_nat_mat, rand_rat, rand_rat_mat
 # substitutes mu_int's block for every entry.
 
 def mu_int(n, x):
-    return Mat.from_rows(lift_blocks((n,))(x))
+    return from_rows(lift_blocks((n,))(x))
 
 
 def nu(n, x):
