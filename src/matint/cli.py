@@ -469,6 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Literals and reports may hold ints of any length. Pythons that limit
+    # int/str conversions (3.10.7 on) have that limit lifted for the call;
+    # the caller's own setting is restored after it.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -476,6 +483,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except INPUT_ERRORS as exc:
         return _usage_error(str(exc))
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

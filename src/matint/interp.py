@@ -57,8 +57,9 @@ class LinearFunc:
     """One symbol's function: argument matrices and a constant column vector.
 
     ``rows`` and ``columns`` are its matrices compiled for the two walks of
-    ``eval_term``, on first use. A LinearFunc and its Mats are immutable,
-    so the views never go stale: every later check reuses them.
+    ``eval_term``, on first use, once per distinct matrix object (a loader
+    shares one Mat between equal matrices). A LinearFunc and its Mats are
+    immutable, so the views never go stale: every later check reuses them.
     """
 
     mats: tuple[Mat, ...]
@@ -67,12 +68,24 @@ class LinearFunc:
     @cached_property
     def rows(self) -> tuple:
         """What the full-form fold reads: ``_rows`` of each argument matrix."""
-        return tuple(map(_rows, self.mats))
+        return _map_once(_rows, self.mats)
 
     @cached_property
     def columns(self) -> tuple:
         """What the value walk reads: ``_columns`` of each argument matrix."""
-        return tuple(map(_columns, self.mats))
+        return _map_once(_columns, self.mats)
+
+
+def _map_once(func, objs, done: dict = None) -> tuple:
+    """``tuple(map(func, objs))`` with one call per distinct object, also
+    over calls that pass the same ``done`` (object id to result; it must
+    not outlive the objects). Identity is the key, since hashing a big Mat
+    reads every entry."""
+    done = {} if done is None else done
+    for obj in objs:
+        if id(obj) not in done:
+            done[id(obj)] = func(obj)
+    return tuple(done[id(obj)] for obj in objs)
 
 
 @dataclass(frozen=True)
@@ -91,6 +104,7 @@ class Interpretation:
             raise InterpError(f"domain must be natural or rational, got {self.domain!r}")
         if self.delta is not None and self.delta <= 0:
             raise InterpError(f"delta must be positive, got {self.delta}")
+        checked = set()  # ids of the matrices whose entries passed
         for symbol, func in self.table.items():
             for k, mat in enumerate(func.mats, start=1):
                 if mat.shape != (n, n):
@@ -101,6 +115,9 @@ class Interpretation:
                     f"{symbol}: constant vector is {func.const.rows}x{func.const.cols}, "
                     f"need {n}x1")
             for mat in (*func.mats, func.const):
+                if id(mat) in checked:
+                    continue
+                checked.add(id(mat))
                 if min(mat.nums) < 0:
                     raise InterpError(f"{symbol}: negative entry")
                 # the entries are nonnegative here, so natural means integral
@@ -755,6 +772,15 @@ def parse_interpretation(text: str) -> Interpretation:
     mats: list[Mat] = []
     const: Mat | None = None
     arity = 0
+    # each distinct literal text is parsed once, into one shared Mat
+    literals: dict[str, Mat] = {}
+
+    def literal(line):
+        text = line.split("=", 1)[1].strip()
+        mat = literals.get(text)
+        if mat is None:
+            mat = literals[text] = parse_matrix(text)
+        return mat
 
     def close_symbol(lineno):
         if current is None:
@@ -791,11 +817,11 @@ def parse_interpretation(text: str) -> Interpretation:
                 idx = int(key[1:])
                 if current is None or idx != len(mats) + 1 or idx > arity:
                     raise ValueError(f"unexpected {key} (arity {arity})")
-                mats.append(parse_matrix(line.split("=", 1)[1]))
+                mats.append(literal(line))
             elif key == "C":
                 if current is None or const is not None:
                     raise ValueError("unexpected C line")
-                const = parse_matrix(line.split("=", 1)[1])
+                const = literal(line)
             else:
                 raise ValueError(f"unrecognized line {line!r}")
         except (ValueError, IndexError, MatrixError) as exc:
@@ -811,9 +837,10 @@ def format_interpretation(interp: Interpretation) -> str:
              f"block {interp.shape.block}"]
     if interp.delta is not None:
         lines.append(f"delta {interp.delta}")
+    rendered: dict = {}  # each distinct matrix object is rendered once
     for symbol, func in interp.table.items():
         lines.append(f"interp {symbol} : {len(func.mats)}")
-        for k, mat in enumerate(func.mats, start=1):
-            lines.append(f"  M{k} = {format_matrix(mat)}")
-        lines.append(f"  C = {format_matrix(func.const)}")
+        *mats, const = _map_once(format_matrix, (*func.mats, func.const), rendered)
+        lines += [f"  M{k} = {mat}" for k, mat in enumerate(mats, start=1)]
+        lines.append(f"  C = {const}")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 Rat = int | Fraction
@@ -302,27 +303,47 @@ def strip_comment(line: str) -> str:
     return line if found is None else line[:found.start()]
 
 
-def _parse_row(items: list[str], fractions: bool) -> tuple[list[int], int]:
-    """A literal's row as int numerators over one (not necessarily lowest)
-    positive denominator; ``fractions`` tells whether some entry has a '/'.
-    A bad entry is reported as ``parse_rat`` reports it."""
-    try:
-        if not fractions:
-            return list(map(int, items)), 1
-        pairs = []
-        for item in items:
-            num, slash, den = item.partition("/")
-            p, q = int(num), int(den) if slash else 1
-            if q == 0:
-                raise ZeroDivisionError
-            pairs.append((p, q))
-    except (ValueError, ZeroDivisionError):
-        for item in items:
-            parse_rat(item)
-        raise
+# the byte of each ASCII digit mapped to its value, and back
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_NOT_DIGITS = bytes(range(10, 256))
+
+
+def _parse_row(items: list[str], fractions: bool) -> tuple[list[int] | bytes, int]:
+    """Tokens as int numerators over one (not necessarily lowest) positive
+    denominator; ``fractions`` tells whether some token has a '/'. A
+    literal's tokens are read all at once: when each is one ASCII digit, as
+    in a bit matrix, by one byte translation (the bytes are the values),
+    without an ``int()`` call. A bad token raises ValueError or
+    ZeroDivisionError."""
+    if not fractions:
+        joined = "".join(items)
+        # isdigit alone would admit '²', which int() refuses, and digits
+        # like '٣', which int() reads but which are more than one byte
+        if len(joined) == len(items) and joined.isascii() and joined.isdigit():
+            return joined.encode().translate(_DIGIT_VALUES), 1
+        return list(map(int, items)), 1
+    pairs = []
+    for item in items:
+        num, slash, den = item.partition("/")
+        p, q = int(num), int(den) if slash else 1
+        if q == 0:
+            raise ZeroDivisionError
+        pairs.append((p, q))
     # lcm is positive, and den // q carries the sign of a negative q
     den = lcm(*[q for _, q in pairs])
     return [p * (den // q) for p, q in pairs], den
+
+
+def _raise_literal_error(text: str, rows: list[list[str]]):
+    """Raise the error of a literal that a bulk read refused, as a row by
+    row reader meets it: the first empty row or bad entry, else ragged rows."""
+    for items in rows:
+        if not items:
+            raise MatrixError(f"empty row in matrix literal: {text!r}")
+        for item in items:
+            parse_rat(item)
+    raise MatrixError("ragged rows in matrix literal")
 
 
 def parse_matrix(text: str) -> Mat:
@@ -330,28 +351,24 @@ def parse_matrix(text: str) -> Mat:
 
     Accepts and rejects exactly what ``parse_rat`` per entry and a check
     for equal-length rows would, with the same messages, but makes no
-    Fraction: each row is read as ints over one denominator, and the rows
-    are brought over their common denominator."""
+    Fraction: all tokens are read in one ``_parse_row`` call as ints over
+    one denominator, and the rows are only walked to name an error."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise MatrixError(f"matrix literal must be bracketed: {text!r}")
     body = text[1:-1].strip()
     if not body:
         raise MatrixError("empty matrix literal")
-    rows = []
-    for part in body.split(";"):
-        items = part.split()
-        if not items:
-            raise MatrixError(f"empty row in matrix literal: {text!r}")
-        rows.append(_parse_row(items, "/" in part))
-    width = len(rows[0][0])
-    if any(len(nums) != width for nums, _ in rows):
-        raise MatrixError("ragged rows in matrix literal")
-    den = lcm(*[d for _, d in rows])
-    flat = []
-    for nums, d in rows:
-        flat.extend(nums if d == den else [x * (den // d) for x in nums])
-    return Mat._derived(len(rows), width, flat, den)
+    rows = list(map(str.split, body.split(";")))
+    width = len(rows[0])
+    if width and set(map(len, rows)) == {width}:
+        try:
+            nums, den = _parse_row(list(chain.from_iterable(rows)), "/" in body)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            return Mat._derived(len(rows), width, nums, den)
+    _raise_literal_error(text, rows)
 
 
 def _rat_str(p: int, q: int) -> str:
@@ -369,5 +386,18 @@ def entry_strs(a: Mat) -> list[str]:
 
 
 def format_matrix(a: Mat) -> str:
-    strs, c = entry_strs(a), a.cols
+    """The literal ``[a b ; c d]``. A matrix whose entries are all digits
+    0..9, like a bit matrix, is written from its bytes: each entry's byte
+    translated to its digit, a ';' between rows, and one join spacing them."""
+    nums, c, n = a.nums, a.cols, len(a.nums)
+    if a.den == 1:
+        try:
+            # the entries 10..255 are deleted, so a shorter result has one
+            digits = bytes(nums).translate(_DIGIT_CHARS, _NOT_DIGITS)
+        except ValueError:  # an entry outside 0..255
+            digits = b""
+        if len(digits) == n:
+            rows = map(digits.__getitem__, map(slice, range(0, n, c), range(c, n + c, c)))
+            return "[" + " ".join(b";".join(rows).decode()) + "]"
+    strs = entry_strs(a)
     return "[" + " ; ".join(" ".join(strs[i:i + c]) for i in range(0, len(strs), c)) + "]"

@@ -25,7 +25,7 @@ from math import prod
 from .constraints import ParamInterpretation
 from .encoding import Encoding, EncodingError, validate
 from .interp import (BlockShape, CheckReport, Interpretation, InterpError,
-                     LinearFunc, check_problem)
+                     LinearFunc, _map_once, check_problem)
 from .matrix import Mat, Rat
 from .represent import lift_blocks, lift_factors, substitute
 from .trs import Trs
@@ -58,17 +58,22 @@ def _substitute(interp: Interpretation, block_of, b: int, block: int) -> Interpr
     This is the one builder behind every transform. Each row of a lift
     block sums to e (J_x ⊗ B(e/x) and I_x ⊗ B(e) both do), so a lifted
     vector repeats each entry b times, which is nu. An encoding block's row
-    sums are E(x)·1. One vector rule serves both.
+    sums are E(x)·1. One vector rule serves both. A matrix object that
+    several positions share gets one image, which they share in turn.
     """
     @cache  # shared by every vector: a lift block has b² entries
     def vector_of(e):
         return [(sum(row),) for row in block_of(e)]
 
+    # apart, since a dim-1 file may share one Mat between a matrix and a vector
+    mat_images, vector_images = {}, {}
     table = {}
     for symbol, func in interp.table.items():
         try:
-            mats = tuple(substitute(mat, block_of, b, b) for mat in func.mats)
-            const = substitute(func.const, vector_of, b, 1)
+            mats = _map_once(lambda mat: substitute(mat, block_of, b, b), func.mats,
+                             mat_images)
+            const, = _map_once(lambda vec: substitute(vec, vector_of, b, 1), (func.const,),
+                               vector_images)
         except EncodingError as exc:
             raise EncodingError(f"{symbol}: {exc}") from None
         table[symbol] = LinearFunc(mats, const)

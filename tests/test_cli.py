@@ -2,15 +2,19 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import io
 import os
 import random
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matint import (BlockShape, Interpretation, LinearFunc, Mat, format_interpretation,
                     interp_to_bits, parse_interpretation)
@@ -679,6 +683,84 @@ def test_check_leaves_no_interned_term(capsys, tmp_path, backend):
                        "--interp", str(interp), "--backend", backend, "--trials", "20")
     assert code == 0 and "1 pair(s)" in out
     assert leaked() == []
+
+
+@pytest.mark.parametrize("backend", ["entrywise", "value"])
+def test_huge_values_are_reported_and_the_int_limit_restored(capsys, tmp_path, backend):
+    """A 4000-digit entry squares to 8000 digits, past the interpreter's
+    default limit of 4300 on int/str conversions; a 5000-digit literal
+    parses. main lifts that limit for the call and restores the caller's."""
+    nines = "9" * 4000
+    interp = tmp_path / "huge.interp"
+    interp.write_text(f"domain natural\ndim 1\ninterp f : 1\n  M1 = [{nines}]\n  C = [0]\n"
+                      "interp g : 1\n  M1 = [1]\n  C = [0]\n", encoding="utf-8")
+    trs = tmp_path / "huge.trs"
+    trs.write_text("(VAR x) (RULES g(x) -> f(f(x)))\n", encoding="utf-8")
+    big = tmp_path / "big.interp"
+    big.write_text("domain natural\ndim 1\ninterp f : 1\n  M1 = [1]\n  C = [0]\n"
+                   f"interp g : 1\n  M1 = [1]\n  C = [{'7' * 5000}]\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "check", "--trs", str(trs), "--interp", str(interp),
+                             "--backend", backend)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "RESULT: VIOLATED"
+        # (10^4000 - 1)^2, written out without a conversion the limit refuses
+        assert "9" * 3999 + "8" + "0" * 3999 + "1" in out
+        assert sys.get_int_max_str_digits() == 4300
+        code, out, err = run(capsys, "check", "--trs", str(trs), "--interp", str(big),
+                             "--backend", backend)
+        assert (code, err) == (0, "") and out.splitlines()[-1] == "RESULT: SATISFIED"
+        assert "7" * 5000 in out
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_FUZZ_MATRICES = ("[1 0 ; 0 1]", "[0 0 ; 0 0]", "[1 2 ; 0 1]", "[1 0 ; 1 1]", "[2 1 ; 0 0]",
+                  "[1/2 0 ; 0 1]", f"[{'9' * 5000} 0 ; 0 1]")
+_FUZZ_VECTORS = ("[1 ; 1]", "[0 ; 0]", "[1 ; 0]", "[1/3 ; 1/3]", f"[{'9' * 5000} ; 0]")
+_FUZZ_DAMAGED = ("dim 0", "dim x", "dim 1", "domain real", "domain rational", "block 2",
+                 "block 3", "delta 1/2", "delta 0", "interp g : 2", "interp h : 1",
+                 "interp f", "M1 =", "C", "bogus line", "# comment",
+                 "  M4 = [1 0 ; 0 1]", "  C = [1 2 ; 3]",
+                 "  M1 = [x 1 ; 0 0]", "  C = [1/0 ; 0]", "  M1 = [1 0", "  M1 = []",
+                 "  M1 = [1 0 ;]", "  M2 = [-1 0 ; 0 0]", "  M1 = [² 0 ; 0 1]",
+                 "  C = [٣ ; 1]", "  C = 1 ; 1")
+
+
+@st.composite
+def _interpretation_files(draw):
+    """data/relative.interp with up to four lines changed: a literal
+    replaced by a good or bad one, or a line replaced by, or joined by, a
+    damaged one."""
+    lines = read("relative.interp").splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines) - 1))
+        key, eq, _ = lines[at].partition("=")
+        if eq and draw(st.integers(0, 3)):
+            pool = _FUZZ_VECTORS if key.strip() == "C" else _FUZZ_MATRICES
+            lines[at] = f"{key}= {draw(st.sampled_from(pool))}"
+        else:
+            lines[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_FUZZ_DAMAGED))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_interpretation_files(), st.sampled_from(["entrywise", "value"]))
+def test_fuzzed_interpretation_files_exit_cleanly(text, backend):
+    """``check`` of data/relative.trs against an interpretation file with
+    changed header, interp, M/C and literal lines exits with 0, 1 or 2 and
+    lets no exception escape."""
+    with tempfile.TemporaryDirectory() as work:
+        interp = os.path.join(work, "fuzz.interp")
+        with open(interp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["check", "--trs", ENDR_TRS, "--interp", interp,
+                         "--backend", backend])
+    assert code in (0, 1, 2)
 
 
 def test_bench_tracer_names_resolve():

@@ -302,10 +302,13 @@ def test_value_check_of_bit_interpretation_takes_sparse_steps(monkeypatch):
 def test_checks_of_one_interpretation_compile_each_matrix_once(monkeypatch):
     """Checks of one interpretation, like the checks before and after a
     transform, share what they compile: two value and two entrywise
-    check_problem calls compile each argument matrix's row view and column
-    view once in total, and the second entrywise check builds no full form."""
+    check_problem calls compile each distinct argument matrix's row view
+    and column view once in total, and the second entrywise check builds
+    no full form. f's equal M1 and M3 are one Mat with one view of each."""
     trs = parse_trs(read("relative.trs"))
     interp = parse_interpretation(read("relative.interp"))
+    f = interp.table["f"]
+    assert f.mats[0] is f.mats[2] and f.mats[0] is not f.mats[1]
     counts = Counter()
     for name in ("_rows", "_columns"):
         def counting(mat, *args, original=getattr(interp_module, name), name=name):
@@ -318,8 +321,9 @@ def test_checks_of_one_interpretation_compile_each_matrix_once(monkeypatch):
         reports.append(check_problem(trs, [], interp, backend))
         memos.append(dict(getattr(interp, "_memo", {})))
     assert reports[:2] == reports[2:]
-    mats = [id(mat) for func in interp.table.values() for mat in func.mats]
-    assert len(mats) == 4
+    mats = {id(mat) for func in interp.table.values() for mat in func.mats}
+    assert len(mats) == 3
     assert counts == Counter({(name, m): 1 for name in ("_rows", "_columns") for m in mats})
+    assert f.rows[0] is f.rows[2] and f.columns[0] is f.columns[2]
     assert memos[1] and memos[1] == memos[3]
     assert all(interp._memo[t] is form for t, form in memos[1].items())

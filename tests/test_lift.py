@@ -247,14 +247,29 @@ def test_collapse_reports_first_bad_block_in_row_major_order():
     assert _raises(ref.value_collapse, a, 2) == _raises(value_collapse, a, 2)
 
 
+def test_a_literal_shared_by_a_matrix_and_a_vector_gets_both_images():
+    """At dim 1, equal literals make one Mat serve as M1 and as C; the lift
+    gives it a block as a matrix and block row sums as a vector."""
+    interp = parse_interpretation("domain natural\ndim 1\ninterp f : 1\n"
+                                  "  M1 = [2]\n  C = [2]\n")
+    f = interp.table["f"]
+    assert f.mats[0] is f.const
+    bits, _ = interp_to_bits(interp)
+    assert bits.table["f"].mats[0].nums == (1, 1, 1, 1)
+    assert bits.table["f"].const.nums == (2, 2)
+
+
 def test_to_bits_builds_no_mat_per_entry(monkeypatch, tmp_path):
     """At k=8 (dim 112) to-bits assembles no block grid, and makes a number
-    of matrices bounded by the matrices and distinct values, not entries."""
+    of matrices bounded by the matrices and distinct values, not entries:
+    equal literals share one Mat, which is lifted once."""
     src = tmp_path / "k8.interp"
     src.write_text(read("relative.interp").replace("M2 = [1 2 ; 0 0]", "M2 = [1 8 ; 0 7]"),
                    encoding="utf-8")
     interp = parse_interpretation(src.read_text(encoding="utf-8"))
-    matrices = sum(len(f.mats) + 1 for f in interp.table.values())
+    # f's M1 = M3, and b's C = f's C
+    matrices = len({id(m) for f in interp.table.values() for m in (*f.mats, f.const)})
+    assert matrices == 6
     values = {e for f in interp.table.values() for m in (*f.mats, f.const) for e in m.nums}
 
     def refuse(*args):
@@ -270,6 +285,6 @@ def test_to_bits_builds_no_mat_per_entry(monkeypatch, tmp_path):
     with redirect_stdout(io.StringIO()) as out:
         code = main(["to-bits", "--interp", str(src), "--out", str(tmp_path / "bits")])
     assert code == 0 and "dim 112" in out.getvalue()
-    # each matrix is parsed once and lifted once
+    # each distinct matrix is parsed once and lifted once
     assert len(made) <= 2 * matrices + len(values)
     assert sum(1 for rows, _ in made if rows == 112) == matrices

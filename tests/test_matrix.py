@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import _reference as ref
+import matint.matrix as matrix_module
 from _reference import Cmp, cmp_entrywise, from_rows
 from matint import Mat, MatrixError, format_matrix, jordan, parse_matrix, parse_rat
 from matint.matrix import as_rat, strip_comment
@@ -77,11 +78,15 @@ def test_parse_matrix_matches_entrywise_reference():
     for text in ("[+1 -2 ; 0 1_000]", "[ -1/-2 3/-6 ; 4/2 0/5 ]", "[1/0 2]", "[1 2/0]",
                  "[1 2 ; 3]", "[1 ; ; 2]", "[x ; 1 2]", "[1 2 ; 3 y]", "[1/2/3]", "[/]",
                  "[1/ 2]", "[ ]", "1 2", "[1\t2 ;\t3 4]", "[1__0]", f"[{2 ** 70}/6 1/3]",
-                 "[-0/-1 07]", "[1.5]", "[0x10]"):
+                 "[-0/-1 07]", "[1.5]", "[0x10]", "[0 ²]", "[1 ٣ ; 0 1]", "[１ 0]",
+                 "[07 00 ; +0 1]", "[0 1 ; ² 0]", "[1 0 ; 0 1 ; 1]"):
         assert _literal_outcome(parse_matrix, text) == _literal_outcome(_ref_parse_matrix, text)
     rng = random.Random(31)
+    # '²' is a digit to str.isdigit but not to int(); '٣' and '１' are
+    # digits to both, but not ASCII
     tokens = ["0", "1", "-1", "+3", "2/3", "-1/-2", "4/0", "1_0", "x", "/", "1/", "/2",
-              "6/4", "-0", "1/2/3", str(2 ** 70), f"{2 ** 70}/3", "3/-6", ";", " ; ", "\t"]
+              "6/4", "-0", "1/2/3", str(2 ** 70), f"{2 ** 70}/3", "3/-6", ";", " ; ", "\t",
+              "²", "٣", "１", "07", "00", "+0"]
     kinds = set()
     for _ in range(3000):
         if rng.random() < 0.5:
@@ -96,6 +101,56 @@ def test_parse_matrix_matches_entrywise_reference():
         assert _literal_outcome(parse_matrix, text) == want, text
         kinds.add(want[1].split(" ")[0] if want[0] == "error" else "ok")
     assert {"ok", "bad", "ragged", "empty", "matrix"} <= kinds
+    # single-digit literals, which take the byte path, with a rare odd
+    # token or ragged row
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(8, 16)
+        rows = [[rng.choice("0123456789") for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(tokens)
+        if rng.random() < 0.1:
+            rng.choice(rows).pop()
+        text = "[" + " ; ".join(map(" ".join, rows)) + "]"
+        want = _literal_outcome(_ref_parse_matrix, text)
+        assert _literal_outcome(parse_matrix, text) == want, text
+        kinds.add(want[1].split(" ")[0] if want[0] == "error" else "ok")
+    assert {"ok", "bad", "ragged"} <= kinds
+
+
+def test_format_matrix_matches_entrywise_str():
+    """The byte path for entries 0..9 and the str path for all others write
+    what ``str`` of each entry, spaced and row-separated, writes."""
+    def want(m):
+        rows = [m.entries[i:i + m.cols] for i in range(0, len(m.entries), m.cols)]
+        return "[" + " ; ".join(" ".join(map(str, row)) for row in rows) + "]"
+
+    rng = random.Random(43)
+    values = (0, 1, 9, -1, 10, 255, 256, Fraction(1, 2), Fraction(-7, 3))
+    for _ in range(500):
+        rows, cols = rng.choice(((1, rng.randint(1, 9)), (rng.randint(1, 9), 1),
+                                 (rng.randint(1, 9), rng.randint(1, 9))))
+        pool = values[:3] if rng.random() < 0.5 else rng.sample(values, rng.randint(1, 9))
+        m = Mat(rows, cols, [rng.choice(pool) for _ in range(rows * cols)])
+        assert format_matrix(m) == want(m), m
+        assert parse_matrix(format_matrix(m)) == m
+
+
+def test_bit_literal_is_read_without_int(monkeypatch):
+    """A dim-64 bit literal makes no int() call: int is shadowed in the
+    matrix module, where the reader looks it up."""
+    rng = random.Random(47)
+    m = Mat(64, 64, [rng.randint(0, 1) for _ in range(64 * 64)])
+    text = format_matrix(m)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return int(*args)
+    monkeypatch.setattr(matrix_module, "int", counting, raising=False)
+    assert parse_matrix(text) == m and calls == []
+    # the shadow sees the calls of a literal with a two-digit entry
+    assert parse_matrix("[10 1]").nums == (10, 1) and calls
 
 
 def test_strip_comment_keeps_sharp_symbols():
