@@ -4,7 +4,7 @@ from .matrix import (Mat, MatrixError, Rat, as_rat, format_matrix, jordan,
                      parse_matrix, parse_rat)
 from .represent import RepParams, lift, mu_const, rho, to_bit_matrix
 from .trs import (App, Rule, Term, Trs, TrsError, Var, dependency_pairs, format_trs,
-                  parse_trs, sharp_name, subterms, variables)
+                  parse_trs, sharp_name, subterms)
 from .constraints import (ArithConstraint, ConstraintError, EvalResult,
                           ParamInterpretation, eval_valuation,
                           generate_arith_constraints, make_valuation,

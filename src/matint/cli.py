@@ -195,8 +195,11 @@ def cmd_dps(args) -> int:
 
 
 def _constraint_lines(constraints):
+    """Each constraint's report line; each word's text is written once, from
+    its parent's."""
+    texts = {}
     for c in constraints:
-        yield f"{c.source} / {c.kind}: {c}"
+        yield f"{c.source} / {c.kind}: {c.render(texts)}"
 
 
 def cmd_gen_constraints(args) -> int:
@@ -217,11 +220,12 @@ def cmd_eval_valuation(args) -> int:
     pairs = src.pairs()
     eta = src.valuation()
     constraints = generate_arith_constraints(trs, pairs, src.pinterp())
-    results = [(c, eval_valuation(c, eta, args.delta)) for c in constraints]
+    memo = {}   # each word's value, shared by all constraints
+    results = [eval_valuation(c, eta, args.delta, memo) for c in constraints]
     ok = True
-    for c, res in results:
+    for line, res in zip(_constraint_lines(constraints), results):
         ok &= res.holds
-        print(f"{c.source} / {c.kind}: {c} : {res.lhs_value} vs {res.rhs_value} : "
+        print(f"{line} : {res.lhs_value} vs {res.rhs_value} : "
               f"{'HOLDS' if res.holds else 'FAILS'}")
     return _result(ok, "SATISFIED", "VIOLATED")
 

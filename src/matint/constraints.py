@@ -5,22 +5,59 @@ parameter names. Interpreting a rewrite constraint symbolically produces
 word sums: noncommutative products of parameters, one VarCoeff constraint
 per variable and one ConstPart constraint per rule or pair. The reserved
 parameters ``1`` and ``0`` stand for the multiplicative unit and zero.
+
+A word is its parent word times one parameter, so the words of a term share
+their prefixes as its paths do, and a term of n nodes has O(n) words however
+deep it is. What is computed of a word (its value, its count vector, its
+text) is computed once per word node, from its parent's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .matrix import MatrixError, Rat, as_rat, parse_rat, strip_comment
-from .trs import Rule, Term, Trs, Var, subterms
+from .trs import Term, Trs, Var
 
-Word = tuple[str, ...]
+
+class Word(tuple):
+    """The word node ``(parent, param, length)``: the word ``parent`` (None
+    for the empty word) times the parameter ``param``. ``len`` gives the
+    parameter count and iteration yields the parameters from the root.
+
+    Words hash and compare by identity, never by structure: a parent chain
+    may be 10^5 nodes deep. The words of one ``generate_arith_constraints``
+    call are interned, so equal words there are one object."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __lt__ = object.__lt__
+    __le__ = object.__le__
+    __gt__ = object.__gt__
+    __ge__ = object.__ge__
+
+    def __len__(self) -> int:
+        return self[2]
+
+    def __iter__(self):
+        params = []
+        word = self
+        while word is not None:
+            params.append(word[1])
+            word = word[0]
+        return reversed(params)
+
+    def __repr__(self) -> str:
+        return f"Word({' '.join(self)!r})"
+
+
 WordSum = tuple[Word, ...]
 
-UNIT_WORD: Word = ("1",)
-ZERO_WORD: Word = ("0",)
+UNIT_WORD = Word((None, "1", 1))
+ZERO_WORD = Word((None, "0", 1))
 RESERVED = {"0", "1"}
 
 
@@ -28,12 +65,52 @@ class ConstraintError(ValueError):
     pass
 
 
-def format_word(word: Word) -> str:
-    return " ".join(word)
+def fold_words(words, memo: dict, step, empty) -> list:
+    """Each word's value, where a word's value is ``step(its parent's value,
+    its param)`` and the empty word's (None's) is ``empty``. ``memo`` is a
+    dict from word nodes to values: each node above a word that it lacks is
+    stored there, root first, so a memo shared by a constraint set folds
+    each inner node once. The words themselves are not stored, since most
+    are leaves: a word met again costs one step again."""
+    out = []
+    for word in words:
+        if word is None:
+            out.append(empty)
+            continue
+        parent = word[0]
+        value = memo.get(parent)
+        if value is None:
+            value = empty if parent is None else _fold_path(parent, memo, step, empty)
+        out.append(step(value, word[1]))
+    return out
 
 
-def format_word_sum(ws: WordSum) -> str:
-    return " + ".join(format_word(w) for w in ws)
+def _fold_path(node: Word, memo: dict, step, empty):
+    """``node``'s value, storing it and each ancestor ``memo`` lacks."""
+    path = []
+    while node not in memo:
+        if node is None:
+            value = empty
+            break
+        if node.__class__ is not Word:
+            raise TypeError(f"expected a word node, got {node!r}")
+        path.append(node)
+        node = node[0]
+    else:
+        value = memo[node]
+    for node in reversed(path):
+        value = memo[node] = step(value, node[1])
+    return value
+
+
+def _extend_text(text: str, param: str) -> str:
+    return f"{text} {param}" if text else param
+
+
+def format_word_sum(ws: WordSum, texts: dict = None) -> str:
+    """The text of a word sum; ``texts`` holds the text of each word already
+    written and may be shared by the sums of one constraint set."""
+    return " + ".join(fold_words(ws, {} if texts is None else texts, _extend_text, ""))
 
 
 @dataclass(frozen=True)
@@ -47,8 +124,14 @@ class ArithConstraint:
     source: str = ""    # e.g. "rule 1", "pair 2"
 
     def __str__(self) -> str:
+        return self.render()
+
+    def render(self, texts: dict = None) -> str:
+        """The constraint's text; ``texts`` is as for ``format_word_sum``."""
+        if texts is None:
+            texts = {}
         op = ">=" if self.rel == "weak" else ">"
-        return f"{format_word_sum(self.lhs)} {op} {format_word_sum(self.rhs)}"
+        return f"{format_word_sum(self.lhs, texts)} {op} {format_word_sum(self.rhs, texts)}"
 
 
 @dataclass(frozen=True)
@@ -67,6 +150,14 @@ class ParamInterpretation:
                 if name in seen:
                     raise ConstraintError(f"duplicate parameter name {name!r}")
                 seen.add(name)
+
+
+def _one_token(name: str) -> str:
+    """``name``, which must hold no whitespace: the constraint text writes a
+    word as its parameter names with one space between them."""
+    if len(name.split()) != 1:
+        raise ValueError(f"name {name!r} is not a single token")
+    return name
 
 
 def parse_pinterp(text: str) -> ParamInterpretation:
@@ -88,6 +179,8 @@ def parse_pinterp(text: str) -> ParamInterpretation:
             const = const_part.strip()
             if not symbol or not const:
                 raise ValueError("missing symbol or constant parameter")
+            for name in (symbol, const):
+                _one_token(name)
             if len(coeffs) != arity:
                 raise ValueError(
                     f"{len(coeffs)} coefficient parameter(s) for arity {arity}")
@@ -99,46 +192,46 @@ def parse_pinterp(text: str) -> ParamInterpretation:
     return ParamInterpretation(table)
 
 
-def _sym_eval(t: Term, pi: ParamInterpretation) -> tuple[dict[str, list[Word]], list[Word]]:
+def _sym_eval(t: Term, specs: dict) -> tuple[dict[str, list[Word]], list[Word]]:
     """Word sums of ``t``: each variable's coefficient words and the constant words.
 
     One iterative walk hands every node its prefix word (the coefficient
-    parameters on its path), so each word is built once. Variables are met in
-    left-to-right order and constants in post-order: children first, then the
-    node's own constant parameter.
+    parameters on its path), and each child word is its prefix times one
+    parameter, so a term of n nodes builds O(n) words. ``specs`` gives each
+    symbol's parameters in the order the walk pushes their words: the
+    constant (argument index -1), then the coefficients last to first, each
+    with the table that interns its words by their parent. Variables are
+    met in left-to-right order and constants in post-order: children first,
+    then the node's own constant parameter.
     """
     coeffs: dict[str, list[Word]] = {}
     consts: list[Word] = []
     # a None node stands for a finished constant word, popped after the
-    # node's children
-    stack: list[tuple[Term | None, Word]] = [(t, ())]
+    # node's children; a None prefix is the empty word
+    stack: list[tuple[Term | None, Word | None]] = [(t, None)]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, prefix = stack.pop()
+        node, prefix = pop()
         if node is None:
             consts.append(prefix)
-        elif isinstance(node, Var):
-            coeffs.setdefault(node.name, []).append(prefix or UNIT_WORD)
-        elif node.symbol not in pi.table:
-            raise ConstraintError(f"uninterpreted symbol {node.symbol!r}")
+        elif node.__class__ is Var:
+            coeffs.setdefault(node.name, []).append(UNIT_WORD if prefix is None else prefix)
         else:
-            coeff_params, const_param = pi.table[node.symbol]
-            if len(coeff_params) != len(node.args):
+            spec = specs.get(node.symbol)
+            args = node.args
+            if spec is None:
+                raise ConstraintError(f"uninterpreted symbol {node.symbol!r}")
+            if len(spec) != len(args) + 1:
                 raise ConstraintError(
-                    f"symbol {node.symbol!r} has arity {len(coeff_params)} in the "
-                    f"parametric interpretation, used with {len(node.args)} argument(s)")
-            stack.append((None, prefix + (const_param,)))
-            for param, arg in reversed(list(zip(coeff_params, node.args))):
-                stack.append((arg, prefix + (param,)))
+                    f"symbol {node.symbol!r} has arity {len(spec) - 1} in the "
+                    f"parametric interpretation, used with {len(args)} argument(s)")
+            length = 1 if prefix is None else prefix[2] + 1
+            for param, words, i in spec:
+                word = words.get(prefix)
+                if word is None:
+                    word = words[prefix] = Word((prefix, param, length))
+                push((None if i < 0 else args[i], word))
     return coeffs, consts
-
-
-def _ordered_vars(rule: Rule) -> list[str]:
-    order: dict[str, None] = {}
-    for side in (rule.lhs, rule.rhs):
-        for t in subterms(side):
-            if isinstance(t, Var):
-                order.setdefault(t.name)
-    return list(order)
 
 
 def _as_sum(words: list[Word]) -> WordSum:
@@ -146,12 +239,19 @@ def _as_sum(words: list[Word]) -> WordSum:
 
 
 def _is_proper_submultiset(small: list[Word], big: list[Word]) -> bool:
-    pool = list(big)
+    """Whether the multiset ``small`` lies strictly inside ``big``; interned
+    words count by identity."""
+    if len(small) >= len(big):
+        return False
+    pool: dict[Word, int] = {}
+    for w in big:
+        pool[w] = pool.get(w, 0) + 1
     for w in small:
-        if w not in pool:
+        n = pool.get(w)
+        if not n:
             return False
-        pool.remove(w)
-    return bool(pool)
+        pool[w] = n - 1
+    return True
 
 
 def generate_arith_constraints(trs: Trs, pairs, pi: ParamInterpretation
@@ -163,13 +263,19 @@ def generate_arith_constraints(trs: Trs, pairs, pi: ParamInterpretation
     up as the reserved words ``1`` (coefficient) and ``0`` (constant).
     """
     out: list[ArithConstraint] = []
+    # per symbol, as _sym_eval reads it: each parameter with the words it
+    # ends, by parent, so equal words of this call are one object
+    specs = {symbol: ((const, {}, -1),
+                      *((coeffs[i], {}, i) for i in reversed(range(len(coeffs)))))
+             for symbol, (coeffs, const) in pi.table.items()}
     groups = [("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")]
     for label, rules, const_rel in groups:
         for idx, rule in enumerate(rules, start=1):
-            lc, lconst = _sym_eval(rule.lhs, pi)
-            rc, rconst = _sym_eval(rule.rhs, pi)
+            lc, lconst = _sym_eval(rule.lhs, specs)
+            rc, rconst = _sym_eval(rule.rhs, specs)
             source = f"{label} {idx}"
-            for var in _ordered_vars(rule):
+            # variables by first occurrence, lhs then rhs
+            for var in {**lc, **rc}:
                 out.append(ArithConstraint(
                     _as_sum(lc.get(var, [])), _as_sum(rc.get(var, [])),
                     "weak", var, source))
@@ -205,11 +311,13 @@ def parse_valuation(text: str) -> dict[str, Rat]:
         if not line:
             continue
         try:
-            head, value_s = line.split("=", 1)
-            kw, name = head.split(None, 1)
-            if kw != "param":
-                raise ValueError(f"expected 'param', got {kw!r}")
-            name = name.strip()
+            head, eq, value_s = line.partition("=")
+            parts = head.split(None, 1)
+            if parts and parts[0] != "param":
+                raise ValueError(f"expected 'param', got {parts[0]!r}")
+            if len(parts) != 2 or not eq:
+                raise ValueError("expected 'param <name> = <value>'")
+            name = _one_token(parts[1].strip())
             if name in values:
                 raise ValueError(f"parameter {name!r} valued twice")
             values[name] = parse_rat(value_s)
@@ -218,16 +326,21 @@ def parse_valuation(text: str) -> dict[str, Rat]:
     return make_valuation(values)
 
 
-def _word_value(word: Word, eta: dict[str, Rat]):
-    """The product of the word's values, an int or a Fraction."""
+def eval_word_sum(ws: WordSum, eta: dict[str, Rat], memo: dict = None) -> Rat:
+    """The sum of the words' values under ``eta``. A word's value is its
+    parent's times its parameter's, an int or a Fraction; ``memo`` holds
+    the values of words under this ``eta`` and may be shared by the sums of
+    one constraint set."""
+    if memo is None:
+        memo = {}
+
+    def step(value, param):
+        return value * eta[param]
+
     try:
-        return prod([eta[param] for param in word])
+        return as_rat(sum(fold_words(ws, memo, step, 1)))
     except KeyError as exc:
         raise ConstraintError(f"unbound parameter {exc.args[0]!r}") from None
-
-
-def eval_word_sum(ws: WordSum, eta: dict[str, Rat]) -> Rat:
-    return as_rat(sum([_word_value(w, eta) for w in ws]))
 
 
 @dataclass(frozen=True)
@@ -238,12 +351,15 @@ class EvalResult:
 
 
 def eval_valuation(c: ArithConstraint, eta: dict[str, Rat],
-                   delta: Fraction = None) -> EvalResult:
-    """Evaluate a constraint numerically; strict means > (or margin >= delta)."""
+                   delta: Fraction = None, memo: dict = None) -> EvalResult:
+    """Evaluate a constraint numerically; strict means > (or margin >= delta).
+    ``memo`` is as for ``eval_word_sum``."""
     if delta is not None and delta <= 0:
         raise ConstraintError(f"delta must be positive, got {delta}")
-    lhs = eval_word_sum(c.lhs, eta)
-    rhs = eval_word_sum(c.rhs, eta)
+    if memo is None:
+        memo = {}
+    lhs = eval_word_sum(c.lhs, eta, memo)
+    rhs = eval_word_sum(c.rhs, eta, memo)
     if c.rel == "weak":
         holds = lhs >= rhs
     elif delta is None:

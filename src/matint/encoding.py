@@ -9,11 +9,10 @@ The catalog ships the known-good encodings built from Jordan block powers.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .constraints import ArithConstraint
+from .constraints import ArithConstraint, fold_words
 from .matrix import (Mat, Rat, as_rat, jordan, parse_matrix, parse_rat,
                      strip_comment)
 from .represent import rho
@@ -131,41 +130,56 @@ def required_products(constraints, eta: dict[str, Rat]) -> frozenset[Fraction]:
     multiplicative word of the constraints (the compatibility obligation).
 
     A word's subset products depend only on how often each value occurs in
-    it, so each word becomes a count vector {value: count}. A vector that
-    another dominates pointwise adds no product, and each remaining vector
-    is expanded once. Expanding a vector of total count L costs at most L
-    times the size of its product set, so the whole is polynomial in word
-    length and linear in the size of the returned set, not 2^(word length).
+    it, so each word becomes a count vector, indexed by the valuation's
+    distinct rational values. A word's vector is its parent's plus its
+    parameter, folded once per word node, so no Fraction is hashed per
+    parameter. A vector that another dominates pointwise adds no product,
+    and each remaining vector is expanded once. Expanding a vector of total
+    count L costs at most L times the size of its product set, so the whole
+    is polynomial in word length and linear in the size of the returned
+    set, not 2^(word length).
     """
-    vectors: set[frozenset[tuple[Fraction, int]]] = set()
+    # each parameter's index among the distinct rational values, None for
+    # an integral value
+    index: dict[Fraction, int] = {}
+    slots = {param: index.setdefault(value, len(index))
+             if isinstance(value, Fraction) else None
+             for param, value in eta.items()}
+
+    def step(vector, param):
+        i = slots[param]
+        if i is None:
+            return vector
+        vector = list(vector)
+        vector[i] += 1
+        return tuple(vector)
+
+    zero = (0,) * len(index)
+    memo: dict = {}
+    vectors: set[tuple[int, ...]] = set()
     for c in constraints:
         if not isinstance(c, ArithConstraint):
             raise EncodingError(f"expected an arithmetic constraint, got {c!r}")
-        for side in (c.lhs, c.rhs):
-            for word in side:
-                # count names first: a str hash is cached, a Fraction's is not
-                counts: dict[Fraction, int] = {}
-                for param, n in Counter(word).items():
-                    if param not in eta:
-                        raise EncodingError(f"unbound parameter {param!r}")
-                    value = eta[param]
-                    if isinstance(value, Fraction):
-                        counts[value] = counts.get(value, 0) + n
-                vectors.add(frozenset(counts.items()))
+        try:
+            for side in (c.lhs, c.rhs):
+                vectors.update(fold_words(side, memo, step, zero))
+        except KeyError as exc:
+            raise EncodingError(f"unbound parameter {exc.args[0]!r}") from None
     # a vector can only be dominated by one of at least its total count
-    kept: list[dict[Fraction, int]] = []
-    for vector in sorted(vectors, key=lambda v: sum(n for _, n in v), reverse=True):
-        if not any(all(big.get(value, 0) >= n for value, n in vector) for big in kept):
-            kept.append(dict(vector))
+    kept: list[tuple[int, ...]] = []
+    for vector in sorted(vectors, key=sum, reverse=True):
+        if not any(all(b >= n for b, n in zip(big, vector)) for big in kept):
+            kept.append(vector)
     out: set[Fraction] = set()
     for counts in kept:
         # products of nonempty sub-multisets; the empty one is never formed,
         # so 1 appears only as a real product such as 3/2 * 2/3
         products: set[Fraction] = set()
-        for value, n in counts.items():
-            powers = [value ** e for e in range(1, n + 1)]
-            products |= {p * q for p in products for q in powers}
-            products.update(powers)
+        for value, n in zip(index, counts):
+            if n:
+                powers = [value ** e for e in range(1, n + 1)]
+                products |= {p * q for p in products for q in powers}
+                products.update(powers)
         out |= products
     return frozenset(out)
 

@@ -119,18 +119,6 @@ class App(_Term):
 Term = Var | App
 
 
-def variables(t: Term) -> set[str]:
-    out = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            out.add(t.name)
-        else:
-            stack.extend(t.args)
-    return out
-
-
 def subterms(t: Term):
     """All subterms in pre-order (the term itself first), without recursion."""
     stack = [t]
@@ -147,13 +135,10 @@ class Rule:
     rhs: Term
 
     def __post_init__(self):
+        # parse_trs checks for fresh variables as it reads the rule; a
+        # dependency pair's rhs is a subterm of its rule's rhs
         if isinstance(self.lhs, Var):
             raise TrsError(f"variable left-hand side in rule {self.lhs} -> {self.rhs}")
-        fresh = variables(self.rhs) - variables(self.lhs)
-        if fresh:
-            raise TrsError(
-                f"right-hand side of {self.lhs} -> {self.rhs} introduces fresh "
-                f"variable(s) {', '.join(sorted(fresh))}")
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
@@ -216,12 +201,13 @@ def _expect(text: str, tokens: list, i: int, want: str) -> int:
 
 
 def _parse_term(text: str, tokens: list, i: int, varnames: set[str],
-                apps: list) -> tuple[Term, int]:
+                apps: list, seen: set[str]) -> tuple[Term, int]:
     """Parse one term from token i on; returns it and the index after it.
     Each application's symbol is appended to ``apps`` in pre-order, with the
     list its arguments are collected in, so its arity is known once the term
-    is parsed. Open applications wait on an explicit stack, so terms of any
-    depth parse without recursion."""
+    is parsed; each variable's name is added to ``seen``. Open applications
+    wait on an explicit stack, so terms of any depth parse without
+    recursion."""
     open_apps: list[tuple[str, list]] = []
     while True:
         tok = tokens[i]
@@ -241,6 +227,7 @@ def _parse_term(text: str, tokens: list, i: int, varnames: set[str],
             apps.append((tok, ()))
             term = App(tok)
         elif tok in varnames:
+            seen.add(tok)
             term = Var(tok)
         else:
             apps.append((tok, ()))
@@ -288,14 +275,18 @@ def parse_trs(text: str) -> Trs:
         elif tok == "RULES":
             saw_rules = True
             while tokens[i] != ")":
-                start, apps = i, []
-                lhs, i = _parse_term(text, tokens, i, varnames, apps)
+                start, apps, lhs_vars, rhs_vars = i, [], set(), set()
+                lhs, i = _parse_term(text, tokens, i, varnames, apps, lhs_vars)
                 i = _expect(text, tokens, i, "->")
-                rhs, i = _parse_term(text, tokens, i, varnames, apps)
+                rhs, i = _parse_term(text, tokens, i, varnames, apps, rhs_vars)
                 try:
                     rule = Rule(lhs, rhs)
                 except TrsError as exc:
                     raise _error(text, start, str(exc)) from None
+                fresh = rhs_vars - lhs_vars
+                if fresh:
+                    raise _error(text, start, f"right-hand side of {rule} introduces "
+                                              f"fresh variable(s) {', '.join(sorted(fresh))}")
                 # each symbol's arity, in pre-order; a second arity is an error
                 for symbol, args in apps:
                     seen = signature.setdefault(symbol, len(args))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from matint import (BlockShape, Interpretation, LinearFunc, Mat, dependency_pairs,
                     parse_matrix, parse_trs)
+from matint.constraints import Word
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -19,6 +20,28 @@ def read(name: str) -> str:
 def example_one():
     trs = parse_trs(read("fg.trs"))
     return trs, dependency_pairs(trs)
+
+
+def as_words(flat_words, nodes=None) -> tuple:
+    """The word nodes of flat words (sequences of parameter names), with the
+    empty word as None; words built with one ``nodes`` dict are interned."""
+    nodes = {} if nodes is None else nodes
+    out = []
+    for params in flat_words:
+        word = None
+        for length, param in enumerate(params, start=1):
+            key = (word, param)
+            if key not in nodes:
+                nodes[key] = Word((word, param, length))
+            word = nodes[key]
+        out.append(word)
+    return tuple(out)
+
+
+def flat(ws) -> tuple:
+    """A word sum as flat words (tuples of parameter names), to compare with
+    tuples: word nodes compare by identity."""
+    return tuple(map(tuple, ws))
 
 
 def rand_nat_mat(rng: random.Random, rows: int, cols: int, hi: int = 9) -> Mat:

@@ -11,21 +11,24 @@ The lifts, the expansion and the collapses are the ones that built one
 apart with ``Mat.block``); ``interp_to_bits`` lifts one step at a time.
 ``matint.represent.substitute`` must build the same matrices.
 ``strip_comment`` is the character loop that ``matint.matrix`` replaced by
-one regular expression. ``eval_word``/``eval_word_sum`` multiply and sum
-word values as Fractions, as ``matint.constraints`` did before it took
-``math.prod`` over the valuation's own values. ``from_rows``,
+one regular expression. The flat-word section is ``matint.constraints``
+and ``encoding.required_products`` as they were before words became nodes:
+a word is a tuple of parameter names, written out in full, and every word
+is valued, counted and written on its own. ``from_rows``,
 ``column_sums`` and ``sum_entries`` are the ``Mat`` helpers that only these
 references used.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from math import prod
 
 from matint import (BlockShape, ConstraintError, EncodingError, Interpretation, InterpError,
                     LinearForm, LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict,
-                    rho, validate)
+                    rho, subterms, validate)
 from matint.matrix import as_rat
 
 
@@ -351,14 +354,118 @@ def expansion_rho_preserved(before, after, b):
     return True
 
 
-def eval_word(word, eta):
-    value = Fraction(1)
-    for param in word:
-        if param not in eta:
-            raise ConstraintError(f"unbound parameter {param!r}")
-        value *= eta[param]
-    return as_rat(value)
+# --- flat words --------------------------------------------------------------
+
+FLAT_UNIT, FLAT_ZERO = ("1",), ("0",)
+
+
+def sym_eval(t, pi):
+    """Each variable's coefficient words and the constant words of ``t``."""
+    coeffs, consts = {}, []
+    stack = [(t, ())]
+    while stack:
+        node, prefix = stack.pop()
+        if node is None:
+            consts.append(prefix)
+        elif isinstance(node, Var):
+            coeffs.setdefault(node.name, []).append(prefix or FLAT_UNIT)
+        elif node.symbol not in pi.table:
+            raise ConstraintError(f"uninterpreted symbol {node.symbol!r}")
+        else:
+            coeff_params, const_param = pi.table[node.symbol]
+            if len(coeff_params) != len(node.args):
+                raise ConstraintError(
+                    f"symbol {node.symbol!r} has arity {len(coeff_params)} in the "
+                    f"parametric interpretation, used with {len(node.args)} argument(s)")
+            stack.append((None, prefix + (const_param,)))
+            for param, arg in reversed(list(zip(coeff_params, node.args))):
+                stack.append((arg, prefix + (param,)))
+    return coeffs, consts
+
+
+def _ordered_vars(rule):
+    order = {}
+    for side in (rule.lhs, rule.rhs):
+        for t in subterms(side):
+            if isinstance(t, Var):
+                order.setdefault(t.name)
+    return list(order)
+
+
+def _is_proper_submultiset(small, big):
+    pool = list(big)
+    for w in small:
+        if w not in pool:
+            return False
+        pool.remove(w)
+    return bool(pool)
+
+
+def generate_constraints(rules, pairs, pi):
+    """(source, kind, rel, lhs, rhs) per constraint, with flat word sums."""
+    out = []
+    for label, group, const_rel in (("rule", rules, "weak"), ("pair", pairs, "strict")):
+        for idx, rule in enumerate(group, start=1):
+            lc, lconst = sym_eval(rule.lhs, pi)
+            rc, rconst = sym_eval(rule.rhs, pi)
+            source = f"{label} {idx}"
+            for var in _ordered_vars(rule):
+                out.append((source, var, "weak", tuple(lc.get(var, [])) or (FLAT_ZERO,),
+                            tuple(rc.get(var, [])) or (FLAT_ZERO,)))
+            if const_rel == "strict" and _is_proper_submultiset(rconst, lconst):
+                rconst = []
+            out.append((source, "const", const_rel, tuple(lconst) or (FLAT_ZERO,),
+                        tuple(rconst) or (FLAT_ZERO,)))
+    return out
+
+
+def format_constraint(c):
+    """The report line of ``gen-constraints`` for a flat constraint."""
+    source, kind, rel, lhs, rhs = c
+    side = lambda ws: " + ".join(" ".join(w) for w in ws)
+    return f"{source} / {kind}: {side(lhs)} {'>=' if rel == 'weak' else '>'} {side(rhs)}"
 
 
 def eval_word_sum(ws, eta):
-    return as_rat(Fraction(sum(Fraction(eval_word(w, eta)) for w in ws)))
+    try:
+        return as_rat(sum([prod([eta[param] for param in word]) for word in ws]))
+    except KeyError as exc:
+        raise ConstraintError(f"unbound parameter {exc.args[0]!r}") from None
+
+
+def eval_constraint(c, eta, delta=None):
+    """(holds, lhs value, rhs value) of a flat constraint."""
+    _, _, rel, lhs_ws, rhs_ws = c
+    lhs, rhs = eval_word_sum(lhs_ws, eta), eval_word_sum(rhs_ws, eta)
+    if rel == "weak":
+        return lhs >= rhs, lhs, rhs
+    return (lhs > rhs if delta is None else lhs - rhs >= delta), lhs, rhs
+
+
+def required_products(constraints, eta):
+    """The required products of flat constraints: every word's count
+    vector, undominated vectors expanded once."""
+    vectors = set()
+    for _, _, _, lhs, rhs in constraints:
+        for word in (*lhs, *rhs):
+            counts = {}
+            for param, n in Counter(word).items():
+                if param not in eta:
+                    raise EncodingError(f"unbound parameter {param!r}")
+                value = eta[param]
+                if isinstance(value, Fraction):
+                    counts[value] = counts.get(value, 0) + n
+            vectors.add(frozenset(counts.items()))
+    kept = []
+    for vector in sorted(vectors, key=lambda v: sum(n for _, n in v), reverse=True):
+        if not any(all(big.get(value, 0) >= n for value, n in vector) for big in kept):
+            kept.append(dict(vector))
+    out = set()
+    for counts in kept:
+        products = set()
+        for value, n in counts.items():
+            powers = [value ** e for e in range(1, n + 1)]
+            products |= {p * q for p in products for q in powers}
+            products.update(powers)
+        out |= products
+    return frozenset(out)

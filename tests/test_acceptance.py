@@ -235,7 +235,7 @@ def test_criterion_8_constraint_generation():
         assert len(cs) == 8
         for c, (rel, lhs, rhs) in zip(cs, published):
             assert c.rel == rel
-            assert sorted(c.lhs) == lhs and sorted(c.rhs) == rhs
+            assert sorted(map(tuple, c.lhs)) == lhs and sorted(map(tuple, c.rhs)) == rhs
         for c in cs:
             assert eval_valuation(c, eta).holds
         req = required_products(cs, eta)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matint import (BlockShape, Interpretation, LinearFunc, Mat, format_interpretation,
-                    interp_to_bits, parse_interpretation)
+                    interp_to_bits, parse_interpretation, parse_pinterp, parse_trs)
 from matint.cli import main
 from matint.represent import lift_factors
 from _helpers import DATA, read
@@ -661,6 +662,48 @@ def test_depth_2000_chain_exits_cleanly(capsys, tmp_path):
     assert code == 0 and f"f#(x) -> f#(g({chain}))" in out
 
 
+@pytest.mark.parametrize("command, result", [("compat", "COMPATIBLE"),
+                                             ("expand", "VERIFIED")])
+def test_depth_20000_chain_stays_linear(tmp_path, command, result):
+    # a word is its parent word times one parameter, so the 20000 nested
+    # coefficient words of f^20000(x) take 20000 nodes; written out in full
+    # they took 1.49 GB already at depth 16000. The cap binds only the child.
+    depth = 20000
+    trs = tmp_path / "chain.trs"
+    trs.write_text(f"(VAR x)\n(RULES\n  {'f(' * depth}x{')' * depth} -> x\n)\n",
+                   encoding="utf-8")
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "import matint.cli\n"
+              "sys.exit(matint.cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", script, command, "--trs", str(trs),
+                           "--pinterp", PI, "--valuation", ETA, "--encoding", "half"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == f"RESULT: {result}"
+
+
+@pytest.mark.parametrize("text, option, message", [
+    ("pinterp f : 1 = f1 | f0 extra\npinterp g : 1 = g1 | g0\n", "--pinterp",
+     "line 1: name 'f0 extra' is not a single token"),
+    ("param f1 = 2\nparam f0 extra = 1/2\n", "--valuation",
+     "line 2: name 'f0 extra' is not a single token"),
+    ("param = 3\n", "--valuation", "line 1: expected 'param <name> = <value>'"),
+])
+def test_parameter_names_are_single_tokens(capsys, tmp_path, text, option, message):
+    # "f1 f0 extra" would read as a word of three parameters
+    bad = tmp_path / "bad.in"
+    bad.write_text(text, encoding="utf-8")
+    files = {"--pinterp": PI, "--valuation": ETA, option: str(bad)}
+    code, out, err = run(capsys, "eval-valuation", "--trs", EX1,
+                         *[arg for item in files.items() for arg in item])
+    assert (code, out) == (2, "")
+    assert err == f"error: {option[2:]} {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("backend", ["entrywise", "value"])
 def test_check_leaves_no_interned_term(capsys, tmp_path, backend):
     from matint.trs import _INTERNED
@@ -763,12 +806,18 @@ def test_fuzzed_interpretation_files_exit_cleanly(text, backend):
     assert code in (0, 1, 2)
 
 
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracer", DATA.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_bench_tracer_names_resolve():
     # perfbench wraps these names; deleting or renaming one breaks its traced run
     bench = DATA.parent / "perfbench"
-    spec = importlib.util.spec_from_file_location("_bench_tracer", bench / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_tracer()
     for module, func in tracer.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), func, None)), (module, func)
     assert callable(importlib.import_module("matint.matrix").Mat.__mul__)
@@ -778,6 +827,19 @@ def test_bench_tracer_names_resolve():
                  and [t.id for t in node.targets] == ["SETUP_CODE"])
     assert "matint.cli.build_parser" in setup
     exec(compile(setup, "SETUP_CODE", "exec"), {})
+
+
+def test_bench_tracer_counts_the_longest_word():
+    # the traced run reads constraints.max_word_len from len() of each word
+    import matint.constraints
+    depth = 300
+    trs = parse_trs(f"(VAR x) (RULES g({'f(' * depth}x{')' * depth}) -> x)")
+    pi = parse_pinterp(read("fg-params.pi"))
+    with _bench_tracer().Tracer(time.process_time) as tracer:
+        cs = matint.constraints.generate_arith_constraints(trs, (), pi)
+    longest = max(len(tuple(w)) for c in cs for w in (*c.lhs, *c.rhs))
+    assert longest == depth + 1      # g1 f1^depth, the coefficient word of x
+    assert tracer.metrics()["constraints.max_word_len"] == longest
 
 
 README_VERDICTS = {"check": "SATISFIED", "dps": "OK", "gen-constraints": "OK",

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference as ref
-from matint import (ArithConstraint, ConstraintError, eval_valuation,
+from matint import (App, ArithConstraint, ConstraintError, EncodingError, EvalResult,
+                    ParamInterpretation, Rule, Trs, Var, dependency_pairs, eval_valuation,
                     generate_arith_constraints, make_valuation, parse_pinterp,
-                    parse_trs, parse_valuation)
+                    parse_trs, parse_valuation, required_products)
+from matint.cli import _constraint_lines
 from matint.constraints import eval_word_sum, format_word_sum
-from _helpers import example_one, read
+from _helpers import as_words, example_one, flat, read
 
 EX14 = """
 pinterp f : 1 = f1 | f0
@@ -19,6 +22,10 @@ pinterp f# : 1 = F1 | F0
 
 def words(*ws):
     return tuple(tuple(w.split()) for w in ws)
+
+
+def nodes(*ws):
+    return as_words(words(*ws))
 
 
 def test_parse_pinterp():
@@ -76,8 +83,8 @@ def test_generate_constraints_matches_published_list():
     ]
     for c, (source, kind, rel, lhs, rhs) in zip(cs, expected):
         assert (c.source, c.kind, c.rel) == (source, kind, rel)
-        assert sorted(c.lhs) == sorted(lhs)      # word sums match as multisets
-        assert sorted(c.rhs) == sorted(rhs)
+        assert sorted(flat(c.lhs)) == sorted(lhs)      # word sums match as multisets
+        assert sorted(flat(c.rhs)) == sorted(rhs)
 
 
 def test_generate_constraints_variable_free_rule():
@@ -86,16 +93,16 @@ def test_generate_constraints_variable_free_rule():
     cs = generate_arith_constraints(trs, (), pi)
     assert len(cs) == 1
     assert cs[0].kind == "const"
-    assert cs[0].lhs == words("a0") and cs[0].rhs == words("b0")
+    assert flat(cs[0].lhs) == words("a0") and flat(cs[0].rhs) == words("b0")
 
 
 def test_generate_constraints_projection_rule():
     trs = parse_trs("(VAR x) (RULES f(g(f(x))) -> x)")
     pi = parse_pinterp("pinterp f : 1 = f1 | f0\npinterp g : 1 = g1 | g0")
     var_c, const_c = generate_arith_constraints(trs, (), pi)
-    assert var_c.lhs == words("f1 g1 f1") and var_c.rhs == words("1")
-    assert sorted(const_c.lhs) == sorted(words("f1 g1 f0", "f1 g0", "f0"))
-    assert const_c.rhs == words("0")
+    assert flat(var_c.lhs) == words("f1 g1 f1") and flat(var_c.rhs) == words("1")
+    assert sorted(flat(const_c.lhs)) == sorted(words("f1 g1 f0", "f1 g0", "f0"))
+    assert flat(const_c.rhs) == words("0")
 
 
 def test_generate_constraints_word_order():
@@ -135,7 +142,8 @@ def test_self_pair_stays_unsatisfiable():
         "pinterp f : 1 = f1 | f0\npinterp g : 1 = g1 | g0\npinterp f# : 1 = F1 | F0")
     cs = generate_arith_constraints(trs, pair, pi)
     strict = [c for c in cs if c.rel == "strict"]
-    assert strict[0].lhs == strict[0].rhs == words("F0")
+    # interned: the two sides hold one word object
+    assert strict[0].lhs == strict[0].rhs and flat(strict[0].lhs) == words("F0")
     eta = make_valuation({"f1": 1, "f0": 1, "g1": 1, "g0": 0, "F1": 1, "F0": 1})
     assert not eval_valuation(strict[0], eta).holds
 
@@ -155,26 +163,26 @@ def test_eval_valuation_examples():
 
 
 def test_eval_valuation_weak_reflexive():
-    c = ArithConstraint(words("p q"), words("p q"), "weak", "x")
+    c = ArithConstraint(nodes("p q"), nodes("p q"), "weak", "x")
     assert eval_valuation(c, make_valuation({"p": 3, "q": Fraction(1, 3)})).holds
 
 
 def test_eval_valuation_strict_needs_gap():
-    c = ArithConstraint(words("p"), words("q"), "strict", "const")
+    c = ArithConstraint(nodes("p"), nodes("q"), "strict", "const")
     eta = make_valuation({"p": 2, "q": 2})
     assert not eval_valuation(c, eta).holds
     eta = make_valuation({"p": Fraction(9, 4), "q": 2})
     assert eval_valuation(c, eta).holds
     assert not eval_valuation(c, eta, Fraction(1, 2)).holds
     # the self-loop p > p must not hold by a margin of 0 or less
-    loop = ArithConstraint(words("p"), words("p"), "strict", "const")
+    loop = ArithConstraint(nodes("p"), nodes("p"), "strict", "const")
     for delta in (0, -1):
         with pytest.raises(ConstraintError, match="delta must be positive"):
             eval_valuation(loop, eta, Fraction(delta))
 
 
 def test_eval_valuation_unbound_parameter():
-    c = ArithConstraint(words("p"), words("q"), "weak", "x")
+    c = ArithConstraint(nodes("p"), nodes("q"), "weak", "x")
     with pytest.raises(ConstraintError, match="unbound"):
         eval_valuation(c, make_valuation({"p": 1}))
 
@@ -194,10 +202,10 @@ def test_word_sums_agree_with_reference():
             want = ref.eval_word_sum(ws, eta)
         except ConstraintError as exc:
             with pytest.raises(ConstraintError) as got:
-                eval_word_sum(ws, eta)
+                eval_word_sum(as_words(ws), eta)
             assert str(got.value) == str(exc)
             continue
-        got = eval_word_sum(ws, eta)
+        got = eval_word_sum(as_words(ws), eta)
         assert got == want and type(got) is type(want)
 
 
@@ -206,3 +214,82 @@ def test_word_product_is_order_sensitive_in_rendering():
     pi = parse_pinterp("pinterp f : 1 = f1 | f0\npinterp g : 1 = g1 | g0")
     cs = generate_arith_constraints(trs, (), pi)
     assert format_word_sum(cs[0].lhs) == "f1 g1"
+
+
+# random terms on symbols of arity 0-2 over the variables x and y
+_ARITY = {"a": 0, "b": 0, "f": 1, "g": 1, "p": 2, "q": 2}
+
+
+@st.composite
+def _terms(draw, depth):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.sampled_from(("x", "y", "a", "b")))
+        return Var(leaf) if leaf in ("x", "y") else App(leaf)
+    symbol = draw(st.sampled_from(("f", "g", "p", "q", "f", "g")))
+    return App(symbol, tuple(draw(_terms(depth - 1)) for _ in range(_ARITY[symbol])))
+
+
+@st.composite
+def _problems(draw):
+    """Rules and pairs, their parametric interpretation and a valuation that
+    mixes ints and fractions and sometimes leaves a parameter unbound."""
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(_terms(12))
+        rules.append(Rule(App("f", (lhs,)) if isinstance(lhs, Var) else lhs,
+                          draw(_terms(12))))
+    pairs = dependency_pairs(Trs(frozenset("xy"), tuple(rules), {})) \
+        if draw(st.booleans()) else ()
+    table = {}
+    for symbol, arity in _ARITY.items():
+        for s in (symbol, symbol + "#"):
+            name = s.replace("#", "S")
+            table[s] = (tuple(f"{name}{k}" for k in range(1, arity + 1)), f"{name}0")
+    values = st.one_of(st.integers(0, 3), st.fractions(0, 3, max_denominator=4))
+    eta = {param: draw(values) for coeffs, const in table.values()
+           for param in (*coeffs, const)}
+    if draw(st.integers(0, 2)) == 0:
+        del eta[draw(st.sampled_from(sorted(eta)))]
+    return rules, pairs, ParamInterpretation(table), make_valuation(eta)
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except (ConstraintError, EncodingError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_problems(), st.sampled_from((None, Fraction(1, 2))))
+def test_word_nodes_agree_with_flat_words(problem, delta):
+    rules, pairs, pi, eta = problem
+    cs = generate_arith_constraints(Trs(frozenset("xy"), tuple(rules), {}), pairs, pi)
+    flat_cs = ref.generate_constraints(rules, pairs, pi)
+    # the same text, alone and with the text memo the CLI shares
+    want = [ref.format_constraint(c) for c in flat_cs]
+    assert [f"{c.source} / {c.kind}: {c}" for c in cs] == want
+    assert list(_constraint_lines(cs)) == want
+    # the same words, parameter by parameter
+    for c, (source, kind, rel, lhs, rhs) in zip(cs, flat_cs):
+        assert (c.source, c.kind, c.rel) == (source, kind, rel)
+        assert flat(c.lhs) == lhs and flat(c.rhs) == rhs
+        assert [len(w) for w in (*c.lhs, *c.rhs)] == [len(w) for w in (*lhs, *rhs)]
+    # the same values, verdicts and unbound-parameter errors, through one memo
+    memo = {}
+    for c, flat_c in zip(cs, flat_cs):
+        got = _outcome(eval_valuation, c, eta, delta, memo)
+        if isinstance(got, EvalResult):
+            got = (got.holds, got.lhs_value, got.rhs_value)
+        assert got == _outcome(ref.eval_constraint, flat_c, eta, delta)
+    assert _outcome(required_products, cs, eta) == \
+        _outcome(ref.required_products, flat_cs, eta)
+
+
+def test_flat_words_are_refused():
+    # a tuple of names is no word node; its "parent" would be a str whose
+    # first character is itself, so the fold would never reach a root
+    eta = make_valuation({"p": 2, "q": 3})
+    for flat_word in (("p", "q"), ("p",)):
+        with pytest.raises(TypeError, match="expected a word node"):
+            eval_word_sum((flat_word,), eta)

@@ -8,7 +8,7 @@ from matint import (ArithConstraint, Encoding, EncodingError, Mat, catalog,
                     format_matrix, is_compatible, jordan, load_encoding,
                     make_valuation, parse_encoding, required_products, rho,
                     validate)
-from _helpers import rand_rat_mat
+from _helpers import as_words, rand_rat_mat
 
 
 def format_encoding(enc):
@@ -22,7 +22,7 @@ F = Fraction
 
 
 def rc(lhs, rhs, rel="weak", kind="x"):
-    mk = lambda s: tuple(tuple(w.split()) for w in s.split("+"))
+    mk = lambda s: as_words(w.split() for w in s.split("+"))
     return ArithConstraint(mk(lhs), mk(rhs), rel, kind)
 
 
@@ -157,13 +157,14 @@ def test_required_products_matches_subset_enumeration():
                           "e": F(1, 3), "n": 2, "m": 5})
     names = sorted(eta)
 
-    def word_sum():
-        return tuple(tuple(rng.choice(names) for _ in range(rng.randint(1, 10)))
-                     for _ in range(rng.randint(1, 3)))
+    def word_sum(nodes):
+        return as_words((tuple(rng.choice(names) for _ in range(rng.randint(1, 10)))
+                         for _ in range(rng.randint(1, 3))), nodes)
 
     saw_one = False
     for _ in range(300):
-        cs = [ArithConstraint(word_sum(), word_sum(), "weak", "x")
+        nodes = {}      # words shared between constraints, as generated ones are
+        cs = [ArithConstraint(word_sum(nodes), word_sum(nodes), "weak", "x")
               for _ in range(rng.randint(1, 4))]
         req = required_products(cs, eta)
         assert req == _subset_products(cs, eta)

@@ -42,6 +42,12 @@ def test_variable_lhs_rejected():
 def test_fresh_rhs_variable_rejected():
     with pytest.raises(TrsError, match="fresh"):
         parse_trs("(VAR x y) (RULES f(x) -> g(y))")
+    # the parser collects each side's variables as it reads them, and names
+    # the fresh ones at the start of their rule
+    with pytest.raises(TrsError) as exc:
+        parse_trs("(VAR x y z)\n(RULES\n  a -> a\n  f(x) -> g(z, x, y))")
+    assert str(exc.value) == ("line 4, column 3: right-hand side of f(x) -> g(z,x,y) "
+                              "introduces fresh variable(s) y, z")
 
 
 def test_arity_clash_rejected():
@@ -118,7 +124,8 @@ def test_dependency_pairs_deduplicate():
 def test_dependency_pairs_preserve_rule_invariants_and_arity():
     trs = parse_trs(read("relative.trs"))
     for pair in dependency_pairs(trs):
-        Rule(pair.lhs, pair.rhs)   # revalidates both invariants
+        Rule(pair.lhs, pair.rhs)   # revalidates the variable-lhs invariant
+        assert _variables(pair.rhs) <= _variables(pair.lhs)
         assert pair.lhs.symbol.endswith("#")
         base = pair.lhs.symbol[:-1]
         assert len(pair.lhs.args) == trs.signature[base]
@@ -325,6 +332,10 @@ class _RefParser:
                         rule = Rule(lhs, rhs)
                     except TrsError as exc:
                         raise TrsError(str(exc), line, col) from None
+                    fresh = _variables(rhs) - _variables(lhs)
+                    if fresh:
+                        raise TrsError(f"right-hand side of {rule} introduces fresh "
+                                       f"variable(s) {', '.join(sorted(fresh))}", line, col)
                     for s in (s for side in (lhs, rhs) for s in subterms(side)):
                         if isinstance(s, App):
                             seen = signature.setdefault(s.symbol, len(s.args))
@@ -338,6 +349,10 @@ class _RefParser:
         if not saw_rules:
             raise TrsError("missing (RULES ...) section")
         return varnames, rules, signature
+
+
+def _variables(t):
+    return {s.name for s in subterms(t) if isinstance(s, Var)}
 
 
 def _outcome(parse, text):
