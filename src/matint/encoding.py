@@ -215,7 +215,11 @@ def parse_encoding(text: str) -> Encoding:
                 if dim is None:
                     raise ValueError("value line before 'encoding dim' header")
                 head, mat_s = line.split("=", 1)
-                value = parse_rat(head.split(None, 1)[1])
+                parts = head.split(None, 1)
+                if len(parts) != 2:
+                    raise ValueError(
+                        f"expected 'value <p>/<q> = <matrix literal>', got {line!r}")
+                value = parse_rat(parts[1])
                 if value in table:
                     raise ValueError(f"value {value} encoded twice")
                 table[Fraction(value)] = parse_matrix(mat_s)

@@ -130,6 +130,18 @@ class Interpretation:
                         f"{symbol}: constant vector is not block-constant "
                         f"(block {j + 1} of size {b})")
 
+    @classmethod
+    def _derived(cls, shape: BlockShape, domain: str, table: dict[str, LinearFunc],
+                 delta: Fraction | None = None) -> Interpretation:
+        """The trusted constructor for interpretations that a transform has
+        built from valid ones: shapes, signs, domain and block-constant
+        vectors hold by construction, so no entry is read again."""
+        interp = object.__new__(cls)
+        for name, value in (("shape", shape), ("domain", domain), ("table", table),
+                            ("delta", delta), ("_memo", {})):
+            object.__setattr__(interp, name, value)
+        return interp
+
     def max_entry(self, matrices_only: bool = False) -> Rat:
         """Largest entry over all coefficient matrices (and constant vectors)."""
         best = 0
@@ -197,7 +209,8 @@ def _columns(mat: Mat) -> tuple:
     # 4·nonzeros <= n², with the zeros counted at C speed
     if n < 8 or 4 * nums.count(0) < 3 * n * n:
         return mat.den, tuple(nums[j::n] for j in range(n)), None
-    every = range(n)
+    # a tuple, since a range makes a new int for each index above 256
+    every = tuple(range(n))
     rows: list[int] = []
     weights: list[int] = []
     spans = []
@@ -205,7 +218,8 @@ def _columns(mat: Mat) -> tuple:
         col = nums[j::n]
         start = len(rows)
         rows += compress(every, col)
-        weights += compress(col, col)
+        # the weights are read at the nonzeros' rows only, not over the column
+        weights += map(col.__getitem__, rows[start:])
         spans.append(slice(start, len(rows)))
     # two trailing picks that no span covers, so that ``pick`` returns a
     # tuple even for a matrix with fewer than two nonzeros
@@ -833,14 +847,17 @@ def parse_interpretation(text: str) -> Interpretation:
 
 
 def format_interpretation(interp: Interpretation) -> str:
-    lines = [f"domain {interp.domain}", f"dim {interp.shape.dim}",
-             f"block {interp.shape.block}"]
+    # one join over short pieces and the literals themselves, so a big
+    # literal is copied once, into the text, and not first into its line
+    pieces = [f"domain {interp.domain}\n", f"dim {interp.shape.dim}\n",
+              f"block {interp.shape.block}\n"]
     if interp.delta is not None:
-        lines.append(f"delta {interp.delta}")
+        pieces.append(f"delta {interp.delta}\n")
     rendered: dict = {}  # each distinct matrix object is rendered once
     for symbol, func in interp.table.items():
-        lines.append(f"interp {symbol} : {len(func.mats)}")
+        pieces.append(f"interp {symbol} : {len(func.mats)}\n")
         *mats, const = _map_once(format_matrix, (*func.mats, func.const), rendered)
-        lines += [f"  M{k} = {mat}" for k, mat in enumerate(mats, start=1)]
-        lines.append(f"  C = {const}")
-    return "\n".join(lines) + "\n"
+        for k, mat in enumerate(mats, start=1):
+            pieces += (f"  M{k} = ", mat, "\n")
+        pieces += ("  C = ", const, "\n")
+    return "".join(pieces)

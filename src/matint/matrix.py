@@ -309,19 +309,11 @@ _DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _NOT_DIGITS = bytes(range(10, 256))
 
 
-def _parse_row(items: list[str], fractions: bool) -> tuple[list[int] | bytes, int]:
+def _parse_row(items: list[str], fractions: bool) -> tuple[list[int], int]:
     """Tokens as int numerators over one (not necessarily lowest) positive
-    denominator; ``fractions`` tells whether some token has a '/'. A
-    literal's tokens are read all at once: when each is one ASCII digit, as
-    in a bit matrix, by one byte translation (the bytes are the values),
-    without an ``int()`` call. A bad token raises ValueError or
-    ZeroDivisionError."""
+    denominator; ``fractions`` tells whether some token has a '/'. A bad
+    token raises ValueError or ZeroDivisionError."""
     if not fractions:
-        joined = "".join(items)
-        # isdigit alone would admit '²', which int() refuses, and digits
-        # like '٣', which int() reads but which are more than one byte
-        if len(joined) == len(items) and joined.isascii() and joined.isdigit():
-            return joined.encode().translate(_DIGIT_VALUES), 1
         return list(map(int, items)), 1
     pairs = []
     for item in items:
@@ -333,6 +325,35 @@ def _parse_row(items: list[str], fractions: bool) -> tuple[list[int] | bytes, in
     # lcm is positive, and den // q carries the sign of a negative q
     den = lcm(*[q for _, q in pairs])
     return [p * (den // q) for p, q in pairs], den
+
+
+def _parse_layout(body: str) -> Mat | None:
+    """The literal body that ``format_matrix`` writes for entries 0..9,
+    read by slicing, or None for any other text.
+
+    In that layout each entry is one ASCII digit, the entries and the row
+    separators ';' sit at the even places, and each odd place holds one
+    whitespace character. So the even places are the rows of digits joined
+    by ';', and the digits' bytes, translated, are the values: no token per
+    entry and no ``int()`` call."""
+    if len(body) > 1 and not body[1::2].isspace():
+        return None
+    cells = body[::2]
+    width = cells.find(";")
+    if width < 0:
+        width = len(cells)
+    rows, extra = divmod(len(cells) + 1, width + 1)
+    digits = cells.replace(";", "")
+    # the ';' count and places are right iff the digits fill rows x width
+    # and every (width+1)-th cell is a ';'
+    if (extra or not width or len(digits) != rows * width
+            or cells[width::width + 1] != ";" * (rows - 1)):
+        return None
+    # isdigit alone would admit '²', which int() refuses, and digits
+    # like '٣', which int() reads but which are more than one byte
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    return Mat._derived(rows, width, digits.encode().translate(_DIGIT_VALUES))
 
 
 def _raise_literal_error(text: str, rows: list[list[str]]):
@@ -351,14 +372,19 @@ def parse_matrix(text: str) -> Mat:
 
     Accepts and rejects exactly what ``parse_rat`` per entry and a check
     for equal-length rows would, with the same messages, but makes no
-    Fraction: all tokens are read in one ``_parse_row`` call as ints over
-    one denominator, and the rows are only walked to name an error."""
+    Fraction. The layout ``format_matrix`` writes for entries 0..9 is read
+    by slicing (``_parse_layout``); any other text is split into tokens,
+    all read in one ``_parse_row`` call as ints over one denominator, and
+    the rows are only walked to name an error."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise MatrixError(f"matrix literal must be bracketed: {text!r}")
     body = text[1:-1].strip()
     if not body:
         raise MatrixError("empty matrix literal")
+    mat = _parse_layout(body)
+    if mat is not None:
+        return mat
     rows = list(map(str.split, body.split(";")))
     width = len(rows[0])
     if width and set(map(len, rows)) == {width}:
@@ -388,7 +414,8 @@ def entry_strs(a: Mat) -> list[str]:
 def format_matrix(a: Mat) -> str:
     """The literal ``[a b ; c d]``. A matrix whose entries are all digits
     0..9, like a bit matrix, is written from its bytes: each entry's byte
-    translated to its digit, a ';' between rows, and one join spacing them."""
+    translated to its digit, a ';' between rows, and one strided copy into
+    a buffer of spaces putting one space between any two of these."""
     nums, c, n = a.nums, a.cols, len(a.nums)
     if a.den == 1:
         try:
@@ -398,6 +425,10 @@ def format_matrix(a: Mat) -> str:
             digits = b""
         if len(digits) == n:
             rows = map(digits.__getitem__, map(slice, range(0, n, c), range(c, n + c, c)))
-            return "[" + " ".join(b";".join(rows).decode()) + "]"
+            cells = b";".join(rows)
+            out = bytearray(b" ") * (2 * len(cells) + 1)
+            out[1::2] = cells
+            out[0], out[-1] = 91, 93  # '[' and ']'
+            return out.decode()
     strs = entry_strs(a)
     return "[" + " ; ".join(" ".join(strs[i:i + c]) for i in range(0, len(strs), c)) + "]"

@@ -60,6 +60,9 @@ def _substitute(interp: Interpretation, block_of, b: int, block: int) -> Interpr
     vector repeats each entry b times, which is nu. An encoding block's row
     sums are E(x)·1. One vector rule serves both. A matrix object that
     several positions share gets one image, which they share in turn.
+    The result is natural, of the right shapes and block-constant by
+    construction, so it is built by the trusted constructor and no entry
+    is checked again.
     """
     @cache  # shared by every vector: a lift block has b² entries
     def vector_of(e):
@@ -77,8 +80,8 @@ def _substitute(interp: Interpretation, block_of, b: int, block: int) -> Interpr
         except EncodingError as exc:
             raise EncodingError(f"{symbol}: {exc}") from None
         table[symbol] = LinearFunc(mats, const)
-    return Interpretation(BlockShape(b * interp.shape.dim, block), "natural",
-                          table, interp.delta)
+    return Interpretation._derived(BlockShape(b * interp.shape.dim, block), "natural",
+                                   table, interp.delta)
 
 
 def interp_to_blocks(interp: Interpretation, factor: int = None) -> Interpretation:

@@ -352,6 +352,18 @@ def test_validate_encoding_invalid(capsys, tmp_path):
     assert "RESULT: INVALID" in out
 
 
+def test_encoding_value_line_without_a_value_exits_2(capsys, tmp_path):
+    """A value line with nothing before its '=' names the line and the form
+    it expects, and exits 2 with no traceback."""
+    for line in ("value = [0 1 ; 0 0]", "value=[0 1 ; 0 0]"):
+        enc = tmp_path / "novalue.enc"
+        enc.write_text(f"encoding dim 2\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate-encoding", "--encoding", str(enc))
+        assert code == 2 and out == "", line
+        assert err == (f"error: encoding {enc}: line 2: expected "
+                       f"'value <p>/<q> = <matrix literal>', got {line!r}\n")
+
+
 def test_compat_reports(capsys):
     code, out, _ = run(capsys, "compat", "--trs", EX1, "--pairs", "auto",
                        "--pinterp", PI, "--valuation", ETA, "--encoding", "half")

@@ -288,3 +288,39 @@ def test_to_bits_builds_no_mat_per_entry(monkeypatch, tmp_path):
     # each distinct matrix is parsed once and lifted once
     assert len(made) <= 2 * matrices + len(values)
     assert sum(1 for rows, _ in made if rows == 112) == matrices
+
+
+def test_substitute_results_are_built_trusted_and_pass_every_check(monkeypatch):
+    """to-blocks, to-bits and expand build their results without the
+    checks of ``Interpretation.__post_init__``, and every result would pass
+    them: rebuilt through the checked constructor, it raises nothing and is
+    equal. Loaded and hand-built interpretations keep every check."""
+    rng = random.Random(19)
+    inputs = []
+    while len(inputs) < 40:
+        interp = _random_interp(rng, hi=rng.choice((2, 4, 6, 12)))
+        if _predicted_dim(interp) <= MAX_DIM:
+            inputs.append(interp)
+    # block > 1 inputs: a to-blocks result lifted again
+    inputs += [interp_to_blocks(interp, 2) for interp in inputs[:10]]
+    rationals = [(_rational_interp(rng, sorted(catalog(name).table), rng.randint(1, 3)),
+                  catalog(name)) for name in CATALOG_NAMES for _ in range(5)]
+    checks = []
+    original = Interpretation.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        original(self)
+    monkeypatch.setattr(Interpretation, "__post_init__", counting)
+    outputs = []
+    for interp in inputs:
+        outputs.append(interp_to_blocks(interp, rng.randint(2, 4)))
+        bits, trace = interp_to_bits(interp)
+        if trace.steps:
+            outputs.append(bits)
+    outputs += [expand_rational(interp, enc) for interp, enc in rationals]
+    assert checks == []
+    for out in outputs:
+        rebuilt = Interpretation(out.shape, out.domain, out.table, out.delta)
+        assert rebuilt == out and out.domain == "natural"
+    assert len(checks) == len(outputs)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference as ref
 import matint.matrix as matrix_module
@@ -116,6 +117,69 @@ def test_parse_matrix_matches_entrywise_reference():
         assert _literal_outcome(parse_matrix, text) == want, text
         kinds.add(want[1].split(" ")[0] if want[0] == "error" else "ok")
     assert {"ok", "bad", "ragged"} <= kinds
+    # the layout format_matrix writes, read by slicing, and perturbations
+    # of it, each of which that reader must leave to the token reader or
+    # read to the same value
+    kinds = set()
+    for _ in range(3000):
+        rows, cols = rng.choice(((1, 1), (1, rng.randint(2, 12)), (rng.randint(2, 12), 1),
+                                 (rng.randint(2, 12), rng.randint(2, 12))))
+        cells = [[rng.choice("0123456789") for _ in range(cols)] for _ in range(rows)]
+        slots = list(" ; ".join(map(" ".join, cells)))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            _perturb_layout(rng, slots)
+        text = "[" + "".join(slots) + "]"
+        want = _literal_outcome(_ref_parse_matrix, text)
+        assert _literal_outcome(parse_matrix, text) == want, text
+        kinds.add(want[1].split(" ")[0] if want[0] == "error" else "ok")
+    assert {"ok", "bad", "ragged", "empty"} <= kinds
+
+
+def _perturb_layout(rng, slots):
+    """One change to the characters ``slots`` of a literal body in the
+    layout ``format_matrix`` writes."""
+    kind = rng.randrange(7)
+    seps = [i for i, ch in enumerate(slots) if ch == " "]
+    digits = [i for i, ch in enumerate(slots) if ch.isdigit()]
+    if kind == 0 and seps:  # another separator, two spaces or none
+        i = rng.choice(seps)
+        slots[i] = rng.choice(("\t", "\x1c", "\xa0", "  ", ""))
+    elif kind == 1 and seps:  # every separator replaced alike
+        sep = rng.choice(("\t", "\x1c", "\xa0", "  ", "\n"))
+        for i in seps:
+            slots[i] = sep
+    elif kind == 2:  # a ';' glued to a digit, or doubled
+        semis = [i for i, ch in enumerate(slots) if ch == ";"]
+        if semis:
+            i = rng.choice(semis)
+            j = i + rng.choice((-1, 1))
+            if rng.random() < 0.5:
+                slots[j] = ""
+            else:
+                slots[i] = rng.choice((";;", "; ;"))
+    elif kind == 3:  # whitespace just inside the brackets
+        slots.insert(0, rng.choice((" ", "\t", "\xa0")))
+        slots.append(rng.choice((" ", "\n", "\x1c")))
+    elif kind == 4 and digits:  # a slot that holds no single ASCII digit
+        i = rng.choice(digits)
+        slots[i] = rng.choice(("/", "-", "²", "٣", "10", " ", "1/2", "-0"))
+    elif kind == 5 and digits:  # a row with one entry removed
+        i = rng.choice(digits)
+        slots[i] = ""
+        if i + 1 < len(slots) and slots[i + 1] == " ":
+            slots[i + 1] = ""
+    elif digits:  # an entry appended to one row
+        slots.insert(rng.choice(digits) + 1, " " + rng.choice("0123456789"))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda rows: st.integers(1, 40).flatmap(
+    lambda cols: st.tuples(st.just(rows), st.just(cols), st.lists(
+        st.integers(0, 9), min_size=rows * cols, max_size=rows * cols)))))
+def test_digit_matrix_literal_round_trip(shape_and_entries):
+    rows, cols, entries = shape_and_entries
+    m = Mat(rows, cols, entries)
+    assert parse_matrix(format_matrix(m)) == m
 
 
 def test_format_matrix_matches_entrywise_str():
