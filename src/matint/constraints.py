@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import MatrixError, Rat, as_rat, parse_rat, strip_comment
+from .matrix import Rat, as_rat, parse_rat, read_lines
 from .trs import Term, Trs, Var
 
 
@@ -152,43 +152,23 @@ class ParamInterpretation:
                 seen.add(name)
 
 
-def _one_token(name: str) -> str:
-    """``name``, which must hold no whitespace: the constraint text writes a
-    word as its parameter names with one space between them."""
-    if len(name.split()) != 1:
-        raise ValueError(f"name {name!r} is not a single token")
-    return name
+_PINTERP_LINES = (("pinterp", "pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>",
+                   r"pinterp\s+([^\s:=]+)\s*:\s*([0-9]+)\s*=([^|]*)\|\s*(\S+)"),)
 
 
 def parse_pinterp(text: str) -> ParamInterpretation:
     """Parse ``pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>`` lines."""
     table: dict[str, tuple[tuple[str, ...], str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            head, rhs = line.split("=", 1)
-            kw, sym_arity = head.split(None, 1)
-            if kw != "pinterp":
-                raise ValueError(f"expected 'pinterp', got {kw!r}")
-            symbol, arity_s = (s.strip() for s in sym_arity.split(":", 1))
-            arity = int(arity_s)
-            coeff_part, const_part = rhs.split("|", 1)
-            coeffs = tuple(coeff_part.split())
-            const = const_part.strip()
-            if not symbol or not const:
-                raise ValueError("missing symbol or constant parameter")
-            for name in (symbol, const):
-                _one_token(name)
-            if len(coeffs) != arity:
-                raise ValueError(
-                    f"{len(coeffs)} coefficient parameter(s) for arity {arity}")
-            if symbol in table:
-                raise ValueError(f"symbol {symbol!r} interpreted twice")
-        except ValueError as exc:
-            raise ConstraintError(f"line {lineno}: {exc}") from None
+
+    def handle(_lineno, _keyword, symbol, arity, coeffs, const):
+        coeffs, arity = tuple(coeffs.split()), int(arity)
+        if len(coeffs) != arity:
+            raise ValueError(f"{len(coeffs)} coefficient parameter(s) for arity {arity}")
+        if symbol in table:
+            raise ValueError(f"symbol {symbol!r} interpreted twice")
         table[symbol] = (coeffs, const)
+
+    read_lines(text, _PINTERP_LINES, handle, ConstraintError)
     return ParamInterpretation(table)
 
 
@@ -303,26 +283,19 @@ def make_valuation(values: dict[str, Rat]) -> dict[str, Rat]:
     return out
 
 
+_VALUATION_LINES = (("param", "param <name> = <value>", r"param\s+([^\s=]+)\s*=(.*)"),)
+
+
 def parse_valuation(text: str) -> dict[str, Rat]:
     """Parse ``param <name> = <value>`` lines."""
     values: dict[str, Rat] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            head, eq, value_s = line.partition("=")
-            parts = head.split(None, 1)
-            if parts and parts[0] != "param":
-                raise ValueError(f"expected 'param', got {parts[0]!r}")
-            if len(parts) != 2 or not eq:
-                raise ValueError("expected 'param <name> = <value>'")
-            name = _one_token(parts[1].strip())
-            if name in values:
-                raise ValueError(f"parameter {name!r} valued twice")
-            values[name] = parse_rat(value_s)
-        except (ValueError, MatrixError) as exc:
-            raise ConstraintError(f"line {lineno}: {exc}") from None
+
+    def handle(_lineno, _keyword, name, value):
+        if name in values:
+            raise ValueError(f"parameter {name!r} valued twice")
+        values[name] = parse_rat(value)
+
+    read_lines(text, _VALUATION_LINES, handle, ConstraintError)
     return make_valuation(values)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .constraints import ArithConstraint, fold_words
 from .matrix import (Mat, Rat, as_rat, jordan, parse_matrix, parse_rat,
-                     strip_comment)
+                     read_lines)
 from .represent import rho
 
 
@@ -197,36 +197,32 @@ def is_compatible(enc: Encoding, req: frozenset[Fraction]) -> bool:
     return report.valid and all(report.product_closed.values())
 
 
+_LINES = (
+    ("encoding", "encoding dim <n>", r"encoding\s+dim\s+([0-9]+)"),
+    ("value", "value <p>/<q> = <matrix literal>", r"value\s+([^\s=][^=]*)=(.*)"),
+)
+
+
 def parse_encoding(text: str) -> Encoding:
     """Parse ``encoding dim <n>`` then ``value <p>/<q> = <matrix literal>`` lines."""
     dim = None
     table: dict[Fraction, Mat] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("encoding"):
-                parts = line.split()
-                if len(parts) != 3 or parts[1] != "dim":
-                    raise ValueError(f"bad header {line!r}")
-                dim = int(parts[2])
-            elif line.startswith("value"):
-                if dim is None:
-                    raise ValueError("value line before 'encoding dim' header")
-                head, mat_s = line.split("=", 1)
-                parts = head.split(None, 1)
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"expected 'value <p>/<q> = <matrix literal>', got {line!r}")
-                value = parse_rat(parts[1])
-                if value in table:
-                    raise ValueError(f"value {value} encoded twice")
-                table[Fraction(value)] = parse_matrix(mat_s)
-            else:
-                raise ValueError(f"unrecognized line {line!r}")
-        except (ValueError, EncodingError) as exc:
-            raise EncodingError(f"line {lineno}: {exc}") from None
+
+    def handle(_lineno, keyword, *groups):
+        nonlocal dim
+        if keyword == "encoding":
+            if dim is not None:
+                raise ValueError("repeated header 'encoding dim'")
+            dim = int(groups[0])
+            return
+        if dim is None:
+            raise ValueError("value line before 'encoding dim' header")
+        value = parse_rat(groups[0])
+        if value in table:
+            raise ValueError(f"value {value} encoded twice")
+        table[Fraction(value)] = parse_matrix(groups[1])
+
+    read_lines(text, _LINES, handle, EncodingError)
     if dim is None:
         raise EncodingError("missing 'encoding dim <n>' header")
     return Encoding(dim, table)

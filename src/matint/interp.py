@@ -21,12 +21,12 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress, repeat
 from math import ceil, gcd, lcm
 
-from .matrix import (Mat, MatrixError, Rat, _rat_str, as_rat, entry_strs,
-                     format_matrix, parse_matrix, parse_rat, strip_comment)
+from .matrix import (LineError, Mat, MatrixError, Rat, _rat_str, as_rat, entry_strs,
+                     format_matrix, parse_matrix, parse_rat, read_lines)
 from .trs import Rule, Term, Trs, Var
 
 
@@ -775,75 +775,63 @@ def collapse_interpretation(interp: Interpretation, b: int = None) -> Interpreta
 
 # --- file format ---
 
+_LINES = (
+    ("domain", "domain natural|rational", r"domain\s+(natural|rational)"),
+    ("dim", "dim <n>", r"dim\s+([0-9]+)"),
+    ("block", "block <b>", r"block\s+([0-9]+)"),
+    ("delta", "delta <p>/<q>", r"delta\s+(.*)"),
+    ("interp", "interp <symbol> : <arity>", r"interp\s+([^\s:]+)\s*:\s*([0-9]+)"),
+    ("M", "M<k> = <literal>", r"M([0-9]+)\s*=\s*(.*)"),
+    ("C", "C = <literal>", r"C\s*=\s*(.*)"),
+)
+_HEADERS = {"domain": str, "dim": int, "block": int,
+            "delta": lambda text: Fraction(parse_rat(text))}
+
+
 def parse_interpretation(text: str) -> Interpretation:
     """Parse the line-oriented interpretation format (see the file docs)."""
-    domain = None
-    dim = None
-    block = 1
-    delta = None
+    headers = {}
     table: dict[str, LinearFunc] = {}
-    current: str | None = None
-    mats: list[Mat] = []
-    const: Mat | None = None
-    arity = 0
+    current: tuple[str, int, int] | None = None  # symbol, arity, line
+    mats, const = [], None  # the current symbol's M<k> and C
     # each distinct literal text is parsed once, into one shared Mat
-    literals: dict[str, Mat] = {}
+    literal = cache(parse_matrix)
 
-    def literal(line):
-        text = line.split("=", 1)[1].strip()
-        mat = literals.get(text)
-        if mat is None:
-            mat = literals[text] = parse_matrix(text)
-        return mat
+    def close_symbol():
+        if current is not None:
+            symbol, arity, lineno = current
+            if len(mats) != arity or const is None:
+                raise LineError(lineno, f"symbol {symbol!r} needs M1..M{arity} and C")
+            table[symbol] = LinearFunc(tuple(mats), const)
 
-    def close_symbol(lineno):
-        if current is None:
-            return
-        if len(mats) != arity or const is None:
-            raise InterpError(
-                f"line {lineno}: symbol {current!r} needs M1..M{arity} and C")
-        table[current] = LinearFunc(tuple(mats), const)
+    def handle(lineno, keyword, *groups):
+        nonlocal current, mats, const
+        if keyword == "M":
+            k, text = groups
+            arity = current[1] if current else 0
+            if int(k) != len(mats) + 1 or int(k) > arity:
+                raise ValueError(f"unexpected M{k} (arity {arity})")
+            mats.append(literal(text))
+        elif keyword == "C":
+            if current is None or const is not None:
+                raise ValueError("unexpected C line")
+            const = literal(groups[0])
+        elif keyword == "interp":
+            close_symbol()
+            symbol, arity = groups
+            if symbol in table:
+                raise ValueError(f"symbol {symbol!r} interpreted twice")
+            current, mats, const = (symbol, int(arity), lineno), [], None
+        elif keyword in headers:
+            raise ValueError(f"repeated header {keyword!r}")
+        else:
+            headers[keyword] = _HEADERS[keyword](groups[0])
 
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            key = line.split(None, 1)[0]
-            if key == "domain":
-                domain = line.split(None, 1)[1].strip()
-            elif key == "dim":
-                dim = int(line.split(None, 1)[1])
-            elif key == "block":
-                block = int(line.split(None, 1)[1])
-            elif key == "delta":
-                delta = Fraction(parse_rat(line.split(None, 1)[1]))
-            elif key == "interp":
-                close_symbol(lineno)
-                head = line.split(None, 1)[1]
-                symbol, arity_s = (s.strip() for s in head.split(":", 1))
-                if symbol in table:
-                    raise ValueError(f"symbol {symbol!r} interpreted twice")
-                current, arity = symbol, int(arity_s)
-                mats, const = [], None
-            elif key.startswith("M"):
-                idx = int(key[1:])
-                if current is None or idx != len(mats) + 1 or idx > arity:
-                    raise ValueError(f"unexpected {key} (arity {arity})")
-                mats.append(literal(line))
-            elif key == "C":
-                if current is None or const is not None:
-                    raise ValueError("unexpected C line")
-                const = literal(line)
-            else:
-                raise ValueError(f"unrecognized line {line!r}")
-        except (ValueError, IndexError, MatrixError) as exc:
-            raise InterpError(f"line {lineno}: {exc}") from None
-    close_symbol(len(lines))
-    if domain is None or dim is None:
+    read_lines(text, _LINES, handle, InterpError, end=close_symbol)
+    if "domain" not in headers or "dim" not in headers:
         raise InterpError("missing 'domain' or 'dim' header")
-    return Interpretation(BlockShape(dim, block), domain, table, delta)
+    return Interpretation(BlockShape(headers["dim"], headers.get("block", 1)),
+                          headers["domain"], table, headers.get("delta"))
 
 
 def format_interpretation(interp: Interpretation) -> str:

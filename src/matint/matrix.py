@@ -303,6 +303,47 @@ def strip_comment(line: str) -> str:
     return line if found is None else line[:found.start()]
 
 
+class LineError(ValueError):
+    """A fault of the earlier line ``lineno``, seen at a later line or the end."""
+
+    def __init__(self, lineno: int, message: str):
+        super().__init__(message)
+        self.lineno = lineno
+
+
+_KEYWORD = re.compile(r"[A-Za-z]*")
+
+
+def read_lines(text: str, grammar, handle, error: type[ValueError], end=None):
+    """Read a line format; the one place that strips comments, skips blank
+    lines and numbers lines. A line's keyword is its leading ASCII letters;
+    its ``(keyword, form, pattern)`` kind must match the whole line, else
+    the error names the form, and ``handle(lineno, keyword, *groups)``
+    reads it. A ValueError raised meanwhile, or by ``end()`` after the last
+    line, becomes ``error`` with one ``line N:`` prefix, N the current line
+    or a LineError's. Patterns must run in linear time; with re.DOTALL (no
+    line holds a newline) a trailing ``(.*)`` takes a long literal at once."""
+    kinds = {keyword: (form, re.compile(pattern, re.S)) for keyword, form, pattern in grammar}
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = strip_comment(raw).strip()
+            if not line:
+                continue
+            keyword = _KEYWORD.match(line)[0]
+            kind = kinds.get(keyword)
+            found = kind and kind[1].fullmatch(line)
+            if not found:
+                forms = [kind[0]] if kind else [form for form, _ in kinds.values()]
+                raise ValueError("expected " + " or ".join(map(repr, forms)))
+            handle(lineno, keyword, *found.groups())
+        if end:
+            end()
+    except ValueError as exc:
+        at = exc.lineno if isinstance(exc, LineError) else lineno
+        raise error(f"line {at}: {exc}") from None
+
+
 # the byte of each ASCII digit mapped to its value, and back
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 _DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")

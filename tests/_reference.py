@@ -16,7 +16,9 @@ and ``encoding.required_products`` as they were before words became nodes:
 a word is a tuple of parameter names, written out in full, and every word
 is valued, counted and written on its own. ``from_rows``,
 ``column_sums`` and ``sum_entries`` are the ``Mat`` helpers that only these
-references used.
+references used. The four file parsers at the end are the ones that each
+ran their own line loop, before ``matint.matrix.read_lines``: on a valid
+file, the parsers in ``matint`` must return what these return.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from enum import Enum
 from fractions import Fraction
 from math import prod
 
-from matint import (BlockShape, ConstraintError, EncodingError, Interpretation, InterpError,
-                    LinearForm, LinearFunc, Mat, MatrixError, TransformTrace, Var, Verdict,
-                    rho, subterms, validate)
-from matint.matrix import as_rat
+from matint import (BlockShape, ConstraintError, Encoding, EncodingError, Interpretation,
+                    InterpError, LinearForm, LinearFunc, Mat, MatrixError, ParamInterpretation,
+                    TransformTrace, Var, Verdict, make_valuation, rho, subterms, validate)
+from matint.matrix import as_rat, parse_matrix, parse_rat
 
 
 def from_rows(rows):
@@ -469,3 +471,167 @@ def required_products(constraints, eta):
             products.update(powers)
         out |= products
     return frozenset(out)
+
+
+# --- the line formats, one line loop per parser ---
+
+def _one_token(name):
+    if len(name.split()) != 1:
+        raise ValueError(f"name {name!r} is not a single token")
+    return name
+
+
+def parse_interpretation(text):
+    domain = None
+    dim = None
+    block = 1
+    delta = None
+    table = {}
+    current = None
+    mats = []
+    const = None
+    arity = 0
+    literals = {}
+
+    def literal(line):
+        text = line.split("=", 1)[1].strip()
+        mat = literals.get(text)
+        if mat is None:
+            mat = literals[text] = parse_matrix(text)
+        return mat
+
+    def close_symbol(lineno):
+        if current is None:
+            return
+        if len(mats) != arity or const is None:
+            raise InterpError(
+                f"line {lineno}: symbol {current!r} needs M1..M{arity} and C")
+        table[current] = LinearFunc(tuple(mats), const)
+
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = strip_comment(raw).strip()
+        if not line:
+            continue
+        try:
+            key = line.split(None, 1)[0]
+            if key == "domain":
+                domain = line.split(None, 1)[1].strip()
+            elif key == "dim":
+                dim = int(line.split(None, 1)[1])
+            elif key == "block":
+                block = int(line.split(None, 1)[1])
+            elif key == "delta":
+                delta = Fraction(parse_rat(line.split(None, 1)[1]))
+            elif key == "interp":
+                close_symbol(lineno)
+                head = line.split(None, 1)[1]
+                symbol, arity_s = (s.strip() for s in head.split(":", 1))
+                if symbol in table:
+                    raise ValueError(f"symbol {symbol!r} interpreted twice")
+                current, arity = symbol, int(arity_s)
+                mats, const = [], None
+            elif key.startswith("M"):
+                idx = int(key[1:])
+                if current is None or idx != len(mats) + 1 or idx > arity:
+                    raise ValueError(f"unexpected {key} (arity {arity})")
+                mats.append(literal(line))
+            elif key == "C":
+                if current is None or const is not None:
+                    raise ValueError("unexpected C line")
+                const = literal(line)
+            else:
+                raise ValueError(f"unrecognized line {line!r}")
+        except (ValueError, IndexError, MatrixError) as exc:
+            raise InterpError(f"line {lineno}: {exc}") from None
+    close_symbol(len(lines))
+    if domain is None or dim is None:
+        raise InterpError("missing 'domain' or 'dim' header")
+    return Interpretation(BlockShape(dim, block), domain, table, delta)
+
+
+def parse_pinterp(text):
+    table = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = strip_comment(raw).strip()
+        if not line:
+            continue
+        try:
+            head, rhs = line.split("=", 1)
+            kw, sym_arity = head.split(None, 1)
+            if kw != "pinterp":
+                raise ValueError(f"expected 'pinterp', got {kw!r}")
+            symbol, arity_s = (s.strip() for s in sym_arity.split(":", 1))
+            arity = int(arity_s)
+            coeff_part, const_part = rhs.split("|", 1)
+            coeffs = tuple(coeff_part.split())
+            const = const_part.strip()
+            if not symbol or not const:
+                raise ValueError("missing symbol or constant parameter")
+            for name in (symbol, const):
+                _one_token(name)
+            if len(coeffs) != arity:
+                raise ValueError(
+                    f"{len(coeffs)} coefficient parameter(s) for arity {arity}")
+            if symbol in table:
+                raise ValueError(f"symbol {symbol!r} interpreted twice")
+        except ValueError as exc:
+            raise ConstraintError(f"line {lineno}: {exc}") from None
+        table[symbol] = (coeffs, const)
+    return ParamInterpretation(table)
+
+
+def parse_valuation(text):
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = strip_comment(raw).strip()
+        if not line:
+            continue
+        try:
+            head, eq, value_s = line.partition("=")
+            parts = head.split(None, 1)
+            if parts and parts[0] != "param":
+                raise ValueError(f"expected 'param', got {parts[0]!r}")
+            if len(parts) != 2 or not eq:
+                raise ValueError("expected 'param <name> = <value>'")
+            name = _one_token(parts[1].strip())
+            if name in values:
+                raise ValueError(f"parameter {name!r} valued twice")
+            values[name] = parse_rat(value_s)
+        except (ValueError, MatrixError) as exc:
+            raise ConstraintError(f"line {lineno}: {exc}") from None
+    return make_valuation(values)
+
+
+def parse_encoding(text):
+    dim = None
+    table = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = strip_comment(raw).strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("encoding"):
+                parts = line.split()
+                if len(parts) != 3 or parts[1] != "dim":
+                    raise ValueError(f"bad header {line!r}")
+                dim = int(parts[2])
+            elif line.startswith("value"):
+                if dim is None:
+                    raise ValueError("value line before 'encoding dim' header")
+                head, mat_s = line.split("=", 1)
+                parts = head.split(None, 1)
+                if len(parts) != 2:
+                    raise ValueError(
+                        f"expected 'value <p>/<q> = <matrix literal>', got {line!r}")
+                value = parse_rat(parts[1])
+                if value in table:
+                    raise ValueError(f"value {value} encoded twice")
+                table[Fraction(value)] = parse_matrix(mat_s)
+            else:
+                raise ValueError(f"unrecognized line {line!r}")
+        except (ValueError, EncodingError) as exc:
+            raise EncodingError(f"line {lineno}: {exc}") from None
+    if dim is None:
+        raise EncodingError("missing 'encoding dim <n>' header")
+    return Encoding(dim, table)

@@ -361,7 +361,7 @@ def test_encoding_value_line_without_a_value_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, "validate-encoding", "--encoding", str(enc))
         assert code == 2 and out == "", line
         assert err == (f"error: encoding {enc}: line 2: expected "
-                       f"'value <p>/<q> = <matrix literal>', got {line!r}\n")
+                       f"'value <p>/<q> = <matrix literal>'\n")
 
 
 def test_compat_reports(capsys):
@@ -700,9 +700,9 @@ def test_depth_20000_chain_stays_linear(tmp_path, command, result):
 
 @pytest.mark.parametrize("text, option, message", [
     ("pinterp f : 1 = f1 | f0 extra\npinterp g : 1 = g1 | g0\n", "--pinterp",
-     "line 1: name 'f0 extra' is not a single token"),
+     "line 1: expected 'pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>'"),
     ("param f1 = 2\nparam f0 extra = 1/2\n", "--valuation",
-     "line 2: name 'f0 extra' is not a single token"),
+     "line 2: expected 'param <name> = <value>'"),
     ("param = 3\n", "--valuation", "line 1: expected 'param <name> = <value>'"),
 ])
 def test_parameter_names_are_single_tokens(capsys, tmp_path, text, option, message):
@@ -714,6 +714,52 @@ def test_parameter_names_are_single_tokens(capsys, tmp_path, text, option, messa
                          *[arg for item in files.items() for arg in item])
     assert (code, out) == (2, "")
     assert err == f"error: {option[2:]} {bad}: {message}\n"
+
+
+_RELATIVE = read("relative.interp")
+_CHECK = ["check", "--trs", ENDR_TRS, "--interp"]
+_TO_BITS = ["to-bits", "--out", "OUT", "--interp"]
+_EVAL = ["eval-valuation", "--trs", EX1, "--valuation", ETA, "--pinterp"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    # the incomplete symbol's own interp line, once, mid-file and at the end
+    (_CHECK, _RELATIVE.replace("interp a : 0", "interp a : 1"),
+     "line 5: symbol 'a' needs M1..M1 and C"),
+    (_CHECK, _RELATIVE.replace("interp g : 1", "interp g : 2") + "# end\n",
+     "line 14: symbol 'g' needs M1..M2 and C"),
+    # names are single tokens, arities natural numbers
+    (_TO_BITS, _RELATIVE.replace("interp a : 0", "interp a b : 0"),
+     "line 5: expected 'interp <symbol> : <arity>'"),
+    (_TO_BITS, _RELATIVE.replace("interp a : 0", "interp : 0"),
+     "line 5: expected 'interp <symbol> : <arity>'"),
+    (_CHECK, _RELATIVE.replace("interp a : 0", "interp a : -1"),
+     "line 5: expected 'interp <symbol> : <arity>'"),
+    (_EVAL, "pinterp f : -1 = | f0\npinterp g : 1 = g1 | g0\n",
+     "line 1: expected 'pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>'"),
+    # each header at most once
+    (_CHECK, _RELATIVE.replace("block 1", "block 1\ndelta 1/2\ndelta 1/3"),
+     "line 6: repeated header 'delta'"),
+    (["validate-encoding", "--encoding"], "encoding dim 3\nencoding dim 2\n",
+     "line 2: repeated header 'encoding dim'"),
+    # lines that fit no form name the form
+    (_EVAL, "pinterp f : 1 = f1 f0\npinterp g : 1 = g1 | g0\n",
+     "line 1: expected 'pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>'"),
+    (_CHECK, _RELATIVE.replace("  C = [1 ; 0]", "  C [1 ; 0]"),
+     "line 6: expected 'C = <literal>'"),
+    (_CHECK, _RELATIVE.replace("  C = [1 ; 0]", "  M = [1 ; 0]"),
+     "line 6: expected 'M<k> = <literal>'"),
+], ids=["incomplete", "incomplete-at-end", "two-names", "no-name", "negative-arity",
+        "negative-pinterp-arity", "repeated-delta", "repeated-encoding-dim", "no-bar",
+        "C-without-=", "M-without-k"])
+def test_malformed_lines_exit_2_naming_their_line(capsys, tmp_path, argv, text, message):
+    bad, out = tmp_path / "bad.in", tmp_path / "out.interp"
+    bad.write_text(text, encoding="utf-8")
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    code, stdout, err = run(capsys, *argv, str(bad))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {argv[-1][2:]} {bad}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("backend", ["entrywise", "value"])
@@ -802,20 +848,81 @@ def _interpretation_files(draw):
     return "\n".join(lines) + "\n"
 
 
+def _fuzzed_main(argv, option, text):
+    """``main(argv)`` with ``text`` as the file of ``option``: the exit code
+    must be 0, 1 or 2, no exception may escape, and an input error names
+    at most one line."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "fuzz.in")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*argv, option, path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(re.findall(r"line \d+:", err.getvalue())) <= 1, err.getvalue()
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_interpretation_files(), st.sampled_from(["entrywise", "value"]))
 def test_fuzzed_interpretation_files_exit_cleanly(text, backend):
     """``check`` of data/relative.trs against an interpretation file with
-    changed header, interp, M/C and literal lines exits with 0, 1 or 2 and
-    lets no exception escape."""
-    with tempfile.TemporaryDirectory() as work:
-        interp = os.path.join(work, "fuzz.interp")
-        with open(interp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = main(["check", "--trs", ENDR_TRS, "--interp", interp,
-                         "--backend", backend])
-    assert code in (0, 1, 2)
+    changed header, interp, M/C and literal lines exits with 0, 1 or 2,
+    lets no exception escape, and names at most one line."""
+    _fuzzed_main(["check", "--trs", ENDR_TRS, "--backend", backend], "--interp", text)
+
+
+# per format: the subcommand, the file option, a valid file, and damaged lines
+_FUZZ_FORMATS = {
+    "pinterp": (["eval-valuation", "--trs", EX1, "--pairs", "auto", "--valuation", ETA],
+                read("fg-params.pi"),
+                ("pinterp f : 1 = f1 f0", "pinterp f : -1 = | f0", "pinterp : 1 = a | b",
+                 "pinterp f : 1 = f1 | f0 extra", "pinterp f g : 1 = a | b", "pinterp",
+                 "pinterp h : 0 = | h0", "pinterp f : 2 = a b | c", "pinterp g : 1 = g1 | 1",
+                 "pinterp f# : 1 = F1 | F0", "interp f : 1", "pinterp f:1=f1|f0", "# f# :",
+                 "pinterp f : 1 = f0 | f1", "pinterp f : ١ = f1 | f0")),
+    "valuation": (["eval-valuation", "--trs", EX1, "--pairs", "auto", "--pinterp", PI],
+                  read("fg-rational.val"),
+                  ("param f1 = -1", "param f1 = 1/0", "param = 3", "param f1 extra = 2",
+                   "param f1 =", "param 1 = 2", "param g1 = 1/3", "param f1 = x", "param",
+                   "value 1/2 = [1]", "param f1 = 2", "param F0=1/2", "param f1 = 1 2",
+                   "param q = 5", "param f1 = ²")),
+    "encoding": (["compat", "--trs", EX1, "--pairs", "auto", "--pinterp", PI,
+                  "--valuation", ETA],
+                 "# the catalog's half\nencoding dim 2\nvalue 1/2 = [0 1 ; 0 0]\n",
+                 ("encoding dim 3", "encoding dim 0", "encoding dim -1", "encoding 2",
+                  "value 1/2 = [0 1 ; 0 0]", "value 1/2", "value = [0 1 ; 0 0]",
+                  "value 1/4 = [0 0 ; 0 0]", "value 3/2 = [0 1 ; 0 0]", "value 1/2 = [1]",
+                  "value 1/0 = [0 1 ; 0 0]", "value 1/2 = [0 1 ; 0 x]", "values",
+                  "value 1/3 = [0 1 ; 1 0]", "value 1/2 = [0 2 ; 0 0]")),
+}
+
+
+@st.composite
+def _format_files(draw, name):
+    """A format's valid file with up to four lines replaced by, or joined
+    by, damaged ones."""
+    _, text, damaged = _FUZZ_FORMATS[name]
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(damaged))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_FORMATS))
+def test_fuzzed_input_files_exit_cleanly(name):
+    """The parametric interpretation, valuation and encoding formats,
+    fuzzed like the interpretation format above."""
+    argv = _FUZZ_FORMATS[name][0]
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_format_files(name))
+    def fuzz(text):
+        _fuzzed_main(argv, f"--{name}", text)
+
+    fuzz()
 
 
 def _bench_tracer():

@@ -1,8 +1,9 @@
-"""Exact arithmetic, no runtime dependency and the declared Python floor,
-as a check on the source: matint's modules parse as Python 3.10
-(``requires-python >= 3.10``), hold no float literal, name ``float`` only
-where ``matrix.as_rat`` rejects floats, and import only the standard
-library."""
+"""Exact arithmetic, no runtime dependency, the declared Python floor and
+one line reader, as a check on the source: matint's modules parse as
+Python 3.10 (``requires-python >= 3.10``), hold no float literal, name
+``float`` only where ``matrix.as_rat`` rejects floats, import only the
+standard library, and name ``strip_comment`` only in ``matrix.py``, whose
+``read_lines`` is the one reader of the line formats."""
 
 import ast
 import sys
@@ -35,6 +36,9 @@ def _faults(source, module):
         elif isinstance(node, ast.Name) and node.id == "float" \
                 and (module, func) != ("matrix.py", "as_rat"):
             faults.append(f"{where}: float named in {func or 'module scope'}")
+        elif "strip_comment" in (getattr(node, "id", None), getattr(node, "name", None),
+                                 getattr(node, "attr", None)) and module != "matrix.py":
+            faults.append(f"{where}: strip_comment named outside matrix.py")
         elif isinstance(node, ast.Import):
             faults += [f"{where}: imports {alias.name}" for alias in node.names
                        if alias.name.split(".")[0] not in sys.stdlib_module_names]
@@ -55,6 +59,16 @@ def test_the_guard_sees_each_fault():
     assert len(_faults(source, "represent.py")) == 4
     # as_rat's rejection of floats is the one place the name may appear
     assert len(_faults(source, "matrix.py")) == 3
+
+
+def test_the_guard_keeps_one_line_reader():
+    """Only matrix.py may strip comments: each other module reads its
+    line format through matrix.read_lines."""
+    source = ("from .matrix import strip_comment\nfrom . import matrix\n\n"
+              "def parse(text):\n    return [matrix.strip_comment(t) for t in text]\n\n"
+              "def strip_comment(line):\n    return line\n")
+    assert len(_faults(source, "interp.py")) == 3
+    assert _faults(source, "matrix.py") == []
 
 
 @pytest.mark.parametrize("source", ["type X = int\n",
