@@ -21,7 +21,8 @@ from .interp import (InterpError, check_problem, collapse_interpretation,
                      format_interpretation, parse_interpretation)
 from .matrix import MatrixError, parse_rat
 from .represent import rho
-from .trs import Trs, TrsError, dependency_pairs, format_trs, parse_trs
+from .trs import (Rule, Trs, TrsError, dependency_pairs, format_trs, parse_trs,
+                  rule_texts)
 from .transform import (expand_rational, interp_to_bits, interp_to_blocks,
                         rho_preserved, valuation_interpretation, verify_transform)
 
@@ -117,8 +118,9 @@ def _usage_error(message: str) -> int:
 def _print_report(report, header=()):
     for line in header:
         print(line)
-    for check in report.checks:
-        print(f"{check.label}: {check.rule} [{check.rel}]: "
+    texts = rule_texts([check.rule for check in report.checks])
+    for check, text in zip(report.checks, texts):
+        print(f"{check.label}: {text} [{check.rel}]: "
               f"{'HOLDS' if check.verdict.holds else 'FAILS'}"
               + (f" | {check.verdict.detail}" if check.verdict.detail else ""))
 
@@ -186,8 +188,9 @@ def cmd_dps(args) -> int:
                 if base[:1].islower() and legacy not in existing:
                     names[term.symbol] = legacy
     print(f"# {len(pairs)} dependency pair(s)")
-    for pair in pairs:
-        print(f"{_rename_root(pair.lhs, names)} -> {_rename_root(pair.rhs, names)}")
+    for text in rule_texts([Rule(_rename_root(pair.lhs, names), _rename_root(pair.rhs, names))
+                            for pair in pairs]):
+        print(text)
     if args.out:
         _write_out(args, format_trs(Trs(trs.variables, pairs, _signature(trs, pairs))))
     print("RESULT: OK")

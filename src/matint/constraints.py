@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import Rat, as_rat, parse_rat, read_lines
+from .matrix import Rat, as_rat, line_kinds, parse_rat, read_lines
 from .trs import Term, Trs, Var
 
 
@@ -152,8 +152,8 @@ class ParamInterpretation:
                 seen.add(name)
 
 
-_PINTERP_LINES = (("pinterp", "pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>",
-                   r"pinterp\s+([^\s:=]+)\s*:\s*([0-9]+)\s*=([^|]*)\|\s*(\S+)"),)
+_PINTERP_LINES = line_kinds((("pinterp", "pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>",
+                              r"pinterp\s+([^\s:=]+)\s*:\s*([0-9]+)\s*=([^|]*)\|\s*(\S+)"),))
 
 
 def parse_pinterp(text: str) -> ParamInterpretation:
@@ -283,7 +283,8 @@ def make_valuation(values: dict[str, Rat]) -> dict[str, Rat]:
     return out
 
 
-_VALUATION_LINES = (("param", "param <name> = <value>", r"param\s+([^\s=]+)\s*=(.*)"),)
+_VALUATION_LINES = line_kinds((("param", "param <name> = <value>",
+                                 r"param\s+([^\s=]+)\s*=(.*)"),))
 
 
 def parse_valuation(text: str) -> dict[str, Rat]:

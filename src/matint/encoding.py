@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constraints import ArithConstraint, fold_words
-from .matrix import (Mat, Rat, as_rat, jordan, parse_matrix, parse_rat,
+from .matrix import (Mat, Rat, as_rat, jordan, line_kinds, parse_matrix, parse_rat,
                      read_lines)
 from .represent import rho
 
@@ -197,10 +197,10 @@ def is_compatible(enc: Encoding, req: frozenset[Fraction]) -> bool:
     return report.valid and all(report.product_closed.values())
 
 
-_LINES = (
+_LINES = line_kinds((
     ("encoding", "encoding dim <n>", r"encoding\s+dim\s+([0-9]+)"),
     ("value", "value <p>/<q> = <matrix literal>", r"value\s+([^\s=][^=]*)=(.*)"),
-)
+))
 
 
 def parse_encoding(text: str) -> Encoding:

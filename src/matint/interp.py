@@ -26,8 +26,8 @@ from itertools import compress, repeat
 from math import ceil, gcd, lcm
 
 from .matrix import (LineError, Mat, MatrixError, Rat, _rat_str, as_rat, entry_strs,
-                     format_matrix, parse_matrix, parse_rat, read_lines)
-from .trs import Rule, Term, Trs, Var
+                     format_matrix, line_kinds, parse_matrix, parse_rat, read_lines)
+from .trs import App, Rule, Term, Trs, Var
 
 
 class InterpError(ValueError):
@@ -43,7 +43,8 @@ class BlockShape:
 
     def __post_init__(self):
         if self.dim < 1 or self.block < 1:
-            raise InterpError(f"dimension and block size must be positive: {self}")
+            raise InterpError(f"dimension and block size must be positive, got {self.dim}, "
+                              f"{self.block}")
         if self.dim % self.block:
             raise InterpError(f"block size {self.block} does not divide dimension {self.dim}")
 
@@ -171,18 +172,6 @@ class LinearForm:
         return Mat.zero(self.const.rows, self.dim) if c is None else c
 
 
-def _func(interp: Interpretation, node) -> LinearFunc:
-    """The function interpreting an application, checked against its arity."""
-    func = interp.table.get(node.symbol)
-    if func is None:
-        raise InterpError(f"uninterpreted symbol {node.symbol!r}")
-    if len(func.mats) != len(node.args):
-        raise InterpError(
-            f"symbol {node.symbol!r} has arity {len(func.mats)} in the interpretation, "
-            f"used with {len(node.args)} argument(s)")
-    return func
-
-
 def _rows(mat: Mat) -> tuple:
     """What the full-form fold reads of an argument matrix: the matrix and
     its rows as int tuples over ``mat.den``."""
@@ -243,94 +232,122 @@ def _sum(a, da: int, b, db: int) -> tuple[list[int], int]:
     return [x * sa + y * sb for x, y in zip(a, b)], d
 
 
-def eval_term(interp: Interpretation, t: Term, left: Mat = None) -> LinearForm:
-    """The linear form ``left·[[t]]``; terms of any depth evaluate without
-    recursion. Both walks run on int numerators over one denominator per
-    vector or matrix, read each symbol's matrices as its ``LinearFunc``
-    compiled them, and build a ``Mat`` only for the forms they return.
+def eval_term(interp: Interpretation, terms, left: Mat = None):
+    """The linear form ``left·[[t]]`` of a term t, or the list of the forms
+    of a sequence of terms, such as the sides of one problem. Both walks
+    visit each distinct subterm once (see ``_dag``), run on int numerators
+    over one denominator per vector or matrix, read each symbol's matrices
+    as its ``LinearFunc`` compiled them, and build a ``Mat`` only for the
+    forms they return.
 
     Without ``left``, the full form ``[[t]]`` that the entrywise backend
-    needs is composed bottom-up, ``[[f(t1..tk)]] = C + sum M_i·[[t_i]]``,
-    once per distinct subterm and interpretation: a node sums, for each
-    variable, ``M_i·coeff`` over all its arguments in one int list, and
-    takes one matrix-vector product for each argument's constant, so a
-    ground subterm costs no more than its value vector. The interpretation
-    keeps every full form it has built, so later terms, and later checks,
-    reuse them.
+    needs is composed bottom-up, ``[[f(t1..tk)]] = C + sum M_i·[[t_i]]``
+    (see ``_full_forms``). The interpretation keeps every full form it has
+    built, so later terms, and later checks, reuse them.
 
-    With ``left`` (one row of n), one top-down walk hands each node the row
-    ``u = left·(the argument matrices on its path)``: a variable adds ``u``
-    to its coefficient, a symbol adds ``u·C`` to the constant and ``u·M_i``
-    goes to its i-th argument. The value backend passes ``Mat.ones(1, n)``,
-    so a term costs O(|t|·n²), or less for big sparse matrices (see
-    ``_columns``). A ``left`` of more than one row raises InterpError.
-
-    Either way the first uninterpreted or misused symbol in pre-order is
-    reported.
+    With ``left`` (one row of n), the walk goes top-down, each node after
+    all its parents. A node holds a row ``u = left·(the argument matrices
+    on the paths from t)`` for each term t that reaches it, the sum of its
+    paths' rows, which is exact by linearity. A variable's row is its
+    coefficient in t; a symbol adds ``u·C`` to t's constant and ``u·M_i``
+    to the row of its i-th argument. The value backend passes ``Mat.ones(1,
+    n)``, so a term costs at most O(|t|·n²), or less for big sparse
+    matrices (see ``_columns``). A ``left`` of more than one row raises
+    InterpError.
     """
-    if left is None:
-        return _full_form(interp, t)
+    single = terms.__class__ in (Var, App)
+    terms = (terms,) if single else tuple(terms)
     n = interp.shape.dim
+    if left is None:
+        forms = _full_forms(interp, terms)
+        return forms[0] if single else forms
     if left.shape != (1, n):
         raise InterpError(f"left factor must be 1x{n}, got {left.rows}x{left.cols}")
-    table = interp.table
-    coeffs: dict[str, tuple[list[int], int]] = {}
-    const, const_den = 0, 1
-    stack = [(t, left.nums, left.den)]
-    while stack:
-        node, u, du = stack.pop()
-        if node.__class__ is Var:
-            old = coeffs.get(node.name)
-            coeffs[node.name] = (u, du) if old is None else _sum(*old, u, du)
+    order = _dag(interp, terms, ())
+    # the rows of each distinct subterm: term index -> row, over a denominator
+    rows: dict[Term, dict[int, tuple[list[int], int]]] = {node: {} for node, _ in order}
+    for s, t in enumerate(terms):
+        rows[t][s] = left.nums, left.den
+    coeffs: list[dict[str, Mat]] = [{} for _ in terms]
+    consts = [(0, 1)] * len(terms)
+    for node, func in reversed(order):
+        if func is None:
+            for s, (nums, d) in rows.pop(node).items():
+                if any(nums):
+                    coeffs[s][node.name] = Mat._derived(1, n, nums, d)
             continue
-        func = table.get(node.symbol)
-        if func is None or len(func.mats) != len(node.args):
-            _func(interp, node)  # raises
-        c, dc = sum(map(operator.mul, u, func.const.nums)), du * func.const.den
-        if dc == const_den:
-            const += c
-        else:
-            d = lcm(dc, const_den)
-            const, const_den = const * (d // const_den) + c * (d // dc), d
-        # pushed in reverse, so arguments are visited left to right
-        for (den, cols, sparse), arg in reversed(tuple(zip(func.columns, node.args))):
-            if sparse is None:
-                v = _mat_vec(cols, u)
+        cnums, cden = func.const.nums, func.const.den
+        steps = [(*view, rows[arg]) for view, arg in zip(func.columns, node.args)]
+        for s, (u, du) in rows.pop(node).items():
+            const, const_den = consts[s]
+            c, dc = sum(map(operator.mul, u, cnums)), du * cden
+            if dc == const_den:
+                consts[s] = const + c, dc
             else:
-                pick, weights, spans = sparse
-                picked = pick(u)
-                if weights is not None:
-                    picked = list(map(operator.mul, picked, weights))
-                v = list(map(sum, map(picked.__getitem__, spans)))
-            dv = du * den
-            if dv != 1:
-                g = gcd(dv, *v)
-                if g != 1:
-                    v, dv = [x // g for x in v], dv // g
-            stack.append((arg, v, dv))
-    return LinearForm(n, {v: Mat._derived(1, n, nums, d)
-                          for v, (nums, d) in coeffs.items() if any(nums)},
-                      Mat._derived(1, 1, (const,), const_den))
+                d = lcm(dc, const_den)
+                consts[s] = const * (d // const_den) + c * (d // dc), d
+            for den, cols, sparse, into in steps:
+                if sparse is None:
+                    v = _mat_vec(cols, u)
+                else:
+                    pick, weights, spans = sparse
+                    picked = pick(u)
+                    if weights is not None:
+                        picked = list(map(operator.mul, picked, weights))
+                    v = list(map(sum, map(picked.__getitem__, spans)))
+                dv = du * den
+                if dv != 1:
+                    g = gcd(dv, *v)
+                    if g != 1:
+                        v, dv = [x // g for x in v], dv // g
+                old = into.get(s)
+                into[s] = (v, dv) if old is None else _sum(*old, v, dv)
+    forms = [LinearForm(n, form, Mat._derived(1, 1, (const,), const_den))
+             for form, (const, const_den) in zip(coeffs, consts)]
+    return forms[0] if single else forms
 
 
-def _full_form(interp: Interpretation, t: Term) -> LinearForm:
-    """``[[t]]`` bottom-up over the subterms of t that ``interp._memo`` lacks."""
-    n = interp.shape.dim
-    if isinstance(t, Var):
-        return LinearForm(n, {t.name: Mat.identity(n)}, Mat.zero(n, 1))
-    memo = interp._memo
-    # a depth-first walk: a node is checked when first reached (so in
-    # pre-order) and composed when popped again, after all its arguments
-    stack = [(t, False)]
+def _dag(interp: Interpretation, terms: tuple, known) -> list[tuple[Term, LinearFunc | None]]:
+    """The distinct subterms of ``terms`` that are not in ``known``, each
+    listed after all its arguments, with the function of each application
+    (None for a variable). An application is checked when first reached, so
+    the first uninterpreted or misused symbol in pre-order over the terms,
+    in order, is reported."""
+    order, seen = [], set()
+    stack = list(reversed(terms))
     while stack:
-        node, composed = stack.pop()
-        if not composed:
-            if node not in memo and node.__class__ is not Var:
-                _func(interp, node)
-                stack.append((node, True))
-                stack.extend((arg, False) for arg in reversed(node.args))
+        node = stack.pop()
+        if node.__class__ is tuple:
+            order.append(node)
+        elif node not in seen and node not in known:
+            seen.add(node)
+            if node.__class__ is Var:
+                order.append((node, None))
+                continue
+            func = interp.table.get(node.symbol)
+            if func is None:
+                raise InterpError(f"uninterpreted symbol {node.symbol!r}")
+            if len(func.mats) != len(node.args):
+                raise InterpError(
+                    f"symbol {node.symbol!r} has arity {len(func.mats)} in the interpretation, "
+                    f"used with {len(node.args)} argument(s)")
+            # popped, and listed, once all its arguments are
+            stack.append((node, func))
+            stack.extend(reversed(node.args))
+    return order
+
+
+def _full_forms(interp: Interpretation, terms: tuple) -> list[LinearForm]:
+    """``[[t]]`` of each term, bottom-up over the subterms ``interp._memo``
+    lacks: a node sums, for each variable, ``M_i·coeff`` over all its
+    arguments in one int list, and takes one matrix-vector product for each
+    argument's constant, so a ground subterm costs no more than its value
+    vector."""
+    n = interp.shape.dim
+    memo = interp._memo
+    for node, func in _dag(interp, terms, memo):
+        if func is None:
             continue
-        func = interp.table[node.symbol]
         const, const_den = func.const.nums, func.const.den
         coeffs: dict[str, tuple[list[int], int]] = {}
         for (mat, rows), arg in zip(func.rows, node.args):
@@ -354,7 +371,8 @@ def _full_form(interp: Interpretation, t: Term) -> LinearForm:
         memo[node] = LinearForm(n, {v: Mat._derived(n, n, nums, d)
                                     for v, (nums, d) in coeffs.items() if any(nums)},
                                 Mat._derived(n, 1, const, const_den))
-    return memo[t]
+    return [LinearForm(n, {t.name: Mat.identity(n)}, Mat.zero(n, 1)) if t.__class__ is Var
+            else memo[t] for t in terms]
 
 
 @dataclass(frozen=True)
@@ -506,16 +524,18 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     if delta is None:
         delta = interp.delta if interp.delta is not None else Fraction(1, m)
     delta = Fraction(delta)
-    # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms,
-    # which rules and pairs share through their common subterms
+    # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms.
+    # Either way all sides are evaluated at once, sharing their subterms
     left = Mat.ones(1, interp.shape.dim) if backend == "value" else None
+    problem = [("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")]
+    forms = iter(eval_term(interp, [t for _, rules, _ in problem for rule in rules
+                                    for t in (rule.lhs, rule.rhs)], left))
     # every check samples the same stream, so they share one draw pool
     pool: dict = {}
     checks: list[ConstraintCheck] = []
-    for label, rules, rel in (("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")):
+    for label, rules, rel in problem:
         for idx, rule in enumerate(rules, start=1):
-            lhs = eval_term(interp, rule.lhs, left)
-            rhs = eval_term(interp, rule.rhs, left)
+            lhs, rhs = next(forms), next(forms)
             if backend == "entrywise":
                 verdict = check_entrywise(lhs, rhs, rel)
             else:
@@ -541,13 +561,24 @@ def _draws(rng: random.Random, top: int, count: int) -> list[int]:
     value is at most top. So the values it returns are the k-bit draws that
     pass, in order. Each round below draws only as many k-bit values as are
     still missing, so the last value drawn is also the last one kept: the
-    stream, and the generator's state after it, are those of randint.
+    stream, and the generator's state after it, are those of randint. For
+    k <= 8 a round is one ``getrandbits(32·m)``: a k-bit draw is the top k
+    bits of one 32-bit output, and these are its m outputs, the first
+    lowest, so byte 3 of each little-endian word, shifted, is one draw.
     """
     k = (top + 1).bit_length()
     getrandbits = rng.getrandbits
+    if k <= 8:
+        # each byte to its top k bits, and the bytes whose draw is above top
+        shift = bytes(b >> (8 - k) for b in range(256))
+        rejects = bytes(range((top + 1) << (8 - k), 256))
     out: list[int] = []
     while len(out) < count:
-        out += [r for r in [getrandbits(k) for _ in range(count - len(out))] if r <= top]
+        m = count - len(out)
+        if k <= 8:
+            out += getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(shift, rejects)
+        else:
+            out += [r for r in [getrandbits(k) for _ in range(m)] if r <= top]
     return out
 
 
@@ -775,7 +806,7 @@ def collapse_interpretation(interp: Interpretation, b: int = None) -> Interpreta
 
 # --- file format ---
 
-_LINES = (
+_LINES = line_kinds((
     ("domain", "domain natural|rational", r"domain\s+(natural|rational)"),
     ("dim", "dim <n>", r"dim\s+([0-9]+)"),
     ("block", "block <b>", r"block\s+([0-9]+)"),
@@ -783,14 +814,14 @@ _LINES = (
     ("interp", "interp <symbol> : <arity>", r"interp\s+([^\s:]+)\s*:\s*([0-9]+)"),
     ("M", "M<k> = <literal>", r"M([0-9]+)\s*=\s*(.*)"),
     ("C", "C = <literal>", r"C\s*=\s*(.*)"),
-)
+))
 _HEADERS = {"domain": str, "dim": int, "block": int,
             "delta": lambda text: Fraction(parse_rat(text))}
 
 
 def parse_interpretation(text: str) -> Interpretation:
     """Parse the line-oriented interpretation format (see the file docs)."""
-    headers = {}
+    headers, lines = {}, {}  # each header's value and line
     table: dict[str, LinearFunc] = {}
     current: tuple[str, int, int] | None = None  # symbol, arity, line
     mats, const = [], None  # the current symbol's M<k> and C
@@ -825,9 +856,18 @@ def parse_interpretation(text: str) -> Interpretation:
         elif keyword in headers:
             raise ValueError(f"repeated header {keyword!r}")
         else:
-            headers[keyword] = _HEADERS[keyword](groups[0])
+            value = headers[keyword] = _HEADERS[keyword](groups[0])
+            if keyword != "domain" and value <= 0:
+                raise ValueError(f"{keyword} must be positive, got {value}")
+            lines[keyword] = lineno
 
-    read_lines(text, _LINES, handle, InterpError, end=close_symbol)
+    def end():
+        close_symbol()
+        dim, block = headers.get("dim"), headers.get("block", 1)
+        if dim and dim % block:
+            raise LineError(lines["block"], f"block size {block} does not divide dimension {dim}")
+
+    read_lines(text, _LINES, handle, InterpError, end)
     if "domain" not in headers or "dim" not in headers:
         raise InterpError("missing 'domain' or 'dim' header")
     return Interpretation(BlockShape(headers["dim"], headers.get("block", 1)),

@@ -43,8 +43,9 @@ def parse_rat(text: str) -> Rat:
             num, den = text.split("/", 1)
             return as_rat(Fraction(int(num), int(den)))
         return int(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MatrixError(f"bad rational literal {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        raise MatrixError(f"bad rational literal {text!r}: "
+                          f"expected '<int>' or '<p>/<q>' with q nonzero") from None
 
 
 def _check_shape(rows: int, cols: int):
@@ -314,16 +315,21 @@ class LineError(ValueError):
 _KEYWORD = re.compile(r"[A-Za-z]*")
 
 
-def read_lines(text: str, grammar, handle, error: type[ValueError], end=None):
+def line_kinds(grammar) -> dict[str, tuple[str, re.Pattern]]:
+    """A line format's ``(keyword, form, pattern)`` kinds, compiled once for
+    ``read_lines``. Patterns must run in linear time; with re.DOTALL (no
+    line holds a newline) a trailing ``(.*)`` takes a long literal at once."""
+    return {keyword: (form, re.compile(pattern, re.S)) for keyword, form, pattern in grammar}
+
+
+def read_lines(text: str, kinds: dict, handle, error: type[ValueError], end=None):
     """Read a line format; the one place that strips comments, skips blank
     lines and numbers lines. A line's keyword is its leading ASCII letters;
-    its ``(keyword, form, pattern)`` kind must match the whole line, else
-    the error names the form, and ``handle(lineno, keyword, *groups)``
-    reads it. A ValueError raised meanwhile, or by ``end()`` after the last
-    line, becomes ``error`` with one ``line N:`` prefix, N the current line
-    or a LineError's. Patterns must run in linear time; with re.DOTALL (no
-    line holds a newline) a trailing ``(.*)`` takes a long literal at once."""
-    kinds = {keyword: (form, re.compile(pattern, re.S)) for keyword, form, pattern in grammar}
+    its kind (see ``line_kinds``) must match the whole line, else the error
+    names the form, and ``handle(lineno, keyword, *groups)`` reads it. A
+    ValueError raised meanwhile, or by ``end()`` after the last line,
+    becomes ``error`` with one ``line N:`` prefix, N the current line or a
+    LineError's."""
     lineno = 0
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -92,18 +92,35 @@ class App(_Term):
         return f"App({str(self)!r})"
 
     def __str__(self) -> str:
-        # one explicit-stack walk: the stack holds terms still to render and
-        # the punctuation between and after their arguments
-        parts = []
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            cls = t.__class__
-            if cls is str:
-                parts.append(t)
-            elif cls is Var:
-                parts.append(t.name)
-            elif t.args:
+        return _render(self, {})
+
+
+def _render(term, texts: dict) -> str:
+    """``str(term)``, by one explicit-stack walk. Each application that is
+    a key of ``texts`` is rendered once: mapped to None, it gets its text
+    when first rendered, which is then copied wherever it recurs."""
+    # the stack holds terms still to render, the punctuation between and
+    # after their arguments, and (term, start) to record a term's text,
+    # which starts at parts[start]
+    parts = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is str:
+            parts.append(t)
+        elif cls is Var:
+            parts.append(t.name)
+        elif cls is tuple:
+            t, start = t
+            text = texts[t] = "".join(parts[start:])
+            parts[start:] = [text]
+        elif (text := texts.get(t, False)):
+            parts.append(text)
+        else:
+            if text is None:
+                stack.append((t, len(parts)))
+            if t.args:
                 parts.append(t.symbol + "(")
                 stack.append(")")
                 args = t.args
@@ -113,7 +130,16 @@ class App(_Term):
                 stack.append(args[0])
             else:
                 parts.append(t.symbol)
-        return "".join(parts)
+    return "".join(parts)
+
+
+def rule_texts(rules) -> list[str]:
+    """``str(rule)`` for each rule. Each side is rendered once, and its
+    text is copied wherever it recurs, as a side or a subterm; only the
+    sides' texts are kept, so they take no more room than the output."""
+    texts = dict.fromkeys(side for rule in rules for side in (rule.lhs, rule.rhs)
+                          if side.__class__ is App)
+    return [f"{_render(rule.lhs, texts)} -> {_render(rule.rhs, texts)}" for rule in rules]
 
 
 Term = Var | App
@@ -307,8 +333,7 @@ def format_trs(trs: Trs) -> str:
     if trs.variables:
         lines.append(f"(VAR {' '.join(sorted(trs.variables))})")
     lines.append("(RULES")
-    for rule in trs.rules:
-        lines.append(f"  {rule}")
+    lines += (f"  {text}" for text in rule_texts(trs.rules))
     lines.append(")")
     return "\n".join(lines) + "\n"
 

@@ -21,7 +21,7 @@ from matint import (BlockShape, Interpretation, LinearFunc, Mat, format_interpre
                     interp_to_bits, parse_interpretation, parse_pinterp, parse_trs)
 from matint.cli import main
 from matint.represent import lift_factors
-from _helpers import DATA, read
+from _helpers import DATA, example_one, read
 
 EX1 = str(DATA / "fg.trs")
 EX2 = str(DATA / "fg-natural.interp")
@@ -526,8 +526,36 @@ def test_check_trials_evaluates_each_side_once(capsys, monkeypatch, backend):
     code, out, _ = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
                        "--interp", EX2, "--backend", backend, "--trials", "100")
     assert code == 0 and out.count("no witness (100 trials, seed 0)") == 4
-    # 2 rules and 2 pairs, each side evaluated once: sampling reuses the forms
-    assert len(calls) == 8
+    # one evaluation for the problem, of its 2 rules and 2 pairs, receiving
+    # each of the 8 sides once: sampling reuses the forms
+    trs, pairs = example_one()
+    assert calls == [[t for rule in (*trs.rules, *pairs) for t in (rule.lhs, rule.rhs)]]
+
+
+def test_check_and_dps_of_a_depth_5000_chain(capsys, tmp_path):
+    """A rule over a depth-5000 chain and its dependency pairs evaluate,
+    under both backends, and print without recursion."""
+    chain = "g(" * 4999 + "x" + ")" * 4999
+    trs = tmp_path / "deep.trs"
+    trs.write_text(f"(VAR x)\n(RULES f(g({chain})) -> f(f({chain})))\n", encoding="utf-8")
+    interp = tmp_path / "deep.interp"
+    interp.write_text("domain natural\ndim 1\nblock 1\ninterp f : 1\n  M1 = [1]\n  C = [0]\n"
+                      "interp g : 1\n  M1 = [1]\n  C = [1]\n"
+                      "interp f# : 1\n  M1 = [1]\n  C = [0]\n", encoding="utf-8")
+    rule = f"f(g({chain})) -> f(f({chain}))"
+    pairs = [f"f#(g({chain})) -> f#(f({chain}))", f"f#(g({chain})) -> f#({chain})"]
+    for backend in ("entrywise", "value"):
+        code, out, _ = run(capsys, "check", "--trs", str(trs), "--pairs", "auto",
+                           "--interp", str(interp), "--backend", backend)
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "RESULT: SATISFIED"
+        assert [line.split(" [")[0] for line in lines if not line.startswith(("#", "R"))] == \
+            [f"rule 1: {rule}", f"pair 1: {pairs[0]}", f"pair 2: {pairs[1]}"]
+    out_file = tmp_path / "deep.pairs"
+    code, out, _ = run(capsys, "dps", "--trs", str(trs), "--out", str(out_file))
+    assert code == 0 and out.splitlines()[1:3] == pairs
+    assert out_file.read_text(encoding="utf-8") == \
+        "(VAR x)\n(RULES\n" + "".join(f"  {p}\n" for p in pairs) + ")\n"
 
 
 CHECK = ("check", "--trs", EX1, "--pairs", "auto", "--interp", EX2)
@@ -749,9 +777,23 @@ _EVAL = ["eval-valuation", "--trs", EX1, "--valuation", ETA, "--pinterp"]
      "line 6: expected 'C = <literal>'"),
     (_CHECK, _RELATIVE.replace("  C = [1 ; 0]", "  M = [1 ; 0]"),
      "line 6: expected 'M<k> = <literal>'"),
+    # a rational names the forms it may take
+    (["eval-valuation", "--trs", EX1, "--pinterp", PI, "--valuation"], "param f1 = x\n",
+     "line 1: bad rational literal 'x': expected '<int>' or '<p>/<q>' with q nonzero"),
+    (_CHECK, _RELATIVE.replace("block 1", "block 1\ndelta 1/0"),
+     "line 5: bad rational literal '1/0': expected '<int>' or '<p>/<q>' with q nonzero"),
+    # header values out of range, at their own line
+    (_CHECK, _RELATIVE.replace("dim 2", "dim 0"), "line 3: dim must be positive, got 0"),
+    (_CHECK, _RELATIVE.replace("block 1", "block 3"),
+     "line 4: block size 3 does not divide dimension 2"),
+    (_CHECK, _RELATIVE.replace("dim 2\nblock 1", "block 3\ndim 2"),
+     "line 3: block size 3 does not divide dimension 2"),
+    (_CHECK, _RELATIVE.replace("block 1", "block 1\ndelta 0"),
+     "line 5: delta must be positive, got 0"),
 ], ids=["incomplete", "incomplete-at-end", "two-names", "no-name", "negative-arity",
         "negative-pinterp-arity", "repeated-delta", "repeated-encoding-dim", "no-bar",
-        "C-without-=", "M-without-k"])
+        "C-without-=", "M-without-k", "not-a-rational", "zero-denominator", "dim-0",
+        "block-not-dividing", "block-before-dim", "delta-0"])
 def test_malformed_lines_exit_2_naming_their_line(capsys, tmp_path, argv, text, message):
     bad, out = tmp_path / "bad.in", tmp_path / "out.interp"
     bad.write_text(text, encoding="utf-8")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     LinearFunc, Mat, Var, check_entrywise, check_problem,
@@ -717,6 +718,17 @@ def test_sample_draws_follow_the_randint_stream():
             ours, theirs = random.Random(seed), random.Random(seed)
             assert _draws(ours, top, 300) == [theirs.randint(0, top) for _ in range(300)]
             assert ours.getstate() == theirs.getstate()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(0, 600) | st.integers(0, 2 ** 40),
+       st.integers(0, 3000))
+def test_draws_are_randint_draws_on_both_sides_of_255(seed, top, count):
+    # tops below 255 take one getrandbits per round and read its bytes;
+    # from 255 on, each draw is its own getrandbits
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _draws(ours, top, count) == [theirs.randint(0, top) for _ in range(count)]
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_sample_falsify_rejects_bad_arguments(ex2):

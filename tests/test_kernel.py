@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference as ref
 from _helpers import read
@@ -327,3 +328,129 @@ def test_checks_of_one_interpretation_compile_each_matrix_once(monkeypatch):
     assert f.rows[0] is f.rows[2] and f.columns[0] is f.columns[2]
     assert memos[1] and memos[1] == memos[3]
     assert all(interp._memo[t] is form for t, form in memos[1].items())
+
+
+# --- one walk per problem ---
+
+def _problem(rng, names=("x", "y")):
+    """The sides of a problem whose terms share subterms as a TRS's rules
+    and pairs do: sides that are subterms of other sides, contexts over
+    them, and the same term twice."""
+    sides = []
+    for _ in range(rng.randint(1, 5)):
+        lhs = _term(rng, 4, names)
+        part = rng.choice(list(subterms(lhs)))
+        rhs = rng.choice((part, App("h", (part,)), App("p", (part, part)), _term(rng, 3, names)))
+        sides += [lhs, rhs]
+    for _ in range(rng.randint(0, 4)):
+        sides.append(App("p", (rng.choice(sides), rng.choice(sides))))
+    return sides
+
+
+def _lifted(rng):
+    """A to-bits lift of a random dim-2 natural interpretation with entries
+    0-3: dims 2-12, with the sparse step on the big sparse matrices."""
+    table = {s: LinearFunc(tuple(Mat(2, 2, tuple(rng.randint(0, 3) for _ in range(4)))
+                                 for _ in range(arity)),
+                           Mat.column([rng.randint(0, 3) for _ in range(2)]))
+             for s, arity in (("c", 0), ("h", 1), ("p", 2))}
+    bits, _ = interp_to_bits(Interpretation(BlockShape(2), "natural", table))
+    return bits
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(("natural", "rational", "lifted")))
+def test_problem_walk_agrees_with_reference_per_side(seed, kind):
+    """One call over all sides of a problem gives, for each side, the form
+    that the reference gives for that side alone: projected (under ones
+    and under any one row) and full."""
+    rng = random.Random(seed)
+    interp = _lifted(rng) if kind == "lifted" else _interp(rng, kind)
+    n = interp.shape.dim
+    sides = _problem(rng)
+    for left in (Mat.ones(1, n), _row(rng, n)):
+        assert eval_term(interp, sides, left) == [ref.eval_term(interp, t, left) for t in sides]
+    if n <= 16:
+        assert eval_term(interp, sides) == [ref.eval_term(interp, t) for t in sides]
+
+
+def _first_error(evaluate, sides):
+    try:
+        evaluate(sides)
+    except InterpError as exc:
+        return str(exc)
+    return None
+
+
+def test_problem_walk_reports_first_bad_symbol_in_pre_order():
+    """Over random sides with an uninterpreted symbol u and h used with two
+    arguments, the one reported is the first in pre-order over the sides,
+    in order, as evaluating them one by one reports it, whichever later
+    side shares the bad subterm."""
+    rng = random.Random(97)
+    seen = set()
+    for _ in range(200):
+        interp = _interp(rng, "natural")
+        ones = Mat.ones(1, interp.shape.dim)
+
+        def bad(depth):
+            r = rng.random()
+            if depth == 0 or r < 0.3:
+                if rng.random() < 0.1:
+                    return rng.choice((App("u"), App("u", (Var("x"),))))
+                return rng.choice((Var("x"), App("c")))
+            if r < 0.35:
+                # h takes one argument
+                return App("h", (bad(depth - 1), bad(depth - 1)))
+            if r < 0.6:
+                return App("h", (bad(depth - 1),))
+            return App("p", (bad(depth - 1), bad(depth - 1)))
+
+        sides = [bad(3) for _ in range(rng.randint(1, 4))]
+        sides += [rng.choice(list(subterms(rng.choice(sides))))]
+        for left in (None, ones):
+            want = _first_error(lambda ts: [ref.eval_term(interp, t, left) for t in ts], sides)
+            fresh = Interpretation(interp.shape, interp.domain, interp.table)
+            assert _first_error(lambda ts: eval_term(fresh, ts, left), sides) == want
+            seen.add(want and want.split()[0])
+    assert seen == {None, "uninterpreted", "symbol"}
+
+
+def test_problem_walk_takes_each_subterm_once(monkeypatch):
+    """Each distinct application of a problem is looked up and stepped
+    through once per call, with one row per side that reaches it: a side's
+    rows arriving by two paths are summed first."""
+    hx = App("h", (Var("x"),))
+    t = App("p", (hx, hx))
+    sides = [t, hx, App("p", (t, t))]
+
+    class Counting(dict):
+        gets = 0
+
+        def get(self, *args):
+            Counting.gets += 1
+            return super().get(*args)
+
+    interp = _interp(random.Random(98), "natural", BlockShape(2))
+    interp = Interpretation(interp.shape, interp.domain, Counting(interp.table))
+    steps = []
+    product = interp_module._mat_vec
+
+    def recording(lines, vec):
+        steps.append(len(lines))
+        return product(lines, vec)
+
+    monkeypatch.setattr(interp_module, "_mat_vec", recording)
+    forms = eval_term(interp, sides, Mat.ones(1, 2))
+    monkeypatch.undo()
+    # 3 distinct applications; p(t,t) is reached by side 2, t by sides 0
+    # and 2, h(x) by sides 0, 1 and 2: 1·2 + 2·2 + 3·1 steps, where a step
+    # per path would take 4 + 1 + 10
+    assert Counting.gets == 3
+    assert steps == [2] * 9
+    assert forms == [ref.eval_term(interp, s, Mat.ones(1, 2)) for s in sides]
+    # the full forms: each distinct application composed once, into the memo
+    Counting.gets = 0
+    forms = eval_term(interp, sides)
+    assert Counting.gets == 3 and set(interp._memo) == {hx, t, sides[2]}
+    assert forms == [ref.eval_term(interp, s) for s in sides]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from matint import (App, Rule, Trs, TrsError, Var, dependency_pairs, format_trs,
                     parse_trs, sharp_name, subterms)
-from matint.trs import _TOKEN, _strip_comments, _tokenize
+from matint.trs import _TOKEN, _render, _strip_comments, _tokenize, rule_texts
 from _helpers import read
 
 
@@ -168,6 +168,44 @@ def test_term_str_matches_recursive_rendering():
         t, u = App("f", (t,)), App("g", (App("a"), u, Var("y")))
     assert str(t) == "f(" * 5000 + "x" + ")" * 5000
     assert str(u) == "g(a," * 5000 + "x" + ",y)" * 5000
+
+
+def test_rule_texts_render_each_side_once():
+    """Rules whose sides recur as sides and inside other sides print as
+    str does; each side is rendered once, and recurring sides are copied."""
+    rng = random.Random(30)
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return Var(rng.choice("xy")) if rng.random() < 0.6 else App(rng.choice(("a", "b#")))
+        return App(rng.choice(("f", "g#")),
+                   tuple(term(depth - 1) for _ in range(rng.randint(0, 3))))
+
+    for _ in range(200):
+        sides = [term(4) for _ in range(3)]
+        for _ in range(6):
+            pick = rng.choice(sides)
+            sides.append(rng.choice((App("f", (pick, rng.choice(sides))),
+                                     rng.choice(list(subterms(pick))), pick)))
+        rules = [Rule(lhs, rhs) for lhs, rhs in zip(sides[::2], sides[1::2])
+                 if isinstance(lhs, App)]
+        assert rule_texts(rules) == [f"{_ref_str(r.lhs)} -> {_ref_str(r.rhs)}" for r in rules]
+    # each of 2000 nested sides is walked once: rendering one looks up the
+    # side and its argument, the side before it, whose text is copied
+    class Counting(dict):
+        gets = 0
+
+        def get(self, *args):
+            Counting.gets += 1
+            return super().get(*args)
+
+    t = App("f", (App("a"),) * 3)
+    chain = [t := App("f", (t, Var("x"))) for _ in range(2000)]
+    texts = Counting.fromkeys(chain)
+    rendered = [_render(side, texts) for side in chain]
+    assert rendered[-1] == str(chain[-1]) and rendered[0] == "f(f(a,a,a),x)"
+    # the first side also looks up f(a,a,a) and its three a's
+    assert Counting.gets == 5 + 2 * 1999
 
 
 def test_terms_are_interned():
