@@ -59,6 +59,7 @@ WordSum = tuple[Word, ...]
 UNIT_WORD = Word((None, "1", 1))
 ZERO_WORD = Word((None, "0", 1))
 RESERVED = {"0", "1"}
+_UNITS = {"1": 1, "0": 0}  # what every valuation maps the reserved names to
 
 
 class ConstraintError(ValueError):
@@ -143,13 +144,18 @@ class ParamInterpretation:
     def __post_init__(self):
         seen: set[str] = set()
         for symbol, (coeffs, const) in self.table.items():
-            for name in (*coeffs, const):
-                if name in RESERVED:
-                    raise ConstraintError(
-                        f"parameter name {name!r} is reserved (symbol {symbol!r})")
-                if name in seen:
-                    raise ConstraintError(f"duplicate parameter name {name!r}")
-                seen.add(name)
+            _check_names(symbol, (*coeffs, const), seen)
+
+
+def _check_names(symbol: str, names, seen: set[str]):
+    """The one check of a symbol's parameter names, for the constructor and
+    for the parser at the symbol's line; ``seen`` holds the earlier names."""
+    for name in names:
+        if name in RESERVED:
+            raise ConstraintError(f"parameter name {name!r} is reserved (symbol {symbol!r})")
+        if name in seen:
+            raise ConstraintError(f"duplicate parameter name {name!r}")
+        seen.add(name)
 
 
 _PINTERP_LINES = line_kinds((("pinterp", "pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>",
@@ -158,18 +164,19 @@ _PINTERP_LINES = line_kinds((("pinterp", "pinterp <symbol> : <arity> = <p1> ... 
 
 def parse_pinterp(text: str) -> ParamInterpretation:
     """Parse ``pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>`` lines."""
-    table: dict[str, tuple[tuple[str, ...], str]] = {}
+    pi, seen = ParamInterpretation({}), set()
 
     def handle(_lineno, _keyword, symbol, arity, coeffs, const):
         coeffs, arity = tuple(coeffs.split()), int(arity)
         if len(coeffs) != arity:
             raise ValueError(f"{len(coeffs)} coefficient parameter(s) for arity {arity}")
-        if symbol in table:
+        if symbol in pi.table:
             raise ValueError(f"symbol {symbol!r} interpreted twice")
-        table[symbol] = (coeffs, const)
+        _check_names(symbol, (*coeffs, const), seen)
+        pi.table[symbol] = (coeffs, const)
 
     read_lines(text, _PINTERP_LINES, handle, ConstraintError)
-    return ParamInterpretation(table)
+    return pi
 
 
 def _sym_eval(t: Term, specs: dict) -> tuple[dict[str, list[Word]], list[Word]]:
@@ -270,17 +277,18 @@ def generate_arith_constraints(trs: Trs, pairs, pi: ParamInterpretation
 
 def make_valuation(values: dict[str, Rat]) -> dict[str, Rat]:
     """Validate and complete a valuation: nonnegative, with 1 and 0 forced."""
-    out: dict[str, Rat] = {}
-    for name, value in values.items():
-        value = as_rat(value)
-        if value < 0:
-            raise ConstraintError(f"valuation of {name!r} is negative: {value}")
-        if name in RESERVED and value != int(name):
-            raise ConstraintError(f"reserved parameter {name!r} must map to {name}")
-        out[name] = value
-    out["1"] = 1
-    out["0"] = 0
-    return out
+    return {**{name: _valued(name, value) for name, value in values.items()}, **_UNITS}
+
+
+def _valued(name: str, value: Rat) -> Rat:
+    """The one check of a parameter's value, for ``make_valuation`` and for
+    the parser at the value's line."""
+    value = as_rat(value)
+    if value < 0:
+        raise ConstraintError(f"valuation of {name!r} is negative: {value}")
+    if name in RESERVED and value != int(name):
+        raise ConstraintError(f"reserved parameter {name!r} must map to {name}")
+    return value
 
 
 _VALUATION_LINES = line_kinds((("param", "param <name> = <value>",
@@ -294,10 +302,10 @@ def parse_valuation(text: str) -> dict[str, Rat]:
     def handle(_lineno, _keyword, name, value):
         if name in values:
             raise ValueError(f"parameter {name!r} valued twice")
-        values[name] = parse_rat(value)
+        values[name] = _valued(name, parse_rat(value))
 
     read_lines(text, _VALUATION_LINES, handle, ConstraintError)
-    return make_valuation(values)
+    return {**values, **_UNITS}
 
 
 def eval_word_sum(ws: WordSum, eta: dict[str, Rat], memo: dict = None) -> Rat:

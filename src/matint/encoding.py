@@ -32,18 +32,22 @@ class Encoding:
     def __post_init__(self):
         if self.dim < 1:
             raise EncodingError(f"encoding dimension must be positive, got {self.dim}")
-        normalized = {}
-        for value, mat in self.table.items():
-            value = as_rat(value)
-            if not isinstance(value, Fraction) or not 0 < value < 1:
-                raise EncodingError(f"encoded value must lie strictly in (0,1): {value}")
-            if mat.shape != (self.dim, self.dim):
-                raise EncodingError(
-                    f"matrix for {value} is {mat.rows}x{mat.cols}, need {self.dim}x{self.dim}")
-            if not mat.is_natural():
-                raise EncodingError(f"matrix for {value} has non-natural entries")
-            normalized[value] = mat
-        self.table = normalized
+        table, self.table = self.table, {}
+        for value, mat in table.items():
+            self._add(value, mat)
+
+    def _add(self, value: Rat, mat: Mat):
+        """Encode ``value`` by ``mat`` after the one check of an entry, for
+        the constructor and for the parser at the entry's line."""
+        value = as_rat(value)
+        if not isinstance(value, Fraction) or not 0 < value < 1:
+            raise EncodingError(f"encoded value must lie strictly in (0,1): {value}")
+        if mat.shape != (self.dim, self.dim):
+            raise EncodingError(
+                f"matrix for {value} is {mat.rows}x{mat.cols}, need {self.dim}x{self.dim}")
+        if not mat.is_natural():
+            raise EncodingError(f"matrix for {value} has non-natural entries")
+        self.table[value] = mat
 
 
 def _upper_block(dim: int, top_left: Mat, top_right: Mat) -> Mat:
@@ -205,27 +209,26 @@ _LINES = line_kinds((
 
 def parse_encoding(text: str) -> Encoding:
     """Parse ``encoding dim <n>`` then ``value <p>/<q> = <matrix literal>`` lines."""
-    dim = None
-    table: dict[Fraction, Mat] = {}
+    enc = None
 
     def handle(_lineno, keyword, *groups):
-        nonlocal dim
+        nonlocal enc
         if keyword == "encoding":
-            if dim is not None:
+            if enc is not None:
                 raise ValueError("repeated header 'encoding dim'")
-            dim = int(groups[0])
+            enc = Encoding(int(groups[0]))
             return
-        if dim is None:
+        if enc is None:
             raise ValueError("value line before 'encoding dim' header")
         value = parse_rat(groups[0])
-        if value in table:
+        if value in enc.table:
             raise ValueError(f"value {value} encoded twice")
-        table[Fraction(value)] = parse_matrix(groups[1])
+        enc._add(value, parse_matrix(groups[1]))
 
     read_lines(text, _LINES, handle, EncodingError)
-    if dim is None:
+    if enc is None:
         raise EncodingError("missing 'encoding dim <n>' header")
-    return Encoding(dim, table)
+    return enc
 
 
 def load_encoding(spec: str) -> Encoding:

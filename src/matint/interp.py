@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress, repeat
@@ -31,7 +31,11 @@ from .trs import App, Rule, Term, Trs, Var
 
 
 class InterpError(ValueError):
-    pass
+    """``where`` is the header or ``(symbol, 'M<k>'|'C')`` at fault, whose line a parser names."""
+
+    def __init__(self, message: str, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 @dataclass(frozen=True)
@@ -42,11 +46,12 @@ class BlockShape:
     block: int = 1
 
     def __post_init__(self):
-        if self.dim < 1 or self.block < 1:
-            raise InterpError(f"dimension and block size must be positive, got {self.dim}, "
-                              f"{self.block}")
+        for name, value in (("dim", self.dim), ("block", self.block)):
+            if value < 1:
+                raise InterpError(f"{name} must be positive, got {value}", name)
         if self.dim % self.block:
-            raise InterpError(f"block size {self.block} does not divide dimension {self.dim}")
+            raise InterpError(f"block size {self.block} does not divide dimension {self.dim}",
+                              "block")
 
     @property
     def beta(self) -> int:
@@ -57,19 +62,13 @@ class BlockShape:
 class LinearFunc:
     """One symbol's function: argument matrices and a constant column vector.
 
-    ``rows`` and ``columns`` are its matrices compiled for the two walks of
-    ``eval_term``, on first use, once per distinct matrix object (a loader
-    shares one Mat between equal matrices). A LinearFunc and its Mats are
-    immutable, so the views never go stale: every later check reuses them.
+    ``columns`` compiles the matrices for the value walk on first use, once
+    per distinct matrix object (equal literals share one Mat), and keeps
+    them for every check: a LinearFunc and its Mats are immutable.
     """
 
     mats: tuple[Mat, ...]
     const: Mat
-
-    @cached_property
-    def rows(self) -> tuple:
-        """What the full-form fold reads: ``_rows`` of each argument matrix."""
-        return _map_once(_rows, self.mats)
 
     @cached_property
     def columns(self) -> tuple:
@@ -95,41 +94,33 @@ class Interpretation:
     domain: str                  # "natural" | "rational"
     table: dict[str, LinearFunc]
     delta: Fraction | None = None
-    # the full forms [[t]] that eval_term has built under this interpretation;
-    # they hold as long as ``table`` is not changed
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, b = self.shape.dim, self.shape.block
         if self.domain not in ("natural", "rational"):
             raise InterpError(f"domain must be natural or rational, got {self.domain!r}")
         if self.delta is not None and self.delta <= 0:
-            raise InterpError(f"delta must be positive, got {self.delta}")
+            raise InterpError(f"delta must be positive, got {self.delta}", "delta")
         checked = set()  # ids of the matrices whose entries passed
         for symbol, func in self.table.items():
-            for k, mat in enumerate(func.mats, start=1):
-                if mat.shape != (n, n):
+            for k, mat in enumerate((*func.mats, func.const), start=1):
+                where = (symbol, f"M{k}" if k <= len(func.mats) else "C")
+                what, cols = (where[1], n) if where[1] != "C" else ("constant vector", 1)
+                if mat.shape != (n, cols):
                     raise InterpError(
-                        f"{symbol}: M{k} is {mat.rows}x{mat.cols}, need {n}x{n}")
-            if func.const.shape != (n, 1):
-                raise InterpError(
-                    f"{symbol}: constant vector is {func.const.rows}x{func.const.cols}, "
-                    f"need {n}x1")
-            for mat in (*func.mats, func.const):
-                if id(mat) in checked:
-                    continue
-                checked.add(id(mat))
-                if min(mat.nums) < 0:
-                    raise InterpError(f"{symbol}: negative entry")
-                # the entries are nonnegative here, so natural means integral
-                if self.domain == "natural" and mat.den != 1:
-                    raise InterpError(f"{symbol}: non-natural entry in natural domain")
+                        f"{symbol}: {what} is {mat.rows}x{mat.cols}, need {n}x{cols}", where)
+                if id(mat) not in checked:
+                    if min(mat.nums) < 0:
+                        raise InterpError(f"{symbol}: negative entry", where)
+                    # the entries are nonnegative here, so natural means integral
+                    if self.domain == "natural" and mat.den != 1:
+                        raise InterpError(f"{symbol}: non-natural entry in natural domain", where)
+                    checked.add(id(mat))
             for j in range(self.shape.beta):
                 segment = func.const.nums[j * b:(j + 1) * b]
                 if segment.count(segment[0]) != b:
-                    raise InterpError(
-                        f"{symbol}: constant vector is not block-constant "
-                        f"(block {j + 1} of size {b})")
+                    raise InterpError(f"{symbol}: constant vector is not block-constant "
+                                      f"(block {j + 1} of size {b})", (symbol, "C"))
 
     @classmethod
     def _derived(cls, shape: BlockShape, domain: str, table: dict[str, LinearFunc],
@@ -139,7 +130,7 @@ class Interpretation:
         vectors hold by construction, so no entry is read again."""
         interp = object.__new__(cls)
         for name, value in (("shape", shape), ("domain", domain), ("table", table),
-                            ("delta", delta), ("_memo", {})):
+                            ("delta", delta)):
             object.__setattr__(interp, name, value)
         return interp
 
@@ -170,13 +161,6 @@ class LinearForm:
     def coeff(self, var: str) -> Mat:
         c = self.coeffs.get(var)
         return Mat.zero(self.const.rows, self.dim) if c is None else c
-
-
-def _rows(mat: Mat) -> tuple:
-    """What the full-form fold reads of an argument matrix: the matrix and
-    its rows as int tuples over ``mat.den``."""
-    n = mat.cols
-    return mat, tuple(mat.nums[i:i + n] for i in range(0, n * n, n))
 
 
 def _columns(mat: Mat) -> tuple:
@@ -242,8 +226,8 @@ def eval_term(interp: Interpretation, terms, left: Mat = None):
 
     Without ``left``, the full form ``[[t]]`` that the entrywise backend
     needs is composed bottom-up, ``[[f(t1..tk)]] = C + sum M_i·[[t_i]]``
-    (see ``_full_forms``). The interpretation keeps every full form it has
-    built, so later terms, and later checks, reuse them.
+    (see ``_full_forms``). Nothing is kept between calls: each call reads
+    the table as it is then.
 
     With ``left`` (one row of n), the walk goes top-down, each node after
     all its parents. A node holds a row ``u = left·(the argument matrices
@@ -263,7 +247,7 @@ def eval_term(interp: Interpretation, terms, left: Mat = None):
         return forms[0] if single else forms
     if left.shape != (1, n):
         raise InterpError(f"left factor must be 1x{n}, got {left.rows}x{left.cols}")
-    order = _dag(interp, terms, ())
+    order = _dag(interp, terms)
     # the rows of each distinct subterm: term index -> row, over a denominator
     rows: dict[Term, dict[int, tuple[list[int], int]]] = {node: {} for node, _ in order}
     for s, t in enumerate(terms):
@@ -307,19 +291,19 @@ def eval_term(interp: Interpretation, terms, left: Mat = None):
     return forms[0] if single else forms
 
 
-def _dag(interp: Interpretation, terms: tuple, known) -> list[tuple[Term, LinearFunc | None]]:
-    """The distinct subterms of ``terms`` that are not in ``known``, each
-    listed after all its arguments, with the function of each application
-    (None for a variable). An application is checked when first reached, so
-    the first uninterpreted or misused symbol in pre-order over the terms,
-    in order, is reported."""
+def _dag(interp: Interpretation, terms: tuple) -> list[tuple[Term, LinearFunc | None]]:
+    """The distinct subterms of ``terms``, each listed after all its
+    arguments, with the function of each application (None for a
+    variable). An application is checked when first reached, so the first
+    uninterpreted or misused symbol in pre-order over the terms, in order,
+    is reported."""
     order, seen = [], set()
     stack = list(reversed(terms))
     while stack:
         node = stack.pop()
         if node.__class__ is tuple:
             order.append(node)
-        elif node not in seen and node not in known:
+        elif node not in seen:
             seen.add(node)
             if node.__class__ is Var:
                 order.append((node, None))
@@ -338,24 +322,25 @@ def _dag(interp: Interpretation, terms: tuple, known) -> list[tuple[Term, Linear
 
 
 def _full_forms(interp: Interpretation, terms: tuple) -> list[LinearForm]:
-    """``[[t]]`` of each term, bottom-up over the subterms ``interp._memo``
-    lacks: a node sums, for each variable, ``M_i·coeff`` over all its
-    arguments in one int list, and takes one matrix-vector product for each
-    argument's constant, so a ground subterm costs no more than its value
-    vector."""
+    """``[[t]]`` of each term, bottom-up over the distinct subterms, into a
+    map of this call only: a node sums, for each variable, ``M_i·coeff``
+    over all its arguments in one int list, and takes one matrix-vector
+    product for each argument's constant (``M_i`` sliced into rows there),
+    so a ground subterm costs no more than its value vector."""
     n = interp.shape.dim
-    memo = interp._memo
-    for node, func in _dag(interp, terms, memo):
+    forms: dict[Term, LinearForm] = {}
+    for node, func in _dag(interp, terms):
         if func is None:
             continue
         const, const_den = func.const.nums, func.const.den
         coeffs: dict[str, tuple[list[int], int]] = {}
-        for (mat, rows), arg in zip(func.rows, node.args):
+        for mat, arg in zip(func.mats, node.args):
             if arg.__class__ is Var:
                 # M·I = M
                 parts = ((arg.name, mat.nums, mat.den),)
             else:
-                form = memo[arg]
+                form = forms[arg]
+                rows = [mat.nums[i:i + n] for i in range(0, n * n, n)]
                 const, const_den = _sum(const, const_den, _mat_vec(rows, form.const.nums),
                                         mat.den * form.const.den)
                 parts = []
@@ -368,11 +353,11 @@ def _full_forms(interp: Interpretation, terms: tuple) -> list[LinearForm]:
                 old = coeffs.get(v)
                 coeffs[v] = (nums, den) if old is None else _sum(*old, nums, den)
         # a zero coefficient contributes nothing further up, so it is dropped here
-        memo[node] = LinearForm(n, {v: Mat._derived(n, n, nums, d)
-                                    for v, (nums, d) in coeffs.items() if any(nums)},
-                                Mat._derived(n, 1, const, const_den))
+        forms[node] = LinearForm(n, {v: Mat._derived(n, n, nums, d)
+                                     for v, (nums, d) in coeffs.items() if any(nums)},
+                                 Mat._derived(n, 1, const, const_den))
     return [LinearForm(n, {t.name: Mat.identity(n)}, Mat.zero(n, 1)) if t.__class__ is Var
-            else memo[t] for t in terms]
+            else forms[t] for t in terms]
 
 
 @dataclass(frozen=True)
@@ -820,8 +805,9 @@ _HEADERS = {"domain": str, "dim": int, "block": int,
 
 
 def parse_interpretation(text: str) -> Interpretation:
-    """Parse the line-oriented interpretation format (see the file docs)."""
-    headers, lines = {}, {}  # each header's value and line
+    """Parse the line-oriented interpretation format (see the file docs). The
+    constructor checks it after the last line; a fault names its own line."""
+    headers, lines = {}, {}  # each header's value; each header's and matrix's line
     table: dict[str, LinearFunc] = {}
     current: tuple[str, int, int] | None = None  # symbol, arity, line
     mats, const = [], None  # the current symbol's M<k> and C
@@ -843,10 +829,12 @@ def parse_interpretation(text: str) -> Interpretation:
             if int(k) != len(mats) + 1 or int(k) > arity:
                 raise ValueError(f"unexpected M{k} (arity {arity})")
             mats.append(literal(text))
+            lines[current[0], f"M{len(mats)}"] = lineno
         elif keyword == "C":
             if current is None or const is not None:
                 raise ValueError("unexpected C line")
             const = literal(groups[0])
+            lines[current[0], "C"] = lineno
         elif keyword == "interp":
             close_symbol()
             symbol, arity = groups
@@ -856,22 +844,22 @@ def parse_interpretation(text: str) -> Interpretation:
         elif keyword in headers:
             raise ValueError(f"repeated header {keyword!r}")
         else:
-            value = headers[keyword] = _HEADERS[keyword](groups[0])
-            if keyword != "domain" and value <= 0:
-                raise ValueError(f"{keyword} must be positive, got {value}")
+            headers[keyword] = _HEADERS[keyword](groups[0])
             lines[keyword] = lineno
 
     def end():
         close_symbol()
-        dim, block = headers.get("dim"), headers.get("block", 1)
-        if dim and dim % block:
-            raise LineError(lines["block"], f"block size {block} does not divide dimension {dim}")
+        if "domain" in headers and "dim" in headers:
+            try:
+                return Interpretation(BlockShape(headers["dim"], headers.get("block", 1)),
+                                      headers["domain"], table, headers.get("delta"))
+            except InterpError as exc:
+                raise LineError(lines[exc.where], str(exc)) from None
 
-    read_lines(text, _LINES, handle, InterpError, end)
-    if "domain" not in headers or "dim" not in headers:
+    interp = read_lines(text, _LINES, handle, InterpError, end)
+    if interp is None:
         raise InterpError("missing 'domain' or 'dim' header")
-    return Interpretation(BlockShape(headers["dim"], headers.get("block", 1)),
-                          headers["domain"], table, headers.get("delta"))
+    return interp
 
 
 def format_interpretation(interp: Interpretation) -> str:

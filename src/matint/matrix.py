@@ -329,7 +329,7 @@ def read_lines(text: str, kinds: dict, handle, error: type[ValueError], end=None
     names the form, and ``handle(lineno, keyword, *groups)`` reads it. A
     ValueError raised meanwhile, or by ``end()`` after the last line,
     becomes ``error`` with one ``line N:`` prefix, N the current line or a
-    LineError's."""
+    LineError's. Returns what ``end()`` returns."""
     lineno = 0
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -344,7 +344,7 @@ def read_lines(text: str, kinds: dict, handle, error: type[ValueError], end=None
                 raise ValueError("expected " + " or ".join(map(repr, forms)))
             handle(lineno, keyword, *found.groups())
         if end:
-            end()
+            return end()
     except ValueError as exc:
         at = exc.lineno if isinstance(exc, LineError) else lineno
         raise error(f"line {at}: {exc}") from None

@@ -748,6 +748,8 @@ _RELATIVE = read("relative.interp")
 _CHECK = ["check", "--trs", ENDR_TRS, "--interp"]
 _TO_BITS = ["to-bits", "--out", "OUT", "--interp"]
 _EVAL = ["eval-valuation", "--trs", EX1, "--valuation", ETA, "--pinterp"]
+_VALUATION = ["eval-valuation", "--trs", EX1, "--pinterp", PI, "--valuation"]
+_ENCODING = ["validate-encoding", "--encoding"]
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -768,7 +770,7 @@ _EVAL = ["eval-valuation", "--trs", EX1, "--valuation", ETA, "--pinterp"]
     # each header at most once
     (_CHECK, _RELATIVE.replace("block 1", "block 1\ndelta 1/2\ndelta 1/3"),
      "line 6: repeated header 'delta'"),
-    (["validate-encoding", "--encoding"], "encoding dim 3\nencoding dim 2\n",
+    (_ENCODING, "encoding dim 3\nencoding dim 2\n",
      "line 2: repeated header 'encoding dim'"),
     # lines that fit no form name the form
     (_EVAL, "pinterp f : 1 = f1 f0\npinterp g : 1 = g1 | g0\n",
@@ -778,7 +780,7 @@ _EVAL = ["eval-valuation", "--trs", EX1, "--valuation", ETA, "--pinterp"]
     (_CHECK, _RELATIVE.replace("  C = [1 ; 0]", "  M = [1 ; 0]"),
      "line 6: expected 'M<k> = <literal>'"),
     # a rational names the forms it may take
-    (["eval-valuation", "--trs", EX1, "--pinterp", PI, "--valuation"], "param f1 = x\n",
+    (_VALUATION, "param f1 = x\n",
      "line 1: bad rational literal 'x': expected '<int>' or '<p>/<q>' with q nonzero"),
     (_CHECK, _RELATIVE.replace("block 1", "block 1\ndelta 1/0"),
      "line 5: bad rational literal '1/0': expected '<int>' or '<p>/<q>' with q nonzero"),
@@ -790,10 +792,36 @@ _EVAL = ["eval-valuation", "--trs", EX1, "--valuation", ETA, "--pinterp"]
      "line 3: block size 3 does not divide dimension 2"),
     (_CHECK, _RELATIVE.replace("block 1", "block 1\ndelta 0"),
      "line 5: delta must be positive, got 0"),
+    # content faults, at the line that holds them
+    (_ENCODING, "encoding dim 0\n", "line 1: encoding dimension must be positive, got 0"),
+    (_ENCODING, "encoding dim 2\nvalue 1/4 = [0 0 ; 0 1]\nvalue 1/2 = [1 0 ; 0 1 ; 1 1]\n",
+     "line 3: matrix for 1/2 is 3x2, need 2x2"),
+    (_ENCODING, "encoding dim 2\nvalue 1/2 = [0 1 ; 0 0]\nvalue 1 = [1 0 ; 0 1]\n",
+     "line 3: encoded value must lie strictly in (0,1): 1"),
+    (_ENCODING, "encoding dim 2\n\nvalue 1/2 = [1/2 0 ; 0 1]\n",
+     "line 3: matrix for 1/2 has non-natural entries"),
+    (_CHECK, _RELATIVE.replace("[1 0 ; 1 1]", "[1 2 3]"), "line 15: g: M1 is 1x3, need 2x2"),
+    (_CHECK, _RELATIVE.replace("[1 0 ; 1 1]", "[1 0 ; 0 1/2]"),
+     "line 15: g: non-natural entry in natural domain"),
+    (_CHECK, _RELATIVE.replace("[0 ; 1]", "[1 ; -1]"), "line 16: g: negative entry"),
+    (_TO_BITS, "domain natural\ndim 2\nblock 2\ninterp a : 0\n  C = [1 ; 1]\n"
+               "interp f : 1\n  M1 = [1 0 ; 0 1]\n  C = [1 ; 2]\n",
+     "line 8: f: constant vector is not block-constant (block 1 of size 2)"),
+    (_TO_BITS, "interp f : 1\n  C = [1 ; 1]\n  M1 = [1 2 3]\ndomain natural\ndim 2\n",
+     "line 3: f: M1 is 1x3, need 2x2"),
+    (_EVAL, "pinterp f : 1 = 1 | f0\npinterp g : 1 = g1 | g0\n",
+     "line 1: parameter name '1' is reserved (symbol 'f')"),
+    (_EVAL, "pinterp f : 1 = f1 | f0\npinterp g : 1 = g1 | f1\n",
+     "line 2: duplicate parameter name 'f1'"),
+    (_VALUATION, "param f1 = 2\nparam a = -1\n", "line 2: valuation of 'a' is negative: -1"),
+    (_VALUATION, "param 1 = 2\n", "line 1: reserved parameter '1' must map to 1"),
 ], ids=["incomplete", "incomplete-at-end", "two-names", "no-name", "negative-arity",
         "negative-pinterp-arity", "repeated-delta", "repeated-encoding-dim", "no-bar",
         "C-without-=", "M-without-k", "not-a-rational", "zero-denominator", "dim-0",
-        "block-not-dividing", "block-before-dim", "delta-0"])
+        "block-not-dividing", "block-before-dim", "delta-0", "encoding-dim-0",
+        "encoding-shape", "encoding-value-1", "encoding-non-natural", "M-shape",
+        "M-non-natural", "C-negative", "C-not-block-constant", "headers-last",
+        "reserved-parameter", "duplicate-parameter", "negative-value", "reserved-value"])
 def test_malformed_lines_exit_2_naming_their_line(capsys, tmp_path, argv, text, message):
     bad, out = tmp_path / "bad.in", tmp_path / "out.interp"
     bad.write_text(text, encoding="utf-8")

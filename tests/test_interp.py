@@ -307,15 +307,14 @@ def test_eval_term_deep_chain_without_recursion():
     assert projected.const == Mat(1, 1, (5000,))
 
 
-def test_memoised_full_forms_agree_with_reference():
-    """Full forms read from and written to the interpretation's memo equal
-    the bottom-up reference, across rules, auto pairs and a pairs file that
-    repeats rule subterms; the files are parsed apart, so they share
-    subterms only through interning. check_problem's entrywise verdicts
-    equal those of the reference forms, under many interpretations of the
-    same terms, and reuse the memo: it gains no form."""
+def test_full_forms_agree_with_reference():
+    """Full forms equal the bottom-up reference, across rules, auto pairs
+    and a pairs file that repeats rule subterms; the files are parsed
+    apart, so they share subterms only through interning. check_problem's
+    entrywise verdicts equal those of the reference forms, under many
+    interpretations of the same terms."""
     rng = random.Random(37)
-    reused = 0
+    repeated = 0
     outcomes = set()
     for _ in range(30):
         interp = _rand_interp(rng)
@@ -346,21 +345,35 @@ def test_memoised_full_forms_agree_with_reference():
                 references[t] = LinearForm(n, *_reference_form(interp, t))
             return references[t]
 
-        memo = interp._memo
         checks = [("weak", r) for r in trs.rules] + [("strict", p) for p in pairs]
         for rel, rule in checks:
             for t in (rule.lhs, rule.rhs):
-                reused += t in memo
+                # sides met before, which one check evaluates once
+                repeated += t in references
                 assert eval_term(interp, t) == reference(t)
-        assert all(form == reference(t) for t, form in memo.items())
         expected = [check_entrywise(reference(rule.lhs), reference(rule.rhs), rel)
                     for rel, rule in checks]
         outcomes.update(v.holds for v in expected)
-        built = len(memo)
         report = check_problem(trs, pairs, interp, "entrywise")
         assert [c.verdict for c in report.checks] == expected
-        assert len(memo) == built
-    assert reused > 50 and outcomes == {True, False}
+    assert repeated > 50 and outcomes == {True, False}
+
+
+def test_checks_read_the_table_as_it_is_now():
+    """A check keeps nothing of the interpretation between calls: after f is
+    replaced by zeros, both backends, on the same object and on a fresh
+    one, refute what the entrywise check had proved."""
+    trs = parse_trs(read("fg.trs"))
+    pairs = dependency_pairs(trs)
+    interp = parse_interpretation(read("fg-natural.interp"))
+    assert check_problem(trs, pairs, interp, "entrywise").holds
+    n, f = interp.shape.dim, interp.table["f"]
+    interp.table["f"] = LinearFunc(tuple(Mat.zero(n) for _ in f.mats), Mat.zero(n, 1))
+    fresh = Interpretation(interp.shape, interp.domain, dict(interp.table))
+    for backend in ("entrywise", "value"):
+        for checked in (interp, fresh):
+            report = check_problem(trs, pairs, checked, backend)
+            assert [c.verdict.holds for c in report.checks] == [True, False, False, False]
 
 
 def test_check_entrywise_examples(ex2, ex62):

@@ -145,8 +145,8 @@ def test_kernel_forms_and_verdicts_agree_with_reference():
             _assert_verdicts_agree(rng, lp, rp, rlp, rrp, kinds)
             _assert_entrywise_agree(lf, rf, rlf, rrf, entrywise_kinds)
             _assert_entrywise_agree(lp, rp, rlp, rrp, entrywise_kinds)
-        # the interpretation keeps the full forms of every subterm it evaluated
-        assert interp._memo == ref_memo
+        # every subterm the reference folded, in one call
+        assert eval_term(interp, list(ref_memo)) == list(ref_memo.values())
     assert kinds == {"holds", "coeff", "const", "const margin"}
     assert entrywise_kinds == {"holds", "coeff", "const", "const first"}
 
@@ -301,33 +301,28 @@ def test_value_check_of_bit_interpretation_takes_sparse_steps(monkeypatch):
 
 
 def test_checks_of_one_interpretation_compile_each_matrix_once(monkeypatch):
-    """Checks of one interpretation, like the checks before and after a
-    transform, share what they compile: two value and two entrywise
-    check_problem calls compile each distinct argument matrix's row view
-    and column view once in total, and the second entrywise check builds
-    no full form. f's equal M1 and M3 are one Mat with one view of each."""
+    """Checks of one interpretation share what they compile: two value and
+    two entrywise check_problem calls compile each distinct argument
+    matrix's column view once in total. f's equal M1 and M3 are one Mat
+    with one view."""
     trs = parse_trs(read("relative.trs"))
     interp = parse_interpretation(read("relative.interp"))
     f = interp.table["f"]
     assert f.mats[0] is f.mats[2] and f.mats[0] is not f.mats[1]
     counts = Counter()
-    for name in ("_rows", "_columns"):
-        def counting(mat, *args, original=getattr(interp_module, name), name=name):
-            counts[name, id(mat)] += 1
-            return original(mat, *args)
 
-        monkeypatch.setattr(interp_module, name, counting)
-    reports, memos = [], []
-    for backend in ("value", "entrywise") * 2:
-        reports.append(check_problem(trs, [], interp, backend))
-        memos.append(dict(getattr(interp, "_memo", {})))
+    def counting(mat, original=interp_module._columns):
+        counts[id(mat)] += 1
+        return original(mat)
+
+    monkeypatch.setattr(interp_module, "_columns", counting)
+    reports = [check_problem(trs, [], interp, backend)
+               for backend in ("value", "entrywise") * 2]
     assert reports[:2] == reports[2:]
     mats = {id(mat) for func in interp.table.values() for mat in func.mats}
     assert len(mats) == 3
-    assert counts == Counter({(name, m): 1 for name in ("_rows", "_columns") for m in mats})
-    assert f.rows[0] is f.rows[2] and f.columns[0] is f.columns[2]
-    assert memos[1] and memos[1] == memos[3]
-    assert all(interp._memo[t] is form for t, form in memos[1].items())
+    assert counts == Counter(dict.fromkeys(mats, 1))
+    assert f.columns[0] is f.columns[2]
 
 
 # --- one walk per problem ---
@@ -449,8 +444,16 @@ def test_problem_walk_takes_each_subterm_once(monkeypatch):
     assert Counting.gets == 3
     assert steps == [2] * 9
     assert forms == [ref.eval_term(interp, s, Mat.ones(1, 2)) for s in sides]
-    # the full forms: each distinct application composed once, into the memo
+    # the full forms: each distinct application composed once, into one form
     Counting.gets = 0
+    built = []
+
+    def recording(*args, original=interp_module.LinearForm):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(interp_module, "LinearForm", recording)
     forms = eval_term(interp, sides)
-    assert Counting.gets == 3 and set(interp._memo) == {hx, t, sides[2]}
+    monkeypatch.undo()
+    assert Counting.gets == 3 and len(built) == 3
     assert forms == [ref.eval_term(interp, s) for s in sides]
