@@ -82,16 +82,35 @@ class _Sources:
     def encoding(self):
         return self._load(self.args.encoding, load_encoding, "encoding")
 
+    def signature(self) -> dict[str, int]:
+        """The signature of the TRS and its pairs: a pairs file adds the
+        signature its parser inferred, in which a TRS symbol at another
+        arity is an input error that names the file; ``--pairs auto`` adds
+        its pairs' root symbols, since their arguments are TRS terms."""
+        spec = getattr(self.args, "pairs", "none")
+        if spec in ("none", "auto"):
+            return _signature(self.trs(), self.pairs())
+        signature = dict(self.trs().signature)
+        for symbol, arity in self._parse(spec, parse_trs, "pairs").signature.items():
+            if signature.setdefault(symbol, arity) != arity:
+                raise SystemExit(_usage_error(
+                    f"pairs {spec}: symbol {symbol!r} has arity {signature[symbol]} in the "
+                    f"TRS but is used with {arity} argument(s)"))
+        return signature
+
     def _check_signature(self, arities, what, path):
         """With --trs given, every symbol of the TRS and its pairs must be
         interpreted at its arity; else an input error names the file."""
         if getattr(self.args, "trs", None) is None:
             return
-        for symbol, want in _signature(self.trs(), self.pairs()).items():
+        trs = self.trs().signature
+        for symbol, want in self.signature().items():
+            # what only a pairs file adds is named as its own
+            source = "TRS" if symbol in trs or self.args.pairs == "auto" else "pairs"
             if symbol not in arities:
-                problem = f"symbol {symbol!r} of the TRS is uninterpreted"
+                problem = f"symbol {symbol!r} of the {source} is uninterpreted"
             elif arities[symbol] != want:
-                problem = (f"symbol {symbol!r} has arity {want} in the TRS but "
+                problem = (f"symbol {symbol!r} has arity {want} in the {source} but "
                            f"{arities[symbol]} " + ("argument matrices" if what == "interp"
                                                     else "coefficient parameters"))
             else:

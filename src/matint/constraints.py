@@ -14,8 +14,10 @@ text) is computed once per word node, from its parent's.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .matrix import Rat, as_rat, line_kinds, parse_rat, read_lines
 from .trs import Term, Trs, Var
@@ -139,12 +141,13 @@ class ArithConstraint:
 class ParamInterpretation:
     """symbol -> (coefficient parameter per argument, constant parameter)."""
 
-    table: dict[str, tuple[tuple[str, ...], str]]
+    table: Mapping[str, tuple[tuple[str, ...], str]]  # a read-only copy, once checked
 
     def __post_init__(self):
         seen: set[str] = set()
         for symbol, (coeffs, const) in self.table.items():
             _check_names(symbol, (*coeffs, const), seen)
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
 
 def _check_names(symbol: str, names, seen: set[str]):
@@ -164,19 +167,19 @@ _PINTERP_LINES = line_kinds((("pinterp", "pinterp <symbol> : <arity> = <p1> ... 
 
 def parse_pinterp(text: str) -> ParamInterpretation:
     """Parse ``pinterp <symbol> : <arity> = <p1> ... <pk> | <p0>`` lines."""
-    pi, seen = ParamInterpretation({}), set()
+    table, seen = {}, set()
 
     def handle(_lineno, _keyword, symbol, arity, coeffs, const):
         coeffs, arity = tuple(coeffs.split()), int(arity)
         if len(coeffs) != arity:
             raise ValueError(f"{len(coeffs)} coefficient parameter(s) for arity {arity}")
-        if symbol in pi.table:
+        if symbol in table:
             raise ValueError(f"symbol {symbol!r} interpreted twice")
         _check_names(symbol, (*coeffs, const), seen)
-        pi.table[symbol] = (coeffs, const)
+        table[symbol] = (coeffs, const)
 
     read_lines(text, _PINTERP_LINES, handle, ConstraintError)
-    return pi
+    return ParamInterpretation(table)
 
 
 def _sym_eval(t: Term, specs: dict) -> tuple[dict[str, list[Word]], list[Word]]:

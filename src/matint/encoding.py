@@ -9,8 +9,10 @@ The catalog ships the known-good encodings built from Jordan block powers.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .constraints import ArithConstraint, fold_words
 from .matrix import (Mat, Rat, as_rat, jordan, line_kinds, parse_matrix, parse_rat,
@@ -22,32 +24,38 @@ class EncodingError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Encoding:
     """Fixed-dimension table of natural square matrices for rationals in (0, 1)."""
 
     dim: int
-    table: dict[Fraction, Mat] = field(default_factory=dict)
+    table: Mapping[Fraction, Mat] = field(default_factory=dict)  # a read-only copy, once checked
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise EncodingError(f"encoding dimension must be positive, got {self.dim}")
-        table, self.table = self.table, {}
-        for value, mat in table.items():
-            self._add(value, mat)
+        _check_dim(self.dim)
+        table = {}
+        for value, mat in self.table.items():
+            _add(table, self.dim, value, mat)
+        object.__setattr__(self, "table", MappingProxyType(table))
 
-    def _add(self, value: Rat, mat: Mat):
-        """Encode ``value`` by ``mat`` after the one check of an entry, for
-        the constructor and for the parser at the entry's line."""
-        value = as_rat(value)
-        if not isinstance(value, Fraction) or not 0 < value < 1:
-            raise EncodingError(f"encoded value must lie strictly in (0,1): {value}")
-        if mat.shape != (self.dim, self.dim):
-            raise EncodingError(
-                f"matrix for {value} is {mat.rows}x{mat.cols}, need {self.dim}x{self.dim}")
-        if not mat.is_natural():
-            raise EncodingError(f"matrix for {value} has non-natural entries")
-        self.table[value] = mat
+
+def _check_dim(dim: int):
+    """The one check of the dimension, for the constructor and the parser."""
+    if dim < 1:
+        raise EncodingError(f"encoding dimension must be positive, got {dim}")
+
+
+def _add(table: dict, dim: int, value: Rat, mat: Mat):
+    """Encode ``value`` by ``mat`` in ``table`` after the one check of an
+    entry, for the constructor and for the parser at the entry's line."""
+    value = as_rat(value)
+    if not isinstance(value, Fraction) or not 0 < value < 1:
+        raise EncodingError(f"encoded value must lie strictly in (0,1): {value}")
+    if mat.shape != (dim, dim):
+        raise EncodingError(f"matrix for {value} is {mat.rows}x{mat.cols}, need {dim}x{dim}")
+    if not mat.is_natural():
+        raise EncodingError(f"matrix for {value} has non-natural entries")
+    table[value] = mat
 
 
 def _upper_block(dim: int, top_left: Mat, top_right: Mat) -> Mat:
@@ -209,26 +217,27 @@ _LINES = line_kinds((
 
 def parse_encoding(text: str) -> Encoding:
     """Parse ``encoding dim <n>`` then ``value <p>/<q> = <matrix literal>`` lines."""
-    enc = None
+    dim, table = None, {}
 
     def handle(_lineno, keyword, *groups):
-        nonlocal enc
+        nonlocal dim
         if keyword == "encoding":
-            if enc is not None:
+            if dim is not None:
                 raise ValueError("repeated header 'encoding dim'")
-            enc = Encoding(int(groups[0]))
+            dim = int(groups[0])
+            _check_dim(dim)
             return
-        if enc is None:
+        if dim is None:
             raise ValueError("value line before 'encoding dim' header")
         value = parse_rat(groups[0])
-        if value in enc.table:
+        if value in table:
             raise ValueError(f"value {value} encoded twice")
-        enc._add(value, parse_matrix(groups[1]))
+        _add(table, dim, value, parse_matrix(groups[1]))
 
     read_lines(text, _LINES, handle, EncodingError)
-    if enc is None:
+    if dim is None:
         raise EncodingError("missing 'encoding dim <n>' header")
-    return enc
+    return Encoding(dim, table)
 
 
 def load_encoding(spec: str) -> Encoding:

@@ -18,12 +18,14 @@ tuples.
 from __future__ import annotations
 
 import operator
-import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress, repeat
 from math import ceil, gcd, lcm
+from random import Random
+from types import MappingProxyType
 
 from .matrix import (LineError, Mat, MatrixError, Rat, _rat_str, as_rat, entry_strs,
                      format_matrix, line_kinds, parse_matrix, parse_rat, read_lines)
@@ -92,7 +94,7 @@ def _map_once(func, objs, done: dict = None) -> tuple:
 class Interpretation:
     shape: BlockShape
     domain: str                  # "natural" | "rational"
-    table: dict[str, LinearFunc]
+    table: Mapping[str, LinearFunc]  # a read-only copy, once checked
     delta: Fraction | None = None
 
     def __post_init__(self):
@@ -121,16 +123,18 @@ class Interpretation:
                 if segment.count(segment[0]) != b:
                     raise InterpError(f"{symbol}: constant vector is not block-constant "
                                       f"(block {j + 1} of size {b})", (symbol, "C"))
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     @classmethod
     def _derived(cls, shape: BlockShape, domain: str, table: dict[str, LinearFunc],
                  delta: Fraction | None = None) -> Interpretation:
         """The trusted constructor for interpretations that a transform has
         built from valid ones: shapes, signs, domain and block-constant
-        vectors hold by construction, so no entry is read again."""
+        vectors hold by construction, so no entry is read again; the table
+        is copied read-only all the same."""
         interp = object.__new__(cls)
-        for name, value in (("shape", shape), ("domain", domain), ("table", table),
-                            ("delta", delta)):
+        for name, value in (("shape", shape), ("domain", domain),
+                            ("table", MappingProxyType(dict(table))), ("delta", delta)):
             object.__setattr__(interp, name, value)
         return interp
 
@@ -297,7 +301,7 @@ def _dag(interp: Interpretation, terms: tuple) -> list[tuple[Term, LinearFunc | 
     variable). An application is checked when first reached, so the first
     uninterpreted or misused symbol in pre-order over the terms, in order,
     is reported."""
-    order, seen = [], set()
+    order, seen, table = [], set(), interp.table
     stack = list(reversed(terms))
     while stack:
         node = stack.pop()
@@ -308,9 +312,11 @@ def _dag(interp: Interpretation, terms: tuple) -> list[tuple[Term, LinearFunc | 
             if node.__class__ is Var:
                 order.append((node, None))
                 continue
-            func = interp.table.get(node.symbol)
-            if func is None:
-                raise InterpError(f"uninterpreted symbol {node.symbol!r}")
+            # a read-only table's ``get`` costs three times its ``[]``
+            try:
+                func = table[node.symbol]
+            except KeyError:
+                raise InterpError(f"uninterpreted symbol {node.symbol!r}") from None
             if len(func.mats) != len(node.args):
                 raise InterpError(
                     f"symbol {node.symbol!r} has arity {len(func.mats)} in the interpretation, "
@@ -500,8 +506,8 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     Value-backend defaults: m is the dimension; delta is the file's delta,
     else 1/m. With ``trials`` > 0, ``sample_falsify`` cross-checks every HOLDS
     verdict on the forms the check just computed, and the check keeps the
-    witness it finds (or None). The checks share one draw pool, so each row
-    of the stream is drawn once per problem.
+    witness it finds (or None). A HOLDS verdict that is right leaves no
+    witness in the box of draws, so its check draws nothing.
     """
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
@@ -515,8 +521,6 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     problem = [("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")]
     forms = iter(eval_term(interp, [t for _, rules, _ in problem for rule in rules
                                     for t in (rule.lhs, rule.rhs)], left))
-    # every check samples the same stream, so they share one draw pool
-    pool: dict = {}
     checks: list[ConstraintCheck] = []
     for label, rules, rel in problem:
         for idx, rule in enumerate(rules, start=1):
@@ -529,7 +533,7 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
             if trials and verdict.holds:
                 witness = sample_falsify(lhs, rhs, rel, interp.shape, backend,
                                          m=m, delta=delta, trials=trials, bound=bound,
-                                         seed=seed, domain=interp.domain, pool=pool)
+                                         seed=seed, domain=interp.domain)
             checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, verdict, witness))
     if backend == "entrywise":
         m = delta = None
@@ -538,112 +542,31 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
 
 # --- sampling falsifier ---
 
-def _draws(rng: random.Random, top: int, count: int) -> list[int]:
-    """``[rng.randint(0, top) for _ in range(count)]`` without randint's three
-    Python frames per draw.
-
-    randint(0, top) draws k = (top + 1).bit_length() random bits until the
-    value is at most top. So the values it returns are the k-bit draws that
-    pass, in order. Each round below draws only as many k-bit values as are
-    still missing, so the last value drawn is also the last one kept: the
-    stream, and the generator's state after it, are those of randint. For
-    k <= 8 a round is one ``getrandbits(32·m)``: a k-bit draw is the top k
-    bits of one 32-bit output, and these are its m outputs, the first
-    lowest, so byte 3 of each little-endian word, shifted, is one draw.
-    """
-    k = (top + 1).bit_length()
-    getrandbits = rng.getrandbits
-    if k <= 8:
-        # each byte to its top k bits, and the bytes whose draw is above top
-        shift = bytes(b >> (8 - k) for b in range(256))
-        rejects = bytes(range((top + 1) << (8 - k), 256))
-    out: list[int] = []
-    while len(out) < count:
-        m = count - len(out)
-        if k <= 8:
-            out += getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(shift, rejects)
-        else:
-            out += [r for r in [getrandbits(k) for _ in range(m)] if r <= top]
-    return out
-
-
-class _DrawPool:
-    """The stream ``_draws(random.Random(seed), top, ·)`` cut into rows of
-    ``trials`` values: row r holds draws r·trials .. (r+1)·trials − 1.
-
-    Rows are drawn only when a check first needs them. The stream is
-    prefix-consistent, so row r is the same whichever check asks for it
-    first, and equal to row r of a fresh stream. Each row is packed at most
-    once per lane width into one int, lane t holding draw t.
-    """
-
-    __slots__ = ("rng", "top", "trials", "rows", "packed")
-
-    def __init__(self, seed: int, top: int, trials: int):
-        self.rng = random.Random(seed)
-        self.top, self.trials = top, trials
-        self.rows: list[list[int]] = []
-        self.packed: dict[tuple[int, int], int] = {}
-
-    def need(self, count: int):
-        """Draw rows until there are ``count``."""
-        t, missing = self.trials, count - len(self.rows)
-        if missing > 0:
-            flat = _draws(self.rng, self.top, missing * t)
-            self.rows += [flat[r * t:(r + 1) * t] for r in range(missing)]
-
-    def lanes(self, r: int, w: int) -> int:
-        """Row r packed into lanes of w bits (w a multiple of 8, and wider
-        than ``top``).
-
-        The little-endian bytes of the packed int are filled one byte plane
-        at a time: byte k of every draw goes to every (w/8)-th byte from k
-        on, in one strided slice assignment."""
-        packed = self.packed.get((r, w))
-        if packed is None:
-            row, nbytes = self.rows[r], w // 8
-            buf = bytearray(nbytes * self.trials)
-            if self.top < 256:
-                buf[0::nbytes] = bytes(row)
-            else:
-                for k in range((self.top.bit_length() + 7) // 8):
-                    buf[k::nbytes] = bytes([x >> 8 * k & 255 for x in row])
-            packed = self.packed[r, w] = int.from_bytes(buf, "little")
-        return packed
-
-
 def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape,
                    backend: str = "value", m: int = None, delta: Fraction = None,
                    trials: int = 1000, bound: int = 10, seed: int = 0,
-                   domain: str = "natural", pool: dict = None) -> dict[str, tuple] | None:
+                   domain: str = "natural") -> dict[str, tuple] | None:
     """Search for a concrete block-constant tuple violating lhs REL rhs.
 
     Block values are naturals in [0, bound] (halves as well for the rational
-    domain), drawn from ``random.Random(seed)`` exactly as ``randint`` would
-    draw them, variable by variable (in name order), block by block, trial
-    by trial. Returns the first violating assignment, or None. Arithmetic is
-    exact, in Python ints: the forms' numerators are brought over one common
-    denominator and the comparison scaled accordingly, so no magnitude bound
-    applies.
+    domain), drawn with ``randint`` from a fresh ``random.Random(seed)``,
+    variable by variable (in name order), block by block, trial by trial.
+    Returns the first violating assignment, or None. Arithmetic is exact,
+    in Python ints: the forms' numerators are brought over one common
+    denominator and the comparison scaled accordingly, so no magnitude
+    bound applies.
 
     The value backend compares only the entry sums of the two values, so it
     takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
     give the same sums, hence the same witness. The entrywise backend needs
     the full forms (n rows).
 
-    All trials are tested at once. The draws of one variable block, over
-    the trials, are packed into one int, trial t in lane t of w bits. A
-    row's gap lhs − rhs − floor, offset by 2^(w−1), is then one sum of
-    coefficient times packed draws. w is chosen so that 2^(w−1) exceeds
-    every gap's magnitude: each lane stays in [0, 2^w), no lane borrows
-    from another, and a trial fails exactly where a lane's top bit is
-    clear.
-
-    ``pool`` maps ``(seed, top, trials)`` to the draws already made for that
-    stream (``top`` is the largest scaled draw); it is read and filled, so
-    calls with the same seed, bound, domain and trials, like the checks of
-    one problem, draw and pack each row once. The witnesses are those of
-    separate calls.
+    Every scaled draw lies in [0, top], so a row's least gap lhs − rhs −
+    floor over the box of draws is its constant part plus top times its
+    negative coefficients. When no row's is negative, no draw is a witness
+    and None is returned without drawing, as for every correct HOLDS
+    verdict of either backend. Otherwise the trials are drawn and tested
+    one by one.
     """
     if trials < 1:
         raise InterpError(f"trials must be positive, got {trials}")
@@ -706,34 +629,18 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     # by block) and the constant part of the gap minus the floor
     gaps = [(list(map(operator.sub, lrow, rrow)), lc - rc - floor)
             for lrow, rrow, lc, rc, floor in zip(lrows, rrows, lconst, rconst, floors)]
-    reach = max(sum(map(abs, coeffs)) * top + abs(g) for coeffs, g in gaps)
-    # the narrowest multiple of 8 with 2^(w-1) > reach
-    w = (reach.bit_length() + 8) // 8 * 8
-    pool = {} if pool is None else pool
-    draws = pool.get((seed, top, trials))
-    if draws is None:
-        draws = pool[seed, top, trials] = _DrawPool(seed, top, trials)
-    draws.need(len(variables) * beta)
-    # 1, and the top bit, in every lane
-    ones = int.from_bytes((b"\x01" + bytes(w // 8 - 1)) * trials, "little")
-    high = ones << (w - 1)
-    fails = 0
-    for coeffs, g in gaps:
-        # every lane holds 2^(w-1) + that trial's gap
-        acc = g * ones + high
-        for r, coeff in enumerate(coeffs):
-            if coeff:
-                acc += coeff * draws.lanes(r, w)
-        fails |= high & ~acc
-    if not fails:
+    if all(g + top * sum(c for c in coeffs if c < 0) >= 0 for coeffs, g in gaps):
         return None
-    # the lowest failing lane is the first failing trial over all rows
-    first = ((fails & -fails).bit_length() - 1) // w
-    return {
-        v: tuple(as_rat(Fraction(draws.rows[k * beta + i][first], sample_den))
-                 for i in range(beta) for _ in range(b))
-        for k, v in enumerate(variables)
-    }
+    rng = Random(seed)
+    draws = [[rng.randint(0, top) for _ in range(trials)]
+             for _ in range(len(variables) * beta)]
+    for t in range(trials):
+        point = [row[t] for row in draws]
+        if any(g + sum(map(operator.mul, coeffs, point)) < 0 for coeffs, g in gaps):
+            return {v: tuple(as_rat(Fraction(point[k * beta + i], sample_den))
+                             for i in range(beta) for _ in range(b))
+                    for k, v in enumerate(variables)}
+    return None
 
 
 # --- block structure: value collapse ---

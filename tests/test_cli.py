@@ -145,6 +145,42 @@ def test_pinterp_arity_mismatch_is_an_input_error(capsys, tmp_path, tail):
                    "0 coefficient parameters\n")
 
 
+_PAIRS_REPROS = {
+    # TRS f(x) -> x; interp and pinterp cover f and F only
+    "check-unknown": ("F(h(x))", ("check", "--interp", "i"), "interp i",
+                      "symbol 'h' of the pairs is uninterpreted"),
+    "gen-constraints-unknown": ("F(h(x))", ("gen-constraints", "--pinterp", "p"),
+                                "pinterp p", "symbol 'h' of the pairs is uninterpreted"),
+    "to-blocks-unknown": ("F(h(x))", ("to-blocks", "--factor", "2", "--interp", "i"),
+                          "interp i", "symbol 'h' of the pairs is uninterpreted"),
+    "check-arity": ("F(f(x,x))", ("check", "--interp", "i"), "pairs pairs",
+                    "symbol 'f' has arity 1 in the TRS but is used with 2 argument(s)"),
+    "gen-constraints-arity": ("F(f(x,x))", ("gen-constraints", "--pinterp", "p"),
+                              "pairs pairs", "symbol 'f' has arity 1 in the TRS but is "
+                                             "used with 2 argument(s)"),
+}
+
+
+@pytest.mark.parametrize("rhs, argv, source, problem", _PAIRS_REPROS.values(),
+                         ids=_PAIRS_REPROS)
+def test_pairs_file_symbols_are_checked_at_load(capsys, tmp_path, rhs, argv, source, problem):
+    """A pairs file's own symbols join the signature that --interp and
+    --pinterp must cover, so a fault exits 2 before any report line,
+    naming the file at fault."""
+    files = {"trs": "(VAR x)\n(RULES f(x) -> x)\n",
+             "pairs": f"(VAR x)\n(RULES F(x) -> {rhs})\n",
+             "i": "domain natural\ndim 1\ninterp f : 1\n  M1 = [1]\n  C = [1]\n"
+                  "interp F : 1\n  M1 = [1]\n  C = [1]\n",
+             "p": "pinterp f : 1 = f1 | f0\npinterp F : 1 = F1 | F0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = lambda arg: str(tmp_path / arg) if arg in files else arg
+    code, out, err = run(capsys, *map(path, argv), "--trs", path("trs"),
+                         "--pairs", path("pairs"))
+    what, name = source.split()
+    assert (code, out, err) == (2, "", f"error: {what} {path(name)}: {problem}\n")
+
+
 @pytest.mark.parametrize("command", [("to-blocks",), ("to-bits",),
                                      ("expand", "--encoding", "half")])
 def test_transforms_check_the_signature_before_any_report_line(capsys, command):
@@ -508,6 +544,30 @@ def test_check_value_backend_with_sampling(capsys, tmp_path):
     assert code == 1
     assert out.count("# sampled") == out.count("HOLDS") < 4
     assert out.splitlines()[-1] == "RESULT: VIOLATED"
+
+
+def test_holds_checks_draw_nothing(capsys, monkeypatch):
+    """A right HOLDS verdict leaves no witness in the box of draws, so
+    sampling it draws nothing and adds only its no-witness line."""
+    import matint.interp
+
+    def no_draws(*args):
+        raise AssertionError("drew from the stream")
+
+    for interp in (EX2, EX1R):
+        for backend in ("entrywise", "value"):
+            argv = ("check", "--trs", EX1, "--pairs", "auto", "--interp", interp,
+                    "--backend", backend)
+            plain = run(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(matint.interp, "Random", no_draws)
+                code, out, err = run(capsys, *argv, "--trials", "1000")
+            lines = out.splitlines()
+            sampled = [line for line in lines if line.startswith("# sampled")]
+            assert (code, [line for line in lines if line not in sampled], err) == \
+                (plain[0], plain[1].splitlines(), plain[2])
+            assert len(sampled) == plain[1].count("HOLDS") > 0
+            assert all(line.endswith("no witness (1000 trials, seed 0)") for line in sampled)
 
 
 @pytest.mark.parametrize("backend", ["entrywise", "value"])

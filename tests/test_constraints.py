@@ -49,6 +49,16 @@ def test_parse_pinterp_errors():
         parse_pinterp("interp f : 1 = f1 | f0")
 
 
+def test_checked_pinterp_tables_cannot_be_edited():
+    table = {"f": (("f1",), "f0")}
+    pi = ParamInterpretation(table)
+    table["f"] = (("1",), "f0")
+    assert pi.table["f"] == (("f1",), "f0")
+    for pi in (pi, parse_pinterp(EX14)):
+        with pytest.raises(TypeError):
+            pi.table["f"] = (("1",), "f0")
+
+
 def test_parse_valuation():
     eta = parse_valuation(read("fg-rational.val"))
     assert eta["f1"] == 2 and eta["g1"] == Fraction(1, 2)

@@ -292,6 +292,16 @@ def test_parse_encoding_errors():
         Encoding(1, {F(1, 2): Mat(1, 1, (F(1, 2),))})
 
 
+def test_checked_encoding_tables_cannot_be_edited():
+    table = {F(1, 2): jordan(2)}
+    enc = Encoding(2, table)
+    table[F(1, 2)] = Mat(2, 2, (F(1, 2), 0, 0, 0))
+    assert enc.table[F(1, 2)] == jordan(2)
+    for enc in (enc, parse_encoding("encoding dim 2\nvalue 1/2 = [0 1 ; 0 0]")):
+        with pytest.raises(TypeError):
+            enc.table[F(1, 2)] = Mat(2, 2, (F(1, 2), 0, 0, 0))
+
+
 def test_load_encoding(tmp_path):
     assert load_encoding("half").table == catalog("half").table
     path = tmp_path / "enc.txt"

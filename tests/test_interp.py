@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     LinearFunc, Mat, Var, check_entrywise, check_problem,
@@ -11,11 +10,10 @@ from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     parse_matrix, parse_trs, rho, sample_falsify, subterms,
                     value_collapse)
 import matint.interp as interp_module
-from matint.interp import _draws
 from matint.matrix import as_rat
 from _reference import from_rows
 from _helpers import (example_one, mixed_interp, rand_const_scalar_block_mat,
-                      read)
+                      read, uniform_interp)
 
 F = Fraction
 
@@ -360,20 +358,42 @@ def test_full_forms_agree_with_reference():
 
 
 def test_checks_read_the_table_as_it_is_now():
-    """A check keeps nothing of the interpretation between calls: after f is
-    replaced by zeros, both backends, on the same object and on a fresh
-    one, refute what the entrywise check had proved."""
+    """A checked table cannot be edited, and a check keeps nothing of an
+    interpretation between calls: one rebuilt with f replaced by zeros
+    refutes, under both backends, what the entrywise check had proved."""
     trs = parse_trs(read("fg.trs"))
     pairs = dependency_pairs(trs)
     interp = parse_interpretation(read("fg-natural.interp"))
     assert check_problem(trs, pairs, interp, "entrywise").holds
     n, f = interp.shape.dim, interp.table["f"]
-    interp.table["f"] = LinearFunc(tuple(Mat.zero(n) for _ in f.mats), Mat.zero(n, 1))
-    fresh = Interpretation(interp.shape, interp.domain, dict(interp.table))
+    zeros = LinearFunc(tuple(Mat.zero(n) for _ in f.mats), Mat.zero(n, 1))
+    with pytest.raises(TypeError):
+        interp.table["f"] = zeros
+    rebuilt = Interpretation(interp.shape, interp.domain, {**interp.table, "f": zeros})
     for backend in ("entrywise", "value"):
-        for checked in (interp, fresh):
-            report = check_problem(trs, pairs, checked, backend)
-            assert [c.verdict.holds for c in report.checks] == [True, False, False, False]
+        assert check_problem(trs, pairs, interp, backend).holds
+        report = check_problem(trs, pairs, rebuilt, backend)
+        assert [c.verdict.holds for c in report.checks] == [True, False, False, False]
+
+
+def test_checked_tables_cannot_be_edited():
+    """An entry the constructor would refuse cannot be put into a checked
+    table afterwards, nor into the dict the table was built from."""
+    interp = parse_interpretation(read("fg-natural.interp"))
+    bad = LinearFunc((Mat(2, 2, (-5, 0, 0, 1)),), Mat(2, 1, (1, 1)))
+    with pytest.raises(InterpError, match="f: negative entry"):
+        Interpretation(interp.shape, interp.domain, {**interp.table, "f": bad})
+    with pytest.raises(TypeError):
+        interp.table["f"] = bad
+    for build in (Interpretation, Interpretation._derived):
+        table = dict(interp.table)
+        built = build(interp.shape, interp.domain, table)
+        table["f"] = bad
+        assert built.table["f"] is interp.table["f"]
+        with pytest.raises(TypeError):
+            built.table["f"] = bad
+    trs = parse_trs(read("fg.trs"))
+    assert check_problem(trs, dependency_pairs(trs), interp, "value").holds
 
 
 def test_check_entrywise_examples(ex2, ex62):
@@ -725,25 +745,6 @@ def test_sample_falsify_mixed_denominators():
     assert outcomes == {(b, found) for b in ("entrywise", "value") for found in (True, False)}
 
 
-def test_sample_draws_follow_the_randint_stream():
-    for seed in (0, -5, 2 ** 70):
-        for top in (0, 1, 2, 20, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert _draws(ours, top, 300) == [theirs.randint(0, top) for _ in range(300)]
-            assert ours.getstate() == theirs.getstate()
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.integers(-2 ** 70, 2 ** 70), st.integers(0, 600) | st.integers(0, 2 ** 40),
-       st.integers(0, 3000))
-def test_draws_are_randint_draws_on_both_sides_of_255(seed, top, count):
-    # tops below 255 take one getrandbits per round and read its bytes;
-    # from 255 on, each draw is its own getrandbits
-    ours, theirs = random.Random(seed), random.Random(seed)
-    assert _draws(ours, top, count) == [theirs.randint(0, top) for _ in range(count)]
-    assert ours.getstate() == theirs.getstate()
-
-
 def test_sample_falsify_rejects_bad_arguments(ex2):
     trs, pairs = example_one()
     full = [eval_term(ex2, t) for t in (trs.rules[0].lhs, trs.rules[0].rhs)]
@@ -771,22 +772,10 @@ def test_check_problem_samples_holds_verdicts(ex62):
         check_problem(trs, pairs, ex62, "value", trials=10, bound=-1)
 
 
-def test_draws_are_prefix_consistent():
-    # the rest of a stream continues from the same generator: two calls on
-    # one generator give one call's values and leave the same state
-    for seed in (0, -5, 2 ** 70):
-        for top in (0, 1, 20, 2 ** 40 + 3):
-            for a, b in ((0, 7), (1, 1), (40, 160), (300, 0)):
-                ours, theirs = random.Random(seed), random.Random(seed)
-                assert _draws(ours, top, a) + _draws(ours, top, b) == \
-                    _draws(theirs, top, a + b)
-                assert ours.getstate() == theirs.getstate()
-
-
-def test_check_problem_pool_gives_the_witnesses_of_separate_calls(monkeypatch):
-    # rules with 1, 3 and 1 variables, so the problem's draw pool grows in
-    # the middle; every verdict is forced to HOLDS, so every check samples
-    # and the random (hence broken) interpretations give witnesses
+def test_check_problem_gives_the_witnesses_of_separate_calls(monkeypatch):
+    # rules with 1, 3 and 1 variables; every verdict is forced to HOLDS, so
+    # every check samples and the random (hence broken) interpretations
+    # give witnesses
     trs = parse_trs("(VAR x y z) (RULES h(x) -> p(x,x) "
                     "p(p(x,y),z) -> p(x,p(y,h(z))) h(h(x)) -> h(c))")
     pairs = parse_trs("(VAR x y) (RULES p(x,c) -> h(x) p(x,y) -> p(y,x))").rules
@@ -816,30 +805,6 @@ def test_check_problem_pool_gives_the_witnesses_of_separate_calls(monkeypatch):
                      for be in ("entrywise", "value") for none in (True, False)}
 
 
-def test_sample_pool_is_keyed_by_seed_top_and_trials():
-    # one pool across calls that differ in seed, bound, domain and trials
-    # gives every call the witness it gets alone
-    shape = BlockShape(2, 1)
-    lhs = LinearForm(2, {"x": from_rows([[1, 0], [0, 1]]),
-                         "y": from_rows([[0, 1], [1, 0]])}, Mat.column([2, 0]))
-    rhs = LinearForm(2, {"x": from_rows([[1, 1], [0, 0]]),
-                         "z": from_rows([[0, 0], [1, 1]])}, Mat.column([0, 3]))
-    rng = random.Random(8)
-    pool = {}
-    outcomes = set()
-    for _ in range(120):
-        kw = dict(m=2, delta=F(1, 2), trials=rng.choice((1, 20, 35)),
-                  bound=rng.choice((0, 3, 6)), seed=rng.choice((0, 1, -5, 2 ** 70)),
-                  domain=rng.choice(("natural", "rational")))
-        rel = rng.choice(("weak", "strict"))
-        backend = rng.choice(("entrywise", "value"))
-        want = sample_falsify(lhs, rhs, rel, shape, backend, **kw)
-        assert sample_falsify(lhs, rhs, rel, shape, backend, pool=pool, **kw) == want
-        outcomes.add(want is None)
-    assert outcomes == {True, False}
-    assert len(pool) > 10
-
-
 def _form(dim, coeffs, const):
     """A linear form from rows of coefficients per variable and a constant."""
     return LinearForm(dim, {v: from_rows(rows) for v, rows in coeffs.items()},
@@ -862,7 +827,7 @@ def test_sample_lane_edges_match_reference():
         ("value", "strict", 1, F(1), x1(1, 1), x1(2, 0), 5, 50, "natural", True),
         ("value", "strict", 3, F(1, 3), x1(1, 1), x1(1, 0), 5, 50, "rational", False),
         ("value", "strict", 3, F(1, 2), x1(1, 1), x1(1, 0), 5, 50, "rational", True),
-        # the reach is exactly a power of two, and draws reach it
+        # draws reach the top of the box
         ("entrywise", "weak", 1, None, x1(1, 0), x1(0, 0), 128, 2000, "natural", False),
         ("value", "weak", 1, None, x1(1, 32), x1(0, 0), 32, 1000, "rational", False),
         ("value", "weak", 1, None, x1(256, 0), x1(0, 0), 128, 2000, "natural", False),
@@ -920,19 +885,76 @@ def test_sample_lanes_combine_rows_at_the_first_failing_trial():
                 assert sample_falsify(lhs, rhs, rel, shape, "entrywise", **kw) == want
 
 
+def _no_draws(*args):
+    raise AssertionError("drew from the stream")
+
+
 def test_sampling_argument_errors_come_before_any_draw(ex62, monkeypatch):
-
-    def no_draws(*args):
-        raise AssertionError("drew from the stream")
-
-    monkeypatch.setattr(interp_module, "_draws", no_draws)
+    monkeypatch.setattr(interp_module, "Random", _no_draws)
     trs, pairs = example_one()
     with pytest.raises(InterpError, match="bound"):
         check_problem(trs, pairs, ex62, "value", trials=10, bound=-1)
     full = [eval_term(ex62, t) for t in (trs.rules[0].lhs, trs.rules[0].rhs)]
-    pool = {}
     with pytest.raises(InterpError, match="bound"):
-        sample_falsify(*full, "weak", ex62.shape, "value", bound=-1, pool=pool)
+        sample_falsify(*full, "weak", ex62.shape, "value", bound=-1)
     with pytest.raises(InterpError, match="trials"):
-        sample_falsify(*full, "weak", ex62.shape, "value", trials=0, pool=pool)
-    assert pool == {}
+        sample_falsify(*full, "weak", ex62.shape, "value", trials=0)
+
+
+def test_uniform_corpus_holds_checks_draw_nothing(monkeypatch):
+    # the 200-instance corpus of acceptance criterion 9, sampled by
+    # check_problem with the stream patched out
+    monkeypatch.setattr(interp_module, "Random", _no_draws)
+    trs = parse_trs(read("fg.trs"))
+    pairs = dependency_pairs(trs)
+    sampled = 0
+    for i in range(200):
+        interp = uniform_interp(random.Random(3000 + i))
+        for backend in ("entrywise", "value"):
+            plain = check_problem(trs, pairs, interp, backend)
+            for seed in (0, 1, 2):
+                report = check_problem(trs, pairs, interp, backend, trials=1000,
+                                       bound=10, seed=seed)
+                assert [c.verdict for c in report.checks] == \
+                    [c.verdict for c in plain.checks]
+                assert report.consistent
+            sampled += sum(c.verdict.holds for c in plain.checks)
+    assert sampled >= 400
+
+
+def test_box_bound_edges_match_reference(monkeypatch):
+    # gap(x, y) = d + y - x over the box [0, bound]^2, whose least value is
+    # d - bound. Per case, the d - bound whose least scaled gap minus floor
+    # is 0, so no draw can fail and none is made (1 where only odd values
+    # occur: strict entrywise over halves), and the one below it, -1 (-2
+    # for weak over halves), whose failing draws lie at the box's edge
+    cases = [
+        ("entrywise", "weak", "natural", None, 0, -1),
+        ("value", "weak", "natural", None, 0, -1),
+        ("entrywise", "weak", "rational", None, 0, -1),
+        ("value", "weak", "rational", None, 0, -1),
+        ("entrywise", "strict", "natural", None, 1, 0),
+        ("entrywise", "strict", "rational", None, F(1, 2), 0),
+        ("value", "strict", "natural", F(1), 1, 0),
+        ("value", "strict", "rational", F(1, 2), F(1, 2), 0),
+    ]
+    shape = BlockShape(1, 1)
+
+    def forms(d):
+        lhs = _form(1, {"y": [[1]]}, [max(d, 0)])
+        return lhs, _form(1, {"x": [[1]]}, [max(-d, 0)])
+
+    for backend, rel, domain, delta, holds, fails in cases:
+        for bound in (0, 3):
+            for seed in (0, -5):
+                kw = dict(m=1, delta=delta, trials=300, bound=bound, seed=seed,
+                          domain=domain)
+                lhs, rhs = forms(bound + holds)
+                assert _reference_witness(lhs, rhs, rel, shape, backend, **kw) is None
+                with monkeypatch.context() as patch:
+                    patch.setattr(interp_module, "Random", _no_draws)
+                    assert sample_falsify(lhs, rhs, rel, shape, backend, **kw) is None
+                lhs, rhs = forms(bound + fails)
+                want = _reference_witness(lhs, rhs, rel, shape, backend, **kw)
+                assert want is not None, (backend, rel, domain, bound, seed)
+                assert sample_falsify(lhs, rhs, rel, shape, backend, **kw) == want
