@@ -21,8 +21,8 @@ from .interp import (InterpError, check_problem, collapse_interpretation,
                      format_interpretation, parse_interpretation)
 from .matrix import MatrixError, parse_rat
 from .represent import rho
-from .trs import (Rule, Trs, TrsError, dependency_pairs, format_trs, parse_trs,
-                  rule_texts)
+from .trs import (Rule, Trs, TrsError, dependency_pairs, format_trs, interning_scope,
+                  parse_trs, rule_texts)
 from .transform import (expand_rational, interp_to_bits, interp_to_blocks,
                         rho_preserved, valuation_interpretation, verify_transform)
 
@@ -311,7 +311,8 @@ def cmd_expand(args) -> int:
             raise SystemExit(_usage_error(
                 "expand needs --interp, or --pinterp with --valuation"))
         rational = valuation_interpretation(src.pinterp(), src.valuation(), args.delta)
-    if args.trs and args.pinterp and args.valuation:
+    context = args.trs and args.pinterp and args.valuation
+    if context:
         req, compatible, non_closed = _compatibility(src)
         print(f"# encoding compatible: {'yes' if compatible else 'NO'}")
         if not compatible:
@@ -321,9 +322,12 @@ def cmd_expand(args) -> int:
             if non_closed:
                 print(non_closed)
             return _result(False, "", "INCOMPATIBLE")
-    else:
+    try:
+        expanded = expand_rational(rational, enc)
+    except EncodingError as exc:
+        raise SystemExit(_usage_error(f"encoding {args.encoding}: {exc}"))
+    if not context:
         print("# no constraint context given; compatibility not checked")
-    expanded = expand_rational(rational, enc)
     print(f"# expanded: dim {rational.shape.dim} -> {expanded.shape.dim} "
           f"(encoding dim {enc.dim})")
     return _finish_transform(args, src, rational, expanded, enc.dim, "forward")
@@ -503,8 +507,9 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with interning_scope():
+            args = parser.parse_args(argv)
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except INPUT_ERRORS as exc:

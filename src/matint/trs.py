@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -18,35 +18,28 @@ class TrsError(ValueError):
         super().__init__(message)
 
 
-# Terms are hash-consed: building a term returns the one live term with the
-# same structure, so equality and hashing are by identity, O(1) and free of
-# recursion, and a subterm shared by several rules is one object that a memo
-# can key on. The table holds its terms weakly, so it keeps no term that
-# nothing else uses. (A WeakValueDictionary would do the same, but its
-# lookups raise and catch KeyError on every miss, and parsing misses on
-# every new node: building a term took about twice as long with it.)
+# Terms are hash-consed: building a term returns the one interned term with
+# the same structure, so equality and hashing are by identity, O(1) and free
+# of recursion, and a subterm shared by several rules is one object that a
+# memo can key on.
 _INTERNED: dict = {}
 
 
-class _Ref(weakref.ref):
-    __slots__ = ("key",)
-
-
-def _forget(ref: _Ref, table=_INTERNED):
-    """Drop a dead term's entry, unless a new term has taken its key. The
-    table is bound here, since terms may die while the module is torn down."""
-    if table.get(ref.key) is ref:
-        del table[ref.key]
-
-
-def _intern(key, term):
-    ref = _Ref(term, _forget)
-    ref.key = key
-    _INTERNED[key] = ref
+@contextmanager
+def interning_scope():
+    """On exit, forget the terms interned in the block: the table's last
+    entries, since nothing else deletes one. Newest first, each outer term
+    goes before its subterms, so no deep chain is freed at once."""
+    size = len(_INTERNED)
+    try:
+        yield
+    finally:
+        while len(_INTERNED) > size:
+            _INTERNED.popitem()
 
 
 class _Term:
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -58,12 +51,11 @@ class Var(_Term):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        ref = _INTERNED.get(name)
-        term = None if ref is None else ref()
+        term = _INTERNED.get(name)
         if term is None:
             term = object.__new__(cls)
             object.__setattr__(term, "name", name)
-            _intern(name, term)
+            _INTERNED[name] = term
         return term
 
     def __repr__(self) -> str:
@@ -79,13 +71,12 @@ class App(_Term):
     def __new__(cls, symbol: str, args: tuple = ()):
         # the arguments are interned already, so the key hashes in O(arity)
         key = (symbol, tuple(args))
-        ref = _INTERNED.get(key)
-        term = None if ref is None else ref()
+        term = _INTERNED.get(key)
         if term is None:
             term = object.__new__(cls)
             object.__setattr__(term, "symbol", symbol)
             object.__setattr__(term, "args", key[1])
-            _intern(key, term)
+            _INTERNED[key] = term
         return term
 
     def __repr__(self) -> str:

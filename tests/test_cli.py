@@ -360,6 +360,19 @@ def test_expand_without_context_warns(capsys, tmp_path):
     assert "compatibility not checked" in out
 
 
+@pytest.mark.parametrize("values, message", [
+    ("", "g: entry 1/2 is neither natural nor encoded"),
+    ("value 1/2 = [1 1 ; 0 1]\n", "encoding fails validation"),
+], ids=["not-encoded", "invalid"])
+def test_expand_without_context_names_a_bad_encoding(capsys, tmp_path, values, message):
+    # the expansion is built before the first report line
+    enc = tmp_path / "bad.enc"
+    enc.write_text("encoding dim 2\n" + values, encoding="utf-8")
+    code, out, err = run(capsys, "expand", "--interp", EX1R, "--encoding", str(enc))
+    assert (code, out) == (2, "")
+    assert err == f"error: encoding {enc}: {message}\n"
+
+
 def test_validate_encoding_catalog(capsys):
     code, out, _ = run(capsys, "validate-encoding", "--encoding", "sixths")
     assert code == 0
@@ -906,14 +919,74 @@ def test_check_leaves_no_interned_term(capsys, tmp_path, backend):
                       encoding="utf-8")
 
     def leaked():
-        terms = [ref() for ref in list(_INTERNED.values())]
-        return [t for t in terms if t is not None and
-                getattr(t, "symbol", getattr(t, "name", "")).startswith("leak_")]
+        return [t for t in _INTERNED.values()
+                if getattr(t, "symbol", getattr(t, "name", "")).startswith("leak_")]
 
     code, out, _ = run(capsys, "check", "--trs", str(trs), "--pairs", "auto",
                        "--interp", str(interp), "--backend", backend, "--trials", "20")
     assert code == 0 and "1 pair(s)" in out
     assert leaked() == []
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("f, rule, patch, want", [
+    ("scope_0", "f(f(x)) -> f(x))", None, 0),
+    ("scope_1", "f(x) -> f(f(x)))", None, 1),
+    ("scope_2", "f(f(x)) -> f(x) g(", None, 2),
+    ("scope_3", "f(f(x)) -> f(x))", "check_problem", RuntimeError),
+], ids=["exit-0", "exit-1", "exit-2", "raises"])
+def test_main_leaves_the_interned_table_as_it_found_it(capsys, tmp_path, monkeypatch,
+                                                       f, rule, patch, want):
+    """Whether main returns 0, 1 or 2 or an exception escapes it, the table
+    afterwards binds the same keys, in the same order, to the same terms;
+    a term built before the call, which the call builds again, is kept.
+    Each case has its own symbol, so its call interns terms of its own."""
+    from matint import cli
+    from matint.trs import _INTERNED, App, Var
+    before_term = App(f, (Var("x"),))
+    before = dict(_INTERNED)
+    trs, interp = tmp_path / "scope.trs", tmp_path / "scope.interp"
+    trs.write_text(f"(VAR x) (RULES {rule.replace('f', f)}\n", encoding="utf-8")
+    interp.write_text(f"domain natural\ndim 1\ninterp {f} : 1\n  M1 = [1]\n  C = [1]\n",
+                      encoding="utf-8")
+    argv = ["check", "--trs", str(trs), "--interp", str(interp)]
+    if patch:
+        monkeypatch.setattr(cli, patch, _raise)
+        with pytest.raises(want):
+            main(argv)
+    else:
+        assert run(capsys, *argv)[0] == want
+    assert list(_INTERNED) == list(before)
+    assert all(_INTERNED[key] is term for key, term in before.items())
+    assert App(f, (Var("x"),)) is before_term
+
+
+def test_repeated_calls_keep_the_interned_table_and_memory(tmp_path):
+    # tracemalloc counts only what this test allocates, unlike the process
+    # peak, which earlier tests set
+    import tracemalloc
+    from matint.trs import _INTERNED
+    trs, pi = tmp_path / "deep.trs", tmp_path / "deep.pi"
+    trs.write_text("(VAR x) (RULES " + "f(" * 2000 + "x" + ")" * 2000 + " -> x)\n",
+                   encoding="utf-8")
+    pi.write_text("pinterp f : 1 = f1 | f0\n", encoding="utf-8")
+    argv = ["gen-constraints", "--trs", str(trs), "--pinterp", str(pi)]
+    size = len(_INTERNED)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8") as null, redirect_stdout(null):
+            for call in range(1, 201):
+                assert main(argv) == 0
+                if call == 10:
+                    after_10 = tracemalloc.get_traced_memory()[0]
+        after_200 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(_INTERNED) == size
+    assert abs(after_200 - after_10) < 64 * 1024, (after_10, after_200)
 
 
 @pytest.mark.parametrize("backend", ["entrywise", "value"])
