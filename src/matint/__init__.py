@@ -7,8 +7,8 @@ from .trs import (App, Rule, Term, Trs, TrsError, Var, dependency_pairs, format_
                   parse_trs, sharp_name, subterms)
 from .constraints import (ArithConstraint, ConstraintError, EvalResult,
                           ParamInterpretation, eval_valuation,
-                          generate_arith_constraints, make_valuation,
-                          parse_pinterp, parse_valuation)
+                          generate_arith_constraints, parse_pinterp,
+                          parse_valuation)
 from .encoding import (Encoding, EncodingError, EncodingReport, catalog,
                        is_compatible, load_encoding, parse_encoding,
                        required_products, validate)

@@ -16,7 +16,7 @@ from .constraints import (ConstraintError, eval_valuation,
                           generate_arith_constraints, parse_pinterp,
                           parse_valuation)
 from .encoding import (EncodingError, is_compatible, load_encoding,
-                       required_products, validate)
+                       require_valid, required_products, validate)
 from .interp import (InterpError, check_problem, collapse_interpretation,
                      format_interpretation, parse_interpretation)
 from .matrix import MatrixError, parse_rat
@@ -84,14 +84,17 @@ class _Sources:
 
     def signature(self) -> dict[str, int]:
         """The signature of the TRS and its pairs: a pairs file adds the
-        signature its parser inferred, in which a TRS symbol at another
-        arity is an input error that names the file; ``--pairs auto`` adds
-        its pairs' root symbols, since their arguments are TRS terms."""
+        signature its parser inferred, ``--pairs auto`` its pairs' root
+        symbols, since their arguments are TRS terms. A TRS symbol at
+        another arity is an input error that names the pairs."""
+        signature = dict(self.trs().signature)
         spec = getattr(self.args, "pairs", "none")
         if spec in ("none", "auto"):
-            return _signature(self.trs(), self.pairs())
-        signature = dict(self.trs().signature)
-        for symbol, arity in self._parse(spec, parse_trs, "pairs").signature.items():
+            own = ((term.symbol, len(term.args))
+                   for pair in self.pairs() for term in (pair.lhs, pair.rhs))
+        else:
+            own = self._parse(spec, parse_trs, "pairs").signature.items()
+        for symbol, arity in own:
             if signature.setdefault(symbol, arity) != arity:
                 raise SystemExit(_usage_error(
                     f"pairs {spec}: symbol {symbol!r} has arity {signature[symbol]} in the "
@@ -149,16 +152,6 @@ def _result(ok: bool, good: str, bad: str) -> int:
     return 0 if ok else 1
 
 
-def _signature(trs, pairs) -> dict[str, int]:
-    """The TRS signature widened by the root symbols of the pairs."""
-    signature = dict(trs.signature)
-    for pair in pairs:
-        for term in (pair.lhs, pair.rhs):
-            if hasattr(term, "symbol"):
-                signature.setdefault(term.symbol, len(term.args))
-    return signature
-
-
 def cmd_check(args) -> int:
     src = _Sources(args)
     trs = src.trs()
@@ -211,7 +204,7 @@ def cmd_dps(args) -> int:
                             for pair in pairs]):
         print(text)
     if args.out:
-        _write_out(args, format_trs(Trs(trs.variables, pairs, _signature(trs, pairs))))
+        _write_out(args, format_trs(Trs(trs.variables, pairs, trs.signature)))
     print("RESULT: OK")
     return 0
 
@@ -304,15 +297,17 @@ def cmd_to_bits(args) -> int:
 def cmd_expand(args) -> int:
     src = _Sources(args)
     enc = src.encoding()
-    if args.interp:
-        rational = src.interp()
-    else:
-        if not (args.pinterp and args.valuation):
-            raise SystemExit(_usage_error(
-                "expand needs --interp, or --pinterp with --valuation"))
-        rational = valuation_interpretation(src.pinterp(), src.valuation(), args.delta)
-    context = args.trs and args.pinterp and args.valuation
+    if not (args.pinterp is None) == (args.valuation is None) != (args.interp is None):
+        raise SystemExit(_usage_error(
+            "expand needs --interp, or --pinterp with --valuation, not both"))
+    rational = (src.interp() if args.interp is not None else
+                valuation_interpretation(src.pinterp(), src.valuation(), args.delta))
+    context = args.trs and args.pinterp is not None
     if context:
+        try:    # the encoding the expansion would refuse, before any report line
+            require_valid(enc)
+        except EncodingError as exc:
+            raise SystemExit(_usage_error(f"encoding {args.encoding}: {exc}"))
         req, compatible, non_closed = _compatibility(src)
         print(f"# encoding compatible: {'yes' if compatible else 'NO'}")
         if not compatible:

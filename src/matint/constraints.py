@@ -77,9 +77,6 @@ def fold_words(words, memo: dict, step, empty) -> list:
     are leaves: a word met again costs one step again."""
     out = []
     for word in words:
-        if word is None:
-            out.append(empty)
-            continue
         parent = word[0]
         value = memo.get(parent)
         if value is None:
@@ -125,9 +122,7 @@ class ArithConstraint:
     rel: str            # "weak" | "strict"
     kind: str           # variable name, or "const"
     source: str = ""    # e.g. "rule 1", "pair 2"
-
-    def __str__(self) -> str:
-        return self.render()
+    dropped: WordSum = ()  # rhs words a rendering against 0 left out
 
     def render(self, texts: dict = None) -> str:
         """The constraint's text; ``texts`` is as for ``format_word_sum``."""
@@ -271,21 +266,17 @@ def generate_arith_constraints(trs: Trs, pairs, pi: ParamInterpretation
                     "weak", var, source))
             # strict constant parts whose rhs words all reoccur on the lhs are
             # rendered against 0, matching the published constraint shape
+            dropped = ()
             if const_rel == "strict" and _is_proper_submultiset(rconst, lconst):
-                rconst = []
+                rconst, dropped = [], tuple(rconst)
             out.append(ArithConstraint(
-                _as_sum(lconst), _as_sum(rconst), const_rel, "const", source))
+                _as_sum(lconst), _as_sum(rconst), const_rel, "const", source, dropped))
     return tuple(out)
 
 
-def make_valuation(values: dict[str, Rat]) -> dict[str, Rat]:
-    """Validate and complete a valuation: nonnegative, with 1 and 0 forced."""
-    return {**{name: _valued(name, value) for name, value in values.items()}, **_UNITS}
-
-
 def _valued(name: str, value: Rat) -> Rat:
-    """The one check of a parameter's value, for ``make_valuation`` and for
-    the parser at the value's line."""
+    """The one check of a parameter's value, made by the parser at the
+    value's line."""
     value = as_rat(value)
     if value < 0:
         raise ConstraintError(f"valuation of {name!r} is negative: {value}")
@@ -311,13 +302,11 @@ def parse_valuation(text: str) -> dict[str, Rat]:
     return {**values, **_UNITS}
 
 
-def eval_word_sum(ws: WordSum, eta: dict[str, Rat], memo: dict = None) -> Rat:
+def eval_word_sum(ws: WordSum, eta: dict[str, Rat], memo: dict) -> Rat:
     """The sum of the words' values under ``eta``. A word's value is its
     parent's times its parameter's, an int or a Fraction; ``memo`` holds
     the values of words under this ``eta`` and may be shared by the sums of
     one constraint set."""
-    if memo is None:
-        memo = {}
 
     def step(value, param):
         return value * eta[param]
@@ -338,13 +327,14 @@ class EvalResult:
 def eval_valuation(c: ArithConstraint, eta: dict[str, Rat],
                    delta: Fraction = None, memo: dict = None) -> EvalResult:
     """Evaluate a constraint numerically; strict means > (or margin >= delta).
-    ``memo`` is as for ``eval_word_sum``."""
+    The rhs value counts any ``dropped`` words. ``memo`` is as for
+    ``eval_word_sum``."""
     if delta is not None and delta <= 0:
         raise ConstraintError(f"delta must be positive, got {delta}")
     if memo is None:
         memo = {}
     lhs = eval_word_sum(c.lhs, eta, memo)
-    rhs = eval_word_sum(c.rhs, eta, memo)
+    rhs = eval_word_sum(c.dropped or c.rhs, eta, memo)
     if c.rel == "weak":
         holds = lhs >= rhs
     elif delta is None:

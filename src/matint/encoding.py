@@ -137,6 +137,12 @@ def validate(enc: Encoding, keys=None) -> EncodingReport:
     return EncodingReport(value_valid, product_value_valid, product_closed)
 
 
+def require_valid(enc: Encoding):
+    """Raise unless the whole encoding passes ``validate``."""
+    if enc.table and not validate(enc).valid:
+        raise EncodingError("encoding fails validation")
+
+
 def required_products(constraints, eta: dict[str, Rat]) -> frozenset[Fraction]:
     """All nonempty subset-products of non-integer parameter values inside any
     multiplicative word of the constraints (the compatibility obligation).

@@ -61,7 +61,7 @@ class Mat:
     runs on Python ints and equal values have equal fields. Immutable.
     """
 
-    __slots__ = ("rows", "cols", "nums", "den", "_entries")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows: int, cols: int, entries):
         _check_shape(rows, cols)
@@ -121,10 +121,8 @@ class Mat:
 
     @property
     def entries(self) -> tuple[Rat, ...]:
-        """The entries in canonical exact form (int when integral), built once."""
-        if self._entries is None:
-            _set_entries(self, tuple(map(self._rat, self.nums)))
-        return self._entries
+        """The entries in canonical exact form (int when integral)."""
+        return self.nums if self.den == 1 else tuple(map(self._rat, self.nums))
 
     # --- constructors ---
 
@@ -187,7 +185,7 @@ class Mat:
         return (self.rows, self.cols)
 
     def at(self, i: int, j: int) -> Rat:
-        return self.entries[i * self.cols + j]
+        return self._rat(self.nums[i * self.cols + j])
 
     def block(self, i: int, j: int, p: int, q: int) -> Mat:
         """The p x q block at block position (i, j) of a p/q-blocked grid."""
@@ -214,19 +212,19 @@ class Mat:
         return Mat._derived(self.rows, self.cols,
                             [x * sa + y * sb for x, y in zip(self.nums, other.nums)], den)
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise MatrixError(
-                    f"inner dimensions differ in product: {self.shape} * {other.shape}")
-            n, k, nums = self.cols, other.cols, self.nums
-            cols = [other.nums[j::k] for j in range(k)]
-            out = []
-            for i in range(0, self.rows * n, n):
-                r = nums[i:i + n]
-                out.extend(sum(map(operator.mul, r, c)) for c in cols)
-            return Mat._derived(self.rows, k, out, self.den * other.den)
-        return self.scale(other)
+    def __mul__(self, other: Mat) -> Mat:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise MatrixError(
+                f"inner dimensions differ in product: {self.shape} * {other.shape}")
+        n, k, nums = self.cols, other.cols, self.nums
+        cols = [other.nums[j::k] for j in range(k)]
+        out = []
+        for i in range(0, self.rows * n, n):
+            r = nums[i:i + n]
+            out.extend(sum(map(operator.mul, r, c)) for c in cols)
+        return Mat._derived(self.rows, k, out, self.den * other.den)
 
     def __pow__(self, k: int) -> Mat:
         if self.rows != self.cols:
@@ -270,7 +268,7 @@ class Mat:
 
 # The slots' own setters write past Mat.__setattr__ (and cost less than
 # object.__setattr__, which looks each name up again).
-_set_rows, _set_cols, _set_nums, _set_den, _set_entries = (
+_set_rows, _set_cols, _set_nums, _set_den = (
     Mat.__dict__[name].__set__ for name in Mat.__slots__)
 
 
@@ -280,7 +278,6 @@ def _init(mat: Mat, rows: int, cols: int, nums: tuple[int, ...], den: int):
     _set_cols(mat, cols)
     _set_nums(mat, nums)
     _set_den(mat, den)
-    _set_entries(mat, nums if den == 1 else None)
 
 
 def jordan(n: int, p: int = 1) -> Mat:

@@ -23,7 +23,7 @@ from functools import cache
 from math import prod
 
 from .constraints import ParamInterpretation
-from .encoding import Encoding, EncodingError, validate
+from .encoding import Encoding, EncodingError, require_valid
 from .interp import (BlockShape, CheckReport, Interpretation, InterpError,
                      LinearFunc, _map_once, check_problem)
 from .matrix import Mat, Rat
@@ -138,8 +138,7 @@ def expand_rational(interp: Interpretation, enc: Encoding) -> Interpretation:
     is a general natural interpretation (block 1): encoded blocks need not
     be constant-plus-scalar, so the value backend is its checking semantics.
     """
-    if enc.table and not validate(enc).valid:
-        raise EncodingError("encoding fails validation")
+    require_valid(enc)
     b = enc.dim
     natural = lift_blocks((b,))
 

@@ -167,9 +167,6 @@ class Trs:
     rules: tuple[Rule, ...]
     signature: dict[str, int]
 
-    def __str__(self) -> str:
-        return format_trs(self)
-
 
 # what can never be a name: punctuation, and None, which ends the token list
 _NOT_A_NAME = {"(", ")", ",", "->", None}

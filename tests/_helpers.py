@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from matint import (BlockShape, Interpretation, LinearFunc, Mat, dependency_pairs,
-                    parse_matrix, parse_trs)
+                    parse_matrix, parse_trs, parse_valuation)
 from matint.constraints import Word
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -20,6 +20,11 @@ def read(name: str) -> str:
 def example_one():
     trs = parse_trs(read("fg.trs"))
     return trs, dependency_pairs(trs)
+
+
+def valuation(values: dict) -> dict:
+    """The valuation that a file of ``param <name> = <value>`` lines gives."""
+    return parse_valuation("".join(f"param {name} = {value}\n" for name, value in values.items()))
 
 
 def as_words(flat_words, nodes=None) -> tuple:

@@ -30,8 +30,9 @@ from math import prod
 
 from matint import (BlockShape, ConstraintError, Encoding, EncodingError, Interpretation,
                     InterpError, LinearForm, LinearFunc, Mat, MatrixError, ParamInterpretation,
-                    TransformTrace, Var, Verdict, make_valuation, rho, subterms, validate)
+                    TransformTrace, Var, Verdict, rho, subterms, validate)
 from matint.matrix import as_rat, parse_matrix, parse_rat
+from _helpers import valuation
 
 
 def from_rows(rows):
@@ -404,7 +405,9 @@ def _is_proper_submultiset(small, big):
 
 
 def generate_constraints(rules, pairs, pi):
-    """(source, kind, rel, lhs, rhs) per constraint, with flat word sums."""
+    """(source, kind, rel, lhs, rhs, full rhs) per constraint, with flat word
+    sums; a constraint's value is taken against its full rhs, whatever its
+    rendered rhs drops."""
     out = []
     for label, group, const_rel in (("rule", rules, "weak"), ("pair", pairs, "strict")):
         for idx, rule in enumerate(group, start=1):
@@ -412,18 +415,20 @@ def generate_constraints(rules, pairs, pi):
             rc, rconst = sym_eval(rule.rhs, pi)
             source = f"{label} {idx}"
             for var in _ordered_vars(rule):
+                rhs = tuple(rc.get(var, [])) or (FLAT_ZERO,)
                 out.append((source, var, "weak", tuple(lc.get(var, [])) or (FLAT_ZERO,),
-                            tuple(rc.get(var, [])) or (FLAT_ZERO,)))
+                            rhs, rhs))
+            full = tuple(rconst) or (FLAT_ZERO,)
             if const_rel == "strict" and _is_proper_submultiset(rconst, lconst):
                 rconst = []
             out.append((source, "const", const_rel, tuple(lconst) or (FLAT_ZERO,),
-                        tuple(rconst) or (FLAT_ZERO,)))
+                        tuple(rconst) or (FLAT_ZERO,), full))
     return out
 
 
 def format_constraint(c):
     """The report line of ``gen-constraints`` for a flat constraint."""
-    source, kind, rel, lhs, rhs = c
+    source, kind, rel, lhs, rhs, _ = c
     side = lambda ws: " + ".join(" ".join(w) for w in ws)
     return f"{source} / {kind}: {side(lhs)} {'>=' if rel == 'weak' else '>'} {side(rhs)}"
 
@@ -437,7 +442,7 @@ def eval_word_sum(ws, eta):
 
 def eval_constraint(c, eta, delta=None):
     """(holds, lhs value, rhs value) of a flat constraint."""
-    _, _, rel, lhs_ws, rhs_ws = c
+    _, _, rel, lhs_ws, _, rhs_ws = c
     lhs, rhs = eval_word_sum(lhs_ws, eta), eval_word_sum(rhs_ws, eta)
     if rel == "weak":
         return lhs >= rhs, lhs, rhs
@@ -448,7 +453,7 @@ def required_products(constraints, eta):
     """The required products of flat constraints: every word's count
     vector, undominated vectors expanded once."""
     vectors = set()
-    for _, _, _, lhs, rhs in constraints:
+    for _, _, _, lhs, rhs, _ in constraints:
         for word in (*lhs, *rhs):
             counts = {}
             for param, n in Counter(word).items():
@@ -600,7 +605,7 @@ def parse_valuation(text):
             values[name] = parse_rat(value_s)
         except (ValueError, MatrixError) as exc:
             raise ConstraintError(f"line {lineno}: {exc}") from None
-    return make_valuation(values)
+    return valuation(values)
 
 
 def parse_encoding(text):

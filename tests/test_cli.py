@@ -181,6 +181,23 @@ def test_pairs_file_symbols_are_checked_at_load(capsys, tmp_path, rhs, argv, sou
     assert (code, out, err) == (2, "", f"error: {what} {path(name)}: {problem}\n")
 
 
+def test_auto_pairs_at_another_arity_name_the_pairs(capsys, tmp_path):
+    """--pairs auto adds its root symbols to the signature as a pairs file
+    does, so a clash with the TRS exits 2 before any report line, naming
+    the pairs, whatever the interpretation says."""
+    trs, interp = tmp_path / "sharp.trs", tmp_path / "sharp.interp"
+    trs.write_text("(VAR x y)\n(RULES f(x) -> x  f#(x,y) -> f(x))\n", encoding="utf-8")
+    interp.write_text("domain natural\ndim 1\ninterp f : 1\n  M1 = [1]\n  C = [1]\n"
+                      "interp f# : 2\n  M1 = [1]\n  M2 = [1]\n  C = [1]\n"
+                      "interp f## : 2\n  M1 = [1]\n  M2 = [1]\n  C = [1]\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "check", "--trs", str(trs), "--pairs", "auto",
+                         "--interp", str(interp))
+    assert (code, out) == (2, "")
+    assert err == ("error: pairs auto: symbol 'f#' has arity 2 in the TRS but is used "
+                   "with 1 argument(s)\n")
+
+
 @pytest.mark.parametrize("command", [("to-blocks",), ("to-bits",),
                                      ("expand", "--encoding", "half")])
 def test_transforms_check_the_signature_before_any_report_line(capsys, command):
@@ -230,6 +247,23 @@ def test_eval_valuation_violation(capsys, tmp_path):
                        "--pinterp", PI, "--valuation", str(eta))
     assert code == 1
     assert "FAILS" in out
+
+
+def test_eval_valuation_counts_the_rhs_words_rendered_against_0(capsys, tmp_path):
+    """A strict constant part whose rhs words all recur on the lhs is
+    written against 0, but its value is compared with those words' value:
+    here [[f#(f(x))]] = x + 1 = [[f#(x)]], so the pair is not strict."""
+    files = {"trs": "(VAR x)\n(RULES f(f(x)) -> f(x))\n",
+             "pi": "pinterp f : 1 = f1 | f0\npinterp f# : 1 = g1 | g0\n",
+             "val": "param f1 = 1\nparam f0 = 0\nparam g1 = 1\nparam g0 = 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "eval-valuation", "--trs", str(tmp_path / "trs"),
+                       "--pairs", "auto", "--pinterp", str(tmp_path / "pi"),
+                       "--valuation", str(tmp_path / "val"))
+    assert code == 1
+    assert "pair 1 / const: g1 f0 + g0 > 0 : 1 vs 1 : FAILS" in out.splitlines()
+    assert out.endswith("RESULT: VIOLATED\n")
 
 
 def test_to_blocks_writes_and_verifies(capsys, tmp_path):
@@ -371,6 +405,39 @@ def test_expand_without_context_names_a_bad_encoding(capsys, tmp_path, values, m
     code, out, err = run(capsys, "expand", "--interp", EX1R, "--encoding", str(enc))
     assert (code, out) == (2, "")
     assert err == f"error: encoding {enc}: {message}\n"
+
+
+def test_expand_refuses_an_invalid_encoding_before_the_compatibility_lines(capsys, tmp_path):
+    # 1/2, the one required product, is right; 1/3 is not, and the
+    # expansion checks the whole encoding
+    enc = tmp_path / "bad.enc"
+    enc.write_text("encoding dim 2\nvalue 1/2 = [0 1 ; 0 0]\nvalue 1/3 = [1 1 ; 0 1]\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, "expand", "--trs", EX1, "--pinterp", PI,
+                         "--valuation", ETA, "--encoding", str(enc))
+    assert (code, out) == (2, "")
+    assert err == f"error: encoding {enc}: encoding fails validation\n"
+
+
+@pytest.mark.parametrize("sources", [
+    ("--interp", EX1R, "--trs", EX1, "--pairs", "auto", "--pinterp", PI, "--valuation", "V"),
+    ("--interp", EX1R, "--pinterp", PI, "--valuation", "V"),
+    ("--interp", EX1R, "--valuation", "V"),
+    ("--pinterp", PI),
+    (),
+], ids=["interp-and-context", "interp-and-parametric", "interp-and-valuation",
+        "pinterp-alone", "none"])
+def test_expand_reads_one_rational_source(capsys, tmp_path, sources):
+    """expand expands --interp, or the valuation of --pinterp; given both,
+    or neither, it exits 2 before any report line. V values g at 1/3,
+    which half does not encode, so a verdict about V would be INCOMPATIBLE."""
+    val = tmp_path / "V"
+    val.write_text(read("fg-rational.val").replace("= 1/2", "= 1/3"), encoding="utf-8")
+    argv = [str(val) if arg == "V" else arg for arg in sources]
+    code, out, err = run(capsys, "expand", *argv, "--encoding", "half")
+    assert (code, out) == (2, "")
+    assert err == ("error: expand needs --interp, or --pinterp with --valuation, "
+                   "not both\n")
 
 
 def test_validate_encoding_catalog(capsys):
@@ -596,13 +663,15 @@ def test_check_trials_evaluates_each_side_once(capsys, monkeypatch, backend):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "matint" and getattr(module, "eval_term", None) is original:
             monkeypatch.setattr(module, "eval_term", counting)
+    # built before the call, which then parses these same interned terms
+    trs, pairs = example_one()
+    sides = [t for rule in (*trs.rules, *pairs) for t in (rule.lhs, rule.rhs)]
     code, out, _ = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
                        "--interp", EX2, "--backend", backend, "--trials", "100")
     assert code == 0 and out.count("no witness (100 trials, seed 0)") == 4
     # one evaluation for the problem, of its 2 rules and 2 pairs, receiving
     # each of the 8 sides once: sampling reuses the forms
-    trs, pairs = example_one()
-    assert calls == [[t for rule in (*trs.rules, *pairs) for t in (rule.lhs, rule.rhs)]]
+    assert calls == [sides]
 
 
 def test_check_and_dps_of_a_depth_5000_chain(capsys, tmp_path):
@@ -966,7 +1035,11 @@ def test_main_leaves_the_interned_table_as_it_found_it(capsys, tmp_path, monkeyp
 
 def test_repeated_calls_keep_the_interned_table_and_memory(tmp_path):
     # tracemalloc counts only what this test allocates, unlike the process
-    # peak, which earlier tests set
+    # peak, which earlier tests set. It also counts the tuples that a call
+    # leaves on CPython's free lists (up to 2000 per size, 96 KB of 1-tuples
+    # here) until a full collection empties them, so each size is read
+    # after one.
+    import gc
     import tracemalloc
     from matint.trs import _INTERNED
     trs, pi = tmp_path / "deep.trs", tmp_path / "deep.pi"
@@ -981,7 +1054,9 @@ def test_repeated_calls_keep_the_interned_table_and_memory(tmp_path):
             for call in range(1, 201):
                 assert main(argv) == 0
                 if call == 10:
+                    gc.collect()
                     after_10 = tracemalloc.get_traced_memory()[0]
+        gc.collect()
         after_200 = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

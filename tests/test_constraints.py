@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 import _reference as ref
 from matint import (App, ArithConstraint, ConstraintError, EncodingError, EvalResult,
                     ParamInterpretation, Rule, Trs, Var, dependency_pairs, eval_valuation,
-                    generate_arith_constraints, make_valuation, parse_pinterp,
+                    generate_arith_constraints, parse_pinterp,
                     parse_trs, parse_valuation, required_products)
 from matint.cli import _constraint_lines
 from matint.constraints import eval_word_sum, format_word_sum
-from _helpers import as_words, example_one, flat, read
+from _helpers import as_words, example_one, flat, read, valuation
 
 EX14 = """
 pinterp f : 1 = f1 | f0
@@ -67,10 +67,10 @@ def test_parse_valuation():
 
 def test_valuation_validation():
     with pytest.raises(ConstraintError, match="negative"):
-        make_valuation({"p": Fraction(-1, 2)})
+        valuation({"p": Fraction(-1, 2)})
     with pytest.raises(ConstraintError, match="reserved"):
-        make_valuation({"1": 2})
-    assert make_valuation({"1": 1})["1"] == 1
+        valuation({"1": 2})
+    assert valuation({"1": 1})["1"] == 1
     with pytest.raises(ConstraintError, match="twice"):
         parse_valuation("param p = 1\nparam p = 2")
 
@@ -121,7 +121,7 @@ def test_generate_constraints_word_order():
     trs = parse_trs("(VAR x y) (RULES p(f(y), p(x, y)) -> x)")
     pi = parse_pinterp("pinterp p : 2 = p1 p2 | p0\npinterp f : 1 = f1 | f0")
     cs = generate_arith_constraints(trs, (), pi)
-    assert [f"{c.kind}: {c}" for c in cs] == [
+    assert [f"{c.kind}: {c.render()}" for c in cs] == [
         "y: p1 f1 + p2 p2 >= 0", "x: p2 p1 >= 1", "const: p1 f0 + p2 p0 + p0 >= 0"]
 
 
@@ -154,7 +154,7 @@ def test_self_pair_stays_unsatisfiable():
     strict = [c for c in cs if c.rel == "strict"]
     # interned: the two sides hold one word object
     assert strict[0].lhs == strict[0].rhs and flat(strict[0].lhs) == words("F0")
-    eta = make_valuation({"f1": 1, "f0": 1, "g1": 1, "g0": 0, "F1": 1, "F0": 1})
+    eta = valuation({"f1": 1, "f0": 1, "g1": 1, "g0": 0, "F1": 1, "F0": 1})
     assert not eval_valuation(strict[0], eta).holds
 
 
@@ -172,16 +172,29 @@ def test_eval_valuation_examples():
         assert eval_valuation(c, eta, Fraction(1, 2)).holds
 
 
+def test_eval_valuation_counts_the_dropped_rhs_words():
+    """The pair f#(f(x)) -> f#(x) is written against 0, as criterion 8
+    writes it, but its rhs value is that of the dropped word g0."""
+    trs = parse_trs("(VAR x) (RULES f(f(x)) -> f(x))")
+    pi = parse_pinterp("pinterp f : 1 = f1 | f0\npinterp f# : 1 = g1 | g0")
+    const = generate_arith_constraints(trs, dependency_pairs(trs), pi)[-1]
+    assert const.render() == "g1 f0 + g0 > 0" and flat(const.dropped) == words("g0")
+    res = eval_valuation(const, valuation({"f1": 1, "f0": 0, "g1": 1, "g0": 1}))
+    assert (res.holds, res.lhs_value, res.rhs_value) == (False, 1, 1)
+    res = eval_valuation(const, valuation({"f1": 1, "f0": 1, "g1": 1, "g0": 1}))
+    assert (res.holds, res.lhs_value, res.rhs_value) == (True, 2, 1)
+
+
 def test_eval_valuation_weak_reflexive():
     c = ArithConstraint(nodes("p q"), nodes("p q"), "weak", "x")
-    assert eval_valuation(c, make_valuation({"p": 3, "q": Fraction(1, 3)})).holds
+    assert eval_valuation(c, valuation({"p": 3, "q": Fraction(1, 3)})).holds
 
 
 def test_eval_valuation_strict_needs_gap():
     c = ArithConstraint(nodes("p"), nodes("q"), "strict", "const")
-    eta = make_valuation({"p": 2, "q": 2})
+    eta = valuation({"p": 2, "q": 2})
     assert not eval_valuation(c, eta).holds
-    eta = make_valuation({"p": Fraction(9, 4), "q": 2})
+    eta = valuation({"p": Fraction(9, 4), "q": 2})
     assert eval_valuation(c, eta).holds
     assert not eval_valuation(c, eta, Fraction(1, 2)).holds
     # the self-loop p > p must not hold by a margin of 0 or less
@@ -194,7 +207,7 @@ def test_eval_valuation_strict_needs_gap():
 def test_eval_valuation_unbound_parameter():
     c = ArithConstraint(nodes("p"), nodes("q"), "weak", "x")
     with pytest.raises(ConstraintError, match="unbound"):
-        eval_valuation(c, make_valuation({"p": 1}))
+        eval_valuation(c, valuation({"p": 1}))
 
 
 def test_word_sums_agree_with_reference():
@@ -204,18 +217,18 @@ def test_word_sums_agree_with_reference():
     rng = random.Random(41)
     names = [f"p{i}" for i in range(6)] + ["0", "1"]
     for _ in range(2000):
-        eta = make_valuation({name: Fraction(rng.randint(0, 12), rng.choice((1, 1, 2, 3, 4)))
-                              for name in names[:6] if rng.random() < 0.9})
-        ws = tuple(tuple(rng.choice(names) for _ in range(rng.randint(0, 5)))
+        eta = valuation({name: Fraction(rng.randint(0, 12), rng.choice((1, 1, 2, 3, 4)))
+                         for name in names[:6] if rng.random() < 0.9})
+        ws = tuple(tuple(rng.choice(names) for _ in range(rng.randint(1, 5)))
                    for _ in range(rng.randint(0, 4)))
         try:
             want = ref.eval_word_sum(ws, eta)
         except ConstraintError as exc:
             with pytest.raises(ConstraintError) as got:
-                eval_word_sum(as_words(ws), eta)
+                eval_word_sum(as_words(ws), eta, {})
             assert str(got.value) == str(exc)
             continue
-        got = eval_word_sum(as_words(ws), eta)
+        got = eval_word_sum(as_words(ws), eta, {})
         assert got == want and type(got) is type(want)
 
 
@@ -260,7 +273,7 @@ def _problems(draw):
            for param in (*coeffs, const)}
     if draw(st.integers(0, 2)) == 0:
         del eta[draw(st.sampled_from(sorted(eta)))]
-    return rules, pairs, ParamInterpretation(table), make_valuation(eta)
+    return rules, pairs, ParamInterpretation(table), valuation(eta)
 
 
 def _outcome(func, *args):
@@ -278,12 +291,13 @@ def test_word_nodes_agree_with_flat_words(problem, delta):
     flat_cs = ref.generate_constraints(rules, pairs, pi)
     # the same text, alone and with the text memo the CLI shares
     want = [ref.format_constraint(c) for c in flat_cs]
-    assert [f"{c.source} / {c.kind}: {c}" for c in cs] == want
+    assert [f"{c.source} / {c.kind}: {c.render()}" for c in cs] == want
     assert list(_constraint_lines(cs)) == want
     # the same words, parameter by parameter
-    for c, (source, kind, rel, lhs, rhs) in zip(cs, flat_cs):
+    for c, (source, kind, rel, lhs, rhs, full) in zip(cs, flat_cs):
         assert (c.source, c.kind, c.rel) == (source, kind, rel)
         assert flat(c.lhs) == lhs and flat(c.rhs) == rhs
+        assert flat(c.dropped or c.rhs) == full
         assert [len(w) for w in (*c.lhs, *c.rhs)] == [len(w) for w in (*lhs, *rhs)]
     # the same values, verdicts and unbound-parameter errors, through one memo
     memo = {}
@@ -299,7 +313,7 @@ def test_word_nodes_agree_with_flat_words(problem, delta):
 def test_flat_words_are_refused():
     # a tuple of names is no word node; its "parent" would be a str whose
     # first character is itself, so the fold would never reach a root
-    eta = make_valuation({"p": 2, "q": 3})
+    eta = valuation({"p": 2, "q": 3})
     for flat_word in (("p", "q"), ("p",)):
         with pytest.raises(TypeError, match="expected a word node"):
-            eval_word_sum((flat_word,), eta)
+            eval_word_sum((flat_word,), eta, {})

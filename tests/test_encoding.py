@@ -6,9 +6,8 @@ import pytest
 
 from matint import (ArithConstraint, Encoding, EncodingError, Mat, catalog,
                     format_matrix, is_compatible, jordan, load_encoding,
-                    make_valuation, parse_encoding, required_products, rho,
-                    validate)
-from _helpers import as_words, rand_rat_mat
+                    parse_encoding, required_products, rho, validate)
+from _helpers import as_words, rand_rat_mat, valuation
 
 
 def format_encoding(enc):
@@ -116,7 +115,7 @@ def test_validate_extended_sixths_fails_quarter():
 
 
 def test_required_products_example():
-    eta = make_valuation({"f1": 2, "f0": 2, "g1": F(1, 2), "g0": F(1, 2),
+    eta = valuation({"f1": 2, "f0": 2, "g1": F(1, 2), "g0": F(1, 2),
                           "F1": 1, "F0": 0})
     base = [rc("f1 f1", "f1 g1 f1"), rc("f1 f0 + f0", "f1 g1 f0 + f1 g0 + f0")]
     assert required_products(base, eta) == {F(1, 2)}
@@ -125,13 +124,13 @@ def test_required_products_example():
 
 
 def test_required_products_all_natural():
-    eta = make_valuation({"p": 2, "q": 3})
+    eta = valuation({"p": 2, "q": 3})
     assert required_products([rc("p q", "q")], eta) == frozenset()
 
 
 def test_required_products_unbound():
     with pytest.raises(EncodingError, match="unbound"):
-        required_products([rc("p", "q")], make_valuation({"p": 1}))
+        required_products([rc("p", "q")], valuation({"p": 1}))
 
 
 def _subset_products(constraints, eta):
@@ -153,7 +152,7 @@ def test_required_products_matches_subset_enumeration():
     rng = random.Random(3)
     # 3/2 * 2/3 = 1 is a nonempty product; c and d share the value 1/2;
     # n and m are integral, and "0"/"1" are the reserved parameters
-    eta = make_valuation({"a": F(3, 2), "b": F(2, 3), "c": F(1, 2), "d": F(1, 2),
+    eta = valuation({"a": F(3, 2), "b": F(2, 3), "c": F(1, 2), "d": F(1, 2),
                           "e": F(1, 3), "n": 2, "m": 5})
     names = sorted(eta)
 
@@ -173,13 +172,13 @@ def test_required_products_matches_subset_enumeration():
 
 
 def test_required_products_long_word():
-    eta = make_valuation({"h": F(1, 2)})
+    eta = valuation({"h": F(1, 2)})
     assert required_products([rc(" ".join(["h"] * 64), "h")], eta) == \
         {F(1, 2 ** k) for k in range(1, 65)}
 
 
 def test_required_products_unbound_in_dominated_word():
-    eta = make_valuation({"c": F(1, 2)})
+    eta = valuation({"c": F(1, 2)})
     with pytest.raises(EncodingError, match="unbound parameter 'zz'"):
         required_products([rc("c c c", "c zz")], eta)
 
