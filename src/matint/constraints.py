@@ -15,11 +15,10 @@ text) is computed once per word node, from its parent's.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .matrix import Rat, as_rat, line_kinds, parse_rat, read_lines
+from .matrix import Rat, Record, as_rat, line_kinds, parse_rat, read_lines
 from .trs import Term, Trs, Var
 
 
@@ -113,16 +112,19 @@ def format_word_sum(ws: WordSum, texts: dict = None) -> str:
     return " + ".join(fold_words(ws, {} if texts is None else texts, _extend_text, ""))
 
 
-@dataclass(frozen=True)
-class ArithConstraint:
+class ArithConstraint(Record):
     """lhs REL rhs between word sums; kind is a variable name or "const"."""
 
-    lhs: WordSum
-    rhs: WordSum
-    rel: str            # "weak" | "strict"
-    kind: str           # variable name, or "const"
-    source: str = ""    # e.g. "rule 1", "pair 2"
-    dropped: WordSum = ()  # rhs words a rendering against 0 left out
+    __slots__ = ("lhs", "rhs", "rel", "kind", "source", "dropped")
+
+    def __init__(self, lhs: WordSum, rhs: WordSum, rel: str, kind: str, source: str = "",
+                 dropped: WordSum = ()):
+        __class__._set_lhs(self, lhs)
+        __class__._set_rhs(self, rhs)
+        __class__._set_rel(self, rel)          # "weak" | "strict"
+        __class__._set_kind(self, kind)        # variable name, or "const"
+        __class__._set_source(self, source)    # e.g. "rule 1", "pair 2"
+        __class__._set_dropped(self, dropped)  # rhs words a rendering against 0 left out
 
     def render(self, texts: dict = None) -> str:
         """The constraint's text; ``texts`` is as for ``format_word_sum``."""
@@ -132,17 +134,16 @@ class ArithConstraint:
         return f"{format_word_sum(self.lhs, texts)} {op} {format_word_sum(self.rhs, texts)}"
 
 
-@dataclass(frozen=True)
-class ParamInterpretation:
+class ParamInterpretation(Record):
     """symbol -> (coefficient parameter per argument, constant parameter)."""
 
-    table: Mapping[str, tuple[tuple[str, ...], str]]  # a read-only copy, once checked
+    __slots__ = ("table",)
 
-    def __post_init__(self):
+    def __init__(self, table: Mapping[str, tuple[tuple[str, ...], str]]):
         seen: set[str] = set()
-        for symbol, (coeffs, const) in self.table.items():
+        for symbol, (coeffs, const) in table.items():
             _check_names(symbol, (*coeffs, const), seen)
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        __class__._set_table(self, MappingProxyType(dict(table)))  # checked, read-only
 
 
 def _check_names(symbol: str, names, seen: set[str]):
@@ -317,11 +318,13 @@ def eval_word_sum(ws: WordSum, eta: dict[str, Rat], memo: dict) -> Rat:
         raise ConstraintError(f"unbound parameter {exc.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    holds: bool
-    lhs_value: Rat
-    rhs_value: Rat
+class EvalResult(Record):
+    __slots__ = ("holds", "lhs_value", "rhs_value")
+
+    def __init__(self, holds: bool, lhs_value: Rat, rhs_value: Rat):
+        __class__._set_holds(self, holds)
+        __class__._set_lhs_value(self, lhs_value)
+        __class__._set_rhs_value(self, rhs_value)
 
 
 def eval_valuation(c: ArithConstraint, eta: dict[str, Rat],

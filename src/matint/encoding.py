@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
 from .constraints import ArithConstraint, fold_words
-from .matrix import (Mat, Rat, as_rat, jordan, line_kinds, parse_matrix, parse_rat,
+from .matrix import (Mat, Rat, Record, as_rat, jordan, line_kinds, parse_matrix, parse_rat,
                      read_lines)
 from .represent import rho
 
@@ -24,19 +23,18 @@ class EncodingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Encoding:
+class Encoding(Record):
     """Fixed-dimension table of natural square matrices for rationals in (0, 1)."""
 
-    dim: int
-    table: Mapping[Fraction, Mat] = field(default_factory=dict)  # a read-only copy, once checked
+    __slots__ = ("dim", "table")
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        table = {}
-        for value, mat in self.table.items():
-            _add(table, self.dim, value, mat)
-        object.__setattr__(self, "table", MappingProxyType(table))
+    def __init__(self, dim: int, table: Mapping[Fraction, Mat] = MappingProxyType({})):
+        _check_dim(dim)
+        checked = {}
+        for value, mat in table.items():
+            _add(checked, dim, value, mat)
+        __class__._set_dim(self, dim)
+        __class__._set_table(self, MappingProxyType(checked))  # checked, read-only
 
 
 def _check_dim(dim: int):
@@ -105,13 +103,17 @@ def catalog(name: str) -> Encoding:
 CATALOG_NAMES = ("half", "quarters", "eighths", "sixths")
 
 
-@dataclass(frozen=True)
-class EncodingReport:
+class EncodingReport(Record):
     """Validation flags: per-value rho check, per-ordered-pair product checks."""
 
-    value_valid: dict[Fraction, bool]
-    product_value_valid: dict[tuple[Fraction, Fraction], bool]
-    product_closed: dict[tuple[Fraction, Fraction], bool]
+    __slots__ = ("value_valid", "product_value_valid", "product_closed")
+
+    def __init__(self, value_valid: dict[Fraction, bool],
+                 product_value_valid: dict[tuple[Fraction, Fraction], bool],
+                 product_closed: dict[tuple[Fraction, Fraction], bool]):
+        __class__._set_value_valid(self, value_valid)
+        __class__._set_product_value_valid(self, product_value_valid)
+        __class__._set_product_closed(self, product_closed)
 
     @property
     def valid(self) -> bool:

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress, repeat
 from math import ceil, gcd, lcm
 from random import Random
 from types import MappingProxyType
 
-from .matrix import (LineError, Mat, MatrixError, Rat, _rat_str, as_rat, entry_strs,
+from .matrix import (LineError, Mat, MatrixError, Rat, Record, _rat_str, as_rat, entry_strs,
                      format_matrix, line_kinds, parse_matrix, parse_rat, read_lines)
 from .trs import App, Rule, Term, Trs, Var
 
@@ -40,42 +39,46 @@ class InterpError(ValueError):
         self.where = where
 
 
-@dataclass(frozen=True)
-class BlockShape:
+class BlockShape(Record):
     """Dimension n split into beta = n/b blocks of size b."""
 
-    dim: int
-    block: int = 1
+    __slots__ = ("dim", "block")
 
-    def __post_init__(self):
-        for name, value in (("dim", self.dim), ("block", self.block)):
+    def __init__(self, dim: int, block: int = 1):
+        for name, value in (("dim", dim), ("block", block)):
             if value < 1:
                 raise InterpError(f"{name} must be positive, got {value}", name)
-        if self.dim % self.block:
-            raise InterpError(f"block size {self.block} does not divide dimension {self.dim}",
-                              "block")
+        if dim % block:
+            raise InterpError(f"block size {block} does not divide dimension {dim}", "block")
+        __class__._set_dim(self, dim)
+        __class__._set_block(self, block)
 
     @property
     def beta(self) -> int:
         return self.dim // self.block
 
 
-@dataclass(frozen=True)
-class LinearFunc:
+class LinearFunc(Record):
     """One symbol's function: argument matrices and a constant column vector.
 
-    ``columns`` compiles the matrices for the value walk on first use, once
-    per distinct matrix object (equal literals share one Mat), and keeps
-    them for every check: a LinearFunc and its Mats are immutable.
+    ``columns``, what the value walk reads (``_columns`` of each argument
+    matrix), is compiled on first use, once per distinct matrix object (equal
+    literals share one Mat), and kept: a LinearFunc and its Mats are immutable.
     """
 
-    mats: tuple[Mat, ...]
-    const: Mat
+    __slots__ = ("mats", "const", "columns")
+    _fields = ("mats", "const")
 
-    @cached_property
-    def columns(self) -> tuple:
-        """What the value walk reads: ``_columns`` of each argument matrix."""
-        return _map_once(_columns, self.mats)
+    def __init__(self, mats: tuple[Mat, ...], const: Mat):
+        __class__._set_mats(self, mats)
+        __class__._set_const(self, const)
+
+    def __getattr__(self, name):
+        # reached only while the ``columns`` slot is empty, or for a missing name
+        if name != "columns":
+            raise AttributeError(f"'LinearFunc' object has no attribute {name!r}")
+        __class__._set_columns(self, _map_once(_columns, self.mats))
+        return self.columns
 
 
 def _map_once(func, objs, done: dict = None) -> tuple:
@@ -90,21 +93,18 @@ def _map_once(func, objs, done: dict = None) -> tuple:
     return tuple(done[id(obj)] for obj in objs)
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    shape: BlockShape
-    domain: str                  # "natural" | "rational"
-    table: Mapping[str, LinearFunc]  # a read-only copy, once checked
-    delta: Fraction | None = None
+class Interpretation(Record):
+    __slots__ = ("shape", "domain", "table", "delta")
 
-    def __post_init__(self):
-        n, b = self.shape.dim, self.shape.block
-        if self.domain not in ("natural", "rational"):
-            raise InterpError(f"domain must be natural or rational, got {self.domain!r}")
-        if self.delta is not None and self.delta <= 0:
-            raise InterpError(f"delta must be positive, got {self.delta}", "delta")
+    def __init__(self, shape: BlockShape, domain: str, table: Mapping[str, LinearFunc],
+                 delta: Fraction | None = None):
+        n, b = shape.dim, shape.block
+        if domain not in ("natural", "rational"):
+            raise InterpError(f"domain must be natural or rational, got {domain!r}")
+        if delta is not None and delta <= 0:
+            raise InterpError(f"delta must be positive, got {delta}", "delta")
         checked = set()  # ids of the matrices whose entries passed
-        for symbol, func in self.table.items():
+        for symbol, func in table.items():
             for k, mat in enumerate((*func.mats, func.const), start=1):
                 where = (symbol, f"M{k}" if k <= len(func.mats) else "C")
                 what, cols = (where[1], n) if where[1] != "C" else ("constant vector", 1)
@@ -115,15 +115,18 @@ class Interpretation:
                     if min(mat.nums) < 0:
                         raise InterpError(f"{symbol}: negative entry", where)
                     # the entries are nonnegative here, so natural means integral
-                    if self.domain == "natural" and mat.den != 1:
+                    if domain == "natural" and mat.den != 1:
                         raise InterpError(f"{symbol}: non-natural entry in natural domain", where)
                     checked.add(id(mat))
-            for j in range(self.shape.beta):
+            for j in range(shape.beta):
                 segment = func.const.nums[j * b:(j + 1) * b]
                 if segment.count(segment[0]) != b:
                     raise InterpError(f"{symbol}: constant vector is not block-constant "
                                       f"(block {j + 1} of size {b})", (symbol, "C"))
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        __class__._set_shape(self, shape)
+        __class__._set_domain(self, domain)  # "natural" | "rational"
+        __class__._set_table(self, MappingProxyType(dict(table)))  # checked, read-only
+        __class__._set_delta(self, delta)
 
     @classmethod
     def _derived(cls, shape: BlockShape, domain: str, table: dict[str, LinearFunc],
@@ -133,9 +136,10 @@ class Interpretation:
         vectors hold by construction, so no entry is read again; the table
         is copied read-only all the same."""
         interp = object.__new__(cls)
-        for name, value in (("shape", shape), ("domain", domain),
-                            ("table", MappingProxyType(dict(table))), ("delta", delta)):
-            object.__setattr__(interp, name, value)
+        cls._set_shape(interp, shape)
+        cls._set_domain(interp, domain)
+        cls._set_table(interp, MappingProxyType(dict(table)))
+        cls._set_delta(interp, delta)
         return interp
 
     def max_entry(self, matrices_only: bool = False) -> Rat:
@@ -148,8 +152,7 @@ class Interpretation:
         return best
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """Interpreted term ``left·[[t]]``: coefficient per variable plus constant.
 
     The full form (``left = I``) has n x n coefficients and an n x 1 constant;
@@ -158,9 +161,12 @@ class LinearForm:
     zero coefficient are absent from ``coeffs``.
     """
 
-    dim: int
-    coeffs: dict[str, Mat]
-    const: Mat
+    __slots__ = ("dim", "coeffs", "const")
+
+    def __init__(self, dim: int, coeffs: dict[str, Mat], const: Mat):
+        __class__._set_dim(self, dim)
+        __class__._set_coeffs(self, coeffs)
+        __class__._set_const(self, const)
 
     def coeff(self, var: str) -> Mat:
         c = self.coeffs.get(var)
@@ -366,10 +372,12 @@ def _full_forms(interp: Interpretation, terms: tuple) -> list[LinearForm]:
             else forms[t] for t in terms]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    detail: str = ""
+class Verdict(Record):
+    __slots__ = ("holds", "detail")
+
+    def __init__(self, holds: bool, detail: str = ""):
+        __class__._set_holds(self, holds)
+        __class__._set_detail(self, detail)
 
 
 def _vec(mat: Mat) -> str:
@@ -471,22 +479,27 @@ def check_value(lhs: LinearForm, rhs: LinearForm, rel: str, m: int,
     return Verdict(True, "; ".join(parts))
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    label: str
-    rule: Rule
-    rel: str
-    verdict: Verdict
-    # a sampled tuple that contradicts a HOLDS verdict, if sampling found one
-    witness: dict[str, tuple] | None = None
+class ConstraintCheck(Record):
+    __slots__ = ("label", "rule", "rel", "verdict", "witness")
+
+    def __init__(self, label: str, rule: Rule, rel: str, verdict: Verdict,
+                 witness: dict[str, tuple] | None = None):
+        __class__._set_label(self, label)
+        __class__._set_rule(self, rule)
+        __class__._set_rel(self, rel)
+        __class__._set_verdict(self, verdict)
+        __class__._set_witness(self, witness)  # a sample that refutes HOLDS, if found
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    backend: str
-    m: int | None
-    delta: Fraction | None
-    checks: tuple[ConstraintCheck, ...]
+class CheckReport(Record):
+    __slots__ = ("backend", "m", "delta", "checks")
+
+    def __init__(self, backend: str, m: int | None, delta: Fraction | None,
+                 checks: tuple[ConstraintCheck, ...]):
+        __class__._set_backend(self, backend)
+        __class__._set_m(self, m)
+        __class__._set_delta(self, delta)
+        __class__._set_checks(self, checks)
 
     @property
     def holds(self) -> bool:

@@ -53,7 +53,46 @@ def _check_shape(rows: int, cols: int):
         raise MatrixError(f"matrix shape must be positive, got {rows}x{cols}")
 
 
-class Mat:
+class Record:
+    """Immutable value that compares and hashes by class and fields (its
+    ``__slots__``, or ``_fields`` if a slot is a cache) and whose repr names
+    them. ``__init__`` sets each slot by its own setter, ``_set_<slot>`` of
+    ``__class__`` (the defining class, which a rebound global cannot hide)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        for name in cls.__slots__:
+            setattr(cls, f"_set_{name}", cls.__dict__[name].__set__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, as no slot can be set
+        return self.__class__, self._values()
+
+
+class Mat(Record):
     """Dense rows x cols matrix in row-major order; vectors are n x 1.
 
     Entries are stored as int numerators ``nums`` over one common denominator
@@ -96,25 +135,10 @@ class Mat:
         _init(mat, rows, cols, nums, den)
         return mat
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: Mat is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: Mat is immutable")
-
     def __reduce__(self):
         # copy and pickle rebuild through the trusted constructor, since
         # setting the slots one by one is refused
         return (Mat._derived, (self.rows, self.cols, self.nums, self.den))
-
-    def __eq__(self, other):
-        if other.__class__ is not Mat:
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self.den == other.den and self.nums == other.nums)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"Mat(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
@@ -266,18 +290,12 @@ class Mat:
         return format_matrix(self)
 
 
-# The slots' own setters write past Mat.__setattr__ (and cost less than
-# object.__setattr__, which looks each name up again).
-_set_rows, _set_cols, _set_nums, _set_den = (
-    Mat.__dict__[name].__set__ for name in Mat.__slots__)
-
-
 def _init(mat: Mat, rows: int, cols: int, nums: tuple[int, ...], den: int):
     """Set the fields of a new Mat."""
-    _set_rows(mat, rows)
-    _set_cols(mat, cols)
-    _set_nums(mat, nums)
-    _set_den(mat, den)
+    Mat._set_rows(mat, rows)
+    Mat._set_cols(mat, cols)
+    Mat._set_nums(mat, nums)
+    Mat._set_den(mat, den)
 
 
 def jordan(n: int, p: int = 1) -> Mat:

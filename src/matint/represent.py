@@ -17,24 +17,23 @@ one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import prod
 
-from .matrix import Mat, MatrixError, Rat, as_rat
+from .matrix import Mat, MatrixError, Rat, Record, as_rat
 
 
-@dataclass(frozen=True)
-class RepParams:
+class RepParams(Record):
     """Valuation divisor m and target block shape p x q."""
 
-    m: int
-    p: int
-    q: int
+    __slots__ = ("m", "p", "q")
 
-    def __post_init__(self):
-        if self.m < 1 or self.p < 1 or self.q < 1:
+    def __init__(self, m: int, p: int, q: int):
+        __class__._set_m(self, m)
+        __class__._set_p(self, p)
+        __class__._set_q(self, q)
+        if m < 1 or p < 1 or q < 1:
             raise MatrixError(f"representation parameters must be positive: {self}")
 
 

@@ -17,7 +17,6 @@ check, ``rho_preserved``, verifies the result of each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import prod
@@ -26,16 +25,18 @@ from .constraints import ParamInterpretation
 from .encoding import Encoding, EncodingError, require_valid
 from .interp import (BlockShape, CheckReport, Interpretation, InterpError,
                      LinearFunc, _map_once, check_problem)
-from .matrix import Mat, Rat
+from .matrix import Mat, Rat, Record
 from .represent import lift_blocks, lift_factors, substitute
 from .trs import Trs
 
 
-@dataclass(frozen=True)
-class TransformTrace:
+class TransformTrace(Record):
     """Audit trail of iterated lifts: (factor, dim before, dim after) per step."""
 
-    steps: tuple[tuple[int, int, int], ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[tuple[int, int, int], ...]):
+        __class__._set_steps(self, steps)
 
     @property
     def final_scale(self) -> int:
@@ -197,13 +198,15 @@ def rho_preserved(before: Interpretation, after: Interpretation, b: int) -> bool
 expansion_rho_preserved = rho_preserved
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Paired before/after check with the agreement the transformation promises."""
 
-    before: CheckReport
-    after: CheckReport
-    promise: str  # "equivalence" | "forward"
+    __slots__ = ("before", "after", "promise")
+
+    def __init__(self, before: CheckReport, after: CheckReport, promise: str):
+        __class__._set_before(self, before)
+        __class__._set_after(self, after)
+        __class__._set_promise(self, promise)  # "equivalence" | "forward"
 
     @property
     def agree(self) -> bool:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+
+from .matrix import Record
 
 
 class TrsError(ValueError):
@@ -38,13 +39,10 @@ def interning_scope():
             _INTERNED.popitem()
 
 
-class _Term:
+class _Term(Record):
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
 
 
 class Var(_Term):
@@ -54,7 +52,7 @@ class Var(_Term):
         term = _INTERNED.get(name)
         if term is None:
             term = object.__new__(cls)
-            object.__setattr__(term, "name", name)
+            cls._set_name(term, name)
             _INTERNED[name] = term
         return term
 
@@ -74,8 +72,8 @@ class App(_Term):
         term = _INTERNED.get(key)
         if term is None:
             term = object.__new__(cls)
-            object.__setattr__(term, "symbol", symbol)
-            object.__setattr__(term, "args", key[1])
+            cls._set_symbol(term, symbol)
+            cls._set_args(term, key[1])
             _INTERNED[key] = term
         return term
 
@@ -146,26 +144,29 @@ def subterms(t: Term):
             stack.extend(reversed(t.args))
 
 
-@dataclass(frozen=True)
-class Rule:
-    lhs: Term
-    rhs: Term
+class Rule(Record):
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self):
+    def __init__(self, lhs: Term, rhs: Term):
         # parse_trs checks for fresh variables as it reads the rule; a
         # dependency pair's rhs is a subterm of its rule's rhs
-        if isinstance(self.lhs, Var):
-            raise TrsError(f"variable left-hand side in rule {self.lhs} -> {self.rhs}")
+        if isinstance(lhs, Var):
+            raise TrsError(f"variable left-hand side in rule {lhs} -> {rhs}")
+        __class__._set_lhs(self, lhs)
+        __class__._set_rhs(self, rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Trs:
-    variables: frozenset[str]
-    rules: tuple[Rule, ...]
-    signature: dict[str, int]
+class Trs(Record):
+    __slots__ = ("variables", "rules", "signature")
+
+    def __init__(self, variables: frozenset[str], rules: tuple[Rule, ...],
+                 signature: dict[str, int]):
+        __class__._set_variables(self, variables)
+        __class__._set_rules(self, rules)
+        __class__._set_signature(self, signature)
 
 
 # what can never be a name: punctuation, and None, which ends the token list

@@ -736,6 +736,21 @@ def test_check_trials_leaves_numpy_random_unloaded():
     assert proc.stdout.splitlines()[-1] == "exit 0 False"
 
 
+def test_start_up_imports_no_dataclasses_or_typing():
+    # every matint process pays for its imports: records are plain __slots__
+    # classes, since dataclasses loads inspect, ast and dis as well, and
+    # typing is never needed (-S keeps site's own imports out)
+    script = ("import sys\n"
+              "import matint.cli\n"
+              "matint.cli.build_parser()\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} "
+              "& set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_dps_out_feeds_pairs_flag(capsys, tmp_path):
     pairs_file = tmp_path / "pairs.trs"
     code, out, _ = run(capsys, "dps", "--trs", EX1, "--out", str(pairs_file))

@@ -292,7 +292,7 @@ def test_to_bits_builds_no_mat_per_entry(monkeypatch, tmp_path):
 
 def test_substitute_results_are_built_trusted_and_pass_every_check(monkeypatch):
     """to-blocks, to-bits and expand build their results without the
-    checks of ``Interpretation.__post_init__``, and every result would pass
+    checks of ``Interpretation.__init__``, and every result would pass
     them: rebuilt through the checked constructor, it raises nothing and is
     equal. Loaded and hand-built interpretations keep every check."""
     rng = random.Random(19)
@@ -306,12 +306,12 @@ def test_substitute_results_are_built_trusted_and_pass_every_check(monkeypatch):
     rationals = [(_rational_interp(rng, sorted(catalog(name).table), rng.randint(1, 3)),
                   catalog(name)) for name in CATALOG_NAMES for _ in range(5)]
     checks = []
-    original = Interpretation.__post_init__
+    original = Interpretation.__init__
 
-    def counting(self):
+    def counting(self, *args):
         checks.append(self)
-        original(self)
-    monkeypatch.setattr(Interpretation, "__post_init__", counting)
+        original(self, *args)
+    monkeypatch.setattr(Interpretation, "__init__", counting)
     outputs = []
     for interp in inputs:
         outputs.append(interp_to_blocks(interp, rng.randint(2, 4)))

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -10,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 import _reference as ref
 import matint.matrix as matrix_module
 from _reference import Cmp, cmp_entrywise, from_rows
-from matint import Mat, MatrixError, format_matrix, jordan, parse_matrix, parse_rat
-from matint.matrix import as_rat, strip_comment
+from matint import (App, ArithConstraint, BlockShape, CheckReport, ConstraintCheck, Encoding,
+                    EncodingReport, EvalResult, Interpretation, LinearForm, LinearFunc, Mat,
+                    MatrixError, ParamInterpretation, RepParams, Rule, TransformTrace, Trs, Var,
+                    Verdict, VerifyReport, format_matrix, jordan, parse_matrix, parse_rat)
+from matint.matrix import Record, as_rat, strip_comment
 
 J2 = jordan(2)
 
@@ -472,6 +476,89 @@ def test_mat_is_immutable():
     assert m.entries == (Fraction(1, 2), 3) and m.den == 2 and m.nums == (1, 6)
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin == m and twin.entries == m.entries
+
+
+_ONE, _ZERO = Mat(1, 1, (1,)), Mat(1, 1, (0,))
+_RULE = Rule(App("f", (Var("x"),)), Var("x"))
+_REPORT = CheckReport("value", 1, Fraction(1, 2), ())
+_MATS = "mats=(Mat(rows=1, cols=1, entries=(1,)),), const=Mat(rows=1, cols=1, entries=(0,))"
+_REPORT_TEXT = "CheckReport(backend='value', m=1, delta=Fraction(1, 2), checks=())"
+
+# (class, required arguments, the defaults of the rest, repr of the record
+# they build): the reprs are those the records had as frozen dataclasses
+RECORDS = [
+    (Rule, (App("f", (Var("x"),)), Var("x")), {}, "Rule(lhs=App('f(x)'), rhs=Var('x'))"),
+    (Trs, (frozenset({"x"}), (_RULE,), {"f": 1}), {},
+     "Trs(variables=frozenset({'x'}), rules=(Rule(lhs=App('f(x)'), rhs=Var('x')),), "
+     "signature={'f': 1})"),
+    (BlockShape, (2,), {"block": 1}, "BlockShape(dim=2, block=1)"),
+    (LinearFunc, ((_ONE,), _ZERO), {}, f"LinearFunc({_MATS})"),
+    (Interpretation, (BlockShape(1), "natural", {"f": LinearFunc((_ONE,), _ZERO)}),
+     {"delta": None},
+     "Interpretation(shape=BlockShape(dim=1, block=1), domain='natural', "
+     f"table=mappingproxy({{'f': LinearFunc({_MATS})}}), delta=None)"),
+    (LinearForm, (1, {"x": _ONE}, _ZERO), {},
+     "LinearForm(dim=1, coeffs={'x': Mat(rows=1, cols=1, entries=(1,))}, "
+     "const=Mat(rows=1, cols=1, entries=(0,)))"),
+    (Verdict, (True,), {"detail": ""}, "Verdict(holds=True, detail='')"),
+    (ConstraintCheck, ("rule 1", _RULE, "weak", Verdict(True, "x")), {"witness": None},
+     "ConstraintCheck(label='rule 1', rule=Rule(lhs=App('f(x)'), rhs=Var('x')), rel='weak', "
+     "verdict=Verdict(holds=True, detail='x'), witness=None)"),
+    (CheckReport, ("value", 1, Fraction(1, 2), ()), {}, _REPORT_TEXT),
+    (ArithConstraint, ((), (), "weak", "const"), {"source": "", "dropped": ()},
+     "ArithConstraint(lhs=(), rhs=(), rel='weak', kind='const', source='', dropped=())"),
+    (ParamInterpretation, ({"f": (("a",), "b")},), {},
+     "ParamInterpretation(table=mappingproxy({'f': (('a',), 'b')}))"),
+    (EvalResult, (True, 1, Fraction(1, 2)), {},
+     "EvalResult(holds=True, lhs_value=1, rhs_value=Fraction(1, 2))"),
+    (Encoding, (2,), {"table": {}}, "Encoding(dim=2, table=mappingproxy({}))"),
+    (EncodingReport, ({}, {}, {}), {},
+     "EncodingReport(value_valid={}, product_value_valid={}, product_closed={})"),
+    (RepParams, (2, 1, 1), {}, "RepParams(m=2, p=1, q=1)"),
+    (TransformTrace, (((2, 1, 2),),), {}, "TransformTrace(steps=((2, 1, 2),))"),
+    (VerifyReport, (_REPORT, _REPORT, "forward"), {},
+     f"VerifyReport(before={_REPORT_TEXT}, after={_REPORT_TEXT}, promise='forward')"),
+]
+
+
+@pytest.mark.parametrize("cls, args, defaults, text", RECORDS,
+                         ids=[case[0].__name__ for case in RECORDS])
+def test_records_keep_the_frozen_dataclass_contract(cls, args, defaults, text):
+    """Each record builds from positional or keyword arguments with the
+    same defaults, compares and hashes by class and fields in order,
+    keeps its repr, refuses assignment and deletion, and is no tuple."""
+    names = list(inspect.signature(cls).parameters)
+    assert names[len(args):] == list(defaults)
+    record = cls(*args)
+    full = (*args, *defaults.values())
+    for twin in (cls(*full), cls(**dict(zip(names, full))), copy.copy(record)):
+        assert twin == record and twin is not record
+    assert all(getattr(record, name) == value for name, value in defaults.items())
+    fields = tuple(getattr(record, name) for name in names)
+    try:
+        want = hash(fields)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == want == hash(cls(*full))
+    # a record of another class with equal fields is another value
+    other_cls = type("Other", (Record,), {"__slots__": tuple(names)})
+    other = object.__new__(other_cls)
+    for name, value in zip(names, fields):
+        other_cls.__dict__[name].__set__(other, value)
+    assert record != other and other != record and record != fields
+    assert repr(record) == text
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text and not isinstance(record, tuple)
+    if cls is LinearFunc:
+        # ``columns`` is a cache, no field: computed on first use, then reused
+        columns = record.columns
+        assert record.columns is columns and repr(record) == text and record == cls(*args)
 
 
 def test_mat_rejects_inexact_entries():

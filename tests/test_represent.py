@@ -42,6 +42,8 @@ def test_rho_examples():
 def test_mu_const_examples():
     assert mu_const(RepParams(3, 3, 3), 3) == Mat.ones(3)
     assert mu_const(RepParams(1, 1, 1), 7) == parse_matrix("[7]")
+    with pytest.raises(MatrixError, match=r"positive: RepParams\(m=0, p=1, q=1\)$"):
+        RepParams(0, 1, 1)
     rng = random.Random(1)
     for _ in range(100):
         x = rand_rat(rng)
