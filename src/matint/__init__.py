@@ -11,14 +11,14 @@ from .constraints import (ArithConstraint, ConstraintError, EvalResult,
                           parse_valuation)
 from .encoding import (Encoding, EncodingError, EncodingReport, catalog,
                        is_compatible, load_encoding, parse_encoding,
-                       required_products, validate)
+                       plan_expansion, required_products, validate)
 from .interp import (BlockShape, CheckReport, ConstraintCheck, Interpretation,
                      InterpError, LinearForm, LinearFunc, Verdict, check_entrywise,
                      check_problem, check_value, collapse_interpretation, eval_term,
                      format_interpretation, parse_interpretation, sample_falsify,
                      value_collapse)
 from .transform import (TransformTrace, VerifyReport, expand_rational,
-                        interp_to_bits, interp_to_blocks, rho_preserved,
+                        interp_to_bits, interp_to_blocks, rational_entries, rho_preserved,
                         valuation_interpretation, verify_transform)
 
 __version__ = "0.1.0"

@@ -15,15 +15,14 @@ from fractions import Fraction
 from .constraints import (ConstraintError, eval_valuation,
                           generate_arith_constraints, parse_pinterp,
                           parse_valuation)
-from .encoding import (EncodingError, is_compatible, load_encoding,
-                       require_valid, required_products, validate)
+from .encoding import EncodingError, load_encoding, plan_expansion, required_products, validate
 from .interp import (InterpError, check_problem, collapse_interpretation,
                      format_interpretation, parse_interpretation)
 from .matrix import MatrixError, parse_rat
 from .represent import rho
 from .trs import (Rule, Trs, TrsError, dependency_pairs, format_trs, interning_scope,
                   parse_trs, rule_texts)
-from .transform import (expand_rational, interp_to_bits, interp_to_blocks,
+from .transform import (expand_rational, interp_to_bits, interp_to_blocks, rational_entries,
                         rho_preserved, valuation_interpretation, verify_transform)
 
 INPUT_ERRORS = (TrsError, InterpError, MatrixError, EncodingError,
@@ -39,6 +38,8 @@ class _Sources:
     def __init__(self, args):
         self.args = args
         self._loaded = {}
+        if getattr(args, "pairs", "none") != "none" and args.trs is None:
+            raise SystemExit(_usage_error("--pairs needs --trs"))
 
     def _load(self, path, load, what):
         """``load(path)``, once per path; an input error names the file."""
@@ -81,6 +82,10 @@ class _Sources:
 
     def encoding(self):
         return self._load(self.args.encoding, load_encoding, "encoding")
+
+    def required(self):
+        trs, pairs, eta = self.trs(), self.pairs(), self.valuation()
+        return required_products(generate_arith_constraints(trs, pairs, self.pinterp()), eta)
 
     def signature(self) -> dict[str, int]:
         """The signature of the TRS and its pairs: a pairs file adds the
@@ -137,16 +142,6 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _print_report(report, header=()):
-    for line in header:
-        print(line)
-    texts = rule_texts([check.rule for check in report.checks])
-    for check, text in zip(report.checks, texts):
-        print(f"{check.label}: {text} [{check.rel}]: "
-              f"{'HOLDS' if check.verdict.holds else 'FAILS'}"
-              + (f" | {check.verdict.detail}" if check.verdict.detail else ""))
-
-
 def _result(ok: bool, good: str, bad: str) -> int:
     print(f"RESULT: {good if ok else bad}")
     return 0 if ok else 1
@@ -165,7 +160,12 @@ def cmd_check(args) -> int:
               f"{len(pairs)} pair(s)"]
     if report.backend == "value":
         header.append(f"# value params: m {report.m}, delta {report.delta}")
-    _print_report(report, header)
+    print(*header, sep="\n")
+    texts = rule_texts([check.rule for check in report.checks])
+    for check, text in zip(report.checks, texts):
+        print(f"{check.label}: {text} [{check.rel}]: "
+              f"{'HOLDS' if check.verdict.holds else 'FAILS'}"
+              + (f" | {check.verdict.detail}" if check.verdict.detail else ""))
     if args.trials:
         for check in report.checks:
             if not check.verdict.holds:
@@ -237,12 +237,10 @@ def cmd_eval_valuation(args) -> int:
     constraints = generate_arith_constraints(trs, pairs, src.pinterp())
     memo = {}   # each word's value, shared by all constraints
     results = [eval_valuation(c, eta, args.delta, memo) for c in constraints]
-    ok = True
     for line, res in zip(_constraint_lines(constraints), results):
-        ok &= res.holds
         print(f"{line} : {res.lhs_value} vs {res.rhs_value} : "
               f"{'HOLDS' if res.holds else 'FAILS'}")
-    return _result(ok, "SATISFIED", "VIOLATED")
+    return _result(all(res.holds for res in results), "SATISFIED", "VIOLATED")
 
 
 def _finish_transform(args, src, before, after, b, promise) -> int:
@@ -303,24 +301,20 @@ def cmd_expand(args) -> int:
     rational = (src.interp() if args.interp is not None else
                 valuation_interpretation(src.pinterp(), src.valuation(), args.delta))
     context = args.trs and args.pinterp is not None
+    req = src.required() if context else frozenset()
+    plan = plan_expansion(enc, rational_entries(rational), req)
     if context:
-        try:    # the encoding the expansion would refuse, before any report line
-            require_valid(enc)
-        except EncodingError as exc:
-            raise SystemExit(_usage_error(f"encoding {args.encoding}: {exc}"))
-        req, compatible, non_closed = _compatibility(src)
-        print(f"# encoding compatible: {'yes' if compatible else 'NO'}")
-        if not compatible:
-            missing = sorted(req - enc.table.keys())
-            if missing:
-                print(f"# missing products: {', '.join(str(q) for q in missing)}")
-            if non_closed:
-                print(non_closed)
+        print(f"# required products: {_values(req)}")
+        print(f"# encoding compatible: {'yes' if plan.compatible else 'NO'}")
+        if not plan.compatible:
+            if plan.missing:
+                print(f"# missing products: {_values(plan.missing)}")
+            for line in plan.faults:
+                print(f"# {line}")
             return _result(False, "", "INCOMPATIBLE")
-    try:
-        expanded = expand_rational(rational, enc)
-    except EncodingError as exc:
-        raise SystemExit(_usage_error(f"encoding {args.encoding}: {exc}"))
+    elif plan.faults:   # an input error, before any report line
+        raise SystemExit(_usage_error(f"encoding {args.encoding}: {plan.faults[0]}"))
+    expanded = expand_rational(rational, plan)
     if not context:
         print("# no constraint context given; compatibility not checked")
     print(f"# expanded: dim {rational.shape.dim} -> {expanded.shape.dim} "
@@ -344,37 +338,27 @@ def cmd_validate_encoding(args) -> int:
     return _result(report.valid, "VALID", "INVALID")
 
 
-def _compatibility(src):
-    """The compatibility step of compat and expand: prints the required
-    products of the constraint context and returns them, whether the
-    encoding serves them, and, when the only fault is a product that is
-    not closed, a report line naming the first such pair in ``validate``'s
-    order (largest factors first), else None."""
-    trs, pairs, eta, enc = src.trs(), src.pairs(), src.valuation(), src.encoding()
-    constraints = generate_arith_constraints(trs, pairs, src.pinterp())
-    req = required_products(constraints, eta)
-    print(f"# required products: {', '.join(str(q) for q in sorted(req)) or 'none'}")
-    compatible = is_compatible(enc, req)
-    non_closed = None
-    if not compatible and req <= enc.table.keys():
-        report = validate(enc, keys=req)
-        if report.valid:
-            x, y = next(pair for pair, closed in report.product_closed.items()
-                        if not closed)
-            non_closed = f"# non-closed product: {x} * {y}"
-    return req, compatible, non_closed
+def _values(values) -> str:
+    return ", ".join(map(str, sorted(values))) or "none"
 
 
 def cmd_compat(args) -> int:
     src = _Sources(args)
-    req, compatible, non_closed = _compatibility(src)
+    req = src.required()
     enc = src.encoding()
-    print(f"# encoding keys: {', '.join(str(q) for q in sorted(enc.table)) or 'none'}")
-    for q in sorted(req):
+    pi, eta = src.pinterp(), src.valuation()
+    # the valuation's entries, read without building its interpretation; an
+    # unbound parameter of a symbol no rule uses is left to expand
+    plan = plan_expansion(enc, ((symbol, eta.get(p)) for symbol, (coeffs, const)
+                                in pi.table.items() for p in (*coeffs, const)), req)
+    products = sorted(req)
+    print(f"# required products: {_values(products)}")
+    print(f"# encoding keys: {_values(enc.table)}")
+    for q in products:
         print(f"product {q}: {'encoded' if q in enc.table else 'MISSING'}")
-    if non_closed:
-        print(non_closed)
-    return _result(compatible, "COMPATIBLE", "INCOMPATIBLE")
+    for line in plan.faults:
+        print(f"# {line}")
+    return _result(plan.compatible, "COMPATIBLE", "INCOMPATIBLE")
 
 
 def cmd_collapse(args) -> int:

@@ -4,6 +4,9 @@ An encoding maps rationals in (0,1) to natural square matrices of one fixed
 dimension so that rho recovers each value and, whenever a product of two
 encoded values is itself encoded, the matrix product has exactly that value.
 The catalog ships the known-good encodings built from Jordan block powers.
+Whether an encoding can expand an interpretation is decided here alone, by
+one ``plan_expansion`` per call, which ``compat`` and ``expand`` render and
+``transform.expand_rational`` builds from.
 """
 
 from __future__ import annotations
@@ -57,11 +60,7 @@ def _add(table: dict, dim: int, value: Rat, mat: Mat):
 
 
 def _upper_block(dim: int, top_left: Mat, top_right: Mat) -> Mat:
-    half = dim // 2
-    return Mat.from_blocks([
-        [top_left, top_right],
-        [Mat.zero(half), Mat.zero(half)],
-    ])
+    return Mat.from_blocks([[top_left, top_right], [Mat.zero(dim // 2)] * 2])
 
 
 # the unit encoding of size n, spelled unit:n or unit(n)
@@ -131,18 +130,11 @@ def validate(enc: Encoding, keys=None) -> EncodingReport:
     for x in keys:
         for y in keys:
             product = x * y
-            if product not in keyset:
-                continue
-            prod_mat = enc.table[x] * enc.table[y]
-            product_value_valid[(x, y)] = rho(enc.dim, prod_mat) == product
-            product_closed[(x, y)] = prod_mat == enc.table[product]
+            if product in keyset:
+                prod_mat = enc.table[x] * enc.table[y]
+                product_value_valid[(x, y)] = rho(enc.dim, prod_mat) == product
+                product_closed[(x, y)] = prod_mat == enc.table[product]
     return EncodingReport(value_valid, product_value_valid, product_closed)
-
-
-def require_valid(enc: Encoding):
-    """Raise unless the whole encoding passes ``validate``."""
-    if enc.table and not validate(enc).valid:
-        raise EncodingError("encoding fails validation")
 
 
 def required_products(constraints, eta: dict[str, Rat]) -> frozenset[Fraction]:
@@ -204,17 +196,49 @@ def required_products(constraints, eta: dict[str, Rat]) -> frozenset[Fraction]:
     return frozenset(out)
 
 
-def is_compatible(enc: Encoding, req: frozenset[Fraction]) -> bool:
-    """True iff every required product is encoded, validates on those keys,
-    and is closed: E(x)·E(y) = E(xy) whenever x, y and xy are required.
+class ExpansionPlan(Record):
+    """An encoding, the required products it lacks, and its other faults."""
 
-    Closure is what carries the check from pairs to words: by induction on
-    prefixes, every required word's matrix product is then E(its value).
-    A pair product's value alone does not compose."""
-    if not req <= set(enc.table.keys()):
-        return False
-    report = validate(enc, keys=req)
-    return report.valid and all(report.product_closed.values())
+    __slots__ = ("encoding", "missing", "faults")
+
+    def __init__(self, encoding: Encoding, missing: frozenset[Fraction], faults: tuple[str, ...]):
+        __class__._set_encoding(self, encoding)
+        __class__._set_missing(self, missing)
+        __class__._set_faults(self, faults)
+
+    @property
+    def compatible(self) -> bool:
+        return not (self.missing or self.faults)
+
+
+def plan_expansion(enc: Encoding, values=(),
+                   req: frozenset[Fraction] = frozenset()) -> ExpansionPlan:
+    """The plan of expanding the (symbol, entry) pairs ``values`` through
+    ``enc`` under required products ``req``: an entry the encoding lacks is
+    a fault naming its first symbol. Then one ``validate`` of ``req`` checks
+    values and closure, which makes each required word's product E(value);
+    a key that only entries use is in no word, so only its value counts."""
+    entries: dict[Fraction, str] = {}
+    for symbol, x in values:
+        if x.__class__ is Fraction:
+            entries.setdefault(x, symbol)
+    missing = req - enc.table.keys()
+    faults = [f"{symbol}: entry {x} is neither natural nor encoded"
+              for x, symbol in entries.items() if x not in enc.table and x not in req]
+    if not (missing or faults):
+        report = validate(enc, keys=req)
+        wrong = {q for q, ok in report.value_valid.items() if not ok}
+        wrong |= {x for x in entries.keys() - req if rho(enc.dim, enc.table[x]) != x}
+        if wrong:
+            faults.append(f"wrong values: {', '.join(map(str, sorted(wrong)))}")
+        faults += [f"non-closed product: {x} * {y}"
+                   for (x, y), closed in report.product_closed.items() if not closed][:1]
+    return ExpansionPlan(enc, missing, tuple(faults))
+
+
+def is_compatible(enc: Encoding, req: frozenset[Fraction]) -> bool:
+    """Whether every required product is encoded, right-valued and closed."""
+    return plan_expansion(enc, req=req).compatible
 
 
 _LINES = line_kinds((

@@ -65,17 +65,18 @@ class Record:
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         for name in cls.__slots__:
             setattr(cls, f"_set_{name}", cls.__dict__[name].__set__)
+        if len(cls._fields) > 1:    # over one name, attrgetter gives the bare value
+            cls._values = property(operator.attrgetter(*cls._fields))
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    _values = property(lambda self: tuple(getattr(self, name) for name in self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -89,7 +90,7 @@ class Record:
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, as no slot can be set
-        return self.__class__, self._values()
+        return self.__class__, self._values
 
 
 class Mat(Record):

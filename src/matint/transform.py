@@ -4,7 +4,8 @@ Natural interpretations lift to bigger block interpretations with smaller
 entries (down to bit matrices); rational interpretations and valuations
 expand to natural interpretations through an encoding of their rational
 values. Every transformation can be re-verified: rho values are preserved
-structurally, and constraint verdicts are compared before/after.
+structurally, and constraint verdicts are compared before/after. An
+expansion builds from a faultless ``encoding.plan_expansion``, unchecked.
 
 All three transforms are one construction: ``_substitute`` replaces every
 matrix entry by a b x b natural block with the same rho value and every
@@ -22,7 +23,7 @@ from functools import cache
 from math import prod
 
 from .constraints import ParamInterpretation
-from .encoding import Encoding, EncodingError, require_valid
+from .encoding import ExpansionPlan
 from .interp import (BlockShape, CheckReport, Interpretation, InterpError,
                      LinearFunc, _map_once, check_problem)
 from .matrix import Mat, Rat, Record
@@ -40,10 +41,7 @@ class TransformTrace(Record):
 
     @property
     def final_scale(self) -> int:
-        scale = 1
-        for factor, _, _ in self.steps:
-            scale *= factor
-        return scale
+        return prod(factor for factor, _, _ in self.steps)
 
 
 def _require_natural(interp: Interpretation):
@@ -73,13 +71,9 @@ def _substitute(interp: Interpretation, block_of, b: int, block: int) -> Interpr
     mat_images, vector_images = {}, {}
     table = {}
     for symbol, func in interp.table.items():
-        try:
-            mats = _map_once(lambda mat: substitute(mat, block_of, b, b), func.mats,
-                             mat_images)
-            const, = _map_once(lambda vec: substitute(vec, vector_of, b, 1), (func.const,),
-                               vector_images)
-        except EncodingError as exc:
-            raise EncodingError(f"{symbol}: {exc}") from None
+        mats = _map_once(lambda mat: substitute(mat, block_of, b, b), func.mats, mat_images)
+        const, = _map_once(lambda vec: substitute(vec, vector_of, b, 1), (func.const,),
+                           vector_images)
         table[symbol] = LinearFunc(mats, const)
     return Interpretation._derived(BlockShape(b * interp.shape.dim, block), "natural",
                                    table, interp.delta)
@@ -131,44 +125,44 @@ def interp_to_bits(interp: Interpretation) -> tuple[Interpretation, TransformTra
     return bits, TransformTrace(tuple(steps))
 
 
-def expand_rational(interp: Interpretation, enc: Encoding) -> Interpretation:
-    """Replace each rational entry x by its encoding E(x) and each natural
-    entry by its lift block at the encoding's dimension.
-
-    Vector entries map to the row sums of their blocks, E(x)·1. The result
-    is a general natural interpretation (block 1): encoded blocks need not
-    be constant-plus-scalar, so the value backend is its checking semantics.
-    """
-    require_valid(enc)
+def expand_rational(interp: Interpretation, plan: ExpansionPlan) -> Interpretation:
+    """Replace each rational entry x by E(x) of the plan's encoding, each
+    natural one by its lift block, each vector entry by its block's row
+    sums. ``plan``, built for ``interp``, has no fault, so nothing is
+    checked here. The result is natural with block 1 and is checked under
+    the value backend: encoded blocks need not be constant-plus-scalar."""
+    enc = plan.encoding
     b = enc.dim
     natural = lift_blocks((b,))
 
     def block_of(x):
-        if isinstance(x, int) and x >= 0:
+        if x.__class__ is int:
             return natural(x)
-        if x in enc.table:
-            nums = enc.table[x].nums
-            return [nums[i:i + b] for i in range(0, b * b, b)]
-        raise EncodingError(f"entry {x} is neither natural nor encoded")
+        nums = enc.table[x].nums
+        return [nums[i:i + b] for i in range(0, b * b, b)]
 
     return _substitute(interp, block_of, b, 1)
+
+
+def rational_entries(interp: Interpretation):
+    """The (symbol, entry) pairs of ``interp``'s non-integral matrices, for the plan."""
+    return ((symbol, x) for symbol, func in interp.table.items()
+            for mat in (*func.mats, func.const) if mat.den != 1 for x in mat.entries)
 
 
 def valuation_interpretation(pi: ParamInterpretation, eta: dict[str, Rat],
                              delta: Fraction = None) -> Interpretation:
     """The dim-1 interpretation a valuation induces on a parametric one."""
     table = {}
-    naturals = True
     for symbol, (coeff_params, const_param) in pi.table.items():
         for name in (*coeff_params, const_param):
             if name not in eta:
                 raise InterpError(f"unbound parameter {name!r}")
         mats = tuple(Mat(1, 1, (eta[p],)) for p in coeff_params)
         const = Mat(1, 1, (eta[const_param],))
-        naturals = naturals and all(m.den == 1 for m in (*mats, const))
         table[symbol] = LinearFunc(mats, const)
-    domain = "natural" if naturals else "rational"
-    return Interpretation(BlockShape(1, 1), domain, table, delta)
+    rational = any(m.den != 1 for func in table.values() for m in (*func.mats, func.const))
+    return Interpretation(BlockShape(1, 1), "rational" if rational else "natural", table, delta)
 
 
 def rho_preserved(before: Interpretation, after: Interpretation, b: int) -> bool:

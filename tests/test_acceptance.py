@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from matint import (BlockShape, Encoding, LinearFunc, Mat,
                     RepParams, catalog, check_problem, dependency_pairs,
-                    eval_term, eval_valuation, expand_rational,
+                    eval_term, eval_valuation, expand_rational, plan_expansion, rational_entries,
                     generate_arith_constraints, interp_to_blocks, is_compatible,
                     jordan, lift, mu_const, parse_interpretation, parse_matrix,
                     parse_pinterp, parse_trs, parse_valuation, required_products,
@@ -200,7 +200,9 @@ def test_criterion_7_rational_expansion():
         pairs = dependency_pairs(trs)
         eta = parse_valuation(read("fg-rational.val"))
         pi = parse_pinterp(read("fg-params.pi"))
-        nat = expand_rational(valuation_interpretation(pi, eta), catalog("half"))
+        rational = valuation_interpretation(pi, eta)
+        plan = plan_expansion(catalog("half"), rational_entries(rational))
+        nat = expand_rational(rational, plan)
         assert nat.table == {
             "f": LinearFunc((Mat.ones(2),), Mat.column([2, 2])),
             "g": LinearFunc((jordan(2),), Mat.column([1, 0])),

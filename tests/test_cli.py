@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from matint import (BlockShape, Interpretation, LinearFunc, Mat, format_interpretation,
                     interp_to_bits, parse_interpretation, parse_pinterp, parse_trs)
 from matint.cli import main
+from matint.encoding import CATALOG_NAMES
 from matint.represent import lift_factors
 from _helpers import DATA, example_one, read
 
@@ -396,10 +397,10 @@ def test_expand_without_context_warns(capsys, tmp_path):
 
 @pytest.mark.parametrize("values, message", [
     ("", "g: entry 1/2 is neither natural nor encoded"),
-    ("value 1/2 = [1 1 ; 0 1]\n", "encoding fails validation"),
+    ("value 1/2 = [1 1 ; 0 1]\n", "wrong values: 1/2"),
 ], ids=["not-encoded", "invalid"])
 def test_expand_without_context_names_a_bad_encoding(capsys, tmp_path, values, message):
-    # the expansion is built before the first report line
+    # the plan's first fault is an input error, before the first report line
     enc = tmp_path / "bad.enc"
     enc.write_text("encoding dim 2\n" + values, encoding="utf-8")
     code, out, err = run(capsys, "expand", "--interp", EX1R, "--encoding", str(enc))
@@ -407,16 +408,130 @@ def test_expand_without_context_names_a_bad_encoding(capsys, tmp_path, values, m
     assert err == f"error: encoding {enc}: {message}\n"
 
 
-def test_expand_refuses_an_invalid_encoding_before_the_compatibility_lines(capsys, tmp_path):
-    # 1/2, the one required product, is right; 1/3 is not, and the
-    # expansion checks the whole encoding
+def test_expand_ignores_a_wrong_value_nothing_uses(capsys, tmp_path):
+    # 1/2, the one required product and the one rational entry, is right;
+    # 1/3 is wrong, but nothing uses it, so only validate-encoding names it
     enc = tmp_path / "bad.enc"
     enc.write_text("encoding dim 2\nvalue 1/2 = [0 1 ; 0 0]\nvalue 1/3 = [1 1 ; 0 1]\n",
                    encoding="utf-8")
     code, out, err = run(capsys, "expand", "--trs", EX1, "--pinterp", PI,
                          "--valuation", ETA, "--encoding", str(enc))
-    assert (code, out) == (2, "")
-    assert err == f"error: encoding {enc}: encoding fails validation\n"
+    assert (code, err) == (0, "")
+    assert out.startswith("# required products: 1/2\n# encoding compatible: yes\n")
+    assert out.endswith("RESULT: VERIFIED\n")
+    code, out, _ = run(capsys, "validate-encoding", "--encoding", str(enc))
+    assert code == 1 and "value 1/3: rho 3/2 WRONG" in out
+
+
+@pytest.mark.parametrize("case", ["unused-symbol", "wrong-value"])
+def test_compat_and_expand_print_the_same_incompatible_report(capsys, tmp_path, case):
+    """A fault of the plan is the same INCOMPATIBLE report in compat and
+    expand, which writes no --out: an entry of a symbol no rule uses that
+    the encoding lacks, or a used key whose value is wrong."""
+    pi, val, enc = PI, ETA, "half"
+    if case == "unused-symbol":
+        pi, val = tmp_path / "h.pi", tmp_path / "h.val"
+        pi.write_text(read("fg-params.pi") + "pinterp h : 1 = h1 | h0\n", encoding="utf-8")
+        val.write_text(read("fg-rational.val") + "param h1 = 1/3\nparam h0 = 0\n",
+                       encoding="utf-8")
+        fault = "# h: entry 1/3 is neither natural nor encoded\n"
+    else:
+        enc = tmp_path / "bad.enc"
+        enc.write_text("encoding dim 2\nvalue 1/2 = [1 1 ; 0 1]\n", encoding="utf-8")
+        fault = "# wrong values: 1/2\n"
+    context = ("--trs", EX1, "--pairs", "auto", "--pinterp", str(pi), "--valuation", str(val),
+               "--encoding", str(enc))
+    code, out, err = run(capsys, "compat", *context)
+    assert (code, err) == (1, "")
+    assert out.endswith("product 1/2: encoded\n" + fault + "RESULT: INCOMPATIBLE\n")
+    nat = tmp_path / "nat.interp"
+    code, out, err = run(capsys, "expand", *context, "--out", str(nat))
+    assert (code, err) == (1, "")
+    assert out == ("# required products: 1/2\n# encoding compatible: NO\n" + fault
+                   + "RESULT: INCOMPATIBLE\n")
+    assert not nat.exists()
+
+
+def test_compat_and_expand_validate_once(capsys, tmp_path, monkeypatch):
+    """Each call validates the encoding once, in its expansion plan, also
+    when it names a non-closed pair."""
+    import matint.encoding as encoding
+    calls = []
+
+    def counting(*args, _validate=encoding.validate, **kwargs):
+        calls.append(args)
+        return _validate(*args, **kwargs)
+    monkeypatch.setattr(encoding, "validate", counting)
+    enc, pi, val, trs = (tmp_path / name for name in ("nc.enc", "nc.pi", "nc.val", "nc.trs"))
+    _non_closed_files(enc, pi, val, trs)
+    non_closed = ("--trs", str(trs), "--pinterp", str(pi), "--valuation", str(val),
+                  "--encoding", str(enc))
+    context = ("--trs", EX1, "--pairs", "auto", "--pinterp", PI, "--valuation", ETA,
+               "--encoding", "half")
+    for argv, code in [(("compat", *context), 0), (("expand", *context), 0),
+                       (("compat", *non_closed), 1), (("expand", *non_closed), 1),
+                       (("expand", "--interp", EX1R, "--encoding", "half"), 0)]:
+        calls.clear()
+        assert run(capsys, *argv)[0] == code, argv
+        assert len(calls) == 1, argv
+
+
+@pytest.mark.parametrize("pairs", ["auto", "/nonexistent"])
+@pytest.mark.parametrize("argv", [("to-blocks", "--interp", ENDR_INT),
+                                  ("to-bits", "--interp", ENDR_INT),
+                                  ("expand", "--interp", EX1R, "--encoding", "half")],
+                         ids=["to-blocks", "to-bits", "expand"])
+def test_pairs_without_trs_is_an_input_error(capsys, argv, pairs):
+    # without --trs nothing would read the pairs
+    assert run(capsys, *argv, "--pairs", pairs) == (2, "", "error: --pairs needs --trs\n")
+
+
+_RULES = ("f(f(x)) -> f(g(f(x)))", "f(g(f(x))) -> x", "g(x) -> f(x)", "g(g(x)) -> x",
+          "f(h(x)) -> h(x)")
+# naturals weigh three to one, so that some required sets fit an encoding
+_VALUES = (0, 1, 2) * 5 + ("1/2", "1/3", "1/4", "1/6", "1/8")
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(_RULES), min_size=1, max_size=2, unique=True),
+       st.lists(st.sampled_from(_VALUES), min_size=6, max_size=6),
+       st.sampled_from(CATALOG_NAMES))
+def test_compat_and_expand_agree(rules, values, enc):
+    """compat and expand render one plan: on dim-1 valuations over f, g and
+    h, which some rules leave unused, they print the same required
+    products, say compatible alike, and an INCOMPATIBLE compat is an
+    INCOMPATIBLE expand that writes nothing. VERIFIED is not asserted:
+    a compatible encoding can still give DISAGREEMENT."""
+    with tempfile.TemporaryDirectory() as work:
+        files = {"r.trs": "(VAR x)\n(RULES\n" + "\n".join(rules) + "\n)\n",
+                 "p.pi": "".join(f"pinterp {s} : 1 = {s}1 | {s}0\n" for s in "fgh"),
+                 "v.val": "".join(f"param {s}{k} = {values[2 * i + k]}\n"
+                                  for i, s in enumerate("fgh") for k in (0, 1))}
+        for name, text in files.items():
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        context = ["--trs", os.path.join(work, "r.trs"), "--pinterp", os.path.join(work, "p.pi"),
+                   "--valuation", os.path.join(work, "v.val"), "--encoding", enc]
+        out_file = os.path.join(work, "nat.interp")
+        outs = []
+        for argv in (["compat", *context], ["expand", *context, "--out", out_file]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                outs.append((main(argv), out.getvalue().splitlines(), err.getvalue()))
+        (compat, c_lines, c_err), (expand, e_lines, e_err) = outs
+        assert compat in (0, 1) and c_err == "" and e_err == ""
+        assert e_lines[0] == c_lines[0] and e_lines[0].startswith("# required products:")
+        assert e_lines[1] == f"# encoding compatible: {'yes' if compat == 0 else 'NO'}"
+        if compat == 0:
+            assert expand != 2
+        else:
+            assert (expand, e_lines[-1]) == (1, "RESULT: INCOMPATIBLE")
+            assert not os.path.exists(out_file)
+            # the same faults, apart from the missing products each lists its own way
+            faults = [line for line in c_lines[2:] if line.startswith("# ")
+                      and not line.startswith("# encoding keys")]
+            assert faults == [line for line in e_lines[2:-1]
+                              if not line.startswith("# missing products")]
 
 
 @pytest.mark.parametrize("sources", [
@@ -492,9 +607,10 @@ def test_compat_reports(capsys):
     assert "RESULT: INCOMPATIBLE" in out
 
 
-def _non_closed_encoding(path):
+def _non_closed_files(enc, pi, val, trs):
     """A dim-8 encoding whose pair products have the right values but are not
-    closed: E(1/2)·E(1/2) != E(1/4), and rho(E(1/2)^3) = 0, not 1/8."""
+    closed: E(1/2)·E(1/2) != E(1/4), and rho(E(1/2)^3) = 0, not 1/8; and a
+    context whose required products are 1/8, 1/4 and 1/2."""
     ones = {"1/2": [(2, 1), (2, 8), (3, 2), (5, 1)], "1/4": [(7, 1), (8, 5)],
             "1/8": [(1, 8)]}
     lines = ["encoding dim 8"]
@@ -502,16 +618,16 @@ def _non_closed_encoding(path):
         rows = [" ".join("1" if (i, j) in cells else "0" for j in range(1, 9))
                 for i in range(1, 9)]
         lines.append(f"value {value} = [" + " ; ".join(rows) + "]")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def test_compat_and_expand_refuse_a_non_closed_encoding(capsys, tmp_path):
-    enc, pi, val, trs = (tmp_path / name for name in ("nc.enc", "nc.pi", "nc.val", "nc.trs"))
-    _non_closed_encoding(enc)
+    enc.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pi.write_text("pinterp f : 1 = a | c0\npinterp g : 1 = b | d0\n", encoding="utf-8")
     val.write_text("param a = 1/2\nparam b = 1/8\nparam c0 = 1\nparam d0 = 0\n",
                    encoding="utf-8")
     trs.write_text("(VAR x)\n(RULES\n  f(f(f(x))) -> g(x)\n)\n", encoding="utf-8")
+
+
+def test_compat_and_expand_refuse_a_non_closed_encoding(capsys, tmp_path):
+    enc, pi, val, trs = (tmp_path / name for name in ("nc.enc", "nc.pi", "nc.val", "nc.trs"))
+    _non_closed_files(enc, pi, val, trs)
     # every value and pair product checks out, but E(1/2)·E(1/2) != E(1/4)
     code, out, _ = run(capsys, "validate-encoding", "--encoding", str(enc))
     assert code == 0 and "product 1/2 * 1/2: value ok, closed no" in out

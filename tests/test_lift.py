@@ -14,7 +14,8 @@ import _reference as ref
 from matint import (BlockShape, EncodingError, Interpretation, InterpError,
                     LinearFunc, Mat, MatrixError, TransformTrace, catalog,
                     expand_rational, interp_to_bits, interp_to_blocks,
-                    parse_interpretation, rho_preserved, to_bit_matrix, value_collapse)
+                    parse_interpretation, plan_expansion, rational_entries, rho_preserved,
+                    to_bit_matrix, value_collapse)
 from matint.cli import main
 from matint.encoding import CATALOG_NAMES
 from matint.interp import collapse_vector
@@ -51,6 +52,10 @@ def _predicted_dim(interp):
                                 for e in m.nums}):
         scale *= factor
     return interp.shape.dim * scale
+
+
+def _expand(interp, enc):
+    return expand_rational(interp, plan_expansion(enc, rational_entries(interp)))
 
 
 def _raises(call, *args):
@@ -170,7 +175,7 @@ def test_expand_rational_matches_reference(name):
     values = sorted(enc.table)
     for _ in range(20):
         interp = _rational_interp(rng, values, rng.randint(1, 3))
-        expanded = expand_rational(interp, enc)
+        expanded = _expand(interp, enc)
         assert expanded == ref.expand_rational(interp, enc)
         assert rho_preserved(interp, expanded, enc.dim)
         # a wrong entry anywhere is found, as the reference finds it
@@ -186,14 +191,15 @@ def test_expand_rational_matches_reference(name):
     # an entry the encoding lacks is reported, first one first
     odd = Interpretation(BlockShape(2, 1), "rational", {
         "f": LinearFunc((Mat(2, 2, (0, F(2, 7), F(3, 7), 1)),), Mat.column([F(4, 7), 0]))})
-    assert _raises(expand_rational, odd, enc) == _raises(ref.expand_rational, odd, enc)
+    plan = plan_expansion(enc, rational_entries(odd))
+    assert _raises(ref.expand_rational, odd, enc) == (EncodingError, plan.faults[0])
 
 
 def test_expansion_rho_preserved_reads_vector_segments():
     enc = catalog("quarters")
     interp = Interpretation(BlockShape(2, 1), "rational", {
         "f": LinearFunc((Mat(2, 2, (F(1, 2), 0, 1, F(1, 4))),), Mat.column([F(1, 4), 3]))})
-    expanded = expand_rational(interp, enc)
+    expanded = _expand(interp, enc)
     const = expanded.table["f"].const
     for i in range(const.rows):
         nums = list(const.nums)
@@ -318,7 +324,7 @@ def test_substitute_results_are_built_trusted_and_pass_every_check(monkeypatch):
         bits, trace = interp_to_bits(interp)
         if trace.steps:
             outputs.append(bits)
-    outputs += [expand_rational(interp, enc) for interp, enc in rationals]
+    outputs += [_expand(interp, enc) for interp, enc in rationals]
     assert checks == []
     for out in outputs:
         rebuilt = Interpretation(out.shape, out.domain, out.table, out.delta)

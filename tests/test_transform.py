@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from matint import (BlockShape, EncodingError, Interpretation, InterpError,
+from matint import (BlockShape, Interpretation, InterpError,
                     LinearFunc, Mat, catalog, check_problem,
                     collapse_interpretation, expand_rational, interp_to_bits,
                     interp_to_blocks, parse_interpretation, parse_pinterp,
-                    parse_trs, parse_valuation, rho, rho_preserved,
-                    valuation_interpretation, verify_transform)
+                    parse_trs, parse_valuation, plan_expansion, rational_entries, rho,
+                    rho_preserved, valuation_interpretation, verify_transform)
 from _helpers import example_one, mixed_interp, read, uniform_interp
 
 F = Fraction
+
+
+def _expand(interp, enc):
+    return expand_rational(interp, plan_expansion(enc, rational_entries(interp)))
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +129,7 @@ def test_expand_rational_paper_interpretation():
     eta = parse_valuation(read("fg-rational.val"))
     rational = valuation_interpretation(pi, eta, F(1, 2))
     assert rational.domain == "rational" and rational.shape.dim == 1
-    nat = expand_rational(rational, catalog("half"))
+    nat = _expand(rational, catalog("half"))
     assert nat.shape == BlockShape(2, 1) and nat.domain == "natural"
     assert nat.table["f"].mats[0] == Mat.ones(2)
     assert nat.table["f"].const == Mat.column([2, 2])
@@ -140,33 +144,40 @@ def test_expand_rational_natural_degenerate():
     interp = parse_interpretation(
         "domain rational\ndim 1\nblock 1\ninterp f : 1\n  M1 = [2]\n  C = [3]")
     from matint import Encoding
-    out = expand_rational(interp, Encoding(1, {}))
+    out = _expand(interp, Encoding(1, {}))
     assert out.domain == "natural"
     assert out.table["f"].mats[0] == Mat(1, 1, (2,))
-    out2 = expand_rational(interp, catalog("half"))
+    out2 = _expand(interp, catalog("half"))
     assert out2.table["f"].mats[0] == Mat.ones(2)       # mu_int(2, 2)
     assert out2.table["f"].const == Mat.column([3, 3])  # nu(2, 3)
     # a dim-1 encoding has no value to encode a rational entry by
     half = parse_interpretation(
         "domain rational\ndim 1\nblock 1\ninterp f : 1\n  M1 = [2]\n  C = [1/2]")
-    with pytest.raises(EncodingError, match="f: entry 1/2 is neither natural nor encoded"):
-        expand_rational(half, Encoding(1, {}))
+    plan = plan_expansion(Encoding(1, {}), rational_entries(half))
+    assert plan.faults == ("f: entry 1/2 is neither natural nor encoded",)
+    assert not plan.compatible
 
 
 def test_expand_rational_unencodable_entry():
+    # the plan of the expansion names each entry the encoding lacks, and no
+    # value is validated then
     interp = parse_interpretation(
-        "domain rational\ndim 1\nblock 1\ninterp f : 1\n  M1 = [1/3]\n  C = [0]")
-    with pytest.raises(EncodingError, match="neither natural nor encoded"):
-        expand_rational(interp, catalog("half"))
+        "domain rational\ndim 1\nblock 1\ninterp f : 1\n  M1 = [1/3]\n  C = [1/5]")
+    plan = plan_expansion(catalog("half"), rational_entries(interp))
+    assert plan.faults == ("f: entry 1/3 is neither natural nor encoded",
+                           "f: entry 1/5 is neither natural nor encoded")
+    assert not plan.missing and not plan.compatible
 
 
-def test_expand_rational_rejects_invalid_encoding():
+def test_expansion_plan_names_a_wrong_value():
     from matint import Encoding
-    bad = Encoding(2, {F(1, 2): Mat.ones(2)})    # rho = 2, not 1/2
+    bad = Encoding(2, {F(1, 2): Mat.ones(2), F(1, 3): Mat.ones(2)})   # rho = 2 for both
     interp = parse_interpretation(
         "domain rational\ndim 1\nblock 1\ninterp f : 1\n  M1 = [1/2]\n  C = [0]")
-    with pytest.raises(EncodingError, match="validation"):
-        expand_rational(interp, bad)
+    # 1/3 is wrong as well, but nothing uses it
+    assert plan_expansion(bad, rational_entries(interp)).faults == ("wrong values: 1/2",)
+    # a required product is checked as a used key is
+    assert plan_expansion(bad, req=frozenset({F(1, 3)})).faults == ("wrong values: 1/3",)
 
 
 def test_verify_transform_relative(relative):
@@ -187,7 +198,7 @@ def test_verify_transform_identity():
 def test_verify_transform_expansion_forward():
     trs, pairs = example_one()
     rational = parse_interpretation(read("fg-rational.interp"))
-    nat = expand_rational(rational, catalog("half"))
+    nat = _expand(rational, catalog("half"))
     report = verify_transform(trs, pairs, rational, nat, "forward", delta=F(1, 2))
     assert report.before.holds and report.after.holds and report.agree
 
@@ -254,7 +265,7 @@ def test_partial_roundtrip_collapse_recovers_naturals():
     interp = parse_interpretation(
         "domain rational\ndim 2\nblock 1\n"
         "interp f : 1\n  M1 = [2 1 ; 0 3]\n  C = [4 ; 0]")
-    expanded = expand_rational(interp, catalog("half"))
+    expanded = _expand(interp, catalog("half"))
     collapsed = collapse_interpretation(expanded, 2)
     assert collapsed.table["f"].mats[0] == interp.table["f"].mats[0]
     assert collapsed.table["f"].const == interp.table["f"].const
