@@ -19,6 +19,6 @@ from .interp import (BlockShape, CheckReport, ConstraintCheck, Interpretation,
                      value_collapse)
 from .transform import (TransformTrace, VerifyReport, expand_rational,
                         interp_to_bits, interp_to_blocks, rational_entries, rho_preserved,
-                        valuation_interpretation, verify_transform)
+                        valuation_entries, valuation_interpretation, verify_transform)
 
 __version__ = "0.1.0"

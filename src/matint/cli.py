@@ -23,7 +23,8 @@ from .represent import rho
 from .trs import (Rule, Trs, TrsError, dependency_pairs, format_trs, interning_scope,
                   parse_trs, rule_texts)
 from .transform import (expand_rational, interp_to_bits, interp_to_blocks, rational_entries,
-                        rho_preserved, valuation_interpretation, verify_transform)
+                        rho_preserved, valuation_entries, valuation_interpretation,
+                        verify_transform)
 
 INPUT_ERRORS = (TrsError, InterpError, MatrixError, EncodingError,
                 ConstraintError, OSError, UnicodeDecodeError)
@@ -142,6 +143,16 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _print_report(report, header=()):
+    for line in header:
+        print(line)
+    texts = rule_texts([check.rule for check in report.checks])
+    for check, text in zip(report.checks, texts):
+        print(f"{check.label}: {text} [{check.rel}]: "
+              f"{'HOLDS' if check.verdict.holds else 'FAILS'}"
+              + (f" | {check.verdict.detail}" if check.verdict.detail else ""))
+
+
 def _result(ok: bool, good: str, bad: str) -> int:
     print(f"RESULT: {good if ok else bad}")
     return 0 if ok else 1
@@ -160,12 +171,7 @@ def cmd_check(args) -> int:
               f"{len(pairs)} pair(s)"]
     if report.backend == "value":
         header.append(f"# value params: m {report.m}, delta {report.delta}")
-    print(*header, sep="\n")
-    texts = rule_texts([check.rule for check in report.checks])
-    for check, text in zip(report.checks, texts):
-        print(f"{check.label}: {text} [{check.rel}]: "
-              f"{'HOLDS' if check.verdict.holds else 'FAILS'}"
-              + (f" | {check.verdict.detail}" if check.verdict.detail else ""))
+    _print_report(report, header)
     if args.trials:
         for check in report.checks:
             if not check.verdict.holds:
@@ -237,10 +243,12 @@ def cmd_eval_valuation(args) -> int:
     constraints = generate_arith_constraints(trs, pairs, src.pinterp())
     memo = {}   # each word's value, shared by all constraints
     results = [eval_valuation(c, eta, args.delta, memo) for c in constraints]
+    ok = True
     for line, res in zip(_constraint_lines(constraints), results):
+        ok &= res.holds
         print(f"{line} : {res.lhs_value} vs {res.rhs_value} : "
               f"{'HOLDS' if res.holds else 'FAILS'}")
-    return _result(all(res.holds for res in results), "SATISFIED", "VIOLATED")
+    return _result(ok, "SATISFIED", "VIOLATED")
 
 
 def _finish_transform(args, src, before, after, b, promise) -> int:
@@ -298,11 +306,16 @@ def cmd_expand(args) -> int:
     if not (args.pinterp is None) == (args.valuation is None) != (args.interp is None):
         raise SystemExit(_usage_error(
             "expand needs --interp, or --pinterp with --valuation, not both"))
-    rational = (src.interp() if args.interp is not None else
-                valuation_interpretation(src.pinterp(), src.valuation(), args.delta))
+    if args.interp is not None:
+        rational = src.interp()
+        values = rational_entries(rational)
+    else:   # the entries compat reads
+        pi, eta = src.pinterp(), src.valuation()
+        rational = valuation_interpretation(pi, eta, args.delta)
+        values = valuation_entries(pi, eta)
     context = args.trs and args.pinterp is not None
     req = src.required() if context else frozenset()
-    plan = plan_expansion(enc, rational_entries(rational), req)
+    plan = plan_expansion(enc, values, req)
     if context:
         print(f"# required products: {_values(req)}")
         print(f"# encoding compatible: {'yes' if plan.compatible else 'NO'}")
@@ -346,11 +359,7 @@ def cmd_compat(args) -> int:
     src = _Sources(args)
     req = src.required()
     enc = src.encoding()
-    pi, eta = src.pinterp(), src.valuation()
-    # the valuation's entries, read without building its interpretation; an
-    # unbound parameter of a symbol no rule uses is left to expand
-    plan = plan_expansion(enc, ((symbol, eta.get(p)) for symbol, (coeffs, const)
-                                in pi.table.items() for p in (*coeffs, const)), req)
+    plan = plan_expansion(enc, valuation_entries(src.pinterp(), src.valuation()), req)
     products = sorted(req)
     print(f"# required products: {_values(products)}")
     print(f"# encoding keys: {_values(enc.table)}")

@@ -60,7 +60,11 @@ def _add(table: dict, dim: int, value: Rat, mat: Mat):
 
 
 def _upper_block(dim: int, top_left: Mat, top_right: Mat) -> Mat:
-    return Mat.from_blocks([[top_left, top_right], [Mat.zero(dim // 2)] * 2])
+    half = dim // 2
+    return Mat.from_blocks([
+        [top_left, top_right],
+        [Mat.zero(half), Mat.zero(half)],
+    ])
 
 
 # the unit encoding of size n, spelled unit:n or unit(n)
@@ -130,10 +134,11 @@ def validate(enc: Encoding, keys=None) -> EncodingReport:
     for x in keys:
         for y in keys:
             product = x * y
-            if product in keyset:
-                prod_mat = enc.table[x] * enc.table[y]
-                product_value_valid[(x, y)] = rho(enc.dim, prod_mat) == product
-                product_closed[(x, y)] = prod_mat == enc.table[product]
+            if product not in keyset:
+                continue
+            prod_mat = enc.table[x] * enc.table[y]
+            product_value_valid[(x, y)] = rho(enc.dim, prod_mat) == product
+            product_closed[(x, y)] = prod_mat == enc.table[product]
     return EncodingReport(value_valid, product_value_valid, product_closed)
 
 
@@ -216,8 +221,10 @@ def plan_expansion(enc: Encoding, values=(),
     """The plan of expanding the (symbol, entry) pairs ``values`` through
     ``enc`` under required products ``req``: an entry the encoding lacks is
     a fault naming its first symbol. Then one ``validate`` of ``req`` checks
-    values and closure, which makes each required word's product E(value);
-    a key that only entries use is in no word, so only its value counts."""
+    values and closure, which makes each required word's product E(value).
+    An entry outside ``req`` is in no word of the constraints, so only its
+    own value is checked; without constraints (``req`` empty, as for
+    ``expand --interp``) no product of entries is checked at all."""
     entries: dict[Fraction, str] = {}
     for symbol, x in values:
         if x.__class__ is Fraction:
@@ -237,7 +244,12 @@ def plan_expansion(enc: Encoding, values=(),
 
 
 def is_compatible(enc: Encoding, req: frozenset[Fraction]) -> bool:
-    """Whether every required product is encoded, right-valued and closed."""
+    """True iff every required product is encoded, right-valued and closed:
+    E(x)·E(y) = E(xy) whenever x, y and xy are required.
+
+    Closure is what carries the check from pairs to words: by induction on
+    prefixes, every required word's matrix product is then E(its value).
+    A pair product's value alone does not compose."""
     return plan_expansion(enc, req=req).compatible
 
 

@@ -144,9 +144,12 @@ class Interpretation(Record):
 
     def max_entry(self, matrices_only: bool = False) -> Rat:
         """Largest entry over all coefficient matrices (and constant vectors)."""
-        return max((mat.max_entry() for func in self.table.values()
-                    for mat in (func.mats if matrices_only else (*func.mats, func.const))),
-                   default=0)
+        best = 0
+        for func in self.table.values():
+            mats = func.mats if matrices_only else (*func.mats, func.const)
+            for mat in mats:
+                best = max(best, mat.max_entry())
+        return best
 
 
 class LinearForm(Record):

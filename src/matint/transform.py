@@ -5,7 +5,8 @@ entries (down to bit matrices); rational interpretations and valuations
 expand to natural interpretations through an encoding of their rational
 values. Every transformation can be re-verified: rho values are preserved
 structurally, and constraint verdicts are compared before/after. An
-expansion builds from a faultless ``encoding.plan_expansion``, unchecked.
+expansion builds from an ``encoding.plan_expansion``, which has checked its
+entries, and refuses a plan with a fault.
 
 All three transforms are one construction: ``_substitute`` replaces every
 matrix entry by a b x b natural block with the same rho value and every
@@ -23,7 +24,7 @@ from functools import cache
 from math import prod
 
 from .constraints import ParamInterpretation
-from .encoding import ExpansionPlan
+from .encoding import EncodingError, ExpansionPlan
 from .interp import (BlockShape, CheckReport, Interpretation, InterpError,
                      LinearFunc, _map_once, check_problem)
 from .matrix import Mat, Rat, Record
@@ -41,7 +42,10 @@ class TransformTrace(Record):
 
     @property
     def final_scale(self) -> int:
-        return prod(factor for factor, _, _ in self.steps)
+        scale = 1
+        for factor, _, _ in self.steps:
+            scale *= factor
+        return scale
 
 
 def _require_natural(interp: Interpretation):
@@ -128,9 +132,13 @@ def interp_to_bits(interp: Interpretation) -> tuple[Interpretation, TransformTra
 def expand_rational(interp: Interpretation, plan: ExpansionPlan) -> Interpretation:
     """Replace each rational entry x by E(x) of the plan's encoding, each
     natural one by its lift block, each vector entry by its block's row
-    sums. ``plan``, built for ``interp``, has no fault, so nothing is
-    checked here. The result is natural with block 1 and is checked under
-    the value backend: encoded blocks need not be constant-plus-scalar."""
+    sums. ``plan`` must be built for ``interp``: it is trusted to have
+    decided every entry, and a plan with a fault raises its first one.
+    The result is natural with block 1 and is checked under the value
+    backend: encoded blocks need not be constant-plus-scalar."""
+    if not plan.compatible:
+        raise EncodingError(plan.faults[0] if plan.faults else
+                            f"missing products: {', '.join(map(str, sorted(plan.missing)))}")
     enc = plan.encoding
     b = enc.dim
     natural = lift_blocks((b,))
@@ -150,19 +158,32 @@ def rational_entries(interp: Interpretation):
             for mat in (*func.mats, func.const) if mat.den != 1 for x in mat.entries)
 
 
+def valuation_entries(pi: ParamInterpretation, eta: dict[str, Rat]):
+    """The (symbol, value) pairs of ``pi``'s parameters under ``eta``, which
+    are the entries of ``valuation_interpretation(pi, eta)``, for the plan;
+    an unbound parameter raises as there."""
+    for symbol, (coeff_params, const_param) in pi.table.items():
+        for name in (*coeff_params, const_param):
+            if name not in eta:
+                raise InterpError(f"unbound parameter {name!r}")
+            yield symbol, eta[name]
+
+
 def valuation_interpretation(pi: ParamInterpretation, eta: dict[str, Rat],
                              delta: Fraction = None) -> Interpretation:
     """The dim-1 interpretation a valuation induces on a parametric one."""
     table = {}
+    naturals = True
     for symbol, (coeff_params, const_param) in pi.table.items():
         for name in (*coeff_params, const_param):
             if name not in eta:
                 raise InterpError(f"unbound parameter {name!r}")
         mats = tuple(Mat(1, 1, (eta[p],)) for p in coeff_params)
         const = Mat(1, 1, (eta[const_param],))
+        naturals = naturals and all(m.den == 1 for m in (*mats, const))
         table[symbol] = LinearFunc(mats, const)
-    rational = any(m.den != 1 for func in table.values() for m in (*func.mats, func.const))
-    return Interpretation(BlockShape(1, 1), "rational" if rational else "natural", table, delta)
+    domain = "natural" if naturals else "rational"
+    return Interpretation(BlockShape(1, 1), domain, table, delta)
 
 
 def rho_preserved(before: Interpretation, after: Interpretation, b: int) -> bool:

@@ -408,6 +408,21 @@ def test_expand_without_context_names_a_bad_encoding(capsys, tmp_path, values, m
     assert err == f"error: encoding {enc}: {message}\n"
 
 
+def test_expand_without_context_checks_no_product_of_entries(capsys, tmp_path):
+    # E(1/2) and E(1/4) have the right values, but E(1/2)·E(1/2) has value 0;
+    # without a constraint context no product is required, so expand builds
+    # the expansion and says that compatibility was not checked
+    enc = tmp_path / "bad.enc"
+    enc.write_text("encoding dim 4\n"
+                   "value 1/2 = [0 1 0 0 ; 0 0 0 0 ; 0 0 0 1 ; 0 0 0 0]\n"
+                   "value 1/4 = [0 1 0 0 ; 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0]\n", encoding="utf-8")
+    code, out, err = run(capsys, "expand", "--interp", EX1R, "--encoding", str(enc))
+    assert (code, err) == (0, "")
+    assert out.startswith("# no constraint context given; compatibility not checked\n")
+    code, out, _ = run(capsys, "validate-encoding", "--encoding", str(enc))
+    assert code == 1 and "product 1/2 * 1/2: value WRONG, closed no" in out
+
+
 def test_expand_ignores_a_wrong_value_nothing_uses(capsys, tmp_path):
     # 1/2, the one required product and the one rational entry, is right;
     # 1/3 is wrong, but nothing uses it, so only validate-encoding names it
@@ -423,17 +438,18 @@ def test_expand_ignores_a_wrong_value_nothing_uses(capsys, tmp_path):
     assert code == 1 and "value 1/3: rho 3/2 WRONG" in out
 
 
-@pytest.mark.parametrize("case", ["unused-symbol", "wrong-value"])
+@pytest.mark.parametrize("case", ["unused-symbol", "wrong-value", "unbound-parameter"])
 def test_compat_and_expand_print_the_same_incompatible_report(capsys, tmp_path, case):
     """A fault of the plan is the same INCOMPATIBLE report in compat and
     expand, which writes no --out: an entry of a symbol no rule uses that
-    the encoding lacks, or a used key whose value is wrong."""
+    the encoding lacks, or a used key whose value is wrong. An unbound
+    parameter of a symbol no rule uses is the same input error in both."""
     pi, val, enc = PI, ETA, "half"
-    if case == "unused-symbol":
+    if case != "wrong-value":
         pi, val = tmp_path / "h.pi", tmp_path / "h.val"
         pi.write_text(read("fg-params.pi") + "pinterp h : 1 = h1 | h0\n", encoding="utf-8")
-        val.write_text(read("fg-rational.val") + "param h1 = 1/3\nparam h0 = 0\n",
-                       encoding="utf-8")
+        bound = "param h1 = 1/3\n" if case == "unused-symbol" else ""
+        val.write_text(read("fg-rational.val") + bound + "param h0 = 0\n", encoding="utf-8")
         fault = "# h: entry 1/3 is neither natural nor encoded\n"
     else:
         enc = tmp_path / "bad.enc"
@@ -441,10 +457,14 @@ def test_compat_and_expand_print_the_same_incompatible_report(capsys, tmp_path, 
         fault = "# wrong values: 1/2\n"
     context = ("--trs", EX1, "--pairs", "auto", "--pinterp", str(pi), "--valuation", str(val),
                "--encoding", str(enc))
+    nat = tmp_path / "nat.interp"
+    if case == "unbound-parameter":
+        for cmd in ("compat", "expand"):
+            assert run(capsys, cmd, *context) == (2, "", "error: unbound parameter 'h1'\n")
+        return
     code, out, err = run(capsys, "compat", *context)
     assert (code, err) == (1, "")
     assert out.endswith("product 1/2: encoded\n" + fault + "RESULT: INCOMPATIBLE\n")
-    nat = tmp_path / "nat.interp"
     code, out, err = run(capsys, "expand", *context, "--out", str(nat))
     assert (code, err) == (1, "")
     assert out == ("# required products: 1/2\n# encoding compatible: NO\n" + fault

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from matint import (BlockShape, Interpretation, InterpError,
+from matint import (BlockShape, EncodingError, Interpretation, InterpError,
                     LinearFunc, Mat, catalog, check_problem,
                     collapse_interpretation, expand_rational, interp_to_bits,
                     interp_to_blocks, parse_interpretation, parse_pinterp,
                     parse_trs, parse_valuation, plan_expansion, rational_entries, rho,
-                    rho_preserved, valuation_interpretation, verify_transform)
+                    rho_preserved, valuation_entries, valuation_interpretation,
+                    verify_transform)
 from _helpers import example_one, mixed_interp, read, uniform_interp
 
 F = Fraction
@@ -178,6 +179,40 @@ def test_expansion_plan_names_a_wrong_value():
     assert plan_expansion(bad, rational_entries(interp)).faults == ("wrong values: 1/2",)
     # a required product is checked as a used key is
     assert plan_expansion(bad, req=frozenset({F(1, 3)})).faults == ("wrong values: 1/3",)
+
+
+def test_valuation_entries_are_the_entries_of_the_valuation_interpretation():
+    # compat and expand plan from valuation_entries; expand substitutes the
+    # entries of valuation_interpretation, so the two must agree
+    pi = parse_pinterp(read("fg-params.pi") + "pinterp h : 2 = h2 h1 | h0\n")
+    eta = {**parse_valuation(read("fg-rational.val")), "h2": F(1, 3), "h1": 4, "h0": F(1, 4)}
+    interp = valuation_interpretation(pi, eta)
+    assert [(s, x) for s, x in valuation_entries(pi, eta) if isinstance(x, F)] \
+        == list(rational_entries(interp))
+    del eta["h1"]
+    with pytest.raises(InterpError, match="unbound parameter 'h1'"):
+        list(valuation_entries(pi, eta))
+    with pytest.raises(InterpError, match="unbound parameter 'h1'"):
+        valuation_interpretation(pi, eta)
+
+
+def test_expand_rational_refuses_a_plan_with_a_fault():
+    # the expansion checks no entry itself, but a plan with a fault raises
+    # its first one
+    from matint import Encoding
+    interp = parse_interpretation(
+        "domain rational\ndim 1\nblock 1\ninterp f : 1\n  M1 = [1/2]\n  C = [1/3]")
+    bad = Encoding(2, {F(1, 2): Mat.ones(2)})    # rho = 2
+    for plan, message in [
+        (plan_expansion(catalog("half"), rational_entries(interp)),
+         "f: entry 1/3 is neither natural nor encoded"),
+        (plan_expansion(bad, [("f", F(1, 2))]), "wrong values: 1/2"),
+        (plan_expansion(catalog("half"), req=frozenset({F(1, 4), F(1, 8)})),
+         "missing products: 1/8, 1/4"),
+    ]:
+        with pytest.raises(EncodingError) as exc:
+            expand_rational(interp, plan)
+        assert str(exc.value) == message
 
 
 def test_verify_transform_relative(relative):
