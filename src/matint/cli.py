@@ -159,6 +159,9 @@ def _result(ok: bool, good: str, bad: str) -> int:
 
 
 def cmd_check(args) -> int:
+    for name in ("m", "delta"):
+        if args.backend == "entrywise" and getattr(args, name) is not None:
+            raise SystemExit(_usage_error(f"--{name} applies to the value backend only"))
     src = _Sources(args)
     trs = src.trs()
     pairs = src.pairs()

@@ -229,10 +229,11 @@ def _sum(a, da: int, b, db: int) -> tuple[list[int], int]:
 def eval_term(interp: Interpretation, terms, left: Mat = None):
     """The linear form ``left·[[t]]`` of a term t, or the list of the forms
     of a sequence of terms, such as the sides of one problem. Both walks
-    visit each distinct subterm once (see ``_dag``), run on int numerators
-    over one denominator per vector or matrix, read each symbol's matrices
-    as its ``LinearFunc`` compiled them, and build a ``Mat`` only for the
-    forms they return.
+    visit each distinct subterm once (see ``_dag``), so a recurring side is
+    walked once and each of its positions gets its one form; they run on
+    int numerators over one denominator per vector or matrix, read each
+    symbol's matrices as its ``LinearFunc`` compiled them, and build a
+    ``Mat`` only for the forms they return.
 
     Without ``left``, the full form ``[[t]]`` that the entrywise backend
     needs is composed bottom-up, ``[[f(t1..tk)]] = C + sum M_i·[[t_i]]``
@@ -241,13 +242,13 @@ def eval_term(interp: Interpretation, terms, left: Mat = None):
 
     With ``left`` (one row of n), the walk goes top-down, each node after
     all its parents. A node holds a row ``u = left·(the argument matrices
-    on the paths from t)`` for each term t that reaches it, the sum of its
-    paths' rows, which is exact by linearity. A variable's row is its
-    coefficient in t; a symbol adds ``u·C`` to t's constant and ``u·M_i``
-    to the row of its i-th argument. The value backend passes ``Mat.ones(1,
-    n)``, so a term costs at most O(|t|·n²), or less for big sparse
-    matrices (see ``_columns``). A ``left`` of more than one row raises
-    InterpError.
+    on the paths from t)`` for each distinct side t that reaches it, the
+    sum of its paths' rows, which is exact by linearity. A variable's row
+    is its coefficient in t; a symbol adds ``u·C`` to t's constant and
+    ``u·M_i`` to the row of its i-th argument. The value backend passes
+    ``Mat.ones(1, n)``, so a term costs at most O(|t|·n²), or less for big
+    sparse matrices (see ``_columns``). A ``left`` of more than one row
+    raises InterpError.
     """
     single = terms.__class__ in (Var, App)
     terms = (terms,) if single else tuple(terms)
@@ -257,13 +258,14 @@ def eval_term(interp: Interpretation, terms, left: Mat = None):
         return forms[0] if single else forms
     if left.shape != (1, n):
         raise InterpError(f"left factor must be 1x{n}, got {left.rows}x{left.cols}")
-    order = _dag(interp, terms)
-    # the rows of each distinct subterm: term index -> row, over a denominator
+    sides = tuple(dict.fromkeys(terms))
+    order = _dag(interp, sides)
+    # the rows of each distinct subterm: distinct side index -> row, over a denominator
     rows: dict[Term, dict[int, tuple[list[int], int]]] = {node: {} for node, _ in order}
-    for s, t in enumerate(terms):
+    for s, t in enumerate(sides):
         rows[t][s] = left.nums, left.den
-    coeffs: list[dict[str, Mat]] = [{} for _ in terms]
-    consts = [(0, 1)] * len(terms)
+    coeffs: list[dict[str, Mat]] = [{} for _ in sides]
+    consts = [(0, 1)] * len(sides)
     for node, func in reversed(order):
         if func is None:
             for s, (nums, d) in rows.pop(node).items():
@@ -296,9 +298,9 @@ def eval_term(interp: Interpretation, terms, left: Mat = None):
                         v, dv = [x // g for x in v], dv // g
                 old = into.get(s)
                 into[s] = (v, dv) if old is None else _sum(*old, v, dv)
-    forms = [LinearForm(n, form, Mat._derived(1, 1, (const,), const_den))
-             for form, (const, const_den) in zip(coeffs, consts)]
-    return forms[0] if single else forms
+    forms = {t: LinearForm(n, form, Mat._derived(1, 1, (const,), const_den))
+             for t, form, (const, const_den) in zip(sides, coeffs, consts)}
+    return forms[terms[0]] if single else [forms[t] for t in terms]
 
 
 def _dag(interp: Interpretation, terms: tuple) -> list[tuple[Term, LinearFunc | None]]:
@@ -564,22 +566,23 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     Block values are naturals in [0, bound] (halves as well for the rational
     domain), drawn with ``randint`` from a fresh ``random.Random(seed)``,
     variable by variable (in name order), block by block, trial by trial.
-    Returns the first violating assignment, or None. Arithmetic is exact,
-    in Python ints: the forms' numerators are brought over one common
-    denominator and the comparison scaled accordingly, so no magnitude
-    bound applies.
+    Returns the first violating assignment, or None.
 
     The value backend compares only the entry sums of the two values, so it
     takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
     give the same sums, hence the same witness. The entrywise backend needs
     the full forms (n rows).
 
-    Every scaled draw lies in [0, top], so a row's least gap lhs − rhs −
-    floor over the box of draws is its constant part plus top times its
-    negative coefficients. When no row's is negative, no draw is a witness
-    and None is returned without drawing, as for every correct HOLDS
-    verdict of either backend. Otherwise the trials are drawn and tested
-    one by one.
+    Each compared row is one gap row, built in one pass over both forms'
+    int numerators over their common denominator: lhs − rhs, scaled so
+    that draws are ints, minus the row's floor, as an int constant and an
+    int coefficient per variable and block. The value backend sums a full
+    form's rows into one; a variable absent from a side adds nothing there.
+    Every scaled draw lies in [0, top], so a row's least value over the box
+    of draws is its constant plus top times its negative coefficients. When
+    no row's is negative, no draw is a witness and None is returned without
+    drawing, as for every correct HOLDS verdict of either backend. Otherwise
+    the trials are drawn and tested one by one, exactly, in Python ints.
     """
     if trials < 1:
         raise InterpError(f"trials must be positive, got {trials}")
@@ -611,37 +614,31 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     scale = den * sample_den
     variables = sorted(set(lhs.coeffs) | set(rhs.coeffs))
 
-    def int_rows(form):
-        """Scaled integer coefficient rows over the variables' blocks (a
-        block-constant draw meets only a block's column sum) and constant;
-        the value backend sums the rows first."""
-        coeff_rows = [[] for _ in range(rows)]
-        for v in variables:
-            mat = form.coeff(v)
-            nums, k = mat.nums, den // mat.den
-            # every row's block sums, row by row: b divides the row length,
-            # so stride b from offset s < b meets entry s of every block
-            sums = [k * s for s in map(sum, zip(*[nums[s::b] for s in range(b)]))]
-            for i, row in enumerate(coeff_rows):
-                row += sums[i * beta:(i + 1) * beta]
-        k = scale // form.const.den
-        const = [k * e for e in form.const.nums]
-        if backend == "value":
-            coeff_rows = [[sum(col) for col in zip(*coeff_rows)]]
-            const = [sum(const)]
-        return coeff_rows, const
+    def scaled(mat):
+        """``den // mat.den`` and mat's block sums row by row (a draw is
+        block-constant; stride b from offset s < b meets entry s of every
+        block), of its column sums for the value backend; (0, zeros) if absent."""
+        if mat is None:
+            return 0, repeat(0)
+        nums = _column_sums(mat, n)[0] if backend == "value" else mat.nums
+        return den // mat.den, (nums if b == 1 else map(sum, zip(*[nums[s::b] for s in range(b)])))
 
-    (lrows, lconst), (rrows, rconst) = int_rows(lhs), int_rows(rhs)
-    # a trial fails where some row's gap lhs - rhs falls below that row's floor
-    floors = [0] * len(lconst)
+    # the coefficient of each draw row (variable by variable, block by block)
+    coeff_rows = [[] for _ in range(1 if backend == "value" else rows)]
+    for v in variables:
+        (kl, ls), (kr, rs) = scaled(lhs.coeffs.get(v)), scaled(rhs.coeffs.get(v))
+        gap = [kl * x - kr * y for x, y in zip(ls, rs)]
+        for i, row in enumerate(coeff_rows):
+            row += gap[i * beta:(i + 1) * beta]
+    # the constant of each row, less its floor
+    lc, rc = lhs.const, rhs.const
+    pairs = [(sum(lc.nums), sum(rc.nums))] if backend == "value" else zip(lc.nums, rc.nums)
+    consts = [scale // lc.den * x - scale // rc.den * y for x, y in pairs]
     if rel == "strict":
         # entrywise: the first component must exceed; value: the rho gap
         # (l - r)/(m·scale) must reach delta
-        floors[0] = 1 if backend == "entrywise" else ceil(delta * m * scale)
-    # per row: the coefficient of each draw row (variable by variable, block
-    # by block) and the constant part of the gap minus the floor
-    gaps = [(list(map(operator.sub, lrow, rrow)), lc - rc - floor)
-            for lrow, rrow, lc, rc, floor in zip(lrows, rrows, lconst, rconst, floors)]
+        consts[0] -= 1 if backend == "entrywise" else ceil(delta * m * scale)
+    gaps = list(zip(coeff_rows, consts))
     if all(g + top * sum(c for c in coeffs if c < 0) >= 0 for coeffs, g in gaps):
         return None
     rng = Random(seed)

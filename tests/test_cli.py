@@ -855,6 +855,16 @@ def test_check_rejects_bad_sampling_arguments(capsys, flags):
     assert re.search(r"expected a (nonnegative|positive) (integer|rational)", err)
 
 
+@pytest.mark.parametrize("flag", [("--m", "3"), ("--delta", "1/2")], ids=["m", "delta"])
+def test_value_only_options_are_refused_by_the_entrywise_backend(capsys, flag):
+    # the entrywise order has no divisor and no margin, so the option would
+    # be ignored; it is an input error, named before any report line
+    assert run(capsys, *CHECK, "--backend", "entrywise", *flag) == \
+        (2, "", f"error: {flag[0]} applies to the value backend only\n")
+    code, out, _ = run(capsys, *CHECK, "--backend", "value", *flag)
+    assert code in (0, 1) and f"# value params: m {3 if flag[0] == '--m' else 2}" in out
+
+
 def test_check_trials_leaves_numpy_random_unloaded():
     # sampling is exact Python-int arithmetic: numpy, whose import costs
     # about half of the CLI's start-up and 13 MB per process, stays unloaded

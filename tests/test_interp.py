@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     LinearFunc, Mat, Var, check_entrywise, check_problem,
@@ -665,6 +666,72 @@ def _reference_witness(lhs, rhs, rel, shape, backend, m, delta, trials, bound, s
         if bad:
             return point
     return None
+
+
+def _near_forms(rng, n, domain):
+    """Two full forms of dimension n whose gap lhs - rhs is near zero: the
+    right side is the left one with some entries lowered, and in about half
+    of the draws one entry raised, so that witnesses are as common as none.
+    Each variable is on both sides, on one side only, or on neither."""
+    dens = (1,) if domain == "natural" else (1, 2, 3)
+
+    def entry():
+        return F(rng.randint(0, 4), rng.choice(dens)) if rng.random() < 0.7 else 0
+
+    def lowered(entries):
+        return [max(0, e - rng.choice((1, 0, 0, 0))) for e in entries]
+
+    lhs, rhs = {}, {}
+    for v in ("x", "y", "z"):
+        entries = [entry() for _ in range(n * n)]
+        place = rng.choice(("both", "left", "right", "neither"))
+        if place in ("both", "left"):
+            lhs[v] = entries
+        if place in ("both", "right"):
+            rhs[v] = lowered(entries) if place == "both" else entries
+    lconst = [entry() for _ in range(n)]
+    rconst = lowered(lconst)
+    if rng.random() < 0.5:
+        raised = rng.choice((*rhs.values(), rconst))
+        raised[rng.randrange(len(raised))] += F(rng.randint(1, 3), rng.choice(dens))
+    return tuple(LinearForm(n, {v: Mat(n, n, tuple(c)) for v, c in coeffs.items() if any(c)},
+                            Mat.column(const))
+                 for coeffs, const in ((lhs, lconst), (rhs, rconst)))
+
+
+def test_sample_falsify_property_agrees_with_reference():
+    """sample_falsify gives the reference's first witness, or None as it
+    does, on near-zero gaps: block sizes 1-3, value forms with projected
+    and with full rows, entrywise forms with full rows, variables absent on
+    one side, both domains, both relations and seeds 0, -5 and 2**70. Over
+    the run, every kind of form gives both None and witnesses."""
+    kinds = ("value projected", "value full", "entrywise full")
+    outcomes, one_sided = set(), set()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from(kinds), st.sampled_from(("natural", "rational")),
+           st.sampled_from(("weak", "strict")), st.sampled_from((0, -5, 2 ** 70)))
+    def agrees(draw_seed, block, beta, kind, domain, rel, seed):
+        rng = random.Random(draw_seed)
+        shape = BlockShape(block * beta, block)
+        n, backend = shape.dim, kind.split()[0]
+        lhs, rhs = _near_forms(rng, n, domain)
+        delta = F(rng.randint(1, 3), rng.randint(1, 3)) if rel == "strict" else None
+        kw = dict(m=rng.randint(1, n + 1), delta=delta, trials=rng.choice((1, 20, 60)),
+                  bound=rng.choice((0, 1, 3, 10)), seed=seed, domain=domain)
+        want = _reference_witness(lhs, rhs, rel, shape, backend, **kw)
+        if kind == "value projected":
+            ones = Mat.ones(1, n)
+            lhs, rhs = (LinearForm(n, {v: ones * c for v, c in f.coeffs.items()},
+                                   ones * f.const) for f in (lhs, rhs))
+        assert sample_falsify(lhs, rhs, rel, shape, backend, **kw) == want
+        outcomes.add((kind, want is None))
+        one_sided.add(set(lhs.coeffs) != set(rhs.coeffs))
+
+    agrees()
+    assert outcomes == {(kind, none) for kind in kinds for none in (True, False)}
+    assert one_sided == {True, False}
 
 
 def test_sample_falsify_same_witness_on_full_and_projected_forms():

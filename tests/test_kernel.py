@@ -330,7 +330,9 @@ def test_checks_of_one_interpretation_compile_each_matrix_once(monkeypatch):
 def _problem(rng, names=("x", "y")):
     """The sides of a problem whose terms share subterms as a TRS's rules
     and pairs do: sides that are subterms of other sides, contexts over
-    them, and the same term twice."""
+    them, and the same term twice. Now and then an earlier side recurs
+    later in the list, as every pair of one rule repeats that rule's left
+    side."""
     sides = []
     for _ in range(rng.randint(1, 5)):
         lhs = _term(rng, 4, names)
@@ -339,6 +341,9 @@ def _problem(rng, names=("x", "y")):
         sides += [lhs, rhs]
     for _ in range(rng.randint(0, 4)):
         sides.append(App("p", (rng.choice(sides), rng.choice(sides))))
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        at = rng.randint(1, len(sides))
+        sides.insert(at, rng.choice(sides[:at]))
     return sides
 
 
@@ -367,6 +372,56 @@ def test_problem_walk_agrees_with_reference_per_side(seed, kind):
         assert eval_term(interp, sides, left) == [ref.eval_term(interp, t, left) for t in sides]
     if n <= 16:
         assert eval_term(interp, sides) == [ref.eval_term(interp, t) for t in sides]
+
+
+def test_problem_sides_recur():
+    """``_problem`` repeats an earlier side in many of its problems, not in
+    all, so the walk above meets recurring sides under every left factor."""
+    rng = random.Random(100)
+    recurring = sum(len(set(sides)) < len(sides) for sides in (_problem(rng) for _ in range(200)))
+    assert 60 <= recurring < 200
+
+
+def test_recurring_sides_take_the_work_of_their_distinct_sides(monkeypatch):
+    """A side list with repeats, in any order, takes exactly the table
+    lookups and ``_mat_vec`` steps of its distinct sides, and every
+    position of a side gets that side's one form."""
+
+    class Counting(dict):
+        gets = 0
+
+        def __getitem__(self, key):
+            Counting.gets += 1
+            return super().__getitem__(key)
+
+    steps = []
+    product = interp_module._mat_vec
+
+    def recording(lines, vec):
+        steps.append(len(lines))
+        return product(lines, vec)
+
+    def work(interp, sides, left):
+        Counting.gets = 0
+        steps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(interp_module, "_mat_vec", recording)
+            forms = eval_term(interp, sides, left)
+        return forms, Counting.gets, list(steps)
+
+    rng = random.Random(101)
+    for _ in range(40):
+        interp = _interp(rng, rng.choice(("natural", "rational")))
+        object.__setattr__(interp, "table", Counting(interp.table))
+        distinct = list(dict.fromkeys(_problem(rng)))
+        sides = distinct + [rng.choice(distinct) for _ in range(rng.randint(1, 6))]
+        rng.shuffle(sides)
+        for left in (Mat.ones(1, interp.shape.dim), _row(rng, interp.shape.dim)):
+            forms, gets, taken = work(interp, sides, left)
+            _, want_gets, want_taken = work(interp, list(dict.fromkeys(sides)), left)
+            assert (gets, taken) == (want_gets, want_taken)
+            assert forms == [ref.eval_term(interp, t, left) for t in sides]
+            assert all(form is forms[sides.index(t)] for t, form in zip(sides, forms))
 
 
 def _first_error(evaluate, sides):
