@@ -162,29 +162,31 @@ def cmd_check(args) -> int:
     for name in ("m", "delta"):
         if args.backend == "entrywise" and getattr(args, name) is not None:
             raise SystemExit(_usage_error(f"--{name} applies to the value backend only"))
+    bound = None
+    if args.trials:
+        bound = 10 if args.bound is None else args.bound
+    elif args.bound is not None:
+        raise SystemExit(_usage_error("--bound applies only with --trials"))
     src = _Sources(args)
     trs = src.trs()
     pairs = src.pairs()
     interp = src.interp()
     report = check_problem(trs, pairs, interp, args.backend,
-                           m=args.m, delta=args.delta, trials=args.trials,
-                           bound=args.bound, seed=args.seed)
+                           m=args.m, delta=args.delta, bound=bound)
     header = [f"# check: backend {args.backend}, dim {interp.shape.dim}, "
               f"block {interp.shape.block}, {len(trs.rules)} rule(s), "
               f"{len(pairs)} pair(s)"]
     if report.backend == "value":
         header.append(f"# value params: m {report.m}, delta {report.delta}")
     _print_report(report, header)
-    if args.trials:
-        for check in report.checks:
-            if not check.verdict.holds:
-                continue
-            if check.witness is None:
-                print(f"# sampled {check.label}: no witness "
-                      f"({args.trials} trials, seed {args.seed})")
-            else:
-                print(f"# sampled {check.label}: WITNESS {check.witness} "
-                      f"contradicts the symbolic verdict")
+    for check in report.checks:
+        if bound is None or not check.verdict.holds:
+            continue
+        if check.witness is None:
+            print(f"# sampled {check.label}: no witness (block values in [0, {bound}])")
+        else:
+            print(f"# sampled {check.label}: WITNESS {check.witness} "
+                  f"contradicts the symbolic verdict")
     return _result(report.holds and report.consistent, "SATISFIED",
                    "VIOLATED" if report.consistent else "DISAGREEMENT")
 
@@ -433,10 +435,11 @@ _OPTIONS = {
                   help="strictness margin (default: file delta, else 1/m; "
                        "eval-valuation: any positive gap)"),
     "trials": dict(type=_natural, default=0,
-                   help="cross-check Holds verdicts on this many sampled tuples"),
-    "bound": dict(type=_natural, default=10,
-                  help="sampled block values range over [0, bound]"),
-    "seed": dict(type=int, default=0, help="sampling seed"),
+                   help="any N >= 1 cross-checks Holds verdicts at the worst corner "
+                        "of the box of block values"),
+    "bound": dict(type=_natural,
+                  help="with --trials: block values range over [0, bound] (default 10)"),
+    "seed": dict(type=int, default=0, help="ignored; kept for existing command lines"),
     "legacy-names": dict(action="store_true", help="render f# as F when unambiguous"),
     "factor": dict(type=_positive, help="lift factor (default: max entry)"),
     "block": dict(type=_positive, help="block size to collapse (default: the file's block)"),

@@ -11,8 +11,8 @@ decide universally quantified orderings between forms:
   sums of each coefficient dominate, so this backend evaluates only the
   projected forms ``1ᵀ·[[t]]``.
 
-A seeded random falsifier cross-checks the symbolic verdicts on concrete
-tuples.
+A falsifier cross-checks the symbolic verdicts on concrete tuples: the
+worst corner of a box of block values.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress, repeat
 from math import ceil, gcd, lcm
-from random import Random
 from types import MappingProxyType
 
-from .matrix import (LineError, Mat, MatrixError, Rat, Record, _rat_str, as_rat, entry_strs,
+from .matrix import (LineError, Mat, MatrixError, Rat, Record, _rat_str, entry_strs,
                      format_matrix, line_kinds, parse_matrix, parse_rat, read_lines)
 from .trs import App, Rule, Term, Trs, Var
 
@@ -490,7 +489,7 @@ class ConstraintCheck(Record):
         __class__._set_rule(self, rule)
         __class__._set_rel(self, rel)
         __class__._set_verdict(self, verdict)
-        __class__._set_witness(self, witness)  # a sample that refutes HOLDS, if found
+        __class__._set_witness(self, witness)  # a tuple that refutes HOLDS, if found
 
 
 class CheckReport(Record):
@@ -509,20 +508,18 @@ class CheckReport(Record):
 
     @property
     def consistent(self) -> bool:
-        """No sampled tuple contradicts a symbolic verdict."""
+        """No witness contradicts a symbolic verdict."""
         return all(c.witness is None for c in self.checks)
 
 
 def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value",
-                  m: int = None, delta: Fraction = None, trials: int = 0,
-                  bound: int = 10, seed: int = 0) -> CheckReport:
+                  m: int = None, delta: Fraction = None, bound: int = None) -> CheckReport:
     """Weak check for every rule, strict check for every pair; all must hold.
 
     Value-backend defaults: m is the dimension; delta is the file's delta,
-    else 1/m. With ``trials`` > 0, ``sample_falsify`` cross-checks every HOLDS
-    verdict on the forms the check just computed, and the check keeps the
-    witness it finds (or None). A HOLDS verdict that is right leaves no
-    witness in the box of draws, so its check draws nothing.
+    else 1/m. With a ``bound``, ``sample_falsify`` cross-checks every HOLDS
+    verdict over the block values in [0, bound], on the forms the check just
+    computed, and the check keeps the witness it finds (or None).
     """
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
@@ -545,28 +542,22 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
             else:
                 verdict = check_value(lhs, rhs, rel, m, delta)
             witness = None
-            if trials and verdict.holds:
+            if bound is not None and verdict.holds:
                 witness = sample_falsify(lhs, rhs, rel, interp.shape, backend,
-                                         m=m, delta=delta, trials=trials, bound=bound,
-                                         seed=seed, domain=interp.domain)
+                                         m=m, delta=delta, bound=bound)
             checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, verdict, witness))
     if backend == "entrywise":
         m = delta = None
     return CheckReport(backend, m, delta, tuple(checks))
 
 
-# --- sampling falsifier ---
+# --- falsifier ---
 
 def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape,
                    backend: str = "value", m: int = None, delta: Fraction = None,
-                   trials: int = 1000, bound: int = 10, seed: int = 0,
-                   domain: str = "natural") -> dict[str, tuple] | None:
-    """Search for a concrete block-constant tuple violating lhs REL rhs.
-
-    Block values are naturals in [0, bound] (halves as well for the rational
-    domain), drawn with ``randint`` from a fresh ``random.Random(seed)``,
-    variable by variable (in name order), block by block, trial by trial.
-    Returns the first violating assignment, or None.
+                   bound: int = 10) -> dict[str, tuple] | None:
+    """A block-constant tuple with block values in [0, bound] that violates
+    lhs REL rhs, or None if there is none.
 
     The value backend compares only the entry sums of the two values, so it
     takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
@@ -574,18 +565,15 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     the full forms (n rows).
 
     Each compared row is one gap row, built in one pass over both forms'
-    int numerators over their common denominator: lhs − rhs, scaled so
-    that draws are ints, minus the row's floor, as an int constant and an
-    int coefficient per variable and block. The value backend sums a full
-    form's rows into one; a variable absent from a side adds nothing there.
-    Every scaled draw lies in [0, top], so a row's least value over the box
-    of draws is its constant plus top times its negative coefficients. When
-    no row's is negative, no draw is a witness and None is returned without
-    drawing, as for every correct HOLDS verdict of either backend. Otherwise
-    the trials are drawn and tested one by one, exactly, in Python ints.
+    int numerators over their common denominator: lhs − rhs, scaled to ints,
+    minus the row's floor, as an int constant and an int coefficient per
+    variable and block. The value backend sums a full form's rows into one;
+    a variable absent from a side adds nothing there. A row's least value
+    over the box is its constant plus bound times its negative coefficients,
+    reached at the corner that is bound where the coefficient is negative
+    and 0 elsewhere. So a tuple violates exactly when some row's least value
+    is negative, and the corner of the first such row is returned.
     """
-    if trials < 1:
-        raise InterpError(f"trials must be positive, got {trials}")
     if bound < 0:
         raise InterpError(f"bound must be nonnegative, got {bound}")
     if backend not in ("entrywise", "value"):
@@ -604,18 +592,12 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
         m = n if m is None else m
         if rel == "strict" and (delta is None or delta <= 0):
             raise InterpError("strict value sampling needs delta > 0")
-    # denominator 2 admits non-integer rational samples in the rational domain
-    sample_den = 1 if domain == "natural" else 2
-    top = bound * sample_den
     den = lcm(*(mat.den for form in (lhs, rhs)
                 for mat in (*form.coeffs.values(), form.const)))
-    # draws carry a factor sample_den, so coefficients scale by den only and
-    # constants by the full den*sample_den: every value ends up scaled equally
-    scale = den * sample_den
     variables = sorted(set(lhs.coeffs) | set(rhs.coeffs))
 
     def scaled(mat):
-        """``den // mat.den`` and mat's block sums row by row (a draw is
+        """``den // mat.den`` and mat's block sums row by row (a tuple is
         block-constant; stride b from offset s < b meets entry s of every
         block), of its column sums for the value backend; (0, zeros) if absent."""
         if mat is None:
@@ -623,7 +605,7 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
         nums = _column_sums(mat, n)[0] if backend == "value" else mat.nums
         return den // mat.den, (nums if b == 1 else map(sum, zip(*[nums[s::b] for s in range(b)])))
 
-    # the coefficient of each draw row (variable by variable, block by block)
+    # the coefficient of each block value in each row (variable by variable, block by block)
     coeff_rows = [[] for _ in range(1 if backend == "value" else rows)]
     for v in variables:
         (kl, ls), (kr, rs) = scaled(lhs.coeffs.get(v)), scaled(rhs.coeffs.get(v))
@@ -633,22 +615,15 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
     # the constant of each row, less its floor
     lc, rc = lhs.const, rhs.const
     pairs = [(sum(lc.nums), sum(rc.nums))] if backend == "value" else zip(lc.nums, rc.nums)
-    consts = [scale // lc.den * x - scale // rc.den * y for x, y in pairs]
+    consts = [den // lc.den * x - den // rc.den * y for x, y in pairs]
     if rel == "strict":
         # entrywise: the first component must exceed; value: the rho gap
-        # (l - r)/(m·scale) must reach delta
-        consts[0] -= 1 if backend == "entrywise" else ceil(delta * m * scale)
-    gaps = list(zip(coeff_rows, consts))
-    if all(g + top * sum(c for c in coeffs if c < 0) >= 0 for coeffs, g in gaps):
-        return None
-    rng = Random(seed)
-    draws = [[rng.randint(0, top) for _ in range(trials)]
-             for _ in range(len(variables) * beta)]
-    for t in range(trials):
-        point = [row[t] for row in draws]
-        if any(g + sum(map(operator.mul, coeffs, point)) < 0 for coeffs, g in gaps):
-            return {v: tuple(as_rat(Fraction(point[k * beta + i], sample_den))
-                             for i in range(beta) for _ in range(b))
+        # (l - r)/(m·den) must reach delta
+        consts[0] -= 1 if backend == "entrywise" else ceil(delta * m * den)
+    for coeffs, g in zip(coeff_rows, consts):
+        if g + bound * sum(c for c in coeffs if c < 0) < 0:
+            corner = [bound if c < 0 else 0 for c in coeffs]
+            return {v: tuple(x for x in corner[k * beta:(k + 1) * beta] for _ in range(b))
                     for k, v in enumerate(variables)}
     return None
 

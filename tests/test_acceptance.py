@@ -268,10 +268,8 @@ def test_criterion_9_backend_oracle_consistency():
                         continue
                     lhs = eval_term(interp, rule.lhs)
                     rhs = eval_term(interp, rule.rhs)
-                    for seed in (0, 1, 2):
-                        assert sample_falsify(lhs, rhs, rel, interp.shape, backend,
-                                              m=m, delta=delta, trials=1000,
-                                              bound=10, seed=seed) is None
+                    assert sample_falsify(lhs, rhs, rel, interp.shape, backend,
+                                          m=m, delta=delta, bound=10) is None
                     examined += 1
             before = check_problem(trs, pairs, interp, "value")
             after = check_problem(trs, pairs, interp_to_blocks(interp), "value")

@@ -737,7 +737,7 @@ def test_check_with_sampling_cross_check(capsys):
                        "--interp", EX2, "--backend", "entrywise",
                        "--trials", "200", "--seed", "7")
     assert code == 0
-    assert out.count("no witness (200 trials, seed 7)") == 4
+    assert out.count("no witness (block values in [0, 10])") == 4
     assert "RESULT: SATISFIED" in out
 
 
@@ -746,7 +746,7 @@ def test_check_value_backend_with_sampling(capsys, tmp_path):
                        "--interp", EX1R, "--backend", "value",
                        "--trials", "300", "--seed", "4")
     assert code == 0
-    assert out.count("no witness (300 trials, seed 4)") == 4
+    assert out.count("no witness (block values in [0, 10])") == 4
     assert out.splitlines()[-1] == "RESULT: SATISFIED"
     # only HOLDS verdicts are sampled; a FAILS verdict stays VIOLATED
     bad = tmp_path / "bad.interp"
@@ -762,28 +762,26 @@ def test_check_value_backend_with_sampling(capsys, tmp_path):
     assert out.splitlines()[-1] == "RESULT: VIOLATED"
 
 
-def test_holds_checks_draw_nothing(capsys, monkeypatch):
-    """A right HOLDS verdict leaves no witness in the box of draws, so
-    sampling it draws nothing and adds only its no-witness line."""
-    import matint.interp
-
-    def no_draws(*args):
-        raise AssertionError("drew from the stream")
-
+def test_holds_checks_draw_nothing(capsys):
+    """A right HOLDS verdict leaves no witness in the box, and no module
+    draws at random: sampling it adds only its no-witness line."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matint":
+            assert not any(hasattr(module, attr) for attr in ("random", "Random", "randint")), \
+                name
     for interp in (EX2, EX1R):
         for backend in ("entrywise", "value"):
             argv = ("check", "--trs", EX1, "--pairs", "auto", "--interp", interp,
                     "--backend", backend)
             plain = run(capsys, *argv)
-            with monkeypatch.context() as patch:
-                patch.setattr(matint.interp, "Random", no_draws)
-                code, out, err = run(capsys, *argv, "--trials", "1000")
+            code, out, err = run(capsys, *argv, "--trials", "1000")
             lines = out.splitlines()
             sampled = [line for line in lines if line.startswith("# sampled")]
             assert (code, [line for line in lines if line not in sampled], err) == \
                 (plain[0], plain[1].splitlines(), plain[2])
             assert len(sampled) == plain[1].count("HOLDS") > 0
-            assert all(line.endswith("no witness (1000 trials, seed 0)") for line in sampled)
+            assert all(line.endswith("no witness (block values in [0, 10])")
+                       for line in sampled)
 
 
 @pytest.mark.parametrize("backend", ["entrywise", "value"])
@@ -804,7 +802,7 @@ def test_check_trials_evaluates_each_side_once(capsys, monkeypatch, backend):
     sides = [t for rule in (*trs.rules, *pairs) for t in (rule.lhs, rule.rhs)]
     code, out, _ = run(capsys, "check", "--trs", EX1, "--pairs", "auto",
                        "--interp", EX2, "--backend", backend, "--trials", "100")
-    assert code == 0 and out.count("no witness (100 trials, seed 0)") == 4
+    assert code == 0 and out.count("no witness (block values in [0, 10])") == 4
     # one evaluation for the problem, of its 2 rules and 2 pairs, receiving
     # each of the 8 sides once: sampling reuses the forms
     assert calls == [sides]
@@ -863,6 +861,27 @@ def test_value_only_options_are_refused_by_the_entrywise_backend(capsys, flag):
         (2, "", f"error: {flag[0]} applies to the value backend only\n")
     code, out, _ = run(capsys, *CHECK, "--backend", "value", *flag)
     assert code in (0, 1) and f"# value params: m {3 if flag[0] == '--m' else 2}" in out
+
+
+def test_bound_without_trials_is_refused(capsys):
+    # without --trials nothing is cross-checked, so the bound would be
+    # ignored; it is an input error, named before any report line
+    assert run(capsys, *CHECK, "--bound", "3") == \
+        (2, "", "error: --bound applies only with --trials\n")
+    code, out, _ = run(capsys, *CHECK, "--trials", "1", "--bound", "3")
+    assert code == 0 and out.count("no witness (block values in [0, 3])") == 4
+
+
+def test_trials_and_seed_do_not_change_the_report(capsys):
+    # the falsifier is exact: --trials only switches it on, --seed is ignored
+    for interp, backend in ((EX2, "entrywise"), (EX1R, "value")):
+        argv = ("check", "--trs", EX1, "--pairs", "auto", "--interp", interp,
+                "--backend", backend)
+        first = run(capsys, *argv, "--trials", "1")
+        assert first[0] == 0 and first[1].count("# sampled") == 4
+        for trials in ("1", "1000"):
+            for seed in ("0", "-5", str(2 ** 70)):
+                assert run(capsys, *argv, "--trials", trials, "--seed", seed) == first
 
 
 def test_check_trials_leaves_numpy_random_unloaded():
