@@ -162,17 +162,12 @@ def cmd_check(args) -> int:
     for name in ("m", "delta"):
         if args.backend == "entrywise" and getattr(args, name) is not None:
             raise SystemExit(_usage_error(f"--{name} applies to the value backend only"))
-    bound = None
-    if args.trials:
-        bound = 10 if args.bound is None else args.bound
-    elif args.bound is not None:
-        raise SystemExit(_usage_error("--bound applies only with --trials"))
     src = _Sources(args)
     trs = src.trs()
     pairs = src.pairs()
     interp = src.interp()
     report = check_problem(trs, pairs, interp, args.backend,
-                           m=args.m, delta=args.delta, bound=bound)
+                           m=args.m, delta=args.delta, falsify=args.trials > 0)
     header = [f"# check: backend {args.backend}, dim {interp.shape.dim}, "
               f"block {interp.shape.block}, {len(trs.rules)} rule(s), "
               f"{len(pairs)} pair(s)"]
@@ -180,10 +175,10 @@ def cmd_check(args) -> int:
         header.append(f"# value params: m {report.m}, delta {report.delta}")
     _print_report(report, header)
     for check in report.checks:
-        if bound is None or not check.verdict.holds:
+        if not (args.trials and check.verdict.holds):
             continue
         if check.witness is None:
-            print(f"# sampled {check.label}: no witness (block values in [0, {bound}])")
+            print(f"# sampled {check.label}: no witness (block values >= 0)")
         else:
             print(f"# sampled {check.label}: WITNESS {check.witness} "
                   f"contradicts the symbolic verdict")
@@ -313,14 +308,11 @@ def cmd_expand(args) -> int:
             "expand needs --interp, or --pinterp with --valuation, not both"))
     if args.interp is not None:
         rational = src.interp()
-        values = rational_entries(rational)
-    else:   # the entries compat reads
-        pi, eta = src.pinterp(), src.valuation()
-        rational = valuation_interpretation(pi, eta, args.delta)
-        values = valuation_entries(pi, eta)
+    else:
+        rational = valuation_interpretation(src.pinterp(), src.valuation(), args.delta)
     context = args.trs and args.pinterp is not None
     req = src.required() if context else frozenset()
-    plan = plan_expansion(enc, values, req)
+    plan = plan_expansion(enc, rational_entries(rational), req)
     if context:
         print(f"# required products: {_values(req)}")
         print(f"# encoding compatible: {'yes' if plan.compatible else 'NO'}")
@@ -404,7 +396,6 @@ def _integer_from(low: int, what: str):
     return parse
 
 
-_natural = _integer_from(0, "nonnegative")
 _positive = _integer_from(1, "positive")
 
 
@@ -434,11 +425,9 @@ _OPTIONS = {
     "delta": dict(type=_delta,
                   help="strictness margin (default: file delta, else 1/m; "
                        "eval-valuation: any positive gap)"),
-    "trials": dict(type=_natural, default=0,
-                   help="any N >= 1 cross-checks Holds verdicts at the worst corner "
-                        "of the box of block values"),
-    "bound": dict(type=_natural,
-                  help="with --trials: block values range over [0, bound] (default 10)"),
+    "trials": dict(type=_integer_from(0, "nonnegative"), default=0,
+                   help="any N >= 1 cross-checks Holds verdicts over all "
+                        "block-constant tuples"),
     "seed": dict(type=int, default=0, help="ignored; kept for existing command lines"),
     "legacy-names": dict(action="store_true", help="render f# as F when unambiguous"),
     "factor": dict(type=_positive, help="lift factor (default: max entry)"),
@@ -450,7 +439,7 @@ _OPTIONS = {
 # order; a trailing "!" marks a required option.
 _COMMANDS = {
     "check": (cmd_check, "check rules weakly and pairs strictly",
-              "trs! pairs interp! backend m delta trials bound seed"),
+              "trs! pairs interp! backend m delta trials seed"),
     "dps": (cmd_dps, "print dependency pairs", "trs! legacy-names out"),
     "gen-constraints": (cmd_gen_constraints, "generate symbolic arithmetic constraints",
                         "trs! pairs pinterp!"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 
 from .constraints import ArithConstraint, fold_words
@@ -72,13 +73,20 @@ _UNIT = re.compile(r"unit(?::(\d+)|\((\d+)\))")
 
 
 def catalog(name: str) -> Encoding:
-    """Known-good encodings: half, quarters, eighths, sixths, unit(n)."""
+    """Known-good encodings: half, quarters, eighths, sixths, unit(n). The
+    named ones are immutable, so each is built once per process; unit(n) is
+    built per call, so that no n x n matrix outlives its use."""
     unit = _UNIT.fullmatch(name)
     if unit:
         n = int(unit[1] or unit[2])
         if n < 2:
             raise EncodingError(f"unit({n}) has no value in (0,1)")
         return Encoding(n, {Fraction(1, n): jordan(n, n - 1)})
+    return _named(name)
+
+
+@cache
+def _named(name: str) -> Encoding:
     if name == "half":
         return Encoding(2, {Fraction(1, 2): jordan(2)})
     if name == "quarters":

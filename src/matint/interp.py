@@ -11,8 +11,8 @@ decide universally quantified orderings between forms:
   sums of each coefficient dominate, so this backend evaluates only the
   projected forms ``1ᵀ·[[t]]``.
 
-A falsifier cross-checks the symbolic verdicts on concrete tuples: the
-worst corner of a box of block values.
+A falsifier cross-checks the symbolic verdicts over all block-constant
+tuples: the first gap row that is negative somewhere gives a witness.
 """
 
 from __future__ import annotations
@@ -513,13 +513,13 @@ class CheckReport(Record):
 
 
 def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value",
-                  m: int = None, delta: Fraction = None, bound: int = None) -> CheckReport:
+                  m: int = None, delta: Fraction = None, falsify: bool = False) -> CheckReport:
     """Weak check for every rule, strict check for every pair; all must hold.
 
     Value-backend defaults: m is the dimension; delta is the file's delta,
-    else 1/m. With a ``bound``, ``sample_falsify`` cross-checks every HOLDS
-    verdict over the block values in [0, bound], on the forms the check just
-    computed, and the check keeps the witness it finds (or None).
+    else 1/m. With ``falsify``, ``sample_falsify`` cross-checks every HOLDS
+    verdict on the forms the check just computed. Each distinct constraint
+    (lhs, rhs and relation) is decided once, for all of its labels.
     """
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
@@ -534,18 +534,22 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
     forms = iter(eval_term(interp, [t for _, rules, _ in problem for rule in rules
                                     for t in (rule.lhs, rule.rhs)], left))
     checks: list[ConstraintCheck] = []
+    decided = {}  # (lhs, rhs, rel) -> (verdict, witness)
     for label, rules, rel in problem:
         for idx, rule in enumerate(rules, start=1):
             lhs, rhs = next(forms), next(forms)
-            if backend == "entrywise":
-                verdict = check_entrywise(lhs, rhs, rel)
-            else:
-                verdict = check_value(lhs, rhs, rel, m, delta)
-            witness = None
-            if bound is not None and verdict.holds:
-                witness = sample_falsify(lhs, rhs, rel, interp.shape, backend,
-                                         m=m, delta=delta, bound=bound)
-            checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, verdict, witness))
+            key = rule.lhs, rule.rhs, rel
+            if key not in decided:
+                if backend == "entrywise":
+                    verdict = check_entrywise(lhs, rhs, rel)
+                else:
+                    verdict = check_value(lhs, rhs, rel, m, delta)
+                witness = None
+                if falsify and verdict.holds:
+                    witness = sample_falsify(lhs, rhs, rel, interp.shape, backend,
+                                             m=m, delta=delta)
+                decided[key] = verdict, witness
+            checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, *decided[key]))
     if backend == "entrywise":
         m = delta = None
     return CheckReport(backend, m, delta, tuple(checks))
@@ -554,28 +558,25 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
 # --- falsifier ---
 
 def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape,
-                   backend: str = "value", m: int = None, delta: Fraction = None,
-                   bound: int = 10) -> dict[str, tuple] | None:
-    """A block-constant tuple with block values in [0, bound] that violates
-    lhs REL rhs, or None if there is none.
+                   backend: str = "value", m: int = None,
+                   delta: Fraction = None) -> dict[str, tuple] | None:
+    """A block-constant tuple of naturals that violates lhs REL rhs, or
+    None if no block-constant tuple does.
 
-    The value backend compares only the entry sums of the two values, so it
-    takes the full forms or the projected forms ``1ᵀ·[[t]]`` (one row): both
-    give the same sums, hence the same witness. The entrywise backend needs
-    the full forms (n rows).
+    The value backend compares only entry sums, so it takes the full forms
+    or the projected forms ``1ᵀ·[[t]]`` (one row) alike, with the same
+    witness; the entrywise backend needs the full forms (n rows).
 
     Each compared row is one gap row, built in one pass over both forms'
     int numerators over their common denominator: lhs − rhs, scaled to ints,
-    minus the row's floor, as an int constant and an int coefficient per
-    variable and block. The value backend sums a full form's rows into one;
-    a variable absent from a side adds nothing there. A row's least value
-    over the box is its constant plus bound times its negative coefficients,
-    reached at the corner that is bound where the coefficient is negative
-    and 0 elsewhere. So a tuple violates exactly when some row's least value
-    is negative, and the corner of the first such row is returned.
+    minus the row's floor, as an int constant g and an int coefficient per
+    variable and block (the value backend sums a full form's rows into one).
+    A gap row is affine in the block values, so it is negative somewhere
+    exactly when g or a coefficient is negative. The first such row gives
+    the witness: the zero tuple when g < 0, else ``top = g // |sum of its
+    negative coefficients| + 1``, the least value at which the row is
+    negative, on each block whose coefficient is negative and 0 elsewhere.
     """
-    if bound < 0:
-        raise InterpError(f"bound must be nonnegative, got {bound}")
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
     n, b, beta = shape.dim, shape.block, shape.beta
@@ -621,8 +622,10 @@ def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape
         # (l - r)/(m·den) must reach delta
         consts[0] -= 1 if backend == "entrywise" else ceil(delta * m * den)
     for coeffs, g in zip(coeff_rows, consts):
-        if g + bound * sum(c for c in coeffs if c < 0) < 0:
-            corner = [bound if c < 0 else 0 for c in coeffs]
+        down = -sum(c for c in coeffs if c < 0)
+        if g < 0 or down:
+            top = 0 if g < 0 else g // down + 1
+            corner = [top if c < 0 else 0 for c in coeffs]
             return {v: tuple(x for x in corner[k * beta:(k + 1) * beta] for _ in range(b))
                     for k, v in enumerate(variables)}
     return None

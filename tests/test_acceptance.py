@@ -269,7 +269,7 @@ def test_criterion_9_backend_oracle_consistency():
                     lhs = eval_term(interp, rule.lhs)
                     rhs = eval_term(interp, rule.rhs)
                     assert sample_falsify(lhs, rhs, rel, interp.shape, backend,
-                                          m=m, delta=delta, bound=10) is None
+                                          m=m, delta=delta) is None
                     examined += 1
             before = check_problem(trs, pairs, interp, "value")
             after = check_problem(trs, pairs, interp_to_blocks(interp), "value")

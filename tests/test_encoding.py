@@ -7,6 +7,7 @@ import pytest
 from matint import (ArithConstraint, Encoding, EncodingError, Mat, catalog,
                     format_matrix, is_compatible, jordan, load_encoding,
                     parse_encoding, required_products, rho, validate)
+from matint.encoding import CATALOG_NAMES
 from _helpers import as_words, rand_rat_mat, valuation
 
 
@@ -56,6 +57,15 @@ def test_catalog_unit():
         catalog("unit:1")
     with pytest.raises(EncodingError):
         catalog("nonesuch")
+
+
+def test_named_catalog_encodings_are_built_once_per_process():
+    # an Encoding is immutable, so every load of a named one shares it;
+    # unit(n) and files are built per call
+    for name in CATALOG_NAMES:
+        assert load_encoding(name) is load_encoding(name) is catalog(name)
+    assert load_encoding("unit:3") is not load_encoding("unit:3")
+    assert load_encoding("unit:3").table == catalog("unit(3)").table
 
 
 def test_catalog_sixths_layout():

@@ -1,4 +1,4 @@
-import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     parse_matrix, parse_trs, rho, sample_falsify, subterms,
                     value_collapse)
 import matint.interp as interp_module
-from matint.matrix import as_rat
 from _reference import from_rows
 from _helpers import (example_one, mixed_interp, rand_const_scalar_block_mat,
                       read, uniform_interp)
@@ -549,7 +548,7 @@ def test_sample_falsify_finds_witness_on_broken_interp(ex2):
     lhs = eval_term(broken, pairs[1].lhs)
     rhs = eval_term(broken, pairs[1].rhs)
     assert not check_entrywise(lhs, rhs, "strict").holds
-    witness = sample_falsify(lhs, rhs, "strict", broken.shape, "entrywise", bound=10)
+    witness = sample_falsify(lhs, rhs, "strict", broken.shape, "entrywise")
     assert witness is not None
     x = Mat.column(witness["x"])
     lval = lhs.coeffs["x"] * x + lhs.const
@@ -586,14 +585,34 @@ def test_sample_falsify_block_constant_draws():
 
 
 def test_sample_falsify_finds_a_witness_only_at_the_top_corner():
-    # 59 >= x1 + ... + x6 fails only where every block value is 10: one
-    # point of 11**6, which 1000 random draws would miss with probability
-    # about 0.9994
+    # 59 >= x1 + ... + x6 fails where every block value is top = 59 // 6 + 1
+    # = 10, and holds where every one is 9
     lhs = LinearForm(6, {}, Mat.column([59, 0, 0, 0, 0, 0]))
     rhs = LinearForm(6, {"x": Mat.identity(6)}, Mat.zero(6, 1))
-    witness = sample_falsify(lhs, rhs, "weak", BlockShape(6, 1), "value", bound=10)
+    witness = sample_falsify(lhs, rhs, "weak", BlockShape(6, 1), "value")
     assert witness == {"x": (10, 10, 10, 10, 10, 10)}
-    assert sample_falsify(lhs, rhs, "weak", BlockShape(6, 1), "value", bound=9) is None
+    assert not _violates(lhs, rhs, "weak", "value", 6, None, {"x": (9,) * 6})
+
+
+def test_sample_falsify_finds_a_witness_past_any_box():
+    # 100 >= x fails first at x = 101: no fixed bound below 101 would
+    # reach the witness
+    lhs, rhs = _form(1, {}, [100]), _form(1, {"x": [[1]]}, [0])
+    for backend in ("value", "entrywise"):
+        assert sample_falsify(lhs, rhs, "weak", BlockShape(1, 1), backend) == {"x": (101,)}
+
+
+def test_sample_falsify_top_of_a_strict_value_row():
+    # projected forms of dim 2 and block 2, m = 2, delta = 1/3: with x the
+    # block value, (x + 7/2 - (3/2 + 1)·x) / 2 >= 1/3 holds for x = 1 and
+    # fails first at x = 2
+    lhs = LinearForm(2, {"x": Mat(1, 2, (1, 0))}, Mat(1, 1, (F(7, 2),)))
+    rhs = LinearForm(2, {"x": Mat(1, 2, (F(3, 2), 1))}, Mat(1, 1, (0,)))
+    kw = dict(m=2, delta=F(1, 3))
+    assert sample_falsify(lhs, rhs, "strict", BlockShape(2, 2), "value", **kw) == \
+        {"x": (2, 2)}
+    assert not _violates(lhs, rhs, "strict", "value", point={"x": (1, 1)}, **kw)
+    assert _violates(lhs, rhs, "strict", "value", point={"x": (2, 2)}, **kw)
 
 
 def test_backend_soundness_on_random_corpus():
@@ -612,34 +631,30 @@ def test_backend_soundness_on_random_corpus():
                     continue
                 lhs, rhs = eval_term(interp, rule.lhs), eval_term(interp, rule.rhs)
                 assert sample_falsify(lhs, rhs, rel, interp.shape, backend,
-                                      m=report.m, delta=report.delta, bound=10) is None
+                                      m=report.m, delta=report.delta) is None
                 examined += 1
     assert examined > 100
 
 
 def test_sample_falsify_rational_scaling_exact():
-    # x + 1 >= 2x fails exactly for x > 1; with block values capped at 1
-    # there is no witness, and any witness found at a larger bound must
-    # truly violate
+    # x + 1 >= 2x fails exactly for x > 1: the witness is the least natural
+    # past 1 on both backends
     lhs = LinearForm(1, {"x": Mat(1, 1, (1,))}, Mat(1, 1, (1,)))
     rhs = LinearForm(1, {"x": Mat(1, 1, (2,))}, Mat(1, 1, (0,)))
     shape = BlockShape(1, 1)
     for backend in ("value", "entrywise"):
-        assert sample_falsify(lhs, rhs, "weak", shape, backend, bound=1) is None
-        witness = sample_falsify(lhs, rhs, "weak", shape, backend, bound=3)
-        assert witness is not None and witness["x"][0] > 1
+        assert _reference_witness(lhs, rhs, "weak", shape, backend, m=1,
+                                  delta=None) == {"x": (2,)}
 
 
 def test_sample_falsify_rational_domain_takes_natural_corners():
-    # 2x >= x + 1 fails on [0, 1), halves included; the box's corner 0 is a
+    # 2x >= x + 1 fails on [0, 1), halves included; the zero tuple is a
     # witness, and so the rational domain needs no half-valued tuple
     shape = BlockShape(1, 1)
     lhs = LinearForm(1, {"x": Mat(1, 1, (2,))}, Mat(1, 1, (0,)))
     rhs = LinearForm(1, {"x": Mat(1, 1, (1,))}, Mat(1, 1, (1,)))
-    for seed in (5, -5):
-        assert _reference_witness(lhs, rhs, "weak", shape, "value", m=1, delta=None,
-                                  bound=2, domain="rational", trials=400,
-                                  seed=seed) == {"x": (0,)}
+    assert _reference_witness(lhs, rhs, "weak", shape, "value", m=1,
+                              delta=None) == {"x": (0,)}
 
 
 def _violates(lhs, rhs, rel, backend, m, delta, point):
@@ -655,42 +670,63 @@ def _violates(lhs, rhs, rel, backend, m, delta, point):
     return sum(lval) < sum(rval)
 
 
-def _reference_witness(lhs, rhs, rel, shape, backend, m, delta, bound, domain="natural",
-                       trials=200, seed=0, given=None):
+def _reference_witness(lhs, rhs, rel, shape, backend, m, delta, given=None):
     """``sample_falsify``'s witness on the forms ``given`` (default: lhs and
-    rhs, which must be full forms), checked by exact evaluation of the full
-    forms at each point: (a) it is None exactly when no block-constant point
-    of the box [0, bound] violates, which every point of a box of at most
-    4096 points shows; (b) a witness is a corner of the box that violates;
-    (c) when ``trials`` random tuples violate, drawn with randint from
-    ``random.Random(seed)`` (halves as well in the rational domain), so does
-    some corner."""
-    got = sample_falsify(*(given or (lhs, rhs)), rel, shape, backend, m=m, delta=delta,
-                         bound=bound)
+    rhs, which must be full forms), asserted equal to a probe reference's.
+
+    The reference reads each compared row's gap (lhs − rhs, less m·delta on
+    a strict value row) as an affine function of the block values, by exact
+    evaluation of the full forms once at the zero tuple and once at each
+    block's unit tuple. A row fails somewhere exactly when it fails at zero
+    or a coefficient is negative; the first such row gives the witness: the
+    zero tuple when it fails at zero, else the least natural top at which
+    it fails, on each block whose coefficient is negative, 0 elsewhere. No
+    such row means no block-constant tuple violates. A witness must also
+    violate by ``_violates``."""
+    got = sample_falsify(*(given or (lhs, rhs)), rel, shape, backend, m=m, delta=delta)
     b, beta = shape.block, shape.beta
     variables = sorted(set(lhs.coeffs) | set(rhs.coeffs))
+    size = len(variables) * beta
 
     def point(values):
         return {v: tuple(values[k * beta + i] for i in range(beta) for _ in range(b))
                 for k, v in enumerate(variables)}
 
-    def violates(values):
-        return _violates(lhs, rhs, rel, backend, m, delta, point(values))
+    def gaps(values):
+        lval, rval = (sum((form.coeff(v) * Mat.column(x) for v, x in point(values).items()),
+                          form.const).entries
+                      for form in (lhs, rhs))
+        if backend == "entrywise":
+            return [F(l) - r for l, r in zip(lval, rval)]
+        return [F(sum(lval)) - sum(rval) - (m * delta if rel == "strict" else 0)]
 
+    def fails(row, gap):
+        return gap < 0 or (gap == 0 and rel == "strict" and backend == "entrywise" and row == 0)
+
+    at_zero = gaps([0] * size)
+    units = [gaps([int(i == j) for i in range(size)]) for j in range(size)]
+    want = None
+    for row, const in enumerate(at_zero):
+        coeffs = [unit[row] - const for unit in units]
+        down = -sum(c for c in coeffs if c < 0)
+        if fails(row, const):
+            want = point([0] * size)
+        elif down:
+            top = math.ceil(const / down)
+            top += not fails(row, const - down * top)
+            want = point([top if c < 0 else 0 for c in coeffs])
+        else:
+            continue
+        break
+    assert got == want, (got, want)
     if got is not None:
-        corner = [got[v][i * b] for v in variables for i in range(beta)]
-        assert got == point(corner) and set(corner) <= {0, bound}, got
-        assert violates(corner), got
-    if (bound + 1) ** (len(variables) * beta) <= 4096:
-        box = itertools.product(range(bound + 1), repeat=len(variables) * beta)
-        assert (got is None) == (not any(map(violates, box)))
-    den = 1 if domain == "natural" else 2
-    rng = random.Random(seed)
-    draws = [[as_rat(F(rng.randint(0, bound * den), den)) for _ in range(len(variables) * beta)]
-             for _ in range(trials)]
-    if any(map(violates, draws)):
-        assert got is not None
+        assert _violates(lhs, rhs, rel, backend, m, delta, got), got
     return got
+
+
+def _largest(witness):
+    """The largest block value of a witness, 0 for None or no variable."""
+    return max((max(x) for x in (witness or {}).values()), default=0)
 
 
 def _near_forms(rng, n, domain):
@@ -725,32 +761,31 @@ def _near_forms(rng, n, domain):
 
 
 def test_sample_falsify_property_agrees_with_reference():
-    """sample_falsify agrees with the box reference on near-zero gaps: block
-    sizes 1-3, value forms with projected and with full rows, entrywise
-    forms with full rows, variables absent on one side, both domains, both
-    relations, and the reference's random draws from seeds 0, -5 and 2**70.
-    Over the run, every kind of form gives both None and witnesses."""
+    """sample_falsify agrees with the probe reference on near-zero gaps:
+    block sizes 1-3, value forms with projected and with full rows,
+    entrywise forms with full rows, variables absent on one side, natural
+    and rational entries, both relations. Over the run, every kind of form
+    gives both None and witnesses."""
     kinds = ("value projected", "value full", "entrywise full")
     outcomes, one_sided = set(), set()
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 2),
            st.sampled_from(kinds), st.sampled_from(("natural", "rational")),
-           st.sampled_from(("weak", "strict")), st.sampled_from((0, -5, 2 ** 70)))
-    def agrees(draw_seed, block, beta, kind, domain, rel, seed):
+           st.sampled_from(("weak", "strict")))
+    def agrees(draw_seed, block, beta, kind, domain, rel):
         rng = random.Random(draw_seed)
         shape = BlockShape(block * beta, block)
         n, backend = shape.dim, kind.split()[0]
         lhs, rhs = _near_forms(rng, n, domain)
         delta = F(rng.randint(1, 3), rng.randint(1, 3)) if rel == "strict" else None
-        kw = dict(m=rng.randint(1, n + 1), delta=delta, trials=rng.choice((1, 20, 60)),
-                  bound=rng.choice((0, 1, 3, 10)), seed=seed, domain=domain)
         given = None
         if kind == "value projected":
             ones = Mat.ones(1, n)
             given = [LinearForm(n, {v: ones * c for v, c in f.coeffs.items()}, ones * f.const)
                      for f in (lhs, rhs)]
-        want = _reference_witness(lhs, rhs, rel, shape, backend, given=given, **kw)
+        want = _reference_witness(lhs, rhs, rel, shape, backend, m=rng.randint(1, n + 1),
+                                  delta=delta, given=given)
         outcomes.add((kind, want is None))
         one_sided.add(set(lhs.coeffs) != set(rhs.coeffs))
 
@@ -768,23 +803,19 @@ def test_sample_falsify_same_witness_on_full_and_projected_forms():
         terms = (_rand_term(rng, 3, ("x", "y")), _rand_term(rng, 3, ("x", "y", "z")))
         full = [eval_term(interp, t) for t in terms]
         projected = [eval_term(interp, t, Mat.ones(1, n)) for t in terms]
-        seed = rng.choice((0, -5, 2 ** 70, rng.randrange(1000)))
-        # bounds well past 10: a natural bound of 300, a rational one of 200
-        bound = rng.choice((0, 1, 3, 10, 300 if interp.domain == "natural" else 200))
         for rel, delta in (("weak", None), ("strict", F(1, n)),
                            ("strict", F(rng.randint(1, 4), rng.randint(1, 4)))):
-            kw = dict(m=n, delta=delta, trials=30, bound=bound, seed=seed,
-                      domain=interp.domain)
-            want = _reference_witness(*full, rel, shape, "value", **kw)
-            assert _reference_witness(*full, rel, shape, "value", given=projected,
-                                      **kw) == want
+            want = _reference_witness(*full, rel, shape, "value", m=n, delta=delta)
+            assert _reference_witness(*full, rel, shape, "value", m=n, delta=delta,
+                                      given=projected) == want
             found.add((rel, shape.block, want is None))
-            if bound > 10:
-                wide.add((interp.domain, want is None))
-            _reference_witness(*full, rel, shape, "entrywise", **kw)
+            # witnesses with a block value above 10
+            if _largest(want) > 10:
+                wide.add(interp.domain)
+            _reference_witness(*full, rel, shape, "entrywise", m=n, delta=delta)
     assert {(rel, block, False) for rel in ("weak", "strict") for block in (1, 2)} <= found
     assert ("weak", 2, True) in found and ("strict", 2, True) in found
-    assert {(domain, False) for domain in ("natural", "rational")} <= wide
+    assert wide == {"natural", "rational"}
 
 
 def test_sample_falsify_big_values_stay_exact():
@@ -795,43 +826,43 @@ def test_sample_falsify_big_values_stay_exact():
     rhs = LinearForm(2, {"x": from_rows([[big, 1], [0, big - 1]]),
                          "y": from_rows([[1, 0], [0, 0]])}, Mat.column([0, 7]))
     ones = Mat.ones(1, 2)
+    projected = [LinearForm(2, {v: ones * c for v, c in f.coeffs.items()}, ones * f.const)
+                 for f in (lhs, rhs)]
     for rel, delta in (("weak", None), ("strict", F(1, 5)), ("strict", F(big, 3))):
-        for seed in (0, 1, 2):
-            kw = dict(m=2, delta=delta, trials=50, bound=10, seed=seed, domain="rational")
-            _reference_witness(lhs, rhs, rel, shape, "entrywise", **kw)
-            want = _reference_witness(lhs, rhs, rel, shape, "value", **kw)
-            projected = [LinearForm(2, {v: ones * c for v, c in f.coeffs.items()},
-                                    ones * f.const) for f in (lhs, rhs)]
-            assert _reference_witness(lhs, rhs, rel, shape, "value", given=projected,
-                                      **kw) == want
+        kw = dict(m=2, delta=delta)
+        _reference_witness(lhs, rhs, rel, shape, "entrywise", **kw)
+        want = _reference_witness(lhs, rhs, rel, shape, "value", **kw)
+        assert _reference_witness(lhs, rhs, rel, shape, "value", given=projected,
+                                  **kw) == want
 
 
 def test_sample_falsify_mixed_denominators():
     # coefficients in thirds (and a sixth), constants in halves (and a
-    # quarter): the falsifier's common denominator must scale each exactly
+    # quarter): the falsifier's common denominator must scale each exactly.
+    # ``rhs`` is above lhs in some entry of every coefficient, ``low`` below
+    # it in every entry
     lhs = LinearForm(2, {"x": from_rows([[F(1, 3), F(2, 3)], [0, F(4, 3)]]),
                          "y": from_rows([[F(1, 6), 0], [F(2, 3), 0]])},
                      Mat.column([F(1, 2), F(3, 2)]))
     rhs = LinearForm(2, {"x": from_rows([[F(2, 3), 0], [F(1, 3), 1]]),
                          "z": from_rows([[0, F(1, 3)], [0, 0]])},
                      Mat.column([F(1, 4), F(1, 2)]))
+    low = LinearForm(2, {"x": from_rows([[F(1, 6), F(1, 3)], [0, 1]]),
+                         "y": from_rows([[F(1, 6), 0], [F(1, 3), 0]])},
+                     Mat.column([F(1, 4), F(3, 2)]))
     ones = Mat.ones(1, 2)
-    projected = [LinearForm(2, {v: ones * c for v, c in f.coeffs.items()}, ones * f.const)
-                 for f in (lhs, rhs)]
     outcomes = set()
     for shape in (BlockShape(2, 1), BlockShape(2, 2)):
-        for domain in ("natural", "rational"):
+        for right in (rhs, low):
+            projected = [LinearForm(2, {v: ones * c for v, c in f.coeffs.items()},
+                                    ones * f.const) for f in (lhs, right)]
             for rel, delta in (("weak", None), ("strict", F(1, 3)), ("strict", F(5, 6))):
-                # every entrywise comparison fails at a corner of [0, 1]; the
-                # zero box holds them
-                for seed, bound in ((0, 1), (1, 3), (2, 10), (3, 2), (4, 0)):
-                    kw = dict(m=2, delta=delta, trials=40, bound=bound, seed=seed,
-                              domain=domain)
-                    wants = {backend: _reference_witness(lhs, rhs, rel, shape, backend, **kw)
-                             for backend in ("entrywise", "value")}
-                    outcomes |= {(backend, want is None) for backend, want in wants.items()}
-                    assert _reference_witness(lhs, rhs, rel, shape, "value", given=projected,
-                                              **kw) == wants["value"]
+                kw = dict(m=2, delta=delta)
+                wants = {backend: _reference_witness(lhs, right, rel, shape, backend, **kw)
+                         for backend in ("entrywise", "value")}
+                outcomes |= {(backend, want is None) for backend, want in wants.items()}
+                assert _reference_witness(lhs, right, rel, shape, "value", given=projected,
+                                          **kw) == wants["value"]
     assert outcomes == {(b, found) for b in ("entrywise", "value") for found in (True, False)}
 
 
@@ -844,20 +875,16 @@ def test_sample_falsify_rejects_bad_arguments(ex2):
         sample_falsify(*projected, "weak", ex2.shape, "entrywise")
     with pytest.raises(InterpError, match="rows"):
         sample_falsify(full[0], projected[1], "weak", ex2.shape, "value")
-    with pytest.raises(InterpError, match="bound"):
-        sample_falsify(*full, "weak", ex2.shape, "value", bound=-1)
-    assert sample_falsify(*projected, "weak", ex2.shape, "value", bound=0) is None
+    assert sample_falsify(*projected, "weak", ex2.shape, "value") is None
 
 
 def test_check_problem_samples_holds_verdicts(ex62):
     trs, pairs = example_one()
     for backend in ("entrywise", "value"):
         plain = check_problem(trs, pairs, ex62, backend)
-        sampled = check_problem(trs, pairs, ex62, backend, bound=5)
+        sampled = check_problem(trs, pairs, ex62, backend, falsify=True)
         assert [c.verdict for c in sampled.checks] == [c.verdict for c in plain.checks]
         assert sampled.consistent and all(c.witness is None for c in sampled.checks)
-    with pytest.raises(InterpError, match="bound"):
-        check_problem(trs, pairs, ex62, "value", bound=-1)
 
 
 def test_check_problem_gives_the_witnesses_of_separate_calls(monkeypatch):
@@ -874,21 +901,51 @@ def test_check_problem_gives_the_witnesses_of_separate_calls(monkeypatch):
     found = set()
     for shape in (BlockShape(2, 1), BlockShape(4, 2), BlockShape(3, 1)):
         for domain in ("natural", "rational"):
-            for bound in (3, 10, 1):
+            for _ in range(3):
                 interp = _rand_interp(rng, shape, domain)
                 n = shape.dim
                 for backend in ("entrywise", "value"):
-                    report = check_problem(trs, pairs, interp, backend, bound=bound)
+                    report = check_problem(trs, pairs, interp, backend, falsify=True)
                     left = Mat.ones(1, n) if backend == "value" else None
                     sides = [(r, "weak") for r in trs.rules] + [(r, "strict") for r in pairs]
                     for check, (rule, rel) in zip(report.checks, sides):
                         lhs, rhs = (eval_term(interp, t, left) for t in (rule.lhs, rule.rhs))
                         want = sample_falsify(lhs, rhs, rel, shape, backend, m=n,
-                                              delta=F(1, n), bound=bound)
+                                              delta=F(1, n))
                         assert check.witness == want
                         found.add((shape.block, domain, backend, want is None))
     assert found == {(b, d, be, none) for b in (1, 2) for d in ("natural", "rational")
                      for be in ("entrywise", "value") for none in (True, False)}
+
+
+def test_check_problem_decides_each_distinct_constraint_once(monkeypatch):
+    # rule 2 repeats rule 1, and pair 2 pair 1; pair 1 is rule 1 again, but
+    # strict. Each distinct (lhs, rhs, relation) is compared and falsified
+    # once, and each of its labels gets its verdict and witness
+    trs = parse_trs("(VAR x) (RULES f(g(x)) -> f(x) f(g(x)) -> f(x) g(x) -> x)")
+    pairs = parse_trs("(VAR x) (RULES f(g(x)) -> f(x) f(g(x)) -> f(x))").rules
+    interp = parse_interpretation("domain natural\ndim 2\nblock 1\n"
+                                  "interp f : 1\n  M1 = [1 0 ; 0 1]\n  C = [0 ; 0]\n"
+                                  "interp g : 1\n  M1 = [1 0 ; 0 1]\n  C = [2 ; 2]\n")
+    calls = []
+    for name in ("check_entrywise", "check_value", "sample_falsify"):
+        def counting(*args, _name=name, _original=getattr(interp_module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(interp_module, name, counting)
+    for backend in ("entrywise", "value"):
+        calls.clear()
+        check_problem(trs, pairs, interp, backend)
+        assert calls == [f"check_{backend}"] * 3
+        calls.clear()
+        report = check_problem(trs, pairs, interp, backend, falsify=True)
+        assert sorted(calls) == sorted([f"check_{backend}"] * 3 + ["sample_falsify"] * 3)
+        assert [c.label for c in report.checks] == \
+            ["rule 1", "rule 2", "rule 3", "pair 1", "pair 2"]
+        assert [c.rule for c in report.checks] == [*trs.rules, *pairs]
+        checks = report.checks
+        assert checks[0].verdict is checks[1].verdict and checks[3].verdict is checks[4].verdict
+        assert all(c.verdict.holds and c.witness is None for c in checks)
 
 
 def _form(dim, coeffs, const):
@@ -898,92 +955,93 @@ def _form(dim, coeffs, const):
 
 
 def test_sample_edge_cases_match_reference():
-    # (backend, rel, m, delta, lhs, rhs, bound, trials, domain, witness found)
+    # (backend, rel, m, delta, lhs, rhs, witness found)
     x1 = lambda c, k: _form(1, {"x": [[c]]} if c else {}, [k])
     big = 2 ** 70
     cases = [
         # a gap at the floor holds, one below it fails
-        ("entrywise", "weak", 1, None, x1(2, 0), x1(1, 0), 5, 50, "natural", False),
-        ("entrywise", "weak", 1, None, x1(2, 0), x1(1, 1), 5, 50, "natural", True),
-        ("value", "weak", 1, None, x1(2, 0), x1(1, 0), 5, 50, "rational", False),
-        ("value", "weak", 1, None, x1(2, 0), x1(1, 1), 5, 50, "rational", True),
-        ("entrywise", "strict", 1, None, x1(2, 1), x1(1, 0), 5, 50, "natural", False),
-        ("entrywise", "strict", 1, None, x1(2, 1), x1(1, 1), 5, 50, "natural", True),
-        ("value", "strict", 1, F(1), x1(1, 1), x1(1, 0), 5, 50, "natural", False),
-        ("value", "strict", 1, F(1), x1(1, 1), x1(2, 0), 5, 50, "natural", True),
-        ("value", "strict", 3, F(1, 3), x1(1, 1), x1(1, 0), 5, 50, "rational", False),
-        ("value", "strict", 3, F(1, 2), x1(1, 1), x1(1, 0), 5, 50, "rational", True),
-        # block values reach the top of the box
-        ("entrywise", "weak", 1, None, x1(1, 0), x1(0, 0), 128, 2000, "natural", False),
-        ("value", "weak", 1, None, x1(1, 32), x1(0, 0), 32, 1000, "rational", False),
-        ("value", "weak", 1, None, x1(256, 0), x1(0, 0), 128, 2000, "natural", False),
-        ("entrywise", "weak", 1, None, x1(1, 0), x1(0, 1), 127, 2000, "natural", True),
-        # bound 0: every block value is 0
-        ("entrywise", "weak", 1, None, x1(1, 0), x1(2, 0), 0, 10, "natural", False),
-        ("entrywise", "strict", 1, None, x1(1, 0), x1(1, 0), 0, 10, "rational", True),
-        # one random tuple in the reference
-        ("value", "weak", 1, None, x1(1, 0), x1(2, 0), 10, 1, "natural", True),
-        ("value", "weak", 1, None, x1(3, 0), x1(2, 0), 10, 1, "natural", False),
+        ("entrywise", "weak", 1, None, x1(2, 0), x1(1, 0), False),
+        ("entrywise", "weak", 1, None, x1(2, 0), x1(1, 1), True),
+        ("value", "weak", 1, None, x1(2, 0), x1(1, 0), False),
+        ("value", "weak", 1, None, x1(2, 0), x1(1, 1), True),
+        ("entrywise", "strict", 1, None, x1(2, 1), x1(1, 0), False),
+        ("entrywise", "strict", 1, None, x1(2, 1), x1(1, 1), True),
+        ("value", "strict", 1, F(1), x1(1, 1), x1(1, 0), False),
+        ("value", "strict", 1, F(1), x1(1, 1), x1(2, 0), True),
+        ("value", "strict", 3, F(1, 3), x1(1, 1), x1(1, 0), False),
+        ("value", "strict", 3, F(1, 2), x1(1, 1), x1(1, 0), True),
+        # large coefficients and constants
+        ("entrywise", "weak", 1, None, x1(1, 0), x1(0, 0), False),
+        ("value", "weak", 1, None, x1(1, 32), x1(0, 0), False),
+        ("value", "weak", 1, None, x1(256, 0), x1(0, 0), False),
+        ("entrywise", "weak", 1, None, x1(1, 0), x1(0, 1), True),
+        # x >= 2x holds at the zero tuple only
+        ("entrywise", "weak", 1, None, x1(1, 0), x1(2, 0), True),
+        ("entrywise", "strict", 1, None, x1(1, 0), x1(1, 0), True),
+        ("value", "weak", 1, None, x1(1, 0), x1(2, 0), True),
+        ("value", "weak", 1, None, x1(3, 0), x1(2, 0), False),
         # ground rules
-        ("entrywise", "weak", 1, None, x1(0, 1), x1(0, 2), 10, 5, "natural", True),
-        ("value", "strict", 1, F(1), x1(0, 2), x1(0, 1), 10, 5, "rational", False),
-        ("value", "strict", 1, F(3, 2), x1(0, 2), x1(0, 1), 10, 5, "rational", True),
+        ("entrywise", "weak", 1, None, x1(0, 1), x1(0, 2), True),
+        ("value", "strict", 1, F(1), x1(0, 2), x1(0, 1), False),
+        ("value", "strict", 1, F(3, 2), x1(0, 2), x1(0, 1), True),
         # negative gaps larger than any positive one
-        ("entrywise", "weak", 1, None, _form(1, {"y": [[1]]}, [5]), x1(100, 0), 10, 60,
-         "natural", True),
+        ("entrywise", "weak", 1, None, _form(1, {"y": [[1]]}, [5]), x1(100, 0), True),
         ("value", "weak", 1, None, _form(1, {"y": [[1]]}, [0]),
-         _form(1, {"y": [[1]], "x": [[300]]}, [0]), 1, 60, "natural", True),
+         _form(1, {"y": [[1]], "x": [[300]]}, [0]), True),
         # entries up to 2**70
-        ("entrywise", "weak", 1, None, x1(big, big), x1(big, big), 10, 40, "natural", False),
-        ("entrywise", "strict", 1, None, x1(big, big), x1(big, big), 10, 40, "natural", True),
+        ("entrywise", "weak", 1, None, x1(big, big), x1(big, big), False),
+        ("entrywise", "strict", 1, None, x1(big, big), x1(big, big), True),
         ("value", "weak", 1, None, _form(1, {"x": [[big]]}, [big]),
-         _form(1, {"x": [[big]], "y": [[1]]}, [big - 3]), 10, 40, "rational", True),
-        ("value", "strict", 1, F(big), x1(big + 1, big), x1(1, 0), 10, 40, "natural", False),
-        ("value", "strict", 1, F(big + 1), x1(big + 1, big), x1(1, 0), 10, 40, "natural", True),
+         _form(1, {"x": [[big]], "y": [[1]]}, [big - 3]), True),
+        ("value", "strict", 1, F(big), x1(big + 1, big), x1(1, 0), False),
+        ("value", "strict", 1, F(big + 1), x1(big + 1, big), x1(1, 0), True),
     ]
-    for backend, rel, m, delta, lhs, rhs, bound, trials, domain, found in cases:
-        for seed in (0, -5, 2 ** 70):
-            kw = dict(m=m, delta=delta, trials=trials, bound=bound, seed=seed, domain=domain)
-            want = _reference_witness(lhs, rhs, rel, BlockShape(1, 1), backend, **kw)
-            assert (want is not None) == found, (backend, rel, lhs, rhs, kw)
+    for backend, rel, m, delta, lhs, rhs, found in cases:
+        want = _reference_witness(lhs, rhs, rel, BlockShape(1, 1), backend, m=m, delta=delta)
+        assert (want is not None) == found, (backend, rel, lhs, rhs)
 
 
 def test_sample_witness_is_the_corner_of_the_first_failing_row():
     # entrywise rows fail at different tuples, or only one row fails: the
-    # witness is the worst corner of the first row that can fail
+    # witness is that of the first row that fails somewhere, the zero tuple
+    # where that row fails at zero (on the strict first row, a zero gap
+    # fails), else its top on its negative blocks
     shape = BlockShape(2, 1)
     eye = Mat.identity(2)
     cases = [
         (_form(2, {"x": [[1, 0], [0, 1]]}, [0, 0]), _form(2, {"x": [[2, 0], [0, 0]]}, [0, 0]),
-         {"x": (10, 0)}, {"x": (10, 0)}),
+         {"x": (1, 0)}, {"x": (0, 0)}),
         (_form(2, {"x": [[1, 0], [0, 1]]}, [0, 0]), _form(2, {"x": [[0, 0], [0, 2]]}, [0, 0]),
-         {"x": (0, 10)}, {"x": (0, 0)}),
+         {"x": (0, 1)}, {"x": (0, 0)}),
         (_form(2, {"x": [[1, 0], [0, 1]]}, [8, 8]), _form(2, {"x": [[2, 0], [0, 2]]}, [0, 0]),
-         {"x": (10, 0)}, {"x": (10, 0)}),
+         {"x": (9, 0)}, {"x": (8, 0)}),
         (LinearForm(2, {"x": eye, "y": eye}, Mat.column([0, 5])),
          LinearForm(2, {"x": eye.scale(2)}, Mat.column([3, 0])),
-         {"x": (10, 0), "y": (0, 0)}, {"x": (10, 0), "y": (0, 0)}),
+         {"x": (0, 0), "y": (0, 0)}, {"x": (0, 0), "y": (0, 0)}),
     ]
     for lhs, rhs, weak, strict in cases:
-        for seed in (0, -5, 2 ** 70):
-            for rel, corner in (("weak", weak), ("strict", strict)):
-                kw = dict(m=2, delta=F(1, 2), trials=200, bound=10, seed=seed,
-                          domain="natural")
-                assert _reference_witness(lhs, rhs, rel, shape, "entrywise", **kw) == corner
+        for rel, corner in (("weak", weak), ("strict", strict)):
+            assert _reference_witness(lhs, rhs, rel, shape, "entrywise", m=2,
+                                      delta=F(1, 2)) == corner
 
 
 def test_sampling_argument_errors_come_before_any_draw(ex62):
+    # an unknown backend, or a strict value comparison without delta, is
+    # refused before any gap row is built
     trs, pairs = example_one()
-    with pytest.raises(InterpError, match="bound"):
-        check_problem(trs, pairs, ex62, "value", bound=-1)
+    with pytest.raises(InterpError, match="unknown backend"):
+        check_problem(trs, pairs, ex62, "bits", falsify=True)
     full = [eval_term(ex62, t) for t in (trs.rules[0].lhs, trs.rules[0].rhs)]
-    with pytest.raises(InterpError, match="bound"):
-        sample_falsify(*full, "weak", ex62.shape, "value", bound=-1)
+    with pytest.raises(InterpError, match="unknown backend"):
+        sample_falsify(*full, "weak", ex62.shape, "bits")
+    with pytest.raises(InterpError, match="delta"):
+        sample_falsify(*full, "strict", ex62.shape, "value")
 
 
 def test_uniform_corpus_holds_checks_draw_nothing():
     # the 200-instance corpus of acceptance criterion 9, cross-checked by
-    # check_problem over the box [0, 10]: no HOLDS verdict has a witness
+    # check_problem over all block-constant tuples: no HOLDS verdict has a
+    # witness
     trs = parse_trs(read("fg.trs"))
     pairs = dependency_pairs(trs)
     sampled = 0
@@ -991,42 +1049,28 @@ def test_uniform_corpus_holds_checks_draw_nothing():
         interp = uniform_interp(random.Random(3000 + i))
         for backend in ("entrywise", "value"):
             plain = check_problem(trs, pairs, interp, backend)
-            report = check_problem(trs, pairs, interp, backend, bound=10)
+            report = check_problem(trs, pairs, interp, backend, falsify=True)
             assert [c.verdict for c in report.checks] == [c.verdict for c in plain.checks]
             assert report.consistent
             sampled += sum(c.verdict.holds for c in plain.checks)
     assert sampled >= 400
 
 
-def test_box_bound_edges_match_reference():
-    # gap(x, y) = d + y - x over the box [0, bound]^2, whose least value is
-    # d - bound, at the corner x = bound, y = 0. Per case, the least d -
-    # bound at which no tuple fails (1 for strict entrywise over naturals,
-    # 1/2 where the reference also draws halves), and the one below it, whose
-    # failing tuples lie at the box's edge
+def test_top_edges_match_reference():
+    # gap(x, y) = d + y - x fails somewhere for every d >= 0, first at
+    # x = top, y = 0, where top is the least natural at which it fails: for
+    # d in (0, 1/2, 1, 3, 7/2), the tops of each backend, relation and delta
+    # (m = 1), with 0 for the zero tuple
     cases = [
-        ("entrywise", "weak", "natural", None, 0, -1),
-        ("value", "weak", "natural", None, 0, -1),
-        ("entrywise", "weak", "rational", None, 0, -1),
-        ("value", "weak", "rational", None, 0, -1),
-        ("entrywise", "strict", "natural", None, 1, 0),
-        ("entrywise", "strict", "rational", None, F(1, 2), 0),
-        ("value", "strict", "natural", F(1), 1, 0),
-        ("value", "strict", "rational", F(1, 2), F(1, 2), 0),
+        ("entrywise", "weak", None, (1, 1, 2, 4, 4)),
+        ("value", "weak", None, (1, 1, 2, 4, 4)),
+        ("entrywise", "strict", None, (0, 1, 1, 3, 4)),
+        ("value", "strict", F(1), (0, 0, 1, 3, 3)),
+        ("value", "strict", F(1, 2), (0, 1, 1, 3, 4)),
     ]
     shape = BlockShape(1, 1)
-
-    def forms(d):
-        lhs = _form(1, {"y": [[1]]}, [max(d, 0)])
-        return lhs, _form(1, {"x": [[1]]}, [max(-d, 0)])
-
-    for backend, rel, domain, delta, holds, fails in cases:
-        for bound in (0, 3):
-            for seed in (0, -5):
-                kw = dict(m=1, delta=delta, trials=300, bound=bound, seed=seed,
-                          domain=domain)
-                lhs, rhs = forms(bound + holds)
-                assert _reference_witness(lhs, rhs, rel, shape, backend, **kw) is None
-                lhs, rhs = forms(bound + fails)
-                want = _reference_witness(lhs, rhs, rel, shape, backend, **kw)
-                assert want == {"x": (bound,), "y": (0,)}, (backend, rel, domain, bound, seed)
+    for backend, rel, delta, tops in cases:
+        for d, top in zip((0, F(1, 2), 1, 3, F(7, 2)), tops):
+            lhs, rhs = _form(1, {"y": [[1]]}, [d]), _form(1, {"x": [[1]]}, [0])
+            want = _reference_witness(lhs, rhs, rel, shape, backend, m=1, delta=delta)
+            assert want == {"x": (top,), "y": (0,)}, (backend, rel, delta, d)
