@@ -143,6 +143,12 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _witness(check) -> str:
+    """A FAILS check's witness, ``x=(0,3), y=(1,1)``, or ``(ground)`` with no variable."""
+    return ", ".join(f"{v}=({','.join(map(str, xs))})" for v, xs in check.witness.items()) \
+        or "(ground)"
+
+
 def _print_report(report, header=()):
     for line in header:
         print(line)
@@ -150,7 +156,8 @@ def _print_report(report, header=()):
     for check, text in zip(report.checks, texts):
         print(f"{check.label}: {text} [{check.rel}]: "
               f"{'HOLDS' if check.verdict.holds else 'FAILS'}"
-              + (f" | {check.verdict.detail}" if check.verdict.detail else ""))
+              + (f" | {check.verdict.detail}" if check.verdict.detail else "")
+              + ("" if check.verdict.holds else f" | witness {_witness(check)}"))
 
 
 def _result(ok: bool, good: str, bad: str) -> int:
@@ -166,24 +173,18 @@ def cmd_check(args) -> int:
     trs = src.trs()
     pairs = src.pairs()
     interp = src.interp()
-    report = check_problem(trs, pairs, interp, args.backend,
-                           m=args.m, delta=args.delta, falsify=args.trials > 0)
+    report = check_problem(trs, pairs, interp, args.backend, m=args.m, delta=args.delta)
     header = [f"# check: backend {args.backend}, dim {interp.shape.dim}, "
               f"block {interp.shape.block}, {len(trs.rules)} rule(s), "
               f"{len(pairs)} pair(s)"]
     if report.backend == "value":
         header.append(f"# value params: m {report.m}, delta {report.delta}")
     _print_report(report, header)
+    # a HOLDS verdict has no witness by construction; --trials only says so
     for check in report.checks:
-        if not (args.trials and check.verdict.holds):
-            continue
-        if check.witness is None:
+        if args.trials and check.verdict.holds:
             print(f"# sampled {check.label}: no witness (block values >= 0)")
-        else:
-            print(f"# sampled {check.label}: WITNESS {check.witness} "
-                  f"contradicts the symbolic verdict")
-    return _result(report.holds and report.consistent, "SATISFIED",
-                   "VIOLATED" if report.consistent else "DISAGREEMENT")
+    return _result(report.holds, "SATISFIED", "VIOLATED")
 
 
 def _rename_root(term, names):
@@ -269,6 +270,11 @@ def _finish_transform(args, src, before, after, b, promise) -> int:
               f"{'SATISFIED' if report.after.holds else 'VIOLATED'}")
         print(f"# agreement ({promise}): {'yes' if report.agree else 'NO'}")
         agree = report.agree
+        if not agree:
+            side, failed = (("after", report.after) if report.before.holds
+                            else ("before", report.before))
+            check = next(c for c in failed.checks if not c.verdict.holds)
+            print(f"# {side} witness, {check.label}: {_witness(check)}")
     if args.out:
         _write_out(args, format_interpretation(after))
     return _result(agree, "VERIFIED", "DISAGREEMENT")
@@ -426,8 +432,8 @@ _OPTIONS = {
                   help="strictness margin (default: file delta, else 1/m; "
                        "eval-valuation: any positive gap)"),
     "trials": dict(type=_integer_from(0, "nonnegative"), default=0,
-                   help="any N >= 1 cross-checks Holds verdicts over all "
-                        "block-constant tuples"),
+                   help="any N >= 1 notes that each Holds verdict has no witness; "
+                        "kept for existing command lines"),
     "seed": dict(type=int, default=0, help="ignored; kept for existing command lines"),
     "legacy-names": dict(action="store_true", help="render f# as F when unambiguous"),
     "factor": dict(type=_positive, help="lift factor (default: max entry)"),

@@ -1,18 +1,27 @@
 """Block-based matrix interpretations, term evaluation, and constraint checking.
 
+The domain: an interpretation of block size b gives every variable the
+block-constant tuples of naturals (or rationals), b equal entries per block.
+Its constant vectors are block-constant and, within each b x b block of a
+matrix, every row has the same sum, so every symbol maps the domain into
+itself; the loader refuses anything else (at block 1 there is nothing to
+check).
+
 Interpreting a term under a linear matrix interpretation gives a linear form
 (a coefficient matrix per variable plus a constant vector). Two backends
-decide universally quantified orderings between forms:
+decide universally quantified orderings between forms over the domain:
 
-- entrywise: coefficientwise/entrywise matrix order, strict on the first
+- entrywise: in every row, each block column's entry sum (the entry itself
+  at block 1) and the constant component dominate; strict on the first
   constant component;
 - value: the rho ordering (entry sums over a divisor m), strict by a margin
-  delta. Weak domination holds for all nonnegative tuples iff the per-column
-  sums of each coefficient dominate, so this backend evaluates only the
-  projected forms ``1ᵀ·[[t]]``.
+  delta. Weak domination holds iff the block-column sums of each
+  coefficient dominate, so this backend evaluates only the projected forms
+  ``1ᵀ·[[t]]``.
 
-A falsifier cross-checks the symbolic verdicts over all block-constant
-tuples: the first gap row that is negative somewhere gives a witness.
+``decide`` reads both forms once into gap rows, lhs − rhs less a floor, and
+gives the verdict, its detail and, for FAILS, a witness: the tuple at which
+the first negative gap row is negative.
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import compress, repeat
-from math import ceil, gcd, lcm
+from itertools import compress
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .matrix import (LineError, Mat, MatrixError, Rat, Record, _rat_str, entry_strs,
@@ -92,6 +101,20 @@ def _map_once(func, objs, done: dict = None) -> tuple:
     return tuple(done[id(obj)] for obj in objs)
 
 
+def _require_block_rows(mat: Mat, shape: BlockShape, where: tuple[str, str]):
+    """Refuse a matrix whose rows in some b x b block have different sums:
+    it would map a block-constant tuple out of the domain."""
+    b, beta, nums = shape.block, shape.beta, mat.nums
+    # the sum of each run of b entries, beta runs per row, row by row
+    sums = [sum(nums[k:k + b]) for k in range(0, len(nums), b)]
+    for i in range(beta):
+        rows = sums[i * b * beta:(i + 1) * b * beta]
+        if rows != rows[:beta] * b:
+            j = next(j for j in range(beta) if len(set(rows[j::beta])) > 1)
+            raise InterpError(f"{where[0]}: {where[1]} block ({i + 1},{j + 1}) of size {b} "
+                              f"has rows with different sums", where)
+
+
 class Interpretation(Record):
     __slots__ = ("shape", "domain", "table", "delta")
 
@@ -116,6 +139,8 @@ class Interpretation(Record):
                     # the entries are nonnegative here, so natural means integral
                     if domain == "natural" and mat.den != 1:
                         raise InterpError(f"{symbol}: non-natural entry in natural domain", where)
+                    if b > 1 and where[1] != "C":
+                        _require_block_rows(mat, shape, where)
                     checked.add(id(mat))
             for j in range(shape.beta):
                 segment = func.const.nums[j * b:(j + 1) * b]
@@ -385,99 +410,141 @@ def _vec(mat: Mat) -> str:
     return "(" + ",".join(entry_strs(mat)) + ")"
 
 
-def _below(xs, xd: int, ys, yd: int) -> bool:
-    """Whether some entry of ``xs/xd`` is below that of ``ys/yd``."""
-    if xd != yd:
-        xs, ys = map(operator.mul, xs, repeat(yd)), map(operator.mul, ys, repeat(xd))
-    return any(map(operator.lt, xs, ys))
+def decide(lhs: LinearForm, rhs: LinearForm, rel: str, backend: str = "value", block: int = 1,
+           m: int = None, delta: Fraction = None) -> tuple[Verdict, dict[str, tuple] | None]:
+    """The verdict of lhs REL rhs over the block-constant tuples of
+    ``block``, its detail and, for FAILS, a witness.
 
+    Both forms' int numerators, scaled to their common denominator ``den``,
+    are read once into gap rows lhs − rhs: one of column sums (of full or
+    projected forms alike) and constant entry sums for the value backend,
+    one per row of the forms for the entrywise one. A row's coefficient of
+    a variable's block value sums the row over the block's columns; its
+    constant g is the constant gap less the row's floor: 0 on a weak row, 1
+    on the first row of a strict entrywise comparison, ``ceil(delta·m·den)``
+    on a strict value one (m defaults to the dimension). A gap row is
+    affine in the block values, so FAILS exactly when some g or coefficient
+    is negative. The detail names the first failing comparison: variables
+    in order, then the constant, then the margin or first component. The
+    witness is the first such row's corner: the zero tuple when g < 0, else
+    ``top = g // |sum of its negative coefficients| + 1``, the least value
+    at which the row is negative, on each block whose coefficient is
+    negative and 0 elsewhere. No Fraction is made.
+    """
+    if backend not in ("entrywise", "value"):
+        raise InterpError(f"unknown backend {backend!r}")
+    n, rows = lhs.dim, lhs.const.rows
+    if rhs.dim != n:
+        raise InterpError(f"dimension mismatch: {n} vs {rhs.dim}")
+    if rhs.const.rows != rows:
+        raise InterpError(f"forms have {rows} and {rhs.const.rows} rows")
+    value = backend == "value"
+    if value:
+        if rows not in (1, n):
+            raise InterpError(f"value comparison needs full or projected forms, got {rows} rows")
+        m = n if m is None else m
+        if m < 1:
+            raise MatrixError(f"valuation divisor must be positive, got {m}")
+        if rel == "strict" and (delta is None or delta <= 0):
+            raise InterpError("strict value comparison needs delta > 0")
+    den = lcm(*(mat.den for form in (lhs, rhs) for mat in (*form.coeffs.values(), form.const)))
+    beta = n // block
+    lines = 1 if value else rows
 
-def check_entrywise(lhs: LinearForm, rhs: LinearForm, rel: str) -> Verdict:
-    """Entrywise order on forms: all coefficients >= and constant >= ;
-    strict additionally needs the first constant component strictly greater.
-    Entries are compared on the int numerators by cross-multiplying with the
-    denominators; a variable absent on one side counts as a zero
-    coefficient, with no zero ``Mat`` built unless a failing detail prints
-    it. The detail is rendered from the ints, so no Fraction is made."""
-    if lhs.dim != rhs.dim:
-        raise InterpError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
+    def sums(mat):
+        """mat's block sums row by row, of its column sums for the value
+        backend, over ``den``; zeros if absent."""
+        if mat is None:
+            return [0] * (lines * beta)
+        nums = mat.nums
+        if value and mat.rows > 1:
+            nums = [sum(nums[j::n]) for j in range(n)]
+        if block > 1:
+            nums = [sum(nums[k:k + block]) for k in range(0, len(nums), block)]
+        scale = den // mat.den
+        return nums if scale == 1 else [x * scale for x in nums]
+
+    variables = sorted(set(lhs.coeffs) | set(rhs.coeffs))
+    gaps, parts, detail = [], [], None
+    for v in variables:
+        ls, rs = sums(lhs.coeffs.get(v)), sums(rhs.coeffs.get(v))
+        gap = list(map(operator.sub, ls, rs))
+        gaps.append(gap)
+        if detail is None and min(gap) < 0:
+            if not value and block == 1:
+                detail = f"coeff({v}): {lhs.coeff(v)} !>= {rhs.coeff(v)}"
+            else:
+                k = next(k for k, g in enumerate(gap) if g < 0)
+                row = "" if value else f"row {k // beta + 1} "
+                column = "column" if block == 1 else "block column"
+                detail = (f"coeff({v}): {row}{column} {k % beta + 1} sum "
+                          f"{_rat_str(ls[k], den)} < {_rat_str(rs[k], den)}")
+        if value:
+            parts.append(f"rho coeff({v}) {_rat_str(sum(ls), den * m)} "
+                         f"vs {_rat_str(sum(rs), den * m)}")
     lc, rc = lhs.const, rhs.const
-    if lc.shape != rc.shape:
-        raise MatrixError(f"shape mismatch in comparison: {lc.shape} vs {rc.shape}")
-    for var in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        a, b = lhs.coeffs.get(var), rhs.coeffs.get(var)
-        if a is None:
-            below = max(b.nums) > 0
-        elif b is None:
-            below = min(a.nums) < 0
-        else:
-            below = _below(a.nums, a.den, b.nums, b.den)
-        if below:
-            return Verdict(False, f"coeff({var}): {lhs.coeff(var)} !>= {rhs.coeff(var)}")
-    if _below(lc.nums, lc.den, rc.nums, rc.den):
-        return Verdict(False, f"const: {_vec(lc)} !>= {_vec(rc)}")
-    if rel == "strict":
-        if lc.nums[0] * rc.den <= rc.nums[0] * lc.den:
-            return Verdict(False,
-                           f"const: first component {_rat_str(lc.nums[0], lc.den)} not > "
-                           f"{_rat_str(rc.nums[0], rc.den)}")
-        return Verdict(True, f"const {_vec(lc)} > {_vec(rc)}")
-    return Verdict(True, f"const {_vec(lc)} >= {_vec(rc)}")
-
-
-def _column_sums(mat: Mat | None, n: int) -> tuple[list[int], int]:
-    """The column sums of a coefficient (zero if absent) as nums over den."""
-    if mat is None:
-        return [0] * n, 1
-    nums = mat.nums
-    return (nums if mat.rows == 1 else [sum(nums[j::n]) for j in range(n)]), mat.den
+    kl, kr = den // lc.den, den // rc.den
+    if value:
+        lsum, rsum = sum(lc.nums) * kl, sum(rc.nums) * kr
+        consts = [lsum - rsum]
+        lrho, rrho = _rat_str(lsum, den * m), _rat_str(rsum, den * m)
+        parts.append(f"rho const {lrho} vs {rrho}")
+        if detail is None and consts[0] < 0:
+            detail = f"const: rho {lrho} < {rrho}"
+        if rel == "strict":
+            margin = _rat_str(consts[0], den * m)
+            consts[0] += -delta.numerator * m * den // delta.denominator
+            if detail is None and consts[0] < 0:
+                detail = f"const: margin {margin} < delta {delta}; " + "; ".join(parts)
+            parts.append(f"margin {margin} >= delta {delta}")
+        holding = "; ".join(parts)
+    else:
+        consts = [x * kl - y * kr for x, y in zip(lc.nums, rc.nums)]
+        if detail is None and min(consts) < 0:
+            detail = f"const: {_vec(lc)} !>= {_vec(rc)}"
+        if rel == "strict":
+            consts[0] -= 1
+            if detail is None and consts[0] < 0:
+                detail = (f"const: first component {_rat_str(lc.nums[0], lc.den)} not > "
+                          f"{_rat_str(rc.nums[0], rc.den)}")
+        holding = f"const {_vec(lc)} {'>' if rel == 'strict' else '>='} {_vec(rc)}"
+    if detail is None:
+        return Verdict(True, holding), None
+    for i, g in enumerate(consts):
+        row = [gap[i * beta:(i + 1) * beta] for gap in gaps]
+        down = -sum(c for part in row for c in part if c < 0)
+        if g < 0 or down:
+            top = 0 if g < 0 else g // down + 1
+            return Verdict(False, detail), {
+                v: tuple(top if c < 0 else 0 for c in part for _ in range(block))
+                for v, part in zip(variables, row)}
 
 
 def check_value(lhs: LinearForm, rhs: LinearForm, rel: str, m: int,
                 delta: Fraction = None) -> Verdict:
-    """rho ordering on forms, universally over nonnegative tuples.
+    """The rho ordering (divisor m, strict by delta) at block 1: ``decide``'s verdict."""
+    return decide(lhs, rhs, rel, "value", 1, m, delta)[0]
 
-    Weak holds iff every coefficient's column sums dominate the right-hand
-    side's and the constant entry sums compare; strict needs the constant
-    rho gap to reach delta. Only the coefficients' column sums and the
-    constant's entry sum are read, so the projected forms ``1ᵀ·[[t]]`` give
-    the same verdict and detail as the full forms. Sums are compared on the
-    int numerators by cross-multiplying with the denominators, and the
-    detail's rationals are rendered from them; no Fraction is made.
-    """
-    if lhs.dim != rhs.dim:
-        raise InterpError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
-    if rel == "strict":
-        if delta is None or delta <= 0:
-            raise InterpError("strict value comparison needs delta > 0")
-    if m < 1:
-        raise MatrixError(f"valuation divisor must be positive, got {m}")
-    n = lhs.dim
-    parts = []
-    for var in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        (lsums, ld), (rsums, rd) = (_column_sums(lhs.coeffs.get(var), n),
-                                    _column_sums(rhs.coeffs.get(var), n))
-        for j, (ls, rs) in enumerate(zip(lsums, rsums)):
-            if ls * rd < rs * ld:
-                return Verdict(False, f"coeff({var}): column {j + 1} sum "
-                                      f"{_rat_str(ls, ld)} < {_rat_str(rs, rd)}")
-        parts.append(f"rho coeff({var}) {_rat_str(sum(lsums), ld * m)} "
-                     f"vs {_rat_str(sum(rsums), rd * m)}")
-    (lsum, ld), (rsum, rd) = ((sum(lhs.const.nums), lhs.const.den),
-                              (sum(rhs.const.nums), rhs.const.den))
-    lrho, rrho = _rat_str(lsum, ld * m), _rat_str(rsum, rd * m)
-    parts.append(f"rho const {lrho} vs {rrho}")
-    # the margin (lsum/ld - rsum/rd)/m is gap/scale
-    gap, scale = lsum * rd - rsum * ld, ld * rd * m
-    if gap < 0:
-        return Verdict(False, f"const: rho {lrho} < {rrho}")
-    if rel == "strict":
-        margin = _rat_str(gap, scale)
-        if gap * delta.denominator < delta.numerator * scale:
-            return Verdict(False,
-                           f"const: margin {margin} < delta {delta}; " + "; ".join(parts))
-        parts.append(f"margin {margin} >= delta {delta}")
-    return Verdict(True, "; ".join(parts))
+
+def check_entrywise(lhs: LinearForm, rhs: LinearForm, rel: str) -> Verdict:
+    """The entrywise order at block 1: ``decide``'s verdict."""
+    return decide(lhs, rhs, rel, "entrywise")[0]
+
+
+def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape,
+                   backend: str = "value", m: int = None,
+                   delta: Fraction = None) -> dict[str, tuple] | None:
+    """``decide``'s witness at the shape's block: a block-constant tuple of
+    naturals that violates lhs REL rhs, or None if none does. The value
+    backend takes full or projected forms, with the same witness; the
+    entrywise backend needs the full forms."""
+    n = shape.dim
+    if lhs.dim != n or rhs.dim != n:
+        raise InterpError("forms do not match the sampling shape")
+    if backend == "entrywise" and lhs.const.rows != n:
+        raise InterpError(f"entrywise sampling needs full forms ({n} rows), "
+                          f"got {lhs.const.rows}")
+    return decide(lhs, rhs, rel, backend, shape.block, m, delta)[1]
 
 
 class ConstraintCheck(Record):
@@ -489,7 +556,8 @@ class ConstraintCheck(Record):
         __class__._set_rule(self, rule)
         __class__._set_rel(self, rel)
         __class__._set_verdict(self, verdict)
-        __class__._set_witness(self, witness)  # a tuple that refutes HOLDS, if found
+        # the block-constant tuple per variable that violates a FAILS verdict; None for HOLDS
+        __class__._set_witness(self, witness)
 
 
 class CheckReport(Record):
@@ -506,20 +574,14 @@ class CheckReport(Record):
     def holds(self) -> bool:
         return all(c.verdict.holds for c in self.checks)
 
-    @property
-    def consistent(self) -> bool:
-        """No witness contradicts a symbolic verdict."""
-        return all(c.witness is None for c in self.checks)
-
 
 def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value",
-                  m: int = None, delta: Fraction = None, falsify: bool = False) -> CheckReport:
+                  m: int = None, delta: Fraction = None) -> CheckReport:
     """Weak check for every rule, strict check for every pair; all must hold.
 
     Value-backend defaults: m is the dimension; delta is the file's delta,
-    else 1/m. With ``falsify``, ``sample_falsify`` cross-checks every HOLDS
-    verdict on the forms the check just computed. Each distinct constraint
-    (lhs, rhs and relation) is decided once, for all of its labels.
+    else 1/m. ``decide`` decides each distinct constraint (lhs, rhs and
+    relation) once, at the interpretation's block, for all of its labels.
     """
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
@@ -540,95 +602,11 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
             lhs, rhs = next(forms), next(forms)
             key = rule.lhs, rule.rhs, rel
             if key not in decided:
-                if backend == "entrywise":
-                    verdict = check_entrywise(lhs, rhs, rel)
-                else:
-                    verdict = check_value(lhs, rhs, rel, m, delta)
-                witness = None
-                if falsify and verdict.holds:
-                    witness = sample_falsify(lhs, rhs, rel, interp.shape, backend,
-                                             m=m, delta=delta)
-                decided[key] = verdict, witness
+                decided[key] = decide(lhs, rhs, rel, backend, interp.shape.block, m, delta)
             checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, *decided[key]))
     if backend == "entrywise":
         m = delta = None
     return CheckReport(backend, m, delta, tuple(checks))
-
-
-# --- falsifier ---
-
-def sample_falsify(lhs: LinearForm, rhs: LinearForm, rel: str, shape: BlockShape,
-                   backend: str = "value", m: int = None,
-                   delta: Fraction = None) -> dict[str, tuple] | None:
-    """A block-constant tuple of naturals that violates lhs REL rhs, or
-    None if no block-constant tuple does.
-
-    The value backend compares only entry sums, so it takes the full forms
-    or the projected forms ``1ᵀ·[[t]]`` (one row) alike, with the same
-    witness; the entrywise backend needs the full forms (n rows).
-
-    Each compared row is one gap row, built in one pass over both forms'
-    int numerators over their common denominator: lhs − rhs, scaled to ints,
-    minus the row's floor, as an int constant g and an int coefficient per
-    variable and block (the value backend sums a full form's rows into one).
-    A gap row is affine in the block values, so it is negative somewhere
-    exactly when g or a coefficient is negative. The first such row gives
-    the witness: the zero tuple when g < 0, else ``top = g // |sum of its
-    negative coefficients| + 1``, the least value at which the row is
-    negative, on each block whose coefficient is negative and 0 elsewhere.
-    """
-    if backend not in ("entrywise", "value"):
-        raise InterpError(f"unknown backend {backend!r}")
-    n, b, beta = shape.dim, shape.block, shape.beta
-    if lhs.dim != n or rhs.dim != n:
-        raise InterpError("forms do not match the sampling shape")
-    rows = lhs.const.rows
-    if rhs.const.rows != rows:
-        raise InterpError(f"forms have {rows} and {rhs.const.rows} rows")
-    if backend == "entrywise" and rows != n:
-        raise InterpError(f"entrywise sampling needs full forms ({n} rows), got {rows}")
-    if backend == "value":
-        if rows not in (1, n):
-            raise InterpError(f"value sampling needs full or projected forms, got {rows} rows")
-        m = n if m is None else m
-        if rel == "strict" and (delta is None or delta <= 0):
-            raise InterpError("strict value sampling needs delta > 0")
-    den = lcm(*(mat.den for form in (lhs, rhs)
-                for mat in (*form.coeffs.values(), form.const)))
-    variables = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-
-    def scaled(mat):
-        """``den // mat.den`` and mat's block sums row by row (a tuple is
-        block-constant; stride b from offset s < b meets entry s of every
-        block), of its column sums for the value backend; (0, zeros) if absent."""
-        if mat is None:
-            return 0, repeat(0)
-        nums = _column_sums(mat, n)[0] if backend == "value" else mat.nums
-        return den // mat.den, (nums if b == 1 else map(sum, zip(*[nums[s::b] for s in range(b)])))
-
-    # the coefficient of each block value in each row (variable by variable, block by block)
-    coeff_rows = [[] for _ in range(1 if backend == "value" else rows)]
-    for v in variables:
-        (kl, ls), (kr, rs) = scaled(lhs.coeffs.get(v)), scaled(rhs.coeffs.get(v))
-        gap = [kl * x - kr * y for x, y in zip(ls, rs)]
-        for i, row in enumerate(coeff_rows):
-            row += gap[i * beta:(i + 1) * beta]
-    # the constant of each row, less its floor
-    lc, rc = lhs.const, rhs.const
-    pairs = [(sum(lc.nums), sum(rc.nums))] if backend == "value" else zip(lc.nums, rc.nums)
-    consts = [den // lc.den * x - den // rc.den * y for x, y in pairs]
-    if rel == "strict":
-        # entrywise: the first component must exceed; value: the rho gap
-        # (l - r)/(m·den) must reach delta
-        consts[0] -= 1 if backend == "entrywise" else ceil(delta * m * den)
-    for coeffs, g in zip(coeff_rows, consts):
-        down = -sum(c for c in coeffs if c < 0)
-        if g < 0 or down:
-            top = 0 if g < 0 else g // down + 1
-            corner = [top if c < 0 else 0 for c in coeffs]
-            return {v: tuple(x for x in corner[k * beta:(k + 1) * beta] for _ in range(b))
-                    for k, v in enumerate(variables)}
-    return None
 
 
 # --- block structure: value collapse ---

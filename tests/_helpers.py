@@ -63,6 +63,21 @@ def rand_rat_mat(rng: random.Random, rows: int, cols: int,
                tuple(rand_rat(rng, hi, den) for _ in range(rows * cols)))
 
 
+def block_rows_mat(rng: random.Random, n: int, b: int, entry) -> Mat:
+    """An n x n matrix of ``entry()`` draws whose rows in each b x b block
+    are shuffles of one drawn row: their sums agree, as an interpretation of
+    block b needs, while its columns stay uneven. At b = 1 it draws the
+    entries row by row and shuffles nothing."""
+    rows = [[] for _ in range(n)]
+    for i in range(0, n, b):
+        for _ in range(0, n, b):
+            drawn = [entry() for _ in range(b)]
+            for row in rows[i:i + b]:
+                rng.shuffle(drawn)
+                row += drawn
+    return Mat(n, n, tuple(e for row in rows for e in row))
+
+
 def rand_const_scalar_block_mat(rng: random.Random, beta: int, b: int,
                                 hi: int = 4) -> Mat:
     """beta x beta grid of b-square blocks c*ones + s*I with c, s natural."""

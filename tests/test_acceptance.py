@@ -18,6 +18,7 @@ from matint import (BlockShape, Encoding, LinearFunc, Mat,
                     parse_pinterp, parse_trs, parse_valuation, required_products,
                     rho, sample_falsify, to_bit_matrix, validate,
                     valuation_interpretation, verify_transform)
+import _reference as ref
 from _helpers import read, uniform_interp
 
 F = Fraction
@@ -251,13 +252,27 @@ def test_criterion_8_constraint_generation():
         assert F(1, 4) not in catalog("half").table
 
 
+def _violated(interp, rule, rel, backend, m, delta, point):
+    """Whether ``point`` (variable -> tuple) violates the rule, by the
+    reference evaluator's full forms evaluated at it."""
+    lval, rval = (sum((form.coeff(v) * Mat.column(point[v]) for v in point),
+                      form.const).entries
+                  for form in (ref.eval_term(interp, t) for t in (rule.lhs, rule.rhs)))
+    if backend == "entrywise":
+        return any(l < r for l, r in zip(lval, rval)) or (rel == "strict" and lval[0] <= rval[0])
+    if rel == "strict":
+        return F(sum(lval) - sum(rval), m) < delta
+    return sum(lval) < sum(rval)
+
+
 def test_criterion_9_backend_oracle_consistency():
-    with criterion(9, "200-instance corpus: sampling agrees; lift preserves verdicts"):
+    with criterion(9, "200-instance corpus: sampling agrees; FAILS witnesses violate; "
+                      "lift preserves verdicts"):
         trs = parse_trs(read("fg.trs"))
         pairs = dependency_pairs(trs)
         rules = list(trs.rules) + list(pairs)
         rels = ["weak"] * len(trs.rules) + ["strict"] * len(pairs)
-        examined = 0
+        examined = refuted = 0
         for i in range(200):
             interp = uniform_interp(random.Random(3000 + i))
             for backend in ("entrywise", "value"):
@@ -265,6 +280,9 @@ def test_criterion_9_backend_oracle_consistency():
                 m, delta = report.m, report.delta
                 for check, rule, rel in zip(report.checks, rules, rels):
                     if not check.verdict.holds:
+                        # a FAILS verdict is a tuple that violates the rule
+                        assert _violated(interp, rule, rel, backend, m, delta, check.witness)
+                        refuted += 1
                         continue
                     lhs = eval_term(interp, rule.lhs)
                     rhs = eval_term(interp, rule.rhs)
@@ -277,6 +295,7 @@ def test_criterion_9_backend_oracle_consistency():
             for b, a in zip(before.checks, after.checks):
                 assert b.verdict.holds == a.verdict.holds
         assert examined >= 400     # plenty of Holds verdicts were cross-checked
+        assert refuted >= 400      # and plenty of FAILS verdicts were re-evaluated
 
 
 def test_criterion_10_impossibility_witness():

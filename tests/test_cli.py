@@ -762,6 +762,82 @@ def test_check_value_backend_with_sampling(capsys, tmp_path):
     assert out.splitlines()[-1] == "RESULT: VIOLATED"
 
 
+def _block_problem(tmp_path, f, g):
+    """``f(x) -> g(x)`` at dim 2, block 2, with the given matrices for f and g."""
+    trs, interp = tmp_path / "fg.trs", tmp_path / "fg.interp"
+    trs.write_text("(VAR x)\n(RULES f(x) -> g(x))\n", encoding="utf-8")
+    interp.write_text(f"domain natural\ndim 2\nblock 2\ninterp f : 1\n  M1 = {f}\n"
+                      f"  C = [0 ; 0]\ninterp g : 1\n  M1 = {g}\n  C = [0 ; 0]\n",
+                      encoding="utf-8")
+    return "check", "--trs", str(trs), "--interp", str(interp)
+
+
+@pytest.mark.parametrize("backend", ["entrywise", "value"])
+def test_check_refuses_a_matrix_that_leaves_the_block_domain(capsys, tmp_path, backend):
+    # f's block has rows that sum to 2 and 0, so f maps a block-constant
+    # tuple out of the domain: the load refuses it and names the symbol,
+    # the matrix and the block. Compared column by column, check said
+    # FAILS, though no block-constant tuple violates the rule
+    argv = _block_problem(tmp_path, "[2 0 ; 0 0]", "[0 1 ; 0 1]")
+    assert run(capsys, *argv, "--backend", backend) == \
+        (2, "", f"error: interp {argv[-1]}: line 5: f: M1 block (1,1) of size 2 "
+                f"has rows with different sums\n")
+
+
+@pytest.mark.parametrize("backend", ["entrywise", "value"])
+def test_check_of_permuted_block_rows_holds(capsys, tmp_path, backend):
+    # f's rows [1 0] and [1 0] sum alike, so f(x) = x = g(x) on every
+    # block-constant x. Compared column by column (column 2: 0 < 1), check
+    # said FAILS, with no witness
+    code, out, err = run(capsys, *_block_problem(tmp_path, "[1 0 ; 1 0]", "[1 0 ; 0 1]"),
+                         "--backend", backend, "--trials", "1")
+    assert (code, err) == (0, "")
+    assert "rule 1: f(x) -> g(x) [weak]: HOLDS | " in out
+    assert out.endswith("# sampled rule 1: no witness (block values >= 0)\n"
+                        "RESULT: SATISFIED\n")
+
+
+@pytest.mark.parametrize("backend, detail", [
+    ("entrywise", "coeff(x): row 1 block column 1 sum 1 < 2"),
+    ("value", "coeff(x): block column 1 sum 2 < 4")])
+def test_block_fails_name_a_block_column_and_a_witness(capsys, tmp_path, backend, detail):
+    # at block 2, f(x) = (a,a) is below g(x) = (2a,2a) from a = 1 on
+    code, out, _ = run(capsys, *_block_problem(tmp_path, "[1 0 ; 1 0]", "[2 0 ; 0 2]"),
+                       "--backend", backend)
+    assert code == 1
+    assert f"rule 1: f(x) -> g(x) [weak]: FAILS | {detail} | witness x=(1,1)" in out
+
+
+def test_a_failing_ground_rule_has_a_witness_without_variables(capsys, tmp_path):
+    trs, interp = tmp_path / "ab.trs", tmp_path / "ab.interp"
+    trs.write_text("(VAR x)\n(RULES a -> b)\n", encoding="utf-8")
+    interp.write_text("domain natural\ndim 1\nblock 1\ninterp a : 0\n  C = [0]\n"
+                      "interp b : 0\n  C = [1]\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check", "--trs", str(trs), "--interp", str(interp))
+    assert code == 1
+    assert "rule 1: a -> b [weak]: FAILS | const: rho 0 < 1 | witness (ground)" in out
+
+
+def test_expand_disagreement_names_the_after_witness(capsys, tmp_path):
+    # f(x) -> g(x,x) at f1 = f0 = 1, g1 = g2 = 1/2, g0 = 0 is compatible
+    # with half, but E(1/2) has column sums (0, 1): at x = (0,3) the
+    # expansion's lhs sums to 5 and its rhs to 6
+    files = {"r.trs": "(VAR x)\n(RULES f(x) -> g(x,x))\n",
+             "p.pi": "pinterp f : 1 = f1 | f0\npinterp g : 2 = g1 g2 | g0\n",
+             "v.val": "param f1 = 1\nparam f0 = 1\nparam g1 = 1/2\nparam g2 = 1/2\n"
+                      "param g0 = 0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "expand", "--trs", str(tmp_path / "r.trs"),
+                       "--pinterp", str(tmp_path / "p.pi"), "--valuation",
+                       str(tmp_path / "v.val"), "--encoding", "half")
+    assert code == 1
+    assert out.splitlines()[-4:] == ["# after  [value, m 2, delta 1/2]: VIOLATED",
+                                     "# agreement (forward): NO",
+                                     "# after witness, rule 1: x=(0,3)",
+                                     "RESULT: DISAGREEMENT"]
+
+
 def test_holds_checks_draw_nothing(capsys):
     """A right HOLDS verdict leaves no witness, and no module
     draws at random: sampling it adds only its no-witness line."""

@@ -13,8 +13,8 @@ from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
                     value_collapse)
 import matint.interp as interp_module
 from _reference import from_rows
-from _helpers import (example_one, mixed_interp, rand_const_scalar_block_mat,
-                      read, uniform_interp)
+from _helpers import (block_rows_mat, example_one, mixed_interp,
+                      rand_const_scalar_block_mat, read, uniform_interp)
 
 F = Fraction
 
@@ -141,7 +141,7 @@ def test_eval_term_errors(ex2):
 def _rand_interp(rng, shape=None, domain=None):
     """Random natural or rational interpretation of dim 1-6, block 1 or 2 (or
     the given shape and domain), over c/0, h/1 and p/2; about one matrix in
-    four is all-zero."""
+    four is all-zero, and the rows of each block are shuffles of one row."""
     if shape is None:
         block = rng.choice((1, 2))
         shape = BlockShape(block * rng.randint(1, 6 // block), block)
@@ -156,7 +156,7 @@ def _rand_interp(rng, shape=None, domain=None):
     def mat():
         if rng.random() < 0.25:
             return Mat.zero(dim)
-        return Mat(dim, dim, tuple(entry() for _ in range(dim * dim)))
+        return block_rows_mat(rng, dim, block, entry)
 
     def const():
         return Mat.column([v for _ in range(dim // block) for v in [entry()] * block])
@@ -311,7 +311,7 @@ def test_full_forms_agree_with_reference():
     and a pairs file that repeats rule subterms; the files are parsed
     apart, so they share subterms only through interning. check_problem's
     entrywise verdicts equal those of the reference forms, under many
-    interpretations of the same terms."""
+    interpretations of the same terms, each at the interpretation's block."""
     rng = random.Random(37)
     repeated = 0
     outcomes = set()
@@ -350,7 +350,8 @@ def test_full_forms_agree_with_reference():
                 # sides met before, which one check evaluates once
                 repeated += t in references
                 assert eval_term(interp, t) == reference(t)
-        expected = [check_entrywise(reference(rule.lhs), reference(rule.rhs), rel)
+        expected = [interp_module.decide(reference(rule.lhs), reference(rule.rhs), rel,
+                                         "entrywise", interp.shape.block)[0]
                     for rel, rule in checks]
         outcomes.update(v.holds for v in expected)
         report = check_problem(trs, pairs, interp, "entrywise")
@@ -879,24 +880,20 @@ def test_sample_falsify_rejects_bad_arguments(ex2):
 
 
 def test_check_problem_samples_holds_verdicts(ex62):
+    # one decision gives the verdict and the witness: a HOLDS has none
     trs, pairs = example_one()
     for backend in ("entrywise", "value"):
-        plain = check_problem(trs, pairs, ex62, backend)
-        sampled = check_problem(trs, pairs, ex62, backend, falsify=True)
-        assert [c.verdict for c in sampled.checks] == [c.verdict for c in plain.checks]
-        assert sampled.consistent and all(c.witness is None for c in sampled.checks)
+        report = check_problem(trs, pairs, ex62, backend)
+        assert all((c.witness is None) == c.verdict.holds for c in report.checks)
 
 
-def test_check_problem_gives_the_witnesses_of_separate_calls(monkeypatch):
-    # rules with 1, 3 and 1 variables; every verdict is forced to HOLDS, so
-    # every check samples and the random (hence broken) interpretations
-    # give witnesses
+def test_check_problem_gives_the_witnesses_of_separate_calls():
+    # rules with 1, 3 and 1 variables under random interpretations: every
+    # FAILS has the witness that sample_falsify finds on the same forms,
+    # and no HOLDS has one
     trs = parse_trs("(VAR x y z) (RULES h(x) -> p(x,x) "
                     "p(p(x,y),z) -> p(x,p(y,h(z))) h(h(x)) -> h(c))")
     pairs = parse_trs("(VAR x y) (RULES p(x,c) -> h(x) p(x,y) -> p(y,x))").rules
-    holds = lambda *args: interp_module.Verdict(True)
-    monkeypatch.setattr(interp_module, "check_entrywise", holds)
-    monkeypatch.setattr(interp_module, "check_value", holds)
     rng = random.Random(61)
     found = set()
     for shape in (BlockShape(2, 1), BlockShape(4, 2), BlockShape(3, 1)):
@@ -905,7 +902,7 @@ def test_check_problem_gives_the_witnesses_of_separate_calls(monkeypatch):
                 interp = _rand_interp(rng, shape, domain)
                 n = shape.dim
                 for backend in ("entrywise", "value"):
-                    report = check_problem(trs, pairs, interp, backend, falsify=True)
+                    report = check_problem(trs, pairs, interp, backend)
                     left = Mat.ones(1, n) if backend == "value" else None
                     sides = [(r, "weak") for r in trs.rules] + [(r, "strict") for r in pairs]
                     for check, (rule, rel) in zip(report.checks, sides):
@@ -913,6 +910,7 @@ def test_check_problem_gives_the_witnesses_of_separate_calls(monkeypatch):
                         want = sample_falsify(lhs, rhs, rel, shape, backend, m=n,
                                               delta=F(1, n))
                         assert check.witness == want
+                        assert (want is None) == check.verdict.holds
                         found.add((shape.block, domain, backend, want is None))
     assert found == {(b, d, be, none) for b in (1, 2) for d in ("natural", "rational")
                      for be in ("entrywise", "value") for none in (True, False)}
@@ -920,26 +918,25 @@ def test_check_problem_gives_the_witnesses_of_separate_calls(monkeypatch):
 
 def test_check_problem_decides_each_distinct_constraint_once(monkeypatch):
     # rule 2 repeats rule 1, and pair 2 pair 1; pair 1 is rule 1 again, but
-    # strict. Each distinct (lhs, rhs, relation) is compared and falsified
-    # once, and each of its labels gets its verdict and witness
+    # strict. Each distinct (lhs, rhs, relation) is decided once, and each
+    # of its labels gets its verdict and witness
     trs = parse_trs("(VAR x) (RULES f(g(x)) -> f(x) f(g(x)) -> f(x) g(x) -> x)")
     pairs = parse_trs("(VAR x) (RULES f(g(x)) -> f(x) f(g(x)) -> f(x))").rules
     interp = parse_interpretation("domain natural\ndim 2\nblock 1\n"
                                   "interp f : 1\n  M1 = [1 0 ; 0 1]\n  C = [0 ; 0]\n"
                                   "interp g : 1\n  M1 = [1 0 ; 0 1]\n  C = [2 ; 2]\n")
     calls = []
-    for name in ("check_entrywise", "check_value", "sample_falsify"):
-        def counting(*args, _name=name, _original=getattr(interp_module, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(interp_module, name, counting)
+    original = interp_module.decide
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interp_module, "decide", counting)
     for backend in ("entrywise", "value"):
         calls.clear()
-        check_problem(trs, pairs, interp, backend)
-        assert calls == [f"check_{backend}"] * 3
-        calls.clear()
-        report = check_problem(trs, pairs, interp, backend, falsify=True)
-        assert sorted(calls) == sorted([f"check_{backend}"] * 3 + ["sample_falsify"] * 3)
+        report = check_problem(trs, pairs, interp, backend)
+        assert calls == [backend] * 3
         assert [c.label for c in report.checks] == \
             ["rule 1", "rule 2", "rule 3", "pair 1", "pair 2"]
         assert [c.rule for c in report.checks] == [*trs.rules, *pairs]
@@ -1030,7 +1027,7 @@ def test_sampling_argument_errors_come_before_any_draw(ex62):
     # refused before any gap row is built
     trs, pairs = example_one()
     with pytest.raises(InterpError, match="unknown backend"):
-        check_problem(trs, pairs, ex62, "bits", falsify=True)
+        check_problem(trs, pairs, ex62, "bits")
     full = [eval_term(ex62, t) for t in (trs.rules[0].lhs, trs.rules[0].rhs)]
     with pytest.raises(InterpError, match="unknown backend"):
         sample_falsify(*full, "weak", ex62.shape, "bits")
@@ -1039,20 +1036,18 @@ def test_sampling_argument_errors_come_before_any_draw(ex62):
 
 
 def test_uniform_corpus_holds_checks_draw_nothing():
-    # the 200-instance corpus of acceptance criterion 9, cross-checked by
+    # the 200-instance corpus of acceptance criterion 9, decided by
     # check_problem over all block-constant tuples: no HOLDS verdict has a
-    # witness
+    # witness, and every FAILS has one
     trs = parse_trs(read("fg.trs"))
     pairs = dependency_pairs(trs)
     sampled = 0
     for i in range(200):
         interp = uniform_interp(random.Random(3000 + i))
         for backend in ("entrywise", "value"):
-            plain = check_problem(trs, pairs, interp, backend)
-            report = check_problem(trs, pairs, interp, backend, falsify=True)
-            assert [c.verdict for c in report.checks] == [c.verdict for c in plain.checks]
-            assert report.consistent
-            sampled += sum(c.verdict.holds for c in plain.checks)
+            report = check_problem(trs, pairs, interp, backend)
+            assert all((c.witness is None) == c.verdict.holds for c in report.checks)
+            sampled += sum(c.verdict.holds for c in report.checks)
     assert sampled >= 400
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference as ref
-from _helpers import read
+from _helpers import block_rows_mat, read
 import matint.interp as interp_module
 from matint import (App, BlockShape, Interpretation, InterpError, LinearFunc, Mat,
                     Var, check_entrywise, check_problem, check_value, eval_term,
@@ -24,7 +24,8 @@ def _interp(rng, domain=None, shape=None):
     """dim 1-6, block 1 or 2 (or the given shape), over c/0, h/1 and p/2. Rational matrices draw
     their entries in thirds and sixths or in halves and quarters, one family
     per matrix, so denominators mix within a term; about one entry in ten is
-    up to 2**70 and about one matrix in five is all-zero."""
+    up to 2**70 and about one matrix in five is all-zero. The rows of each
+    block are shuffles of one row."""
     if shape is None:
         block = rng.choice((1, 2))
         shape = BlockShape(block * rng.randint(1, 6 // block), block)
@@ -46,7 +47,7 @@ def _interp(rng, domain=None, shape=None):
         if rng.random() < 0.2:
             return Mat.zero(n)
         dens = family()
-        return Mat(n, n, tuple(entry(dens) for _ in range(n * n)))
+        return block_rows_mat(rng, n, block, lambda: entry(dens))
 
     def const():
         dens = family()
@@ -158,8 +159,9 @@ def test_kernel_agrees_on_deep_chains():
         # small entries, so that 2000 products stay a few thousand bits wide
         n = shape.dim
         dens = (1,) if domain == "natural" else (2, 3)
-        small = {s: LinearFunc(tuple(Mat(n, n, tuple(F(rng.randint(0, 1), rng.choice(dens))
-                                                     for _ in range(n * n))) for _ in f.mats),
+        small = {s: LinearFunc(tuple(block_rows_mat(rng, n, shape.block,
+                                                    lambda: F(rng.randint(0, 1), rng.choice(dens)))
+                                     for _ in f.mats),
                                f.const) for s, f in interp.table.items()}
         interp = Interpretation(shape, domain, small)
         ground, open_ = App("c"), Var("x")

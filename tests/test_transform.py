@@ -256,21 +256,32 @@ def test_equivalence_on_corpus_value_backend():
 
 def test_entrywise_holds_direction_on_uniform_corpus():
     # on a uniform corpus (dim<=3, entries<=4) the entrywise Holds verdicts
-    # survive the lift; this is empirical, not a theorem -- see the pinned
-    # counterexample below
+    # survive the lift, and so do the FAILS ones: over block-constant tuples
+    # each row of a lifted form repeats its source row's block-column sums.
+    # A FAILS witness repeats its source's values block by block
     trs, pairs = example_one()
+    holds = 0
     for i in range(200):
         interp = uniform_interp(random.Random(3000 + i))
+        lifted = interp_to_blocks(interp)
+        b = lifted.shape.block
         before = check_problem(trs, pairs, interp, "entrywise")
-        if before.holds:
-            after = check_problem(trs, pairs, interp_to_blocks(interp), "entrywise")
-            assert after.holds
+        after = check_problem(trs, pairs, lifted, "entrywise")
+        assert after.holds == before.holds
+        for check, image in zip(before.checks, after.checks):
+            assert image.verdict.holds == check.verdict.holds
+            holds += check.verdict.holds
+            if check.witness is not None:
+                assert image.witness == {v: tuple(x for x in xs for _ in range(b))
+                                         for v, xs in check.witness.items()}
+    assert 0 < holds < 200 * 4
 
 
-def test_entrywise_holds_direction_is_not_universal():
-    # pinned counterexample: entrywise verdicts are NOT generally preserved by
-    # the lift (the value ordering is; the entrywise one can lose off-diagonal
-    # domination when scalar*scalar products meet a divisible entry)
+def test_entrywise_verdicts_survive_the_lift():
+    # compared entry by entry, this lift lost off-diagonal domination where
+    # scalar*scalar products met a divisible entry; over block-constant
+    # tuples, the order compares each row's block-column sums, which the
+    # lift keeps, so both orderings keep every verdict
     interp = parse_interpretation("""
 domain natural
 dim 3
@@ -286,12 +297,11 @@ interp f# : 1
   C = [0 ; 0 ; 0]
 """)
     trs, pairs = example_one()
-    assert check_problem(trs, pairs, interp, "entrywise").holds
     lifted = interp_to_blocks(interp)
-    assert not check_problem(trs, pairs, lifted, "entrywise").holds
-    # the guaranteed equivalence concerns the rho orderings, and those agree
-    assert check_problem(trs, pairs, interp, "value").holds \
-        == check_problem(trs, pairs, lifted, "value").holds
+    assert lifted.shape.block > 1
+    for backend in ("entrywise", "value"):
+        assert check_problem(trs, pairs, interp, backend).holds
+        assert check_problem(trs, pairs, lifted, backend).holds
 
 
 def test_partial_roundtrip_collapse_recovers_naturals():
