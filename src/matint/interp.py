@@ -22,6 +22,10 @@ decide universally quantified orderings between forms over the domain:
 ``decide`` reads both forms once into gap rows, lhs − rhs less a floor, and
 gives the verdict, its detail and, for FAILS, a witness: the tuple at which
 the first negative gap row is negative.
+
+At block b > 1, ``check_problem`` decides on the beta x beta quotient, which
+acts on the domain as the interpretation does; m stays n and the report is
+the full forms' (see ``decide``).
 """
 
 from __future__ import annotations
@@ -101,22 +105,51 @@ def _map_once(func, objs, done: dict = None) -> tuple:
     return tuple(done[id(obj)] for obj in objs)
 
 
-def _require_block_rows(mat: Mat, shape: BlockShape, where: tuple[str, str]):
-    """Refuse a matrix whose rows in some b x b block have different sums:
-    it would map a block-constant tuple out of the domain."""
+def _quotient(mat: Mat, shape: BlockShape, where: tuple[str, str]) -> Mat:
+    """Each b x b block's common row sum (a vector: each segment's value),
+    from one read; uneven rows or segments leave the domain and raise."""
     b, beta, nums = shape.block, shape.beta, mat.nums
+    if where[1] == "C":
+        for j in range(beta):
+            segment = nums[j * b:(j + 1) * b]
+            if segment.count(segment[0]) != b:
+                raise InterpError(f"{where[0]}: constant vector is not block-constant "
+                                  f"(block {j + 1} of size {b})", where)
+        return Mat._derived(beta, 1, nums[::b], mat.den)
     # the sum of each run of b entries, beta runs per row, row by row
     sums = [sum(nums[k:k + b]) for k in range(0, len(nums), b)]
+    out = []
     for i in range(beta):
         rows = sums[i * b * beta:(i + 1) * b * beta]
         if rows != rows[:beta] * b:
             j = next(j for j in range(beta) if len(set(rows[j::beta])) > 1)
             raise InterpError(f"{where[0]}: {where[1]} block ({i + 1},{j + 1}) of size {b} "
                               f"has rows with different sums", where)
+        out += rows[:beta]
+    return Mat._derived(beta, beta, out, mat.den)
+
+
+def _block_quotient(interp: Interpretation, done: dict) -> Interpretation:
+    """The quotient at dimension beta, block 1; ``done`` maps the id of each
+    matrix already taken to its quotient, so shared matrices share one."""
+    shape = interp.shape
+    table = {}
+    for symbol, func in interp.table.items():
+        parts = (*func.mats, func.const)
+        for k, mat in enumerate(parts, start=1):
+            if id(mat) not in done:
+                where = (symbol, f"M{k}" if k < len(parts) else "C")
+                done[id(mat)] = _quotient(mat, shape, where)
+        *mats, const = (done[id(mat)] for mat in parts)
+        table[symbol] = LinearFunc(tuple(mats), const)
+    return Interpretation._derived(BlockShape(shape.beta), interp.domain, table, interp.delta)
 
 
 class Interpretation(Record):
-    __slots__ = ("shape", "domain", "table", "delta")
+    """At block > 1, ``quotient`` is taken at load, or on first use after ``_derived``."""
+
+    __slots__ = ("shape", "domain", "table", "delta", "quotient")
+    _fields = ("shape", "domain", "table", "delta")
 
     def __init__(self, shape: BlockShape, domain: str, table: Mapping[str, LinearFunc],
                  delta: Fraction | None = None):
@@ -125,7 +158,7 @@ class Interpretation(Record):
             raise InterpError(f"domain must be natural or rational, got {domain!r}")
         if delta is not None and delta <= 0:
             raise InterpError(f"delta must be positive, got {delta}", "delta")
-        checked = set()  # ids of the matrices whose entries passed
+        checked = {}  # the id of each matrix whose entries passed, to its quotient
         for symbol, func in table.items():
             for k, mat in enumerate((*func.mats, func.const), start=1):
                 where = (symbol, f"M{k}" if k <= len(func.mats) else "C")
@@ -139,18 +172,20 @@ class Interpretation(Record):
                     # the entries are nonnegative here, so natural means integral
                     if domain == "natural" and mat.den != 1:
                         raise InterpError(f"{symbol}: non-natural entry in natural domain", where)
-                    if b > 1 and where[1] != "C":
-                        _require_block_rows(mat, shape, where)
-                    checked.add(id(mat))
-            for j in range(shape.beta):
-                segment = func.const.nums[j * b:(j + 1) * b]
-                if segment.count(segment[0]) != b:
-                    raise InterpError(f"{symbol}: constant vector is not block-constant "
-                                      f"(block {j + 1} of size {b})", (symbol, "C"))
+                    checked[id(mat)] = _quotient(mat, shape, where) if b > 1 else None
         __class__._set_shape(self, shape)
         __class__._set_domain(self, domain)  # "natural" | "rational"
         __class__._set_table(self, MappingProxyType(dict(table)))  # checked, read-only
         __class__._set_delta(self, delta)
+        if b > 1:
+            __class__._set_quotient(self, _block_quotient(self, checked))
+
+    def __getattr__(self, name):
+        # reached only while the ``quotient`` slot is empty, or for a missing name
+        if name != "quotient":
+            raise AttributeError(f"'Interpretation' object has no attribute {name!r}")
+        __class__._set_quotient(self, _block_quotient(self, {}))
+        return self.quotient
 
     @classmethod
     def _derived(cls, shape: BlockShape, domain: str, table: dict[str, LinearFunc],
@@ -202,7 +237,7 @@ def _columns(mat: Mat) -> tuple:
     ``(den, cols, sparse)`` with one of ``cols`` and ``sparse`` None.
 
     A matrix of dimension at least 8 with at most a quarter of its entries
-    nonzero, like the lifts of ``to-blocks``/``to-bits``, gives ``sparse =
+    nonzero, like a big bit matrix at block 1, gives ``sparse =
     (pick, weights, spans)``: ``pick`` is one ``itemgetter`` of u's entries
     at the rows of every nonzero, column by column, ``weights`` the
     nonzeros in the same order (None when they are all 1, as in a bit
@@ -406,14 +441,23 @@ class Verdict(Record):
         __class__._set_detail(self, detail)
 
 
-def _vec(mat: Mat) -> str:
-    return "(" + ",".join(entry_strs(mat)) + ")"
+def _vec(mat: Mat, repeat: int = 1) -> str:
+    """The vector's entries, each ``repeat`` times, as ``(a,b,...)``."""
+    strs = entry_strs(mat)
+    if repeat > 1:
+        strs = [x for x in strs for _ in range(repeat)]
+    return "(" + ",".join(strs) + ")"
 
 
 def decide(lhs: LinearForm, rhs: LinearForm, rel: str, backend: str = "value", block: int = 1,
-           m: int = None, delta: Fraction = None) -> tuple[Verdict, dict[str, tuple] | None]:
+           m: int = None, delta: Fraction = None,
+           quotient: bool = False) -> tuple[Verdict, dict[str, tuple] | None]:
     """The verdict of lhs REL rhs over the block-constant tuples of
     ``block``, its detail and, for FAILS, a witness.
+
+    With ``quotient``, the forms are a block-``block`` interpretation's
+    quotient forms (value: projected by ``block·1ᵀ``); gap row i stands for
+    the full rows from i·block, so the report reads at the full dimension.
 
     Both forms' int numerators, scaled to their common denominator ``den``,
     are read once into gap rows lhs − rhs: one of column sums (of full or
@@ -422,7 +466,7 @@ def decide(lhs: LinearForm, rhs: LinearForm, rel: str, backend: str = "value", b
     a variable's block value sums the row over the block's columns; its
     constant g is the constant gap less the row's floor: 0 on a weak row, 1
     on the first row of a strict entrywise comparison, ``ceil(delta·m·den)``
-    on a strict value one (m defaults to the dimension). A gap row is
+    on a strict value one (m defaults to the full dimension). A gap row is
     affine in the block values, so FAILS exactly when some g or coefficient
     is negative. The detail names the first failing comparison: variables
     in order, then the constant, then the margin or first component. The
@@ -439,16 +483,18 @@ def decide(lhs: LinearForm, rhs: LinearForm, rel: str, backend: str = "value", b
     if rhs.const.rows != rows:
         raise InterpError(f"forms have {rows} and {rhs.const.rows} rows")
     value = backend == "value"
+    # the full forms' rows that each row of these forms stands for
+    step = block if quotient else 1
+    beta = n if quotient else n // block
     if value:
-        if rows not in (1, n):
+        if rows != 1 and (quotient or rows != n):
             raise InterpError(f"value comparison needs full or projected forms, got {rows} rows")
-        m = n if m is None else m
+        m = n * step if m is None else m
         if m < 1:
             raise MatrixError(f"valuation divisor must be positive, got {m}")
         if rel == "strict" and (delta is None or delta <= 0):
             raise InterpError("strict value comparison needs delta > 0")
     den = lcm(*(mat.den for form in (lhs, rhs) for mat in (*form.coeffs.values(), form.const)))
-    beta = n // block
     lines = 1 if value else rows
 
     def sums(mat):
@@ -459,7 +505,7 @@ def decide(lhs: LinearForm, rhs: LinearForm, rel: str, backend: str = "value", b
         nums = mat.nums
         if value and mat.rows > 1:
             nums = [sum(nums[j::n]) for j in range(n)]
-        if block > 1:
+        if beta < n:
             nums = [sum(nums[k:k + block]) for k in range(0, len(nums), block)]
         scale = den // mat.den
         return nums if scale == 1 else [x * scale for x in nums]
@@ -475,7 +521,7 @@ def decide(lhs: LinearForm, rhs: LinearForm, rel: str, backend: str = "value", b
                 detail = f"coeff({v}): {lhs.coeff(v)} !>= {rhs.coeff(v)}"
             else:
                 k = next(k for k, g in enumerate(gap) if g < 0)
-                row = "" if value else f"row {k // beta + 1} "
+                row = "" if value else f"row {k // beta * step + 1} "
                 column = "column" if block == 1 else "block column"
                 detail = (f"coeff({v}): {row}{column} {k % beta + 1} sum "
                           f"{_rat_str(ls[k], den)} < {_rat_str(rs[k], den)}")
@@ -501,13 +547,13 @@ def decide(lhs: LinearForm, rhs: LinearForm, rel: str, backend: str = "value", b
     else:
         consts = [x * kl - y * kr for x, y in zip(lc.nums, rc.nums)]
         if detail is None and min(consts) < 0:
-            detail = f"const: {_vec(lc)} !>= {_vec(rc)}"
+            detail = f"const: {_vec(lc, step)} !>= {_vec(rc, step)}"
         if rel == "strict":
             consts[0] -= 1
             if detail is None and consts[0] < 0:
                 detail = (f"const: first component {_rat_str(lc.nums[0], lc.den)} not > "
                           f"{_rat_str(rc.nums[0], rc.den)}")
-        holding = f"const {_vec(lc)} {'>' if rel == 'strict' else '>='} {_vec(rc)}"
+        holding = f"const {_vec(lc, step)} {'>' if rel == 'strict' else '>='} {_vec(rc, step)}"
     if detail is None:
         return Verdict(True, holding), None
     for i, g in enumerate(consts):
@@ -581,19 +627,22 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
 
     Value-backend defaults: m is the dimension; delta is the file's delta,
     else 1/m. ``decide`` decides each distinct constraint (lhs, rhs and
-    relation) once, at the interpretation's block, for all of its labels.
+    relation) once, on the quotient's forms at block > 1, for all of its labels.
     """
     if backend not in ("entrywise", "value"):
         raise InterpError(f"unknown backend {backend!r}")
-    m = interp.shape.dim if m is None else m
+    shape = interp.shape
+    m = shape.dim if m is None else m
     if delta is None:
         delta = interp.delta if interp.delta is not None else Fraction(1, m)
     delta = Fraction(delta)
-    # the value backend reads only 1ᵀ·[[t]]; entrywise needs the full forms.
-    # Either way all sides are evaluated at once, sharing their subterms
-    left = Mat.ones(1, interp.shape.dim) if backend == "value" else None
+    walked = interp if shape.block == 1 else interp.quotient
+    # the value backend reads only b·1ᵀ·[[t]], the full forms' block-column
+    # sums; entrywise needs whole forms. Either way all sides are evaluated
+    # at once, sharing their subterms
+    left = Mat.constant(shape.block, 1, shape.beta) if backend == "value" else None
     problem = [("rule", trs.rules, "weak"), ("pair", tuple(pairs), "strict")]
-    forms = iter(eval_term(interp, [t for _, rules, _ in problem for rule in rules
+    forms = iter(eval_term(walked, [t for _, rules, _ in problem for rule in rules
                                     for t in (rule.lhs, rule.rhs)], left))
     checks: list[ConstraintCheck] = []
     decided = {}  # (lhs, rhs, rel) -> (verdict, witness)
@@ -602,7 +651,7 @@ def check_problem(trs: Trs, pairs, interp: Interpretation, backend: str = "value
             lhs, rhs = next(forms), next(forms)
             key = rule.lhs, rule.rhs, rel
             if key not in decided:
-                decided[key] = decide(lhs, rhs, rel, backend, interp.shape.block, m, delta)
+                decided[key] = decide(lhs, rhs, rel, backend, shape.block, m, delta, True)
             checks.append(ConstraintCheck(f"{label} {idx}", rule, rel, *decided[key]))
     if backend == "entrywise":
         m = delta = None

@@ -235,7 +235,11 @@ def verify_transform(trs: Trs, pairs, before: Interpretation, after: Interpretat
     """Run the value-backend check on both sides and compare verdicts.
 
     The blockwise lift promises equivalence; rational expansion promises the
-    forward direction only (rational holds implies natural holds).
+    forward direction only (rational holds implies natural holds). A lifted
+    side (block > 1) is checked on its quotient, at the source's dimension;
+    ``check_problem`` takes that quotient from the lifted entries, not from
+    the source, so the after-check stays an independent re-verification.
+    An expansion (block 1) is checked at its own dimension.
     """
     before_report = check_problem(trs, pairs, before, "value", delta=delta)
     after_report = check_problem(trs, pairs, after, "value", delta=delta)

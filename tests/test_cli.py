@@ -22,6 +22,7 @@ from matint import (BlockShape, Interpretation, LinearFunc, Mat, format_interpre
 from matint.cli import main
 from matint.encoding import CATALOG_NAMES
 from matint.represent import lift_factors
+import matint.interp as interp_module
 from _helpers import DATA, example_one, read
 
 EX1 = str(DATA / "fg.trs")
@@ -336,6 +337,50 @@ def test_to_bits_at_dim_264_verifies_and_checks(capsys, tmp_path):
     verdicts = [[line for line in out.splitlines() if not line.startswith("#")]
                 for _, out, _ in (want, got)]
     assert verdicts[0] == verdicts[1] and verdicts[0][-1] == "RESULT: SATISFIED"
+
+
+def test_to_bits_at_dim_480_checks_at_the_source_dimension(capsys, tmp_path, monkeypatch):
+    """data/relative.interp with f's M2 = [1 16 ; 0 15] lifts to a dim-480
+    bit interpretation of block 240. to-bits re-verifies it, and check
+    reads it back under both backends with the dim-2 source's verdicts
+    (and, for the value backend, its rho values). Every form and every
+    compiled matrix is at most 2 wide: the checks run on the quotient."""
+    src, bits = tmp_path / "k16.interp", tmp_path / "k16.bits.interp"
+    src.write_text(read("relative.interp").replace("M2 = [1 2 ; 0 0]",
+                                                         "M2 = [1 16 ; 0 15]"),
+                   encoding="utf-8")
+    form, columns = interp_module.LinearForm, interp_module._columns
+
+    def narrow_form(dim, coeffs, const):
+        assert dim <= 2, f"a form of dimension {dim}"
+        return form(dim, coeffs, const)
+
+    def narrow_columns(mat):
+        assert mat.cols <= 2, f"a {mat.rows}x{mat.cols} matrix compiled"
+        return columns(mat)
+
+    monkeypatch.setattr(interp_module, "LinearForm", narrow_form)
+    monkeypatch.setattr(interp_module, "_columns", narrow_columns)
+    code, out, _ = run(capsys, "to-bits", "--interp", str(src), "--trs", ENDR_TRS,
+                       "--out", str(bits))
+    assert code == 0
+    assert "# final scale 240, dim 480, max matrix entry 1" in out
+    assert out.endswith("RESULT: VERIFIED\n")
+    for backend in ("value", "entrywise"):
+        want = run(capsys, "check", "--trs", ENDR_TRS, "--interp", str(src),
+                   "--backend", backend)
+        got = run(capsys, "check", "--trs", ENDR_TRS, "--interp", str(bits),
+                  "--backend", backend)
+        assert got[0] == want[0] == 0 and got[2] == want[2] == ""
+        assert f"# check: backend {backend}, dim 480, block 240" in got[1]
+        lines = [[line for line in out.splitlines() if not line.startswith("#")]
+                 for _, out, _ in (want, got)]
+        if backend == "value":
+            assert lines[0] == lines[1]
+        # entrywise constants print at the file's dimension
+        assert [line.split(" | ")[0] for line in lines[0]] == \
+            [line.split(" | ")[0] for line in lines[1]]
+        assert lines[1][-1] == "RESULT: SATISFIED"
 
 
 def test_expand_pipeline_end_to_end(capsys, tmp_path):

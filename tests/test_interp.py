@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matint import (App, BlockShape, Interpretation, InterpError, LinearForm,
-                    LinearFunc, Mat, Var, check_entrywise, check_problem,
+                    LinearFunc, Mat, Rule, Trs, Var, check_entrywise, check_problem,
                     check_value, collapse_interpretation, dependency_pairs, eval_term,
                     format_interpretation, jordan, parse_interpretation,
                     parse_matrix, parse_trs, rho, sample_falsify, subterms,
@@ -914,6 +914,65 @@ def test_check_problem_gives_the_witnesses_of_separate_calls():
                         found.add((shape.block, domain, backend, want is None))
     assert found == {(b, d, be, none) for b in (1, 2) for d in ("natural", "rational")
                      for be in ("entrywise", "value") for none in (True, False)}
+
+
+def test_quotient_checks_agree_with_the_full_forms():
+    # check_problem decides a block-2 or block-3 interpretation on its
+    # quotient; each verdict (with its detail) and witness is decide's on
+    # the full forms, under both backends, with m and delta given and
+    # defaulted. The detail kinds met are counted, so that a full row
+    # number, a full constant vector and a first component all show
+    rng = random.Random(32)
+    found, kinds = set(), set()
+    # the FAILS details, each told by the first of these it contains
+    detail_kinds = ("row", "block column", "const: (", "first component", "margin", "rho")
+    for trial in range(120):
+        block = 2 + trial % 2
+        shape = BlockShape(block * rng.randint(1, 3), block)
+        n = shape.dim
+        domain = rng.choice(("natural", "rational"))
+        interp = _rand_interp(rng, shape, domain)
+        assert interp.quotient.shape == BlockShape(shape.beta)
+        rules = []
+        while len(rules) < 4:
+            lhs = _rand_term(rng, 3, "xy")
+            if lhs.__class__ is App:
+                rules.append(Rule(lhs, _rand_term(rng, 3, "xy")))
+        trs = Trs(frozenset("xy"), tuple(rules[:3]), {})
+        pairs = (rules[0], Rule(rules[3].lhs, rules[3].lhs))
+        sides = [(r, "weak") for r in trs.rules] + [(r, "strict") for r in pairs]
+        full = {t: eval_term(interp, t) for rule, _ in sides for t in (rule.lhs, rule.rhs)}
+        given = rng.randint(1, 2 * n), F(rng.randint(1, 3), rng.randint(1, 4))
+        for backend in ("entrywise", "value"):
+            for m, delta in ((None, None), given):
+                report = check_problem(trs, pairs, interp, backend, m, delta)
+                want_m = n if m is None else m
+                want_delta = F(1, want_m) if delta is None else delta
+                for check, (rule, rel) in zip(report.checks, sides):
+                    lhs, rhs = full[rule.lhs], full[rule.rhs]
+                    want = interp_module.decide(lhs, rhs, rel, backend, block,
+                                                want_m, want_delta)
+                    assert (check.verdict, check.witness) == want
+                    assert check.witness == sample_falsify(lhs, rhs, rel, shape, backend,
+                                                           want_m, want_delta)
+                    if m is None:
+                        # decide's own default m for quotient forms is n too
+                        left = (Mat.constant(block, 1, shape.beta) if backend == "value"
+                                else None)
+                        ql, qr = eval_term(interp.quotient, (rule.lhs, rule.rhs), left)
+                        assert interp_module.decide(ql, qr, rel, backend, block,
+                                                    delta=want_delta, quotient=True) == want
+                    found.add((block, backend, check.verdict.holds))
+                    detail = check.verdict.detail
+                    if not check.verdict.holds:
+                        kinds.add(next(kind for kind in detail_kinds if kind in detail))
+                    if backend == "entrywise" and "row" in detail:
+                        # the first full row of its block
+                        row = int(detail.split("row ")[1].split()[0])
+                        assert row % block == 1
+    assert found == {(b, be, h) for b in (2, 3) for be in ("entrywise", "value")
+                     for h in (True, False)}
+    assert kinds == set(detail_kinds)
 
 
 def test_check_problem_decides_each_distinct_constraint_once(monkeypatch):

@@ -278,28 +278,29 @@ def test_sparse_value_walk_agrees_with_reference():
     assert kinds == {(False, False, False), (True, True, True), (True, True, False)}
 
 
-def test_value_check_of_bit_interpretation_takes_sparse_steps(monkeypatch):
+def test_value_check_of_bit_interpretation_runs_at_the_source_dimension(monkeypatch):
     """A dim-24 to-bits output (of data/relative.interp with f's M2 =
-    [1 4 ; 0 3]) is checked without a dense u·M product, with the verdicts
-    of its dim-2 source."""
+    [1 4 ; 0 3]) is checked on its block-12 quotient: every u·M product
+    is a dense one at dimension 2, and the verdicts are its dim-2
+    source's."""
     trs = parse_trs(read("relative.trs"))
     source = parse_interpretation(read("relative.interp").replace("M2 = [1 2 ; 0 0]",
                                                                   "M2 = [1 4 ; 0 3]"))
     bits, _ = interp_to_bits(source)
-    assert bits.shape.dim == 24
+    assert (bits.shape.dim, bits.shape.block) == (24, 12)
     calls = []
     product = interp_module._mat_vec
 
     def recording(lines, vec):
-        calls.append(len(lines))
+        calls.append((len(lines), len(vec)))
         return product(lines, vec)
 
     monkeypatch.setattr(interp_module, "_mat_vec", recording)
     report = check_problem(trs, [], bits, "value")
-    assert calls == []
+    assert calls and set(calls) == {(2, 2)}
+    assert bits.quotient.table == source.table
     want = check_problem(trs, [], source, "value")
     assert [c.verdict.holds for c in report.checks] == [c.verdict.holds for c in want.checks]
-    assert calls
 
 
 def test_checks_of_one_interpretation_compile_each_matrix_once(monkeypatch):
